@@ -38,14 +38,6 @@ class CharacterGrid:
         return int(self.values.shape[1])
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    # left-to-right accumulation; bit-for-bit stable across runs
-    total = 0.0
-    for x, y in zip(u, v):
-        total += float(x) * float(y)
-    return total
-
-
 def _grid_from_features(image_ids, image_feats, column_ids, column_feats,
                         n_max: int, m_max: int) -> CharacterGrid:
     if len(image_feats) > n_max:
@@ -55,10 +47,15 @@ def _grid_from_features(image_ids, image_feats, column_ids, column_feats,
     dims = {f.shape[0] for f in image_feats} | {f.shape[0] for f in column_feats}
     if len(dims) > 1:
         raise DataError(f"feature dimensions differ: {sorted(dims)}")
-    values = np.zeros((len(image_feats), len(column_feats)))
-    for a, ifeat in enumerate(image_feats):
-        for b, cfeat in enumerate(column_feats):
-            values[a, b] = _dot(ifeat, cfeat)
+    width = dims.pop() if dims else 0
+    images = np.asarray(image_feats, dtype=np.float64).reshape(len(image_feats), width)
+    columns = np.asarray(column_feats, dtype=np.float64).reshape(len(column_feats), width)
+    if width == 0:
+        values = np.zeros((len(images), len(columns)))
+    else:
+        # cumsum adds each cell's products one by one, left to right, as a
+        # loop from 0.0 would; "+ 0.0" maps an all -0.0 sum to +0.0 as 0.0 + ... does
+        values = np.cumsum(images[:, None, :] * columns[None, :, :], axis=2)[..., -1] + 0.0
     return CharacterGrid(values=values, image_ids=list(image_ids),
                          column_ids=list(column_ids))
 

@@ -1,9 +1,9 @@
 """Greedy and nucleus decoding, plus realization of placeholder text.
 
-Decoding recomputes the full forward pass per step (no KV cache; sequences
-are short at this scale). Realization swaps [maleK]/[femaleK]/[location]
-placeholders for sampled names, consistently within a story, and re-attaches
-punctuation.
+Decoding builds a sequence's conditioning once, forwards it with [BOS]
+once into a per-layer KV cache, then forwards one position per sampled
+token. Realization swaps [maleK]/[femaleK]/[location] placeholders for
+sampled names, consistently within a story, and re-attaches punctuation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary
 from .errors import ConfigError, NumericError, ResourceError
-from .model import StoryGenModel, assemble_input, forward_logits
+from .model import KVCache, StoryGenModel, assemble_input, forward_logits, text_step
 
 NO_SPACE_BEFORE = {".", ",", "!", "?", ";", ":", "'", ")", "]", "%", "…"}
 NO_SPACE_AFTER = {"(", "[", "'"}
@@ -106,10 +106,19 @@ class GeneratedStory:
 
 def generate(model: StoryGenModel, seq, vocab: Vocabulary,
              config: DecodingConfig) -> GeneratedStory:
-    """Continue from the conditioning prefix + [BOS] until [EOS] or budget."""
+    """Continue from the conditioning prefix + [BOS] until [EOS] or budget.
+
+    The conditioning (stacked features, entity rows, flattened grid) is
+    assembled once per call, so the grid is computed once. The prefix and
+    [BOS] are forwarded once into a KV cache; each later step forwards only
+    the token sampled last.
+    """
+    prefix = assemble_input(seq, [], model.config, vocab.bos_id)
+    cache = KVCache(model.config)
+
     def logits_fn(story_so_far: list[int]) -> np.ndarray:
-        layout = assemble_input(seq, story_so_far, model.config, vocab.bos_id)
-        return forward_logits(model, layout).data[-1]
+        layout = text_step(story_so_far[-1], cache.length) if story_so_far else prefix
+        return forward_logits(model, layout, cache=cache).data[-1]
 
     ids = decode_tokens(logits_fn, eos_id=vocab.eos_id, config=config,
                         max_tokens=model.config.t_max - 1)

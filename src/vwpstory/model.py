@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from .chargrid import flatten_pad, grid_for_mode
 from .corpus import ImageSequenceRecord
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, StateError
 from .numerics import ParamStore, Tensor
 
 GRID_MODES = ("none", "char", "obj", "entity")
@@ -183,20 +184,48 @@ def parameter_count(config: ModelConfig) -> int:
 
 @dataclass
 class InputLayout:
-    """A model-ready arrangement of one sequence and one story."""
-    image_feats: np.ndarray            # (N, D)
-    entity_feats: np.ndarray | None    # (M_char + M_obj, D) or None
-    grid_vec: np.ndarray | None        # (n_max * m_max,) or None
-    token_ids: np.ndarray              # [BOS] + story
-    positions: np.ndarray
+    """A model-ready arrangement of positions: the conditioning rows of one
+    sequence, then text tokens. A step for a cached forward carries text
+    tokens only, so its conditioning fields are None."""
+    token_ids: np.ndarray                     # [BOS] + story, or a step's new tokens
+    positions: np.ndarray                     # absolute position of every row
     segments: np.ndarray
-    targets: np.ndarray                # next-token ids, -1 where unused
-    loss_mask: np.ndarray              # True exactly on story-prediction slots
-    prefix_len: int                    # positions before [BOS]
+    image_feats: np.ndarray | None = None     # (N, D)
+    entity_feats: np.ndarray | None = None    # (M_char + M_obj, D)
+    grid_vec: np.ndarray | None = None        # (n_max * m_max,)
+    targets: np.ndarray | None = None         # next-token ids, -1 where unused
+    loss_mask: np.ndarray | None = None       # True exactly on story-prediction slots
+    prefix_len: int = 0                       # positions before [BOS]
 
     @property
     def length(self) -> int:
         return int(self.positions.shape[0])
+
+
+def text_step(token_id: int, position: int) -> InputLayout:
+    """One text token at absolute ``position``, for a forward over a KV cache."""
+    return InputLayout(token_ids=np.array([token_id], dtype=np.intp),
+                       positions=np.array([position], dtype=np.intp),
+                       segments=np.array([SEG_TEXT], dtype=np.intp))
+
+
+class KVCache:
+    """Keys and values of every position forwarded so far, per layer, in
+    buffers sized for the model's full position range."""
+
+    def __init__(self, config: ModelConfig):
+        shape = (config.n_layers, config.n_positions, config.d_model)
+        self.keys = np.zeros(shape)
+        self.values = np.zeros(shape)
+        self.length = 0
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Store ``layer``'s keys and values of the rows after ``length``;
+        return that layer's keys and values of every position up to them."""
+        end = self.length + k.data.shape[0]
+        self.keys[layer, self.length:end] = k.data
+        self.values[layer, self.length:end] = v.data
+        return Tensor(self.keys[layer, :end]), Tensor(self.values[layer, :end])
 
 
 def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
@@ -255,21 +284,42 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return nm.add(nm.matmul(x, w), b)
 
 
-def _causal_mask(length: int) -> Tensor:
-    mask = np.triu(np.full((length, length), -1e30), k=1)
+def _causal_mask(length: int, past: int) -> Tensor:
+    """(length, past + length): row r sits at position past + r and sees
+    every position up to its own."""
+    mask = np.triu(np.full((length, past + length), -1e30), k=past + 1)
     return Tensor(mask)
 
 
 def forward_logits(model: StoryGenModel, layout: InputLayout, *,
                    training: bool = False,
-                   rng: np.random.Generator | None = None) -> Tensor:
-    """Logits (length x vocab) under full causal self-attention."""
+                   rng: np.random.Generator | None = None,
+                   cache: KVCache | None = None) -> Tensor:
+    """Logits (layout.length x vocab) under causal self-attention.
+
+    Without a cache the layout is a whole sequence; training, losses and
+    teacher-forced evaluation all take this path. With a ``KVCache`` the
+    layout holds only the positions that follow those already cached (its
+    first call may carry the conditioning rows): each layer's new queries
+    attend over the cached keys/values plus the new ones under a
+    (new, past + new) causal mask, the new keys/values are stored, and the
+    cache grows by ``layout.length``. A cache is for inference only.
+    """
     cfg = model.config
     p = model.param
     if training and rng is None:
         rng = np.random.default_rng(0)
+    past = 0
+    if cache is not None:
+        if training:
+            raise StateError("forward_logits: a KV cache is for inference only")
+        past = cache.length
+        if not np.array_equal(layout.positions, np.arange(past, past + layout.length)):
+            raise StateError(f"forward_logits: positions do not follow the {past} cached ones")
 
-    parts = [_linear(Tensor(layout.image_feats), p("enc_global.w"), p("enc_global.b"))]
+    parts = []
+    if layout.image_feats is not None:
+        parts.append(_linear(Tensor(layout.image_feats), p("enc_global.w"), p("enc_global.b")))
     if layout.entity_feats is not None:
         parts.append(_linear(Tensor(layout.entity_feats), p("enc_entity.w"), p("enc_entity.b")))
     if layout.grid_vec is not None:
@@ -282,7 +332,7 @@ def forward_logits(model: StoryGenModel, layout: InputLayout, *,
     x = nm.dropout(x, cfg.dropout, rng, training)
 
     length = layout.length
-    mask = _causal_mask(length)
+    mask = _causal_mask(length, past)
     head_dim = cfg.d_model // cfg.n_heads
     scale = Tensor(1.0 / math.sqrt(head_dim))
     for i in range(cfg.n_layers):
@@ -291,6 +341,8 @@ def forward_logits(model: StoryGenModel, layout: InputLayout, *,
         q = _linear(h, p(b + "attn.wq"), p(b + "attn.bq"))
         k = _linear(h, p(b + "attn.wk"), p(b + "attn.bk"))
         v = _linear(h, p(b + "attn.wv"), p(b + "attn.bv"))
+        if cache is not None:
+            k, v = cache.extend(i, k, v)
         heads = []
         for head in range(cfg.n_heads):
             lo, hi = head * head_dim, (head + 1) * head_dim
@@ -311,6 +363,8 @@ def forward_logits(model: StoryGenModel, layout: InputLayout, *,
     logits = _linear(x, p("out.w"), p("out.b"))
     if not np.isfinite(logits.data).all():
         raise NumericError("forward_logits: non-finite activation")
+    if cache is not None:
+        cache.length += length
     return logits
 
 
@@ -344,8 +398,17 @@ def save_checkpoint(model: StoryGenModel, path) -> None:
         for extent in data.shape:
             buf.write(struct.pack("<I", extent))
         buf.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # write beside the target, then rename over it: a crash mid-write never
+    # leaves a truncated checkpoint at ``path``
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> StoryGenModel:
@@ -389,7 +452,3 @@ def load_checkpoint(path) -> StoryGenModel:
         store.add(name, params[name])
     return StoryGenModel(config=config, store=store)
 
-
-def sibling_config(config: ModelConfig, grid_mode: str) -> ModelConfig:
-    """Same config with a different grid wiring (for variant comparisons)."""
-    return replace(config, grid_mode=grid_mode)

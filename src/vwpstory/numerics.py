@@ -358,9 +358,6 @@ class ParamStore:
         for p in self.params.values():
             p.grad = None
 
-    def gradients(self) -> dict[str, Array | None]:
-        return {name: p.grad for name, p in self.params.items()}
-
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:

@@ -3,7 +3,8 @@
 One optimizer step per mini-batch of sequences (gradients averaged over the
 batch, clipped at a global norm of 1.0, then Adam). After every epoch the
 model decodes the validation split with seeded nucleus sampling and the
-epoch with the highest METEOR wins (earliest on ties). Runs are seeded end
+epoch with the highest METEOR wins (earliest on ties); without a validation
+split the last epoch is kept. Runs are seeded end
 to end: the same config and seed reproduce the same best checkpoint bit for
 bit.
 """
@@ -68,11 +69,12 @@ class RunLog:
     val_meteor: list[float] = field(default_factory=list)
     best_epoch: int = 0  # 1-based
     best_checkpoint: str | None = None
+    selection: str = "meteor"  # "last" when there is no validation split
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "train_loss": self.train_loss,
                 "val_meteor": self.val_meteor, "best_epoch": self.best_epoch,
-                "best_checkpoint": self.best_checkpoint}
+                "best_checkpoint": self.best_checkpoint, "selection": self.selection}
 
 
 def metric_tokens(surface_tokens: list[str]) -> list[str]:
@@ -180,17 +182,19 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
         model_config: ModelConfig, vocab: Vocabulary) -> FitResult:
-    """Train once per seed, select the best epoch by validation METEOR,
-    then score the best checkpoint on the test split with greedy decoding.
-    Per-metric mean/std aggregates the seeds."""
+    """Train once per seed, select the best epoch by validation METEOR (the
+    last epoch when there is no validation split), then score the selected
+    weights on the test split with greedy decoding. Per-metric mean/std
+    aggregates the seeds."""
     ckpt_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
     if ckpt_dir:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
+    validate = bool(splits.get("val"))
     runlogs: list[RunLog] = []
     test_scores: dict[str, list[float]] = {}
     for seed in config.seeds:
         model = build_model(replace(model_config, seed=seed))
-        run = RunLog(seed=seed)
+        run = RunLog(seed=seed, selection="meteor" if validate else "last")
         best_meteor = -1.0
         best_params: dict[str, np.ndarray] | None = None
         ckpt_path = ckpt_dir / f"seed{seed}-best.ckpt" if ckpt_dir else None
@@ -199,11 +203,12 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
                                seed=_epoch_seed(seed, epoch), epoch=epoch)
             run.train_loss.append(loss)
             score = validate_meteor(model, splits["val"], vocab, config.val_decoding) \
-                if splits.get("val") else 0.0
+                if validate else 0.0
             run.val_meteor.append(score)
             log.info("seed %d epoch %d: train loss %.4f, val METEOR %.4f",
                      seed, epoch, loss, score)
-            if score > best_meteor:
+            keep = score > best_meteor if validate else epoch == config.epochs
+            if keep:
                 best_meteor = score
                 run.best_epoch = epoch
                 best_params = {name: model.store[name].data.copy()
@@ -211,7 +216,10 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
                 if ckpt_path:
                     save_checkpoint(model, ckpt_path)
                     run.best_checkpoint = str(ckpt_path)
-        assert run.best_epoch == select_best(run.val_meteor)
+        if validate and run.best_epoch != select_best(run.val_meteor):
+            raise TrainingError(
+                f"seed {seed}: kept epoch {run.best_epoch}, but validation METEOR "
+                f"{run.val_meteor} selects epoch {select_best(run.val_meteor)}")
         if best_params is not None:
             for name, data in best_params.items():
                 model.store[name].data[:] = data

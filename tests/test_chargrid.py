@@ -41,11 +41,33 @@ def make_seq(image_feats, char_feats, obj_feats=()):
     return ImageSequenceRecord(id="seq", images=images, characters=chars, objects=objs)
 
 
-def brute_force_cell(ifeat, cfeat):
+def _dot(u, v):
+    # left-to-right accumulation from 0.0: the reference for every grid cell
     total = 0.0
-    for d in range(len(ifeat)):
-        total += float(ifeat[d]) * float(cfeat[d])
+    for x, y in zip(u, v):
+        total += float(x) * float(y)
     return total
+
+
+def loop_grid(image_feats, column_feats):
+    """Reference grid: one explicit ``_dot`` per cell."""
+    values = np.zeros((len(image_feats), len(column_feats)))
+    for a, ifeat in enumerate(image_feats):
+        for b, cfeat in enumerate(column_feats):
+            values[a, b] = _dot(ifeat, cfeat)
+    return values
+
+
+def vector_grid(image_feats, column_feats):
+    ids = [f"r{a}" for a in range(len(image_feats))]
+    cols = [f"c{b}" for b in range(len(column_feats))]
+    return chargrid._grid_from_features(ids, list(image_feats), cols, list(column_feats),
+                                        n_max=16, m_max=16).values
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
 
 
 class TestComputeGrid:
@@ -69,7 +91,7 @@ class TestComputeGrid:
             grid = compute_grid(make_seq(ifeats, cfeats))
             for a in range(3):
                 for b in range(2):
-                    assert grid.values[a, b] == brute_force_cell(ifeats[a], cfeats[b])
+                    assert grid.values[a, b] == _dot(ifeats[a], cfeats[b])
 
     def test_dimension_mismatch(self):
         seq = make_seq([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
@@ -96,6 +118,38 @@ class TestComputeGrid:
         np.testing.assert_allclose(scaled.values, base.values * s, rtol=1e-12)
 
 
+class TestVectorisedGridOracle:
+    @pytest.mark.parametrize("width", [8, 512, 2048])
+    def test_bit_identical_to_loop(self, width):
+        rng = np.random.default_rng(width)
+        ifeats = rng.normal(size=(10, width))
+        cfeats = rng.normal(size=(5, width)) * rng.choice([1e-8, 1.0, 1e8], size=(5, 1))
+        assert_bits_equal(vector_grid(ifeats, cfeats), loop_grid(ifeats, cfeats))
+
+    @pytest.mark.parametrize("n_images,n_columns,width", [(0, 3, 4), (3, 0, 4), (0, 0, 4),
+                                                          (3, 2, 0), (0, 0, 0)])
+    def test_empty(self, n_images, n_columns, width):
+        ifeats = np.ones((n_images, width))
+        cfeats = np.ones((n_columns, width))
+        assert_bits_equal(vector_grid(ifeats, cfeats), loop_grid(ifeats, cfeats))
+
+    def test_all_zero_products_sum_to_positive_zero(self):
+        # every product is -0.0: the loop starts from +0.0 and stays there
+        ifeats = np.array([[1.0, -1.0, 2.0], [-0.0, 0.0, -0.0]])
+        cfeats = np.array([[-0.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
+        expected = loop_grid(ifeats, cfeats)
+        assert_bits_equal(vector_grid(ifeats, cfeats), expected)
+        assert not np.signbit(expected).any()
+
+    def test_signed_zeros_cancellation_and_specials(self):
+        ifeats = np.array([[-0.0, 1e308, 1.0, -1.0], [np.inf, 1.0, 0.0, np.nan]])
+        cfeats = np.array([[1.0, 10.0, 1.0, 1.0], [-0.0, 1.0, -1.0, 1.0],
+                           [0.0, -1e308, 1e-300, -1e-300]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            actual = vector_grid(ifeats, cfeats)
+        assert_bits_equal(actual, loop_grid(ifeats, cfeats))
+
+
 class TestVariantGrids:
     def test_no_objects_zero_columns(self):
         seq = make_seq([[1.0, 0.0]], [[1.0, 1.0]])
@@ -115,7 +169,7 @@ class TestVariantGrids:
         grid = compute_object_grid(make_seq(ifeats, [], obj_feats=ofeats))
         for a in range(2):
             for k in range(3):
-                assert grid.values[a, k] == brute_force_cell(ifeats[a], ofeats[k])
+                assert grid.values[a, k] == _dot(ifeats[a], ofeats[k])
 
 
 class TestFlattenPad:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vwpstory.corpus import build_vocab
+from vwpstory import decoding
+from vwpstory import model as model_mod
+from vwpstory.corpus import build_vocab, prepare_records
 from vwpstory.decoding import (
     DecodingConfig,
     NamePools,
@@ -16,7 +18,8 @@ from vwpstory.decoding import (
     realize,
 )
 from vwpstory.errors import ConfigError, NumericError, ResourceError
-from vwpstory.model import build_model
+from vwpstory.model import ModelConfig, assemble_input, build_model, forward_logits
+from vwpstory.synth import fixture_dataset, synthetic_grid_corpus
 
 from test_model import make_seq, tiny_config
 
@@ -147,6 +150,103 @@ class TestGenerate:
         assert payload["sequence_id"] == "seq9"
         assert payload["seed"] == 3
         assert isinstance(payload["text"], str)
+
+
+def full_recompute_decode(model, seq, vocab, config):
+    """Reference decoder: assemble and forward the whole sequence at every
+    step. Returns the ids and each step's last-position logits."""
+    steps = []
+
+    def logits_fn(story_so_far):
+        layout = assemble_input(seq, story_so_far, model.config, vocab.bos_id)
+        steps.append(forward_logits(model, layout).data[-1])
+        return steps[-1]
+
+    ids = decode_tokens(logits_fn, eos_id=vocab.eos_id, config=config,
+                        max_tokens=model.config.t_max - 1)
+    return ids, steps
+
+
+def cached_decode(monkeypatch, model, seq, vocab, config):
+    """``generate``'s ids and the last-position logits of each of its forwards."""
+    steps = []
+
+    def recording_forward(*args, **kwargs):
+        logits = forward_logits(*args, **kwargs)
+        steps.append(logits.data[-1].copy())
+        return logits
+
+    monkeypatch.setattr(decoding, "forward_logits", recording_forward)
+    return generate(model, seq, vocab, config).token_ids, steps
+
+
+def corpus_and_model(corpus, t_max=24, suppress_eos=False):
+    if corpus == "fixture":
+        records = fixture_dataset(6, seed=7)
+        features, grid_mode = ("global", "char", "obj"), "entity"
+    else:
+        records = synthetic_grid_corpus(6, seed=3)
+        features, grid_mode = ("global", "char"), "char"
+    prepared = prepare_records(records, seed=0)
+    vocab = prepared.vocab
+    model = build_model(ModelConfig(
+        vocab_size=len(vocab), feat_dim=8, d_model=16, n_layers=2, n_heads=2, d_ff=32,
+        t_max=t_max, n_max=5, m_max=5, o_max=2, feature_set=features,
+        grid_mode=grid_mode, dropout=0.1, seed=4))
+    if suppress_eos:
+        model.store["out.b"].data[vocab.eos_id] = -1e9
+    return prepared.splits["train"][:3], vocab, model
+
+
+class TestCachedDecoding:
+    @pytest.mark.parametrize("corpus", ["fixture", "planted"])
+    @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
+    def test_matches_full_recompute(self, monkeypatch, corpus, mode):
+        records, vocab, model = corpus_and_model(corpus)
+        for r, seq in enumerate(records):
+            cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=20, seed=31 + r)
+            ids, steps = cached_decode(monkeypatch, model, seq, vocab, cfg)
+            want_ids, want_steps = full_recompute_decode(model, seq, vocab, cfg)
+            assert ids == want_ids
+            assert len(steps) == len(want_steps)
+            for got, want in zip(steps, want_steps):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("corpus", ["fixture", "planted"])
+    def test_stops_at_t_max_budget(self, monkeypatch, corpus):
+        records, vocab, model = corpus_and_model(corpus, t_max=9, suppress_eos=True)
+        cfg = DecodingConfig(mode="nucleus", p=0.9, max_new_tokens=100, seed=8)
+        ids, steps = cached_decode(monkeypatch, model, records[0], vocab, cfg)
+        want_ids, want_steps = full_recompute_decode(model, records[0], vocab, cfg)
+        assert len(ids) == model.config.t_max - 1
+        assert ids == want_ids
+        np.testing.assert_allclose(np.array(steps), np.array(want_steps), rtol=0, atol=1e-12)
+
+    def test_one_prefix_forward_then_one_position_per_token(self, monkeypatch):
+        records, vocab, model = corpus_and_model("fixture", suppress_eos=True)
+        seq = records[0]
+        prefix_len = assemble_input(seq, [], model.config, vocab.bos_id).prefix_len
+        lengths, grid_calls = [], []
+
+        def counting_forward(model_, layout, **kwargs):
+            lengths.append(layout.length)
+            return forward_logits(model_, layout, **kwargs)
+
+        real_grid = model_mod.grid_for_mode
+
+        def counting_grid(*args, **kwargs):
+            grid_calls.append(args[0].id)
+            return real_grid(*args, **kwargs)
+
+        monkeypatch.setattr(decoding, "forward_logits", counting_forward)
+        monkeypatch.setattr(model_mod, "grid_for_mode", counting_grid)
+        out = generate(model, seq, vocab, DecodingConfig(mode="greedy", max_new_tokens=12))
+        assert len(out.token_ids) == 12
+        assert lengths == [prefix_len + 1] + [1] * 11
+        assert grid_calls == [seq.id]
+        generate(model, records[1], vocab, DecodingConfig(mode="greedy", max_new_tokens=1))
+        assert lengths[12:] == [prefix_len + 1]
+        assert grid_calls == [seq.id, records[1].id]
 
 
 class TestDetokenize:

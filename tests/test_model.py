@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vwpstory import model as model_mod
 from vwpstory import numerics as nm
 from vwpstory.corpus import (
     CharacterInstance,
@@ -11,8 +12,9 @@ from vwpstory.corpus import (
     ImageSequenceRecord,
     ObjectRecord,
 )
-from vwpstory.errors import ConfigError, DataError
+from vwpstory.errors import ConfigError, DataError, StateError
 from vwpstory.model import (
+    KVCache,
     ModelConfig,
     assemble_input,
     build_model,
@@ -21,6 +23,7 @@ from vwpstory.model import (
     parameter_count,
     save_checkpoint,
     story_loss,
+    text_step,
 )
 
 BOS = 1
@@ -266,6 +269,41 @@ class TestForward:
         assert a == b
 
 
+class TestKVCache:
+    @pytest.mark.parametrize("variant", [
+        dict(feature_set=("global",), grid_mode="none"),
+        dict(feature_set=("global", "char", "obj"), grid_mode="entity", n_layers=2),
+        dict(feature_set=("global", "obj"), grid_mode="obj"),
+    ])
+    def test_incremental_rows_match_full_forward(self, variant):
+        model = build_model(tiny_config(**variant))
+        seq = make_seq(n_images=4, n_chars=2, n_objs=1, seed=5)
+        story = [3, 7, 2, 9, 4]
+        full = forward_logits(model, assemble_input(seq, story, model.config, BOS)).data
+
+        cache = KVCache(model.config)
+        prefix = assemble_input(seq, [], model.config, BOS)
+        rows = [forward_logits(model, prefix, cache=cache).data]
+        for tok in story:
+            rows.append(forward_logits(model, text_step(tok, cache.length), cache=cache).data)
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-12)
+        # the prefix pass is the uncached forward on the same layout
+        assert rows[0].tobytes() == forward_logits(model, prefix).data.tobytes()
+        assert cache.length == full.shape[0]
+
+    def test_rejects_training_and_misplaced_positions(self):
+        model = build_model(tiny_config())
+        seq = make_seq()
+        cache = KVCache(model.config)
+        prefix = assemble_input(seq, [], model.config, BOS)
+        with pytest.raises(StateError):
+            forward_logits(model, prefix, training=True, cache=cache)
+        forward_logits(model, prefix, cache=cache)
+        with pytest.raises(StateError):
+            forward_logits(model, text_step(3, cache.length + 1), cache=cache)
+        assert cache.length == prefix.length
+
+
 class TestGradCheck:
     def test_tiny_two_layer_grid_model_grad_check(self):
         cfg = ModelConfig(vocab_size=8, feat_dim=3, d_model=4, n_layers=2,
@@ -304,6 +342,32 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_config(seed=1)), path)
+        before = path.read_bytes()
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, blob):
+                self.fh.write(blob[:len(blob) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(model_mod, "open", lambda *a, **k: DiskFull(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(build_model(tiny_config(seed=2)), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

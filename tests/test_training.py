@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vwpstory import training
 from vwpstory.corpus import prepare_records
 from vwpstory.decoding import DecodingConfig
-from vwpstory.errors import DataError, NumericError
-from vwpstory.model import ModelConfig, build_model
+from vwpstory.errors import DataError, NumericError, TrainingError
+from vwpstory.model import ModelConfig, build_model, load_checkpoint
 from vwpstory.synth import pattern_token_ids, synthetic_grid_corpus
 from vwpstory.training import (
     TrainConfig,
@@ -157,6 +160,34 @@ class TestFit:
         run = result.runlogs[0]
         assert run.best_epoch == select_best(run.val_meteor)
         assert run.best_checkpoint is not None
+        assert run.to_dict()["selection"] == "meteor"
+
+    def test_without_validation_keeps_last_epoch(self, tmp_path):
+        prepared = tiny_prepared(val=0)
+        model_cfg = tiny_model_config(len(prepared.vocab))
+        cfg = tiny_train_config(epochs=3, checkpoint_dir=tmp_path)
+        run = fit(cfg, prepared.splits, model_cfg, prepared.vocab).runlogs[0]
+        assert run.best_epoch == 3
+        assert run.to_dict()["selection"] == "last"
+
+        replay = build_model(replace(model_cfg, seed=0))
+        snapshots = []
+        for epoch in range(1, 4):
+            train_epoch(replay, prepared.splits["train"], prepared.vocab, cfg,
+                        seed=training._epoch_seed(0, epoch), epoch=epoch)
+            snapshots.append({n: replay.store[n].data.copy() for n in replay.store.names()})
+        saved = load_checkpoint(run.best_checkpoint)
+        for name in replay.store.names():
+            assert saved.store[name].data.tobytes() == snapshots[2][name].tobytes()
+        assert any(not np.array_equal(snapshots[0][n], snapshots[2][n])
+                   for n in replay.store.names())
+
+    def test_selection_disagreement_raises(self, monkeypatch):
+        prepared = tiny_prepared()
+        monkeypatch.setattr(training, "select_best", lambda scores: len(scores) + 1)
+        with pytest.raises(TrainingError, match="selects epoch"):
+            fit(tiny_train_config(epochs=1), prepared.splits,
+                tiny_model_config(len(prepared.vocab)), prepared.vocab)
 
     def test_bitwise_identical_best_checkpoints(self, tmp_path):
         prepared = tiny_prepared()
