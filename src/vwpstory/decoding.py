@@ -2,8 +2,9 @@
 
 Decoding builds a sequence's conditioning once, forwards it with [BOS]
 once into a per-layer KV cache, then forwards one position per sampled
-token. Realization swaps [maleK]/[femaleK]/[location] placeholders for
-sampled names, consistently within a story, and re-attaches punctuation.
+token, without building an autograd graph. Realization swaps
+[maleK]/[femaleK]/[location] placeholders for sampled names, consistently
+within a story, and re-attaches punctuation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary
 from .errors import ConfigError, NumericError, ResourceError
 from .model import KVCache, StoryGenModel, assemble_input, forward_logits, text_step
+from .numerics import no_grad
 
 NO_SPACE_BEFORE = {".", ",", "!", "?", ";", ":", "'", ")", "]", "%", "…"}
 NO_SPACE_AFTER = {"(", "[", "'"}
@@ -54,13 +56,10 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     support = order[:cut]
     weights = dist[support]
     weights = weights / weights.sum()
-    u = rng.random()
-    acc = 0.0
-    for token, w in zip(support, weights):
-        acc += w
-        if u < acc:
-            return int(token)
-    return int(support[-1])
+    # the first token whose running mass exceeds u; np.cumsum adds left to
+    # right, so this is the same draw as walking the support token by token
+    pick = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
+    return int(support[min(pick, cut - 1)])
 
 
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
@@ -120,8 +119,9 @@ def generate(model: StoryGenModel, seq, vocab: Vocabulary,
         layout = text_step(story_so_far[-1], cache.length) if story_so_far else prefix
         return forward_logits(model, layout, cache=cache).data[-1]
 
-    ids = decode_tokens(logits_fn, eos_id=vocab.eos_id, config=config,
-                        max_tokens=model.config.t_max - 1)
+    with no_grad():
+        ids = decode_tokens(logits_fn, eos_id=vocab.eos_id, config=config,
+                            max_tokens=model.config.t_max - 1)
     tokens = vocab.decode(ids)
     return GeneratedStory(sequence_id=seq.id, seed=config.seed, token_ids=ids,
                           tokens=tokens, text=detokenize(tokens))

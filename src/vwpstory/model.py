@@ -10,7 +10,6 @@ Pre-LN GPT-2 style blocks; loss is masked cross-entropy on story positions.
 from __future__ import annotations
 
 import io
-import math
 import os
 import struct
 import zlib
@@ -209,6 +208,89 @@ def text_step(token_id: int, position: int) -> InputLayout:
                        segments=np.array([SEG_TEXT], dtype=np.intp))
 
 
+@dataclass
+class BatchLayout:
+    """Layouts right-padded to a common ``width`` and stacked example-major:
+    row ``b * width + t`` holds position t of sequence b.
+
+    The model encodes the conditioning rows of every sequence (images, then
+    entities, then grids) and embeds all text tokens, stacks those four
+    blocks in that order, and ``rows`` picks each padded row's source row
+    from the stack (None when the stack is already in padded order, as for a
+    single layout). Pad rows copy row 0 and carry no loss. They sit after
+    every real row of their sequence, so the causal mask already hides them
+    from real rows.
+    """
+    lengths: np.ndarray                       # real positions per sequence
+    width: int
+    token_ids: np.ndarray                     # every sequence's text tokens, concatenated
+    positions: np.ndarray                     # (B * width,)
+    segments: np.ndarray                      # (B * width,)
+    rows: np.ndarray | None = None            # (B * width,) source row in the stack
+    image_feats: np.ndarray | None = None     # every sequence's image rows, concatenated
+    entity_feats: np.ndarray | None = None
+    grid_vecs: np.ndarray | None = None       # (sequences with a grid, n_max * m_max)
+    targets: np.ndarray | None = None         # (B * width,), -1 where unused
+    loss_mask: np.ndarray | None = None       # (B * width,)
+    loss_weights: np.ndarray | None = None    # (B, B * width): 1 / story length on a sequence's loss rows
+
+    @property
+    def length(self) -> int:
+        """Real positions across the batch; pad rows do not count."""
+        return int(self.lengths.sum())
+
+
+def assemble_batch(layouts: list[InputLayout]) -> BatchLayout:
+    """Right-pad ``layouts`` to the longest and stack them (see BatchLayout)."""
+    if not layouts:
+        raise DataError("assemble_batch: no layouts")
+    lengths = np.array([lay.length for lay in layouts], dtype=np.intp)
+    width = int(lengths.max())
+    total = len(layouts) * width
+
+    def stacked(blocks):
+        blocks = [blk for blk in blocks if blk is not None]
+        return np.concatenate(blocks) if blocks else None
+
+    image_feats = stacked(lay.image_feats for lay in layouts)
+    entity_feats = stacked(lay.entity_feats for lay in layouts)
+    grid_vecs = stacked(None if lay.grid_vec is None else lay.grid_vec[None, :]
+                        for lay in layouts)
+    token_ids = np.concatenate([lay.token_ids for lay in layouts])
+    # where each block starts in the stack, advanced sequence by sequence
+    starts = np.cumsum([0] + [0 if blk is None else blk.shape[0]
+                              for blk in (image_feats, entity_feats, grid_vecs)])
+
+    rows = np.zeros(total, dtype=np.intp)
+    positions = np.zeros(total, dtype=np.intp)
+    segments = np.zeros(total, dtype=np.intp)
+    with_loss = all(lay.targets is not None for lay in layouts)
+    targets = np.full(total, -1, dtype=np.intp) if with_loss else None
+    loss_mask = np.zeros(total, dtype=bool) if with_loss else None
+    loss_weights = np.zeros((len(layouts), total)) if with_loss else None
+    for b, lay in enumerate(layouts):
+        lo, hi = b * width, b * width + lay.length
+        counts = [0 if blk is None else blk.shape[0]
+                  for blk in (lay.image_feats, lay.entity_feats)]
+        counts += [0 if lay.grid_vec is None else 1, lay.token_ids.shape[0]]
+        rows[lo:hi] = np.concatenate([np.arange(start, start + n)
+                                      for start, n in zip(starts, counts)])
+        starts += counts
+        positions[lo:hi] = lay.positions
+        segments[lo:hi] = lay.segments
+        if with_loss:
+            targets[lo:hi] = lay.targets
+            loss_mask[lo:hi] = lay.loss_mask
+            loss_rows = lo + np.flatnonzero(lay.loss_mask)
+            loss_weights[b, loss_rows] = 1.0 / max(loss_rows.size, 1)
+    return BatchLayout(lengths=lengths, width=width, token_ids=token_ids,
+                       positions=positions, segments=segments,
+                       rows=None if len(layouts) == 1 else rows,
+                       image_feats=image_feats, entity_feats=entity_feats,
+                       grid_vecs=grid_vecs, targets=targets, loss_mask=loss_mask,
+                       loss_weights=loss_weights)
+
+
 class KVCache:
     """Keys and values of every position forwarded so far, per layer, in
     buffers sized for the model's full position range."""
@@ -280,33 +362,31 @@ def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
                        prefix_len=prefix_len)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return nm.add(nm.matmul(x, w), b)
-
-
-def _causal_mask(length: int, past: int) -> Tensor:
+def _causal_mask(length: int, past: int) -> np.ndarray:
     """(length, past + length): row r sits at position past + r and sees
     every position up to its own."""
-    mask = np.triu(np.full((length, past + length), -1e30), k=past + 1)
-    return Tensor(mask)
+    return np.triu(np.full((length, past + length), -1e30), k=past + 1)
 
 
-def forward_logits(model: StoryGenModel, layout: InputLayout, *,
+def forward_logits(model: StoryGenModel, layout: InputLayout | BatchLayout, *,
                    training: bool = False,
                    rng: np.random.Generator | None = None,
                    cache: KVCache | None = None) -> Tensor:
-    """Logits (layout.length x vocab) under causal self-attention.
+    """Logits (B * width x vocab) under causal self-attention.
 
-    Without a cache the layout is a whole sequence; training, losses and
-    teacher-forced evaluation all take this path. With a ``KVCache`` the
-    layout holds only the positions that follow those already cached (its
-    first call may carry the conditioning rows): each layer's new queries
-    attend over the cached keys/values plus the new ones under a
-    (new, past + new) causal mask, the new keys/values are stored, and the
-    cache grows by ``layout.length``. A cache is for inference only.
+    ``layout`` is a BatchLayout, or one InputLayout (a batch of one, whose
+    logits are its ``length`` rows). Without a cache every layout is a whole
+    sequence; training, losses and teacher-forced evaluation all take this
+    path. With a ``KVCache`` the layout is one sequence holding only the
+    positions that follow those already cached (its first call may carry the
+    conditioning rows): each layer's new queries attend over the cached
+    keys/values plus the new ones under a (new, past + new) causal mask, the
+    new keys/values are stored, and the cache grows by ``layout.length``. A
+    cache is for inference only.
     """
     cfg = model.config
     p = model.param
+    batch = layout if isinstance(layout, BatchLayout) else assemble_batch([layout])
     if training and rng is None:
         rng = np.random.default_rng(0)
     past = 0
@@ -314,69 +394,78 @@ def forward_logits(model: StoryGenModel, layout: InputLayout, *,
         if training:
             raise StateError("forward_logits: a KV cache is for inference only")
         past = cache.length
-        if not np.array_equal(layout.positions, np.arange(past, past + layout.length)):
+        if not np.array_equal(batch.positions, np.arange(past, past + batch.length)):
             raise StateError(f"forward_logits: positions do not follow the {past} cached ones")
 
     parts = []
-    if layout.image_feats is not None:
-        parts.append(_linear(Tensor(layout.image_feats), p("enc_global.w"), p("enc_global.b")))
-    if layout.entity_feats is not None:
-        parts.append(_linear(Tensor(layout.entity_feats), p("enc_entity.w"), p("enc_entity.b")))
-    if layout.grid_vec is not None:
-        parts.append(_linear(Tensor(layout.grid_vec[None, :]), p("enc_grid.w"), p("enc_grid.b")))
-    parts.append(nm.embedding(p("tok_emb"), layout.token_ids))
+    if batch.image_feats is not None:
+        parts.append(nm.matmul(Tensor(batch.image_feats), p("enc_global.w"), p("enc_global.b")))
+    if batch.entity_feats is not None:
+        parts.append(nm.matmul(Tensor(batch.entity_feats), p("enc_entity.w"), p("enc_entity.b")))
+    if batch.grid_vecs is not None:
+        parts.append(nm.matmul(Tensor(batch.grid_vecs), p("enc_grid.w"), p("enc_grid.b")))
+    parts.append(nm.embedding(p("tok_emb"), batch.token_ids))
 
     x = nm.concat_rows(parts)
-    x = nm.add(x, nm.embedding(p("pos_emb"), layout.positions))
-    x = nm.add(x, nm.embedding(p("seg_emb"), layout.segments))
+    if batch.rows is not None:
+        x = nm.embedding(x, batch.rows)  # a row gather into padded order
+    x = nm.add(x, nm.embedding(p("pos_emb"), batch.positions))
+    x = nm.add(x, nm.embedding(p("seg_emb"), batch.segments))
     x = nm.dropout(x, cfg.dropout, rng, training)
 
-    length = layout.length
-    mask = _causal_mask(length, past)
-    head_dim = cfg.d_model // cfg.n_heads
-    scale = Tensor(1.0 / math.sqrt(head_dim))
+    mask = _causal_mask(batch.width, past)
+    attn_dropout = cfg.dropout if training else 0.0
     for i in range(cfg.n_layers):
         b = f"block{i}."
         h = nm.layer_norm(x, p(b + "ln1.g"), p(b + "ln1.b"))
-        q = _linear(h, p(b + "attn.wq"), p(b + "attn.bq"))
-        k = _linear(h, p(b + "attn.wk"), p(b + "attn.bk"))
-        v = _linear(h, p(b + "attn.wv"), p(b + "attn.bv"))
+        q = nm.matmul(h, p(b + "attn.wq"), p(b + "attn.bq"))
+        k = nm.matmul(h, p(b + "attn.wk"), p(b + "attn.bk"))
+        v = nm.matmul(h, p(b + "attn.wv"), p(b + "attn.bv"))
         if cache is not None:
             k, v = cache.extend(i, k, v)
-        heads = []
-        for head in range(cfg.n_heads):
-            lo, hi = head * head_dim, (head + 1) * head_dim
-            scores = nm.mul(nm.matmul(nm.narrow_cols(q, lo, hi),
-                                      nm.transpose(nm.narrow_cols(k, lo, hi))), scale)
-            attn = nm.softmax(nm.add(scores, mask))
-            attn = nm.dropout(attn, cfg.dropout, rng, training)
-            heads.append(nm.matmul(attn, nm.narrow_cols(v, lo, hi)))
-        attn_out = _linear(nm.concat_cols(heads), p(b + "attn.wo"), p(b + "attn.bo"))
-        x = nm.add(x, nm.dropout(attn_out, cfg.dropout, rng, training))
+        heads = nm.attention(q, k, v, mask, cfg.n_heads, dropout=attn_dropout, rng=rng)
+        # branch outputs stay unnamed, so each is freed once added in
+        x = nm.add(x, nm.dropout(nm.matmul(heads, p(b + "attn.wo"), p(b + "attn.bo")),
+                                 cfg.dropout, rng, training))
 
         h = nm.layer_norm(x, p(b + "ln2.g"), p(b + "ln2.b"))
-        inner = nm.gelu(_linear(h, p(b + "mlp.w1"), p(b + "mlp.b1")))
-        mlp_out = _linear(inner, p(b + "mlp.w2"), p(b + "mlp.b2"))
-        x = nm.add(x, nm.dropout(mlp_out, cfg.dropout, rng, training))
+        inner = nm.gelu(nm.matmul(h, p(b + "mlp.w1"), p(b + "mlp.b1")))
+        x = nm.add(x, nm.dropout(nm.matmul(inner, p(b + "mlp.w2"), p(b + "mlp.b2")),
+                                 cfg.dropout, rng, training))
 
     x = nm.layer_norm(x, p("ln_f.g"), p("ln_f.b"))
-    logits = _linear(x, p("out.w"), p("out.b"))
+    logits = nm.matmul(x, p("out.w"), p("out.b"))
     if not np.isfinite(logits.data).all():
         raise NumericError("forward_logits: non-finite activation")
     if cache is not None:
-        cache.length += length
+        cache.length += batch.length
     return logits
 
 
 def story_loss(model: StoryGenModel, seq: ImageSequenceRecord, story_tokens: list[int],
                bos_id: int, *, training: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
-    """Masked cross-entropy over story positions (targets shifted by one)."""
+    """Masked cross-entropy over story positions (targets shifted by one):
+    the one-example case of ``story_losses``."""
     if not story_tokens:
         raise DataError(f"sequence {seq.id}: empty story has no loss positions")
     layout = assemble_input(seq, story_tokens, model.config, bos_id)
     logits = forward_logits(model, layout, training=training, rng=rng)
     return nm.cross_entropy_masked(logits, layout.targets, layout.loss_mask)
+
+
+def story_losses(model: StoryGenModel,
+                 examples: list[tuple[ImageSequenceRecord, list[int]]], bos_id: int, *,
+                 training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    """Each example's ``story_loss`` from one forward pass over the padded
+    batch: a vector with one mean masked cross-entropy per example."""
+    for seq, story_tokens in examples:
+        if not story_tokens:
+            raise DataError(f"sequence {seq.id}: empty story has no loss positions")
+    batch = assemble_batch([assemble_input(seq, story_tokens, model.config, bos_id)
+                            for seq, story_tokens in examples])
+    logits = forward_logits(model, batch, training=training, rng=rng)
+    return nm.cross_entropy_masked(logits, batch.targets, batch.loss_mask, batch.loss_weights)
 
 
 # --- checkpoint io ------------------------------------------------------------
@@ -412,26 +501,38 @@ def save_checkpoint(model: StoryGenModel, path) -> None:
 
 
 def load_checkpoint(path) -> StoryGenModel:
+    """Read a checkpoint written by ``save_checkpoint``. A truncated or
+    otherwise malformed file raises DataError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     view = io.BytesIO(raw[8:])
 
-    def read_u32() -> int:
-        blob = view.read(4)
-        if len(blob) != 4:
+    def read(n: int) -> bytes:
+        blob = view.read(n)
+        if len(blob) != n:
             raise DataError(f"{path}: truncated checkpoint")
-        return struct.unpack("<I", blob)[0]
+        return blob
 
-    config = ModelConfig.from_canonical_text(view.read(read_u32()).decode("utf-8"))
+    def read_u32() -> int:
+        return struct.unpack("<I", read(4))[0]
+
+    def read_text() -> str:
+        try:
+            return read(read_u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: malformed checkpoint text ({exc})") from exc
+
+    try:
+        config = ModelConfig.from_canonical_text(read_text())
+    except (ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed checkpoint config ({exc})") from exc
     params: dict[str, np.ndarray] = {}
-    while True:
-        head = view.read(4)
-        if not head:
-            break
-        name_len = struct.unpack("<I", head)[0]
-        name = view.read(name_len).decode("utf-8")
+    while view.tell() < len(raw) - 8:
+        name = read_text()
+        if name in params:
+            raise DataError(f"{path}: parameter {name!r} appears twice")
         rank = read_u32()
         shape = tuple(read_u32() for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1

@@ -1,14 +1,18 @@
 """Dense float64 autodiff core: exactly the kernels the story model needs.
 
-Reverse-mode on a dynamically built graph. Every op returns a new Tensor
-wired to its inputs; ``Tensor.backward()`` walks the graph once in reverse
-topological order and accumulates gradients on the leaves. Kernels only,
-no general broadcasting beyond what add/mul need for bias rows.
+Reverse-mode on a dynamically built graph. An op whose inputs need
+gradients returns a new Tensor whose backward-graph node is wired to the
+nodes of its inputs and keeps only what its backward step needs;
+``Tensor.backward()`` walks the graph once in reverse topological order,
+accumulates gradients on the leaves and frees the graph as it goes. Inside
+``no_grad()`` ops build no graph. Kernels only, no general broadcasting
+beyond what add/mul need for bias rows.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -21,26 +25,62 @@ _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
 
+class _GradMode:
+    enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block, ops build no backward-graph node (no parents, no
+    ``grad_fn``): their outputs cannot be differentiated and keep nothing
+    alive for a backward pass."""
+    previous = _GradMode.enabled
+    _GradMode.enabled = False
+    try:
+        yield
+    finally:
+        _GradMode.enabled = previous
+
+
 def _as_f64(data) -> Array:
     # asarray with order="C" keeps 0-d scalars 0-d (ascontiguousarray would not)
     return np.asarray(data, dtype=np.float64, order="C")
+
+
+class _Node:
+    """A vertex of the backward graph. ``grad_fn`` maps the gradient of the
+    op's output to one gradient per parent; a parent is another node, a leaf
+    Tensor that accumulates ``grad``, or None for an input that needs none.
+    A node keeps only what its ``grad_fn`` closes over, so an activation that
+    no backward step needs is freed as soon as the model drops its Tensor.
+    """
+
+    __slots__ = ("parents", "grad_fn")
+
+    def __init__(self, parents: tuple, grad_fn: Callable[[Array], tuple]):
+        self.parents = parents
+        self.grad_fn = grad_fn
 
 
 class Tensor:
     """A float64 ndarray plus the wiring for reverse-mode differentiation.
 
     ``data`` is always C-contiguous float64 (row-major). ``grad`` is filled
-    in for leaves with ``requires_grad`` after ``backward()``.
+    in for leaves with ``requires_grad`` after ``backward()``. An op's output
+    that depends on such a leaf carries a ``_node`` in the backward graph.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), grad_fn=None):
         self.data = _as_f64(data)
         self.grad: Array | None = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
-        self._parents: tuple[Tensor, ...] = tuple(parents)
-        self._grad_fn: Callable[[Array], tuple] | None = grad_fn
+        self.requires_grad = bool(requires_grad)
+        self._node: _Node | None = None
+        if _GradMode.enabled and any(p.requires_grad for p in parents):
+            self.requires_grad = True
+            self._node = _Node(tuple(p._node or (p if p.requires_grad else None)
+                                     for p in parents), grad_fn)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,14 +94,22 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_error()
 
     def backward(self, grad: Array | None = None) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+
+        The walk consumes the graph: each node drops its parents and
+        ``grad_fn`` once its gradient has been passed on, so what the graph
+        kept is freed as the walk goes and a graph can be walked only once.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise NumericError("backward() without an explicit seed needs a scalar")
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        root = self._node or (self if self.requires_grad else None)
+        if root is None:
+            return
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -71,22 +119,25 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        pending: dict[int, Array] = {id(self): _as_f64(grad)}
-        for node in reversed(topo):
+            if isinstance(node, _Node):
+                for p in node.parents:
+                    if p is not None and id(p) not in seen:
+                        stack.append((p, False))
+        pending: dict[int, Array] = {id(root): _as_f64(grad)}
+        for i in range(len(topo) - 1, -1, -1):
+            node, topo[i] = topo[i], None
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and not node._parents:
+            if isinstance(node, Tensor):  # a leaf
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g
-            if node._grad_fn is None:
                 continue
-            for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None or not parent.requires_grad:
+            parents, grad_fn = node.parents, node.grad_fn
+            node.parents, node.grad_fn = (), None
+            for parent, pg in zip(parents, grad_fn(g)):
+                if parent is None or pg is None:
                     continue
                 key = id(parent)
                 if key in pending:
@@ -140,31 +191,42 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return Tensor(out, parents=(a, b), grad_fn=grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return Tensor(out, parents=(a, b), grad_fn=grad_fn)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b`` for 2-D operands, plus ``bias`` on every row when given (one
+    op, so a linear layer keeps no separate pre-bias activation)."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DataError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
+    if bias is None:
+        def grad_fn(g):
+            return g @ bd.T, ad.T @ g
 
-    def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return Tensor(out, parents=(a, b), grad_fn=grad_fn)
+    out += bias.data
 
-    return Tensor(out, parents=(a, b), grad_fn=grad_fn)
+    def grad_fn_bias(g):
+        return g @ bd.T, ad.T @ g, g.sum(axis=0)
+
+    return Tensor(out, parents=(a, b, bias), grad_fn=grad_fn_bias)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -201,8 +263,10 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
 
 def narrow_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    shape = a.data.shape
+
     def grad_fn(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[:, start:stop] = g
         return (full,)
 
@@ -229,19 +293,30 @@ def softmax(logits: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+
+    Forward and backward work in place where they can: on a batch these
+    activations are the largest arrays alive, so each temporary counts.
+    """
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
+    xhat = x.data - mu
+    xhat *= inv
+    gd, d = gamma.data, x.data.shape[-1]
+    out = xhat * gd
+    out += beta.data
 
     def grad_fn(g):
-        d = x.data.shape[-1]
-        dxhat = g * gamma.data
-        dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
-        dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        # dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
+        dxhat = g * gd
+        tmp = dxhat * xhat
+        np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
+        dx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        dx -= tmp
+        dx *= inv
+        np.multiply(g, xhat, out=tmp)
+        dgamma = tmp.reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
         return dx, dgamma, dbeta
 
@@ -249,16 +324,39 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximated GELU (the GPT-2 formulation)."""
+    """tanh-approximated GELU (the GPT-2 formulation), 0.5 v (1 + t) with
+    t = tanh(K (v + C v^3)). Built in place, and t is recomputed in backward
+    rather than kept, so few activation-sized buffers are alive at once."""
     v = x.data
-    inner = _GELU_K * (v + _GELU_C * v ** 3)
-    t = np.tanh(inner)
-    out = 0.5 * v * (1.0 + t)
+
+    def tanh_term() -> Array:
+        t = v * v
+        t *= v
+        t *= _GELU_C
+        t += v
+        t *= _GELU_K
+        return np.tanh(t, out=t)
+
+    out = tanh_term()
+    out += 1.0
+    out *= v
+    out *= 0.5
 
     def grad_fn(g):
-        dinner = _GELU_K * (1.0 + 3.0 * _GELU_C * v ** 2)
-        dv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner
-        return (g * dv,)
+        # d/dv = (1 + t) (0.5 + 0.5 v (1 - t) K (1 + 3 C v^2))
+        t = tanh_term()
+        dv = v * v
+        dv *= 3.0 * _GELU_C
+        dv += 1.0
+        dv *= 0.5 * _GELU_K
+        dv *= v
+        np.subtract(1.0, t, out=t)  # t is now 1 - t
+        dv *= t
+        dv += 0.5
+        np.subtract(2.0, t, out=t)  # and now 1 + t
+        dv *= t
+        dv *= g
+        return (dv,)
 
     return Tensor(out, parents=(x,), grad_fn=grad_fn)
 
@@ -271,9 +369,10 @@ def embedding(table: Tensor, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise DataError(f"embedding id out of range [0, {table.data.shape[0]})")
     out = table.data[idx]
+    shape = table.data.shape
 
     def grad_fn(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -290,12 +389,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return mul(x, Tensor(keep))
 
 
-def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
-    """Mean negative log-likelihood over the masked positions.
+def cross_entropy_masked(logits: Tensor, targets, mask, weights=None) -> Tensor:
+    """Negative log-likelihood over the masked positions.
 
     ``logits`` is (T, V), ``targets`` T token ids, ``mask`` T booleans that
     select which positions contribute. Positions outside the mask have no
-    effect on the value or the gradient.
+    effect on the value or the gradient. Without ``weights`` the loss is the
+    mean over the masked positions. With ``weights`` of shape (T,) or (E, T)
+    it is ``weights @ nll``, where ``nll`` is zero outside the mask: a scalar,
+    or one loss per row of ``weights`` (say, one per example of a batch).
     """
     tgt = np.asarray(targets, dtype=np.intp)
     msk = np.asarray(mask, dtype=bool)
@@ -311,17 +413,80 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     m = rows.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=-1))
     nll = lse - rows[np.arange(sel.size), tgt[sel]]
-    loss = nll.mean()
+    if weights is None:
+        loss = nll.mean()
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim not in (1, 2) or w.shape[-1] != t:
+            raise DataError(f"weights must have shape ({t},) or (E, {t})")
+        w_sel = w[..., sel].reshape(-1, sel.size)
+        loss = (w_sel @ nll).reshape(w.shape[:-1])
 
     def grad_fn(g):
         probs = np.exp(rows - m)
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[np.arange(sel.size), tgt[sel]] -= 1.0
-        full = np.zeros_like(logits.data)
-        full[sel] = probs * (float(np.reshape(g, ())) / sel.size)
+        if weights is None:
+            scale = float(np.reshape(g, ())) / sel.size
+        else:
+            scale = (np.reshape(g, -1) @ w_sel)[:, None]
+        full = np.zeros((t, v))
+        full[sel] = probs * scale
         return (full,)
 
     return Tensor(loss, parents=(logits,), grad_fn=grad_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int, *,
+              dropout: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over a batch, as one op.
+
+    ``q`` is (B * Tq, d) and ``k``, ``v`` are (B * Tk, d): B sequences of rows,
+    example-major. ``mask`` is an additive (Tq, Tk) array shared by every
+    sequence and head (-1e30 hides a key). Each of the ``n_heads`` heads
+    attends over its own d / n_heads columns; with ``dropout`` > 0 the
+    attention weights are dropped (inverted) with masks drawn from ``rng``.
+    Backward needs only the saved attention weights.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    tq, tk = mask.shape
+    rows, d = q.data.shape
+    if rows % tq or k.data.shape != (rows // tq * tk, d) or v.data.shape != k.data.shape:
+        raise DataError(f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} "
+                        f"do not fit a ({tq}, {tk}) mask")
+    b, hd = rows // tq, d // n_heads
+
+    def heads(x: Array, t: int) -> Array:  # (B * t, d) -> (B, H, t, hd), a view
+        return x.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x: Array) -> Array:  # (B, H, t, hd) -> (B * t, d)
+        return x.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    qh, kh, vh = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
+    scale = 1.0 / math.sqrt(hd)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale + mask
+    if not np.isfinite(scores).all():
+        raise NumericError("attention: non-finite scores")
+    exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = exps / exps.sum(axis=-1, keepdims=True)
+    if not 0.0 <= dropout < 1.0:
+        raise NumericError(f"dropout rate must be in [0, 1), got {dropout}")
+    keep = None
+    if dropout > 0.0:
+        keep = (rng.random(probs.shape) >= dropout) / (1.0 - dropout)
+    out = merge((probs if keep is None else probs * keep) @ vh)
+
+    def grad_fn(g):
+        gh = heads(g, tq)
+        weights = probs if keep is None else probs * keep
+        dv = weights.transpose(0, 1, 3, 2) @ gh
+        dw = gh @ vh.transpose(0, 1, 3, 2)
+        if keep is not None:
+            dw *= keep
+        ds = probs * (dw - (dw * probs).sum(axis=-1, keepdims=True)) * scale
+        return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(dv)
+
+    return Tensor(out, parents=(q, k, v), grad_fn=grad_fn)
 
 
 class ParamStore:

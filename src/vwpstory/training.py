@@ -1,12 +1,13 @@
 """Maximum-likelihood training with epoch-level METEOR model selection.
 
-One optimizer step per mini-batch of sequences (gradients averaged over the
-batch, clipped at a global norm of 1.0, then Adam). After every epoch the
-model decodes the validation split with seeded nucleus sampling and the
-epoch with the highest METEOR wins (earliest on ties); without a validation
-split the last epoch is kept. Runs are seeded end
-to end: the same config and seed reproduce the same best checkpoint bit for
-bit.
+One optimizer step per mini-batch of sequences: one forward pass over the
+batch right-padded to its longest sequence, one backward pass of the mean
+of the per-example losses, gradients clipped at a global norm of 1.0, then
+Adam. After every epoch the model decodes the validation split with seeded
+nucleus sampling and the epoch with the highest METEOR wins (earliest on
+ties); without a validation split the last epoch is kept. Runs are seeded
+end to end: the same config and seed reproduce the same best checkpoint bit
+for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .model import (
     build_model,
     save_checkpoint,
     story_loss,
+    story_losses,
 )
-from .numerics import adam_step, clip_global_norm
+from .numerics import adam_step, clip_global_norm, no_grad
 
 log = logging.getLogger("vwpstory.training")
 
@@ -104,19 +106,17 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
     store = model.store
     total = 0.0
     for start in range(0, len(order), config.batch_size):
-        batch = order[start:start + config.batch_size]
+        batch = [examples[idx] for idx in order[start:start + config.batch_size]]
         store.zero_grad()
-        for idx in batch:
-            rec, tokens = examples[idx]
-            loss = story_loss(model, rec, tokens + [vocab.eos_id], bos_id=vocab.bos_id,
-                              training=True, rng=rng)
-            value = loss.item()
+        losses = story_losses(model, [(rec, tokens + [vocab.eos_id]) for rec, tokens in batch],
+                              bos_id=vocab.bos_id, training=True, rng=rng)
+        for (rec, _), value in zip(batch, losses.data.tolist()):
             if not math.isfinite(value):
                 raise TrainingError(
                     f"epoch {epoch}, batch {start // config.batch_size}, "
                     f"sequence {rec.id}: non-finite loss")
             total += value
-            loss.backward(np.asarray(1.0 / len(batch)))
+        losses.backward(np.full(len(batch), 1.0 / len(batch)))
         clip_global_norm(store, config.clip_norm)
         adam_step(store, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
                   eps=config.adam_eps)
@@ -243,9 +243,10 @@ def held_out_loss(model: StoryGenModel, records: list[ImageSequenceRecord],
     if not examples:
         raise DataError("held_out_loss: no examples")
     total = 0.0
-    for rec, tokens in examples:
-        total += story_loss(model, rec, tokens + [vocab.eos_id],
-                            bos_id=vocab.bos_id).item()
+    with no_grad():
+        for rec, tokens in examples:
+            total += story_loss(model, rec, tokens + [vocab.eos_id],
+                                bos_id=vocab.bos_id).item()
     return total / len(examples)
 
 
@@ -260,7 +261,8 @@ def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord]
     count = 0
     for rec, tokens in training_examples(records):
         layout = assemble_input(rec, tokens + [vocab.eos_id], model.config, vocab.bos_id)
-        predictions = forward_logits(model, layout).data.argmax(axis=1)
+        with no_grad():
+            predictions = forward_logits(model, layout).data.argmax(axis=1)
         for pos in np.nonzero(layout.loss_mask)[0]:
             target = layout.targets[pos]
             if target_ids is not None and target not in target_ids:

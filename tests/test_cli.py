@@ -129,6 +129,19 @@ class TestTrainGenerateEvaluate:
             payload = json.loads(out1.read_text().splitlines()[0])
             assert set(payload) == {"sequence_id", "seed", "tokens", "text"}
 
+    def test_generate_on_damaged_checkpoint_is_data_error(self, prepared_dir, trained_dir,
+                                                          tmp_path, capsys):
+        blob = (trained_dir / "checkpoints" / "seed0-best.ckpt").read_bytes()
+        damaged = tmp_path / "damaged.ckpt"
+        for data in (blob[:12], blob[:-3], blob + b"\x00\x01"):
+            damaged.write_bytes(data)
+            code = main(["generate", "--checkpoint", str(damaged),
+                         "--dataset", str(prepared_dir / "test.jsonl"),
+                         "--vocab", str(prepared_dir / "vocab.json"),
+                         "--out", str(tmp_path / "out.jsonl")])
+            assert code == 2
+            assert "data error" in capsys.readouterr().err
+
     def test_evaluate_identity_pairs(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         rows = [{"id": f"s{i}", "hypothesis": ["w", f"u{i}", "x", f"v{i}"],

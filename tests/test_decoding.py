@@ -82,6 +82,57 @@ class TestNucleusSample:
         assert nucleus_sample(dist, 1e-9, rng) == int(np.argmax(dist))
 
 
+def nucleus_sample_loop(dist, p, rng):
+    """Reference sampler: walk the nucleus token by token."""
+    order = np.argsort(-dist, kind="stable")
+    cut = int(np.searchsorted(np.cumsum(dist[order]), p - 1e-15)) + 1
+    support = order[:cut]
+    weights = dist[support] / dist[support].sum()
+    u = rng.random()
+    acc = 0.0
+    for token, w in zip(support, weights):
+        acc += w
+        if u < acc:
+            return int(token)
+    return int(support[-1])
+
+
+class TestNucleusSearch:
+    def test_same_draws_as_token_walk(self):
+        meta = np.random.default_rng(2024)
+        for trial in range(3000):
+            vocab = int(meta.integers(1, 60))
+            raw = meta.random(vocab) ** int(meta.integers(1, 6))
+            if trial % 7 == 0:
+                raw = np.round(raw, 1) + 0.1  # ties
+            dist = raw / raw.sum()
+            p = float(meta.choice([1.0, meta.random() * 0.99 + 0.01]))
+            seed = int(meta.integers(1 << 30))
+            got = nucleus_sample(dist, p, np.random.default_rng(seed))
+            assert got == nucleus_sample_loop(dist, p, np.random.default_rng(seed))
+
+    def test_draws_on_mass_boundaries(self):
+        class FixedDraw:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        # a draw equal to a running mass belongs to the next token
+        for sampler in (nucleus_sample, nucleus_sample_loop):
+            assert sampler(np.array([0.5, 0.25, 0.25]), 1.0, FixedDraw(0.5)) == 1
+            assert sampler(np.array([0.5, 0.25, 0.25]), 1.0, FixedDraw(0.0)) == 0
+        # ten equal weights add up to one ulp below 1, which the largest draw
+        # reaches: it takes the last token of the support
+        dist = np.full(10, 0.1)
+        dist /= dist.sum()
+        largest = np.nextafter(1.0, 0.0)
+        assert np.cumsum(dist / dist.sum())[-1] <= largest
+        for sampler in (nucleus_sample, nucleus_sample_loop):
+            assert sampler(dist, 1.0, FixedDraw(largest)) == 9
+
+
 class TestDecodeTokens:
     def test_rigged_sequence_then_stop(self):
         script = [5, 6, 7, 2]  # 2 plays the stop token

@@ -16,6 +16,7 @@ from vwpstory.errors import ConfigError, DataError, StateError
 from vwpstory.model import (
     KVCache,
     ModelConfig,
+    assemble_batch,
     assemble_input,
     build_model,
     forward_logits,
@@ -23,6 +24,7 @@ from vwpstory.model import (
     parameter_count,
     save_checkpoint,
     story_loss,
+    story_losses,
     text_step,
 )
 
@@ -304,6 +306,102 @@ class TestKVCache:
         assert cache.length == prefix.length
 
 
+def mixed_batch():
+    """Sequences with different image, character and object counts and story
+    lengths, so the batch pads every one but the longest."""
+    shapes = [(5, 2, 1, 6), (2, 0, 0, 1), (4, 3, 1, 3), (3, 1, 0, 9)]
+    return [(make_seq(n_images=a, n_chars=c, n_objs=o, seed=i, seq_id=f"s{i}"),
+             [2 + (i + j) % 13 for j in range(n)])
+            for i, (a, c, o, n) in enumerate(shapes)]
+
+
+BATCH_VARIANTS = [
+    dict(feature_set=("global", "char", "obj"), grid_mode="entity", n_layers=2, n_heads=4,
+         m_max=5),
+    dict(feature_set=("global",), grid_mode="none"),
+]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("variant", BATCH_VARIANTS)
+    def test_real_rows_match_single_forward(self, variant):
+        model = build_model(tiny_config(**variant))
+        layouts = [assemble_input(seq, story, model.config, BOS)
+                   for seq, story in mixed_batch()]
+        batch = assemble_batch(layouts)
+        assert batch.width == max(lay.length for lay in layouts)
+        assert batch.length == sum(lay.length for lay in layouts)
+        logits = forward_logits(model, batch).data
+        assert logits.shape == (len(layouts) * batch.width, 16)
+        for b, lay in enumerate(layouts):
+            rows = logits[b * batch.width:b * batch.width + lay.length]
+            np.testing.assert_allclose(rows, forward_logits(model, lay).data, rtol=0, atol=1e-12)
+            pads = slice(b * batch.width + lay.length, (b + 1) * batch.width)
+            assert not batch.loss_mask[pads].any() and not batch.loss_weights[:, pads].any()
+
+    @pytest.mark.parametrize("variant", BATCH_VARIANTS)
+    def test_losses_and_gradients_match_per_example(self, variant):
+        model = build_model(tiny_config(**variant))
+        examples = mixed_batch()
+        losses = story_losses(model, examples, BOS)
+        singles = [story_loss(model, seq, story, bos_id=BOS).item() for seq, story in examples]
+        np.testing.assert_allclose(losses.data, singles, rtol=0, atol=1e-12)
+        assert losses.data.mean() == pytest.approx(np.mean(singles), abs=1e-12)
+
+        model.store.zero_grad()
+        losses.backward(np.full(len(examples), 1.0 / len(examples)))
+        batched = {name: model.store[name].grad.copy() for name in model.store.names()}
+        model.store.zero_grad()
+        for seq, story in examples:
+            story_loss(model, seq, story, bos_id=BOS).backward(np.asarray(1.0 / len(examples)))
+        for name in model.store.names():
+            np.testing.assert_allclose(batched[name], model.store[name].grad, rtol=0, atol=1e-10)
+
+    def test_tiny_batched_model_grad_check(self):
+        model = build_model(tiny_config(d_model=4, n_heads=2, d_ff=4, vocab_size=6,
+                                        n_layers=2, t_max=4, m_max=2, o_max=1,
+                                        feature_set=("global", "char", "obj"),
+                                        grid_mode="entity"))
+        examples = [(make_seq(n_images=2, n_chars=1, n_objs=1, seed=1, seq_id="a"), [2, 3, 4]),
+                    (make_seq(n_images=1, n_chars=2, n_objs=0, seed=2, seq_id="b"), [5])]
+        batch = assemble_batch([assemble_input(seq, story, model.config, BOS)
+                                for seq, story in examples])
+        mean_weights = batch.loss_weights.mean(axis=0)
+
+        def batch_mean(store):
+            return nm.cross_entropy_masked(forward_logits(model, batch), batch.targets,
+                                           batch.loss_mask, mean_weights)
+
+        assert nm.grad_check(batch_mean, model.store, epsilon=1e-5) < 1e-4
+
+    def test_dropout_batch_reproducible(self):
+        model = build_model(tiny_config(dropout=0.3))
+        examples = mixed_batch()[:3]
+
+        def run():
+            return story_losses(model, examples, BOS, training=True,
+                                rng=np.random.default_rng(5)).data.tobytes()
+
+        assert run() == run()
+
+    def test_empty_story_rejected(self):
+        model = build_model(tiny_config())
+        with pytest.raises(DataError):
+            story_losses(model, [(make_seq(), [2]), (make_seq(seq_id="e"), [])], BOS)
+        with pytest.raises(DataError):
+            assemble_batch([])
+
+    def test_no_grad_logits_bit_identical(self):
+        model = build_model(tiny_config(n_layers=2))
+        batch = assemble_batch([assemble_input(seq, story, model.config, BOS)
+                                for seq, story in mixed_batch()])
+        with_graph = forward_logits(model, batch)
+        with nm.no_grad():
+            without = forward_logits(model, batch)
+        assert with_graph._node is not None and without._node is None
+        assert without.data.tobytes() == with_graph.data.tobytes()
+
+
 class TestGradCheck:
     def test_tiny_two_layer_grid_model_grad_check(self):
         cfg = ModelConfig(vocab_size=8, feat_dim=3, d_model=4, n_layers=2,
@@ -374,6 +472,23 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
+
+    def test_every_truncation_and_trailing_junk_is_data_error(self, tmp_path):
+        model = build_model(ModelConfig(vocab_size=3, feat_dim=2, d_model=2, n_layers=1,
+                                        n_heads=1, d_ff=2, t_max=2, n_max=1, m_max=1,
+                                        o_max=1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        broken = [blob[:n] for n in range(len(blob))]
+        broken += [blob + b"\x07" * n for n in (1, 2, 3)]
+        # well-formed records appended after the last one repeat parameters
+        last = blob.rindex(b"out.w") - 4
+        broken.append(blob + blob[last:])
+        for data in broken:
+            path.write_bytes(data)
+            with pytest.raises(DataError):
+                load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
         model = build_model(tiny_config())

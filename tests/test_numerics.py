@@ -255,3 +255,148 @@ class TestFiniteness:
         t = nm.Tensor(arr)
         for out in (nm.softmax(t), nm.gelu(t), nm.mul(t, t), nm.add(t, t)):
             assert np.isfinite(out.data).all()
+
+
+class TestGelu:
+    def test_cube_matches_power_formula(self):
+        rng = np.random.default_rng(12)
+        v = rng.normal(scale=3.0, size=(304, 128))
+        v[0, :4] = [0.0, -0.0, 40.0, -40.0]
+        want = 0.5 * v * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (v + 0.044715 * v ** 3)))
+        np.testing.assert_allclose(nm.gelu(nm.Tensor(v)).data, want, rtol=0, atol=1e-12)
+
+
+def attention_oracle(q, k, v, mask, n_heads):
+    """Plain-numpy per-sequence, per-head loop over column slices."""
+    tq, tk = mask.shape
+    d = q.shape[1]
+    hd = d // n_heads
+    out = np.zeros_like(q)
+    for b in range(q.shape[0] // tq):
+        rows_q, rows_k = slice(b * tq, (b + 1) * tq), slice(b * tk, (b + 1) * tk)
+        for h in range(n_heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            scores = q[rows_q, cols] @ k[rows_k, cols].T / math.sqrt(hd) + mask
+            w = np.exp(scores - scores.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            out[rows_q, cols] = w @ v[rows_k, cols]
+    return out
+
+
+def causal(tq, tk):
+    return np.triu(np.full((tq, tk), -1e30), k=tk - tq + 1)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("b,tq,tk,heads", [(1, 5, 5, 1), (3, 4, 4, 2), (2, 1, 6, 4), (2, 3, 7, 2)])
+    def test_matches_per_head_loop(self, b, tq, tk, heads):
+        rng = np.random.default_rng(b * 100 + tk)
+        q = rng.normal(size=(b * tq, 8))
+        k, v = rng.normal(size=(2, b * tk, 8))
+        mask = causal(tq, tk)
+        got = nm.attention(nm.Tensor(q), nm.Tensor(k), nm.Tensor(v), mask, heads).data
+        np.testing.assert_allclose(got, attention_oracle(q, k, v, mask, heads), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_grad_check_batched_multi_head_masked(self, dropout):
+        rng = np.random.default_rng(4)
+        b, tq, tk, heads = 3, 3, 5, 2
+        store = nm.ParamStore()
+        store.add("q", rng.normal(size=(b * tq, 4)))
+        store.add("k", rng.normal(size=(b * tk, 4)))
+        store.add("v", rng.normal(size=(b * tk, 4)))
+        mask = causal(tq, tk)
+        targets = rng.integers(0, 4, size=b * tq)
+
+        def f(s):
+            out = nm.attention(s["q"], s["k"], s["v"], mask, heads, dropout=dropout,
+                               rng=np.random.default_rng(0))
+            return nm.cross_entropy_masked(out, targets, np.ones(b * tq, dtype=bool))
+
+        assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
+
+    def test_masked_keys_get_no_weight_or_gradient(self):
+        rng = np.random.default_rng(8)
+        store = nm.ParamStore()
+        k = store.add("k", rng.normal(size=(4, 4)))
+        q, v = nm.Tensor(rng.normal(size=(4, 4))), nm.Tensor(rng.normal(size=(4, 4)))
+        out = nm.attention(q, k, v, causal(4, 4), 2)
+        nm.cross_entropy_masked(out, [0, 1, 2, 3], [True, True, False, False]).backward()
+        # only rows 0 and 1 carry loss, and they see keys 0 and 1 only
+        assert not k.grad[2:].any()
+        assert k.grad[:2].any()
+
+    def test_shape_mismatch_rejected(self):
+        t = nm.Tensor(np.zeros((6, 4)))
+        with pytest.raises(DataError):
+            nm.attention(t, nm.Tensor(np.zeros((5, 4))), t, causal(3, 3), 2)
+        with pytest.raises(DataError):
+            nm.attention(nm.Tensor(np.zeros((5, 4))), t, t, causal(3, 3), 2)
+
+
+class TestCrossEntropyWeights:
+    def test_weight_rows_are_per_group_means(self):
+        rng = np.random.default_rng(6)
+        logits = rng.normal(size=(7, 5))
+        targets = rng.integers(0, 5, size=7)
+        mask = np.array([True, True, False, True, True, True, False])
+        groups = [np.arange(0, 3), np.arange(3, 7)]
+        weights = np.zeros((2, 7))
+        for row, idx in zip(weights, groups):
+            row[idx[mask[idx]]] = 1.0 / mask[idx].sum()
+        got = nm.cross_entropy_masked(nm.Tensor(logits), targets, mask, weights).data
+        for value, idx in zip(got, groups):
+            want = nm.cross_entropy_masked(nm.Tensor(logits[idx]), targets[idx], mask[idx]).item()
+            assert value == pytest.approx(want, abs=1e-12)
+        scalar = nm.cross_entropy_masked(nm.Tensor(logits), targets, mask, weights.mean(axis=0))
+        assert scalar.shape == ()
+        assert scalar.item() == pytest.approx(got.mean(), abs=1e-12)
+
+    def test_grad_check_with_weights(self):
+        rng = np.random.default_rng(9)
+        store = nm.ParamStore()
+        store.add("x", rng.normal(size=(4, 3)))
+        weights = np.array([0.5, 0.0, 0.25, 0.25])
+
+        def f(s):
+            return nm.cross_entropy_masked(s["x"], [0, 1, 2, 1], [True, False, True, True], weights)
+
+        assert nm.grad_check(f, store) < 1e-4
+
+    def test_bad_weight_shape(self):
+        with pytest.raises(DataError):
+            nm.cross_entropy_masked(nm.Tensor(np.zeros((3, 2))), [0, 0, 0], [True] * 3,
+                                    np.ones(2))
+
+
+class TestGraph:
+    def test_no_grad_builds_no_graph(self):
+        store = nm.ParamStore()
+        w = store.add("w", np.ones((2, 2)))
+        with nm.no_grad():
+            out = nm.gelu(nm.matmul(nm.Tensor(np.eye(2)), w))
+            assert out._node is None and not out.requires_grad
+        assert nm.matmul(nm.Tensor(np.eye(2)), w)._node is not None
+
+    def test_no_grad_restored_after_error(self):
+        with pytest.raises(NumericError):
+            with nm.no_grad():
+                nm.softmax(nm.Tensor([np.nan]))
+        store = nm.ParamStore()
+        assert nm.gelu(store.add("w", [1.0]))._node is not None
+
+    def test_activation_no_backward_step_needs_is_freed(self):
+        import weakref
+        store = nm.ParamStore()
+        w = store.add("w", np.ones((3, 3)))
+        y = nm.matmul(nm.Tensor(np.eye(3)), w)
+        kept = weakref.ref(y.data)
+        z = nm.gelu(nm.add(y, nm.Tensor(np.ones(3))))
+        del y
+        assert kept() is None  # add's backward needs shapes only
+        z_in = weakref.ref(z.data)
+        loss = nm.cross_entropy_masked(nm.matmul(z, w), [0, 1, 2], [True] * 3)
+        del z
+        assert z_in() is not None  # matmul's backward needs its input
+        loss.backward()
+        assert w.grad is not None and z_in() is None  # the walk frees the graph

@@ -87,6 +87,56 @@ class TestTrainEpoch:
             train_epoch(model, prepared.splits["train"], prepared.vocab,
                         tiny_train_config(), seed=0, epoch=1)
 
+    def test_one_forward_and_one_backward_per_batch(self, monkeypatch):
+        from vwpstory import numerics as nm
+        prepared = tiny_prepared()
+        model = build_model(tiny_model_config(len(prepared.vocab)))
+        sizes, walks = [], []
+        real_losses, real_backward = training.story_losses, nm.Tensor.backward
+
+        def counting_losses(model_, examples, *args, **kwargs):
+            sizes.append(len(examples))
+            return real_losses(model_, examples, *args, **kwargs)
+
+        def counting_backward(tensor, *args, **kwargs):
+            walks.append(tensor.shape)
+            return real_backward(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(training, "story_losses", counting_losses)
+        monkeypatch.setattr(nm.Tensor, "backward", counting_backward)
+        n = len(training.training_examples(prepared.splits["train"]))
+        train_epoch(model, prepared.splits["train"], prepared.vocab,
+                    tiny_train_config(batch_size=4), seed=1)
+        assert sum(sizes) == n and sizes == [4] * (n // 4) + ([n % 4] if n % 4 else [])
+        assert walks == [(size,) for size in sizes]
+
+    def test_epoch_loss_is_mean_of_per_example_losses(self):
+        prepared = tiny_prepared()
+        vocab = prepared.vocab
+        model = build_model(tiny_model_config(len(vocab)))
+        records = prepared.splits["train"]
+        want = held_out_loss(model, records, vocab)  # the same weights, eval mode
+        got = train_epoch(model, records, vocab, tiny_train_config(lr=0.0), seed=2)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_non_finite_loss_names_the_sequence(self, monkeypatch):
+        prepared = tiny_prepared()
+        model = build_model(tiny_model_config(len(prepared.vocab)))
+        real_losses = training.story_losses
+        seen = []
+
+        def poisoned(model_, examples, *args, **kwargs):
+            losses = real_losses(model_, examples, *args, **kwargs)
+            losses.data[1] = np.nan
+            seen.append(examples[1][0].id)
+            return losses
+
+        monkeypatch.setattr(training, "story_losses", poisoned)
+        with pytest.raises(TrainingError) as info:
+            train_epoch(model, prepared.splits["train"], prepared.vocab,
+                        tiny_train_config(), seed=0, epoch=7)
+        assert f"epoch 7, batch 0, sequence {seen[0]}: non-finite loss" in str(info.value)
+
     def test_empty_train_set_errors(self):
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
