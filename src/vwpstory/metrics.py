@@ -42,7 +42,7 @@ class EvalPair:
 # --- BLEU -------------------------------------------------------------------
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def bleu_corpus(pairs: list[EvalPair], max_order: int = 4) -> float:
@@ -83,10 +83,17 @@ def bleu_corpus(pairs: list[EvalPair], max_order: int = 4) -> float:
 
 @dataclass
 class MeteorAlignment:
+    """METEOR counts of one alignment, or pooled over a corpus. ``search``
+    says how the chunk count was found: "exhaustive" (a finished search, so
+    the count is minimal), "greedy" (more than METEOR_EXHAUSTIVE_LIMIT
+    matches) or "budget" (the search ran out of nodes, so the count may not
+    be minimal)."""
+
     matches: int
     chunks: int
     hyp_len: int
     ref_len: int
+    search: str = "exhaustive"
 
     def score(self) -> float:
         if self.matches == 0 or self.hyp_len == 0 or self.ref_len == 0:
@@ -98,14 +105,31 @@ class MeteorAlignment:
         return f_mean * (1.0 - penalty)
 
 
-def _stage_sizes(hyp: list[str], ref: list[str]) -> tuple[int, int]:
+def _stem_table(pairs: list[EvalPair]) -> dict[str, str]:
+    """The stem of every distinct word in the pairs, one stemmer call each."""
+    words = {w for pair in pairs for tokens in (pair.hypothesis, *pair.references)
+             for w in tokens}
+    return {w: stem(w) for w in words}
+
+
+def _stage_sizes(hyp: list[str], ref: list[str], stems: dict[str, str]) -> tuple[int, int]:
     """Sizes of the exact-stage and residual stem-stage maximum matchings."""
     h_counts, r_counts = Counter(hyp), Counter(ref)
     exact = sum((h_counts & r_counts).values())
-    resid_h = Counter(stem(w) for w in (h_counts - r_counts).elements())
-    resid_r = Counter(stem(w) for w in (r_counts - h_counts).elements())
+    resid_h = Counter(stems[w] for w in (h_counts - r_counts).elements())
+    resid_r = Counter(stems[w] for w in (r_counts - h_counts).elements())
     stemmed = sum((resid_h & resid_r).values())
     return exact, stemmed
+
+
+def _candidates(hyp: list[str], ref: list[str],
+                stems: dict[str, str]) -> list[list[tuple[int, bool]]]:
+    """For each hypothesis position, the reference positions with the same
+    stem in increasing order, each flagged True when the words are equal."""
+    by_stem: dict[str, list[int]] = {}
+    for j, word in enumerate(ref):
+        by_stem.setdefault(stems[word], []).append(j)
+    return [[(j, ref[j] == word) for j in by_stem.get(stems[word], ())] for word in hyp]
 
 
 def _count_chunks(pairs: list[tuple[int, int]]) -> int:
@@ -117,54 +141,52 @@ def _count_chunks(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def _greedy_alignment(hyp, ref, candidates, m_exact, m_stem) -> list[tuple[int, int]]:
+def _greedy_alignment(candidates, m_exact, m_stem) -> list[tuple[int, int]]:
     """In-order assignment, exact pairs first, preferring run continuations."""
     used: set[int] = set()
+    matched: set[int] = set()
     chosen: list[tuple[int, int]] = []
     for want_exact, budget in ((True, m_exact), (False, m_stem)):
         taken = 0
         last_j = None
-        for i in range(len(hyp)):
-            if taken >= budget or any(p[0] == i for p in chosen):
+        for i, cands in enumerate(candidates):
+            if taken >= budget or i in matched:
                 continue
-            options = [j for j, is_exact in candidates[i]
+            options = [j for j, is_exact in cands
                        if is_exact == want_exact and j not in used]
             if not options:
                 continue
             j = last_j + 1 if last_j is not None and last_j + 1 in options else options[0]
             used.add(j)
+            matched.add(i)
             chosen.append((i, j))
             last_j = j
             taken += 1
     return chosen
 
 
-def _min_chunk_alignment(hyp: list[str], ref: list[str]) -> MeteorAlignment:
+def _min_chunk_alignment(hyp: list[str], ref: list[str],
+                         stems: dict[str, str]) -> MeteorAlignment:
     """Stage-maximal matching with the fewest chunks.
 
-    Exhaustive branch-and-bound when the match count is at most
-    METEOR_EXHAUSTIVE_LIMIT (with a node budget against degenerate
-    duplicate-heavy inputs), in-order greedy otherwise.
+    ``stems`` maps every word of both sides to its stem. Candidate pairs are
+    the reference positions sharing a hypothesis word's stem, exact ones
+    flagged. With at most METEOR_EXHAUSTIVE_LIMIT matches a branch-and-bound
+    search finds the minimum chunk count; it stops after _SEARCH_NODE_BUDGET
+    nodes against degenerate duplicate-heavy inputs and keeps the best count
+    found so far, or the greedy count if it found none. Above the limit the
+    in-order greedy assignment is used. ``search`` on the result records
+    which of the three happened.
     """
-    m_exact, m_stem = _stage_sizes(hyp, ref)
+    m_exact, m_stem = _stage_sizes(hyp, ref, stems)
     m_total = m_exact + m_stem
     if m_total == 0:
         return MeteorAlignment(0, 0, len(hyp), len(ref))
-    ref_stems = [stem(w) for w in ref]
-    hyp_stems = [stem(w) for w in hyp]
-    candidates: list[list[tuple[int, bool]]] = []
-    for i, word in enumerate(hyp):
-        cands = []
-        for j, rword in enumerate(ref):
-            if word == rword:
-                cands.append((j, True))
-            elif hyp_stems[i] == ref_stems[j]:
-                cands.append((j, False))
-        candidates.append(cands)
+    candidates = _candidates(hyp, ref, stems)
 
     if m_total > METEOR_EXHAUSTIVE_LIMIT:
-        chosen = _greedy_alignment(hyp, ref, candidates, m_exact, m_stem)
-        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref))
+        chosen = _greedy_alignment(candidates, m_exact, m_stem)
+        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref), "greedy")
 
     best = {"chunks": m_total + 1}
     nodes = {"n": 0}
@@ -200,17 +222,21 @@ def _min_chunk_alignment(hyp: list[str], ref: list[str]) -> MeteorAlignment:
         search(i + 1, used, n_matched, n_exact, last_i, last_j, chunks)
 
     search(0, 0, 0, 0, -2, -2, 0)
+    kind = "budget" if nodes["n"] > _SEARCH_NODE_BUDGET else "exhaustive"
     if best["chunks"] > m_total:
-        chosen = _greedy_alignment(hyp, ref, candidates, m_exact, m_stem)
-        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref))
-    return MeteorAlignment(m_total, best["chunks"], len(hyp), len(ref))
+        chosen = _greedy_alignment(candidates, m_exact, m_stem)
+        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref), kind)
+    return MeteorAlignment(m_total, best["chunks"], len(hyp), len(ref), kind)
 
 
-def meteor_alignment(pair: EvalPair) -> MeteorAlignment:
-    """Best-reference alignment for one pair (highest segment score wins)."""
+def meteor_alignment(pair: EvalPair, stems: dict[str, str] | None = None) -> MeteorAlignment:
+    """Best-reference alignment for one pair (highest segment score wins).
+    ``stems`` must cover every word of the pair; by default it is built here."""
+    if stems is None:
+        stems = _stem_table([pair])
     best: MeteorAlignment | None = None
     for ref in pair.references:
-        cand = _min_chunk_alignment(pair.hypothesis, ref)
+        cand = _min_chunk_alignment(pair.hypothesis, ref, stems)
         if best is None or cand.score() > best.score():
             best = cand
     return best
@@ -221,9 +247,10 @@ def meteor(pairs: list[EvalPair]) -> float:
     F-mean/penalty formula."""
     if not pairs:
         raise DataError("meteor: empty corpus")
+    stems = _stem_table(pairs)
     total = MeteorAlignment(0, 0, 0, 0)
     for pair in pairs:
-        seg = meteor_alignment(pair)
+        seg = meteor_alignment(pair, stems)
         total.matches += seg.matches
         total.chunks += seg.chunks
         total.hyp_len += seg.hyp_len
@@ -234,15 +261,18 @@ def meteor(pairs: list[EvalPair]) -> float:
 # --- ROUGE-L ----------------------------------------------------------------
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Bit-parallel LCS length (Allison & Dix, 1986). After each token of
+    ``a``, bit j of ``v`` is clear where the DP row steps up at position j of
+    ``b``, so the LCS is the number of clear bits."""
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(pairs: list[EvalPair], beta: float = ROUGE_BETA) -> float:

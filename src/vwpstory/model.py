@@ -51,6 +51,10 @@ class ModelConfig:
         object.__setattr__(self, "feature_set", tuple(sorted(set(self.feature_set))))
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
+        for name in ("vocab_size", "feat_dim", "d_model", "n_layers", "n_heads",
+                     "t_max", "n_max", "m_max", "o_max"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if "global" not in self.feature_set:
@@ -66,10 +70,6 @@ class ModelConfig:
                 raise ConfigError(f"grid_mode {self.grid_mode!r} requires feature {feat!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
-        for name in ("vocab_size", "feat_dim", "d_model", "n_layers", "n_heads",
-                     "t_max", "n_max", "m_max", "o_max"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
 
     @property
     def grid_len(self) -> int:

@@ -188,6 +188,12 @@ class TestTrainGenerateEvaluate:
         scores.write_text("{}")
         assert main(["evaluate", "--scores", str(scores)]) == 1
 
+    def test_train_zero_heads_is_usage_error(self, prepared_dir, tmp_path, capsys):
+        assert main(["train", "--dataset", str(prepared_dir), "--out", str(tmp_path),
+                     "--seeds", "0", "--epochs", "1", "--d-model", "16",
+                     "--n-heads", "0"]) == 1
+        assert "n_heads must be positive" in capsys.readouterr().err
+
 
 class TestAnalyze:
     @pytest.mark.parametrize("what,needle", [

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 from vwpstory.errors import DataError
 from vwpstory.metrics import (
+    METEOR_EXHAUSTIVE_LIMIT,
     EvalPair,
+    _candidates,
+    _count_chunks,
+    _lcs_length,
+    _min_chunk_alignment,
+    _stage_sizes,
+    _stem_table,
     aggregate_runs,
     bleu_corpus,
     cider,
@@ -17,13 +25,107 @@ from vwpstory.metrics import (
     report_text,
     rouge_l,
 )
+from vwpstory.stem import stem
 
 tokens_st = st.lists(st.sampled_from(["the", "cat", "sat", "dog", "ran", "a"]),
                      min_size=1, max_size=8)
+# words whose stems collide, so the stem stage has work to do
+inflected_st = st.lists(st.sampled_from(["walk", "walks", "walked", "walking", "run",
+                                         "runs", "running", "cat", "cats", "the"]),
+                        max_size=12)
+
+# a duplicate-heavy pair on which the exhaustive chunk search runs out of nodes
+BUDGET_HYP = "a c c a b c b c c a c a b b c a a c b c".split()
+BUDGET_REF = "c b b c a a c a c b c a c a a c a b a b".split()
 
 
 def pair(hyp, *refs):
     return EvalPair(hypothesis=list(hyp), references=[list(r) for r in refs])
+
+
+# --- slow oracles for the fast paths in metrics ---------------------------------
+
+def dp_lcs_length(a, b):
+    """Textbook O(|a|·|b|) LCS table."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+def double_loop_candidates(hyp, ref):
+    """Every (hyp, ref) position pair, stemming each word where it is used."""
+    ref_stems = [stem(w) for w in ref]
+    hyp_stems = [stem(w) for w in hyp]
+    candidates = []
+    for i, word in enumerate(hyp):
+        cands = []
+        for j, rword in enumerate(ref):
+            if word == rword:
+                cands.append((j, True))
+            elif hyp_stems[i] == ref_stems[j]:
+                cands.append((j, False))
+        candidates.append(cands)
+    return candidates
+
+
+def quadratic_greedy(hyp, candidates, m_exact, m_stem):
+    """In-order greedy that rescans the chosen pairs at every position."""
+    used = set()
+    chosen = []
+    for want_exact, budget in ((True, m_exact), (False, m_stem)):
+        taken = 0
+        last_j = None
+        for i in range(len(hyp)):
+            if taken >= budget or any(p[0] == i for p in chosen):
+                continue
+            options = [j for j, is_exact in candidates[i]
+                       if is_exact == want_exact and j not in used]
+            if not options:
+                continue
+            j = last_j + 1 if last_j is not None and last_j + 1 in options else options[0]
+            used.add(j)
+            chosen.append((i, j))
+            last_j = j
+            taken += 1
+    return chosen
+
+
+def pseudo_words(rng, count):
+    syllables = [c + v for c in "bdfklmnprstvz" for v in "aeiou"]
+    return sorted({"".join(rng.choice(syllables) for _ in range(rng.randint(1, 3)))
+                   for _ in range(count)})
+
+
+def variant(rng, lemmas, base):
+    """A noisy inflected copy of ``base``: a quarter of the words replaced and
+    every word given a random inflection."""
+    out = []
+    for word in base:
+        if rng.random() < 0.25:
+            word = rng.choice(lemmas)
+        out.append(word + rng.choice(("", "", "s", "ed", "ing")))
+    return out
+
+
+def golden_pairs():
+    """Twelve short pairs (exhaustive chunk search), three long ones (greedy)
+    and the node-budget pair, all from one fixed seed."""
+    rng = random.Random(20261018)
+    lemmas = pseudo_words(rng, 120)
+    pairs = []
+    for length, count in ((15, 12), (150, 3)):
+        for _ in range(count):
+            base = [rng.choice(lemmas) for _ in range(rng.randint(length - 3, length + 3))]
+            pairs.append(pair(variant(rng, lemmas, base),
+                              *(variant(rng, lemmas, base) for _ in range(3))))
+    pairs.append(pair(BUDGET_HYP, BUDGET_REF))
+    return pairs
 
 
 class TestBleu:
@@ -140,6 +242,45 @@ class TestMeteor:
         assert meteor([pair(["the", "cat"], *refs)]) == \
             meteor([pair(["the", "cat"], *reversed(refs))])
 
+    def test_search_exhaustive(self):
+        align = meteor_alignment(pair(["the", "cat", "sat"], ["sat", "the", "cat"]))
+        assert (align.matches, align.chunks, align.search) == (3, 2, "exhaustive")
+
+    def test_search_greedy_above_limit(self):
+        toks = [f"w{i}" for i in range(METEOR_EXHAUSTIVE_LIMIT + 1)]
+        assert meteor_alignment(pair(toks, toks)).search == "greedy"
+
+    def test_search_budget(self):
+        align = meteor_alignment(pair(BUDGET_HYP, BUDGET_REF))
+        assert align.matches <= METEOR_EXHAUSTIVE_LIMIT
+        assert align.search == "budget"
+        assert (align.matches, align.chunks) == (18, 11)
+
+    def test_standalone_alignment_builds_its_own_stems(self):
+        p = pair(["walking", "cats"], ["cat", "walked"])
+        assert meteor_alignment(p) == meteor_alignment(p, _stem_table([p]))
+        assert meteor_alignment(p).matches == 2
+
+    @given(inflected_st, inflected_st)
+    @settings(max_examples=80, deadline=None)
+    def test_candidates_match_double_loop(self, hyp, ref):
+        stems = _stem_table([pair(hyp, ref)])
+        assert _candidates(hyp, ref, stems) == double_loop_candidates(hyp, ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_greedy_path_matches_quadratic_greedy(self, seed):
+        rng = random.Random(seed)
+        lemmas = pseudo_words(rng, 40)
+        base = [rng.choice(lemmas) for _ in range(rng.randint(40, 120))]
+        hyp, ref = variant(rng, lemmas, base), variant(rng, lemmas, base)
+        stems = _stem_table([pair(hyp, ref)])
+        m_exact, m_stem = _stage_sizes(hyp, ref, stems)
+        assert m_exact + m_stem > METEOR_EXHAUSTIVE_LIMIT and m_exact and m_stem
+        chosen = quadratic_greedy(hyp, double_loop_candidates(hyp, ref), m_exact, m_stem)
+        align = _min_chunk_alignment(hyp, ref, stems)
+        assert align.search == "greedy"
+        assert (align.matches, align.chunks) == (len(chosen), _count_chunks(chosen))
+
 
 class TestRougeL:
     def test_identity(self):
@@ -166,6 +307,23 @@ class TestRougeL:
         score = rouge_l([pair(hyp, ref)])
         assert 0.0 <= score <= 1.0
         assert rouge_l([pair(hyp, ref, ["zz"])]) == rouge_l([pair(hyp, ["zz"], ref)])
+
+    @given(st.sampled_from(["a", "ab", "abcdef"]).flatmap(
+        lambda alphabet: st.tuples(*[st.lists(st.sampled_from(alphabet), max_size=260)] * 2)))
+    @settings(max_examples=60, deadline=None)
+    def test_lcs_matches_dp_oracle(self, lists):
+        a, b = lists
+        assert _lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @pytest.mark.parametrize("alphabet", ["a", "ab", "abcdefghijklmnopqrstuvwxyz"])
+    def test_lcs_matches_dp_oracle_across_word_sizes(self, alphabet):
+        rng = random.Random(len(alphabet))
+        lengths = (0, 1, 63, 64, 65, 128, 201, 257)
+        for n_a in lengths:
+            for n_b in lengths:
+                a = [rng.choice(alphabet) for _ in range(n_a)]
+                b = [rng.choice(alphabet) for _ in range(n_b)]
+                assert _lcs_length(a, b) == dp_lcs_length(a, b), (n_a, n_b)
 
 
 def brute_force_cider(pairs, max_n=4):
@@ -308,3 +466,31 @@ class TestSuite:
     def test_unknown_metric(self):
         with pytest.raises(DataError):
             compute_metrics([pair(["a"], ["a"]), pair(["b"], ["b"])], ["SPICE"])
+
+
+class TestGolden:
+    # float.hex of every metric on golden_pairs(), pinned from the textbook
+    # LCS table and the double-loop, per-use-stemming METEOR; a faster metric
+    # must reproduce them bit for bit
+    EXPECTED = {
+        "B-1": "0x1.2c2a35ef95b11p-1",
+        "B-2": "0x1.f04414dce4a42p-3",
+        "B-3": "0x1.d5b4f76637a62p-4",
+        "B-4": "0x1.fd03ea012e37cp-5",
+        "METEOR": "0x1.18c0838d847dfp-1",
+        "ROUGE-L": "0x1.0ce7f424e7f43p-2",
+        "CIDEr": "0x1.e40adafd568fap-1",
+    }
+
+    def test_golden_values_bit_exact(self):
+        pairs = golden_pairs()
+        values = compute_metrics(pairs)
+        assert {name: v.hex() for name, v in values.items()} == self.EXPECTED
+
+    def test_golden_pairs_cover_every_path(self):
+        pairs = golden_pairs()
+        stems = _stem_table(pairs)
+        kinds = {meteor_alignment(p, stems).search for p in pairs}
+        assert kinds == {"exhaustive", "greedy", "budget"}
+        assert any(_stage_sizes(p.hypothesis, p.references[0], stems)[1] for p in pairs)
+        assert max(len(p.hypothesis) for p in pairs) > 128

@@ -62,6 +62,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             tiny_config(d_model=9)
 
+    def test_zero_heads_is_config_error(self):
+        # positivity is checked before d_model % n_heads can divide by zero
+        with pytest.raises(ConfigError, match="n_heads must be positive"):
+            tiny_config(n_heads=0)
+
     def test_grid_mode_requires_features(self):
         with pytest.raises(ConfigError):
             tiny_config(feature_set=("global",), grid_mode="char")
