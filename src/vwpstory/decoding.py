@@ -1,24 +1,24 @@
 """Greedy and nucleus decoding, plus realization of placeholder text.
 
-Decoding builds a sequence's conditioning once, forwards it with [BOS]
-once into a per-layer KV cache, then forwards one position per sampled
-token, without building an autograd graph. Realization swaps
-[maleK]/[femaleK]/[location] placeholders for sampled names, consistently
-within a story, and re-attaches punctuation.
+``generate`` owns its decoding loop. It builds a sequence's conditioning
+once, forwards it with [BOS] once into a per-layer KV cache, then forwards
+one position per picked token, without building an autograd graph. Each
+token is the argmax of the last logits or a nucleus draw from their
+softmax. Realization swaps [maleK]/[femaleK]/[location] placeholders for
+sampled names, consistently within a story, and re-attaches punctuation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary
 from .errors import ConfigError, NumericError, ResourceError
 from .model import KVCache, StoryGenModel, assemble_input, forward_logits, text_step
-from .numerics import no_grad
+from .numerics import no_grad, softmax_rows
 
 NO_SPACE_BEFORE = {".", ",", "!", "?", ";", ":", "'", ")", "]", "%", "…"}
 NO_SPACE_AFTER = {"(", "[", "'"}
@@ -62,34 +62,6 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     return int(support[min(pick, cut - 1)])
 
 
-def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
-
-
-def decode_tokens(logits_fn: Callable[[list[int]], np.ndarray], *, eos_id: int,
-                  config: DecodingConfig, max_tokens: int | None = None) -> list[int]:
-    """Autoregressive loop over a step function returning last-position logits.
-
-    Greedy picks the argmax (ties to the lowest id); nucleus samples with the
-    config seed. Stops at [EOS] or the token budget.
-    """
-    rng = np.random.default_rng(config.seed)
-    budget = config.max_new_tokens if max_tokens is None else min(config.max_new_tokens, max_tokens)
-    out: list[int] = []
-    for _ in range(budget):
-        logits = np.asarray(logits_fn(out), dtype=np.float64)
-        if config.mode == "greedy":
-            token = int(np.argmax(logits))
-        else:
-            token = nucleus_sample(_stable_softmax(logits), config.p, rng)
-        if token == eos_id:
-            break
-        out.append(token)
-    return out
-
-
 @dataclass
 class GeneratedStory:
     sequence_id: str
@@ -110,18 +82,25 @@ def generate(model: StoryGenModel, seq, vocab: Vocabulary,
     The conditioning (stacked features, entity rows, flattened grid) is
     assembled once per call, so the grid is computed once. The prefix and
     [BOS] are forwarded once into a KV cache; each later step forwards only
-    the token sampled last.
+    the token picked last. Greedy picks the argmax (ties to the lowest id);
+    nucleus samples from the softmax with the config seed.
     """
-    prefix = assemble_input(seq, [], model.config, vocab.bos_id)
+    rng = np.random.default_rng(config.seed)
+    budget = min(config.max_new_tokens, model.config.t_max - 1)
     cache = KVCache(model.config)
-
-    def logits_fn(story_so_far: list[int]) -> np.ndarray:
-        layout = text_step(story_so_far[-1], cache.length) if story_so_far else prefix
-        return forward_logits(model, layout, cache=cache).data[-1]
-
+    layout = assemble_input(seq, [], model.config, vocab.bos_id)
+    ids: list[int] = []
     with no_grad():
-        ids = decode_tokens(logits_fn, eos_id=vocab.eos_id, config=config,
-                            max_tokens=model.config.t_max - 1)
+        for _ in range(budget):
+            logits = forward_logits(model, layout, cache=cache).data[-1]
+            if config.mode == "greedy":
+                token = int(np.argmax(logits))
+            else:
+                token = nucleus_sample(softmax_rows(logits), config.p, rng)
+            if token == vocab.eos_id:
+                break
+            ids.append(token)
+            layout = text_step(token, cache.length)
     tokens = vocab.decode(ids)
     return GeneratedStory(sequence_id=seq.id, seed=config.seed, token_ids=ids,
                           tokens=tokens, text=detokenize(tokens))

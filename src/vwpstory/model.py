@@ -184,28 +184,20 @@ def parameter_count(config: ModelConfig) -> int:
 @dataclass
 class InputLayout:
     """A model-ready arrangement of positions: the conditioning rows of one
-    sequence, then text tokens. A step for a cached forward carries text
-    tokens only, so its conditioning fields are None."""
-    token_ids: np.ndarray                     # [BOS] + story, or a step's new tokens
+    sequence, then [BOS] and the story tokens."""
+    token_ids: np.ndarray                     # [BOS] + story
     positions: np.ndarray                     # absolute position of every row
     segments: np.ndarray
-    image_feats: np.ndarray | None = None     # (N, D)
+    image_feats: np.ndarray                   # (N, D)
+    targets: np.ndarray                       # next-token ids, -1 where unused
+    loss_mask: np.ndarray                     # True exactly on story-prediction slots
     entity_feats: np.ndarray | None = None    # (M_char + M_obj, D)
     grid_vec: np.ndarray | None = None        # (n_max * m_max,)
-    targets: np.ndarray | None = None         # next-token ids, -1 where unused
-    loss_mask: np.ndarray | None = None       # True exactly on story-prediction slots
     prefix_len: int = 0                       # positions before [BOS]
 
     @property
     def length(self) -> int:
         return int(self.positions.shape[0])
-
-
-def text_step(token_id: int, position: int) -> InputLayout:
-    """One text token at absolute ``position``, for a forward over a KV cache."""
-    return InputLayout(token_ids=np.array([token_id], dtype=np.intp),
-                       positions=np.array([position], dtype=np.intp),
-                       segments=np.array([SEG_TEXT], dtype=np.intp))
 
 
 @dataclass
@@ -264,31 +256,38 @@ def assemble_batch(layouts: list[InputLayout]) -> BatchLayout:
     rows = np.zeros(total, dtype=np.intp)
     positions = np.zeros(total, dtype=np.intp)
     segments = np.zeros(total, dtype=np.intp)
-    with_loss = all(lay.targets is not None for lay in layouts)
-    targets = np.full(total, -1, dtype=np.intp) if with_loss else None
-    loss_mask = np.zeros(total, dtype=bool) if with_loss else None
-    loss_weights = np.zeros((len(layouts), total)) if with_loss else None
+    targets = np.full(total, -1, dtype=np.intp)
+    loss_mask = np.zeros(total, dtype=bool)
+    loss_weights = np.zeros((len(layouts), total))
     for b, lay in enumerate(layouts):
         lo, hi = b * width, b * width + lay.length
-        counts = [0 if blk is None else blk.shape[0]
-                  for blk in (lay.image_feats, lay.entity_feats)]
-        counts += [0 if lay.grid_vec is None else 1, lay.token_ids.shape[0]]
+        counts = [lay.image_feats.shape[0],
+                  0 if lay.entity_feats is None else lay.entity_feats.shape[0],
+                  0 if lay.grid_vec is None else 1, lay.token_ids.shape[0]]
         rows[lo:hi] = np.concatenate([np.arange(start, start + n)
                                       for start, n in zip(starts, counts)])
         starts += counts
         positions[lo:hi] = lay.positions
         segments[lo:hi] = lay.segments
-        if with_loss:
-            targets[lo:hi] = lay.targets
-            loss_mask[lo:hi] = lay.loss_mask
-            loss_rows = lo + np.flatnonzero(lay.loss_mask)
-            loss_weights[b, loss_rows] = 1.0 / max(loss_rows.size, 1)
+        targets[lo:hi] = lay.targets
+        loss_mask[lo:hi] = lay.loss_mask
+        loss_rows = lo + np.flatnonzero(lay.loss_mask)
+        loss_weights[b, loss_rows] = 1.0 / max(loss_rows.size, 1)
     return BatchLayout(lengths=lengths, width=width, token_ids=token_ids,
                        positions=positions, segments=segments,
                        rows=None if len(layouts) == 1 else rows,
                        image_feats=image_feats, entity_feats=entity_feats,
                        grid_vecs=grid_vecs, targets=targets, loss_mask=loss_mask,
                        loss_weights=loss_weights)
+
+
+def text_step(token_id: int, position: int) -> BatchLayout:
+    """One text token at absolute ``position``: the one-row batch a decode
+    step forwards over a KV cache, with no conditioning rows and no loss."""
+    return BatchLayout(lengths=np.ones(1, dtype=np.intp), width=1,
+                       token_ids=np.array([token_id], dtype=np.intp),
+                       positions=np.array([position], dtype=np.intp),
+                       segments=np.array([SEG_TEXT], dtype=np.intp))
 
 
 class KVCache:
@@ -330,6 +329,9 @@ def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
             raise DataError(f"sequence {seq.id}: {len(seq.objects)} objects exceed o_max {config.o_max}")
         entity_rows += [ob.feat for ob in seq.objects]
     entity_feats = np.stack(entity_rows) if entity_rows else None
+    for feats in (image_feats, entity_feats):
+        if feats is not None and feats.shape[1] != config.feat_dim:
+            raise DataError(f"sequence {seq.id}: features are {feats.shape[1]} wide, not feat_dim {config.feat_dim}")
 
     grid_vec = None
     if config.grid_mode != "none":
@@ -378,11 +380,11 @@ def forward_logits(model: StoryGenModel, layout: InputLayout | BatchLayout, *,
     logits are its ``length`` rows). Without a cache every layout is a whole
     sequence; training, losses and teacher-forced evaluation all take this
     path. With a ``KVCache`` the layout is one sequence holding only the
-    positions that follow those already cached (its first call may carry the
-    conditioning rows): each layer's new queries attend over the cached
-    keys/values plus the new ones under a (new, past + new) causal mask, the
-    new keys/values are stored, and the cache grows by ``layout.length``. A
-    cache is for inference only.
+    positions that follow those already cached (the conditioning prefix
+    first, then one ``text_step`` per token): each layer's new queries attend
+    over the cached keys/values plus the new ones under a (new, past + new)
+    causal mask, the new keys/values are stored, and the cache grows by
+    ``layout.length``. A cache is for inference only.
     """
     cfg = model.config
     p = model.param

@@ -273,17 +273,21 @@ def narrow_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(a.data[:, start:stop], parents=(a,), grad_fn=grad_fn)
 
 
+def softmax_rows(x: Array) -> Array:
+    """Softmax over the last axis of an array: subtract the row max,
+    exponentiate, divide by the row sum. A 1-D vector is one row."""
+    exps = np.exp(x - x.max(axis=-1, keepdims=True))
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
 def softmax(logits: Tensor) -> Tensor:
     """Row-stable softmax over the last axis.
 
     Rows sum to 1 within 1e-12; invariant to additive shifts of the input.
     """
-    x = logits.data
-    if not np.isfinite(x).all():
+    if not np.isfinite(logits.data).all():
         raise NumericError("softmax: non-finite input")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    y = exps / exps.sum(axis=-1, keepdims=True)
+    y = softmax_rows(logits.data)
 
     def grad_fn(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -467,8 +471,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int, *,
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale + mask
     if not np.isfinite(scores).all():
         raise NumericError("attention: non-finite scores")
-    exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = exps / exps.sum(axis=-1, keepdims=True)
+    probs = softmax_rows(scores)
     if not 0.0 <= dropout < 1.0:
         raise NumericError(f"dropout rate must be in [0, 1), got {dropout}")
     keep = None

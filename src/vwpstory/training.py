@@ -23,14 +23,17 @@ import numpy as np
 from . import metrics as metrics_mod
 from .corpus import BOS, EOS, PAD, SENT, ImageSequenceRecord, Vocabulary
 from .decoding import DecodingConfig, generate
-from .errors import DataError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .metrics import EvalPair
 from .model import (
     ModelConfig,
     StoryGenModel,
+    assemble_batch,
+    assemble_input,
     build_model,
+    forward_logits,
     save_checkpoint,
-    story_loss,
+    story_loss,  # unused here: perfbench/tracing.py binds training.story_loss
     story_losses,
 )
 from .numerics import adam_step, clip_global_norm, no_grad
@@ -38,6 +41,9 @@ from .numerics import adam_step, clip_global_norm, no_grad
 log = logging.getLogger("vwpstory.training")
 
 CONTROL_TOKENS = {PAD, BOS, EOS, SENT}
+
+# examples per forward in held-out scoring: the planted run's batch size
+_EVAL_SLICE = 16
 
 
 @dataclass
@@ -59,9 +65,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise DataError("epochs must be at least 1")
+            raise ConfigError("epochs must be at least 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be at least 1")
         if not self.seeds:
-            raise DataError("seeds must be nonempty")
+            raise ConfigError("seeds must be nonempty")
 
 
 @dataclass
@@ -236,18 +244,24 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
     return FitResult(runlogs=runlogs, test_scores=test_scores, aggregate=aggregate)
 
 
+def _eval_slices(records: list[ImageSequenceRecord], vocab: Vocabulary) -> list[list]:
+    """Every story with [EOS] appended, in slices of ``_EVAL_SLICE`` examples."""
+    examples = [(rec, tokens + [vocab.eos_id]) for rec, tokens in training_examples(records)]
+    return [examples[i:i + _EVAL_SLICE] for i in range(0, len(examples), _EVAL_SLICE)]
+
+
 def held_out_loss(model: StoryGenModel, records: list[ImageSequenceRecord],
                   vocab: Vocabulary) -> float:
     """Mean eval-mode story loss over all stories in the records."""
-    examples = training_examples(records)
-    if not examples:
+    slices = _eval_slices(records, vocab)
+    if not slices:
         raise DataError("held_out_loss: no examples")
     total = 0.0
     with no_grad():
-        for rec, tokens in examples:
-            total += story_loss(model, rec, tokens + [vocab.eos_id],
-                                bos_id=vocab.bos_id).item()
-    return total / len(examples)
+        for examples in slices:
+            for value in story_losses(model, examples, bos_id=vocab.bos_id).data.tolist():
+                total += value
+    return total / sum(len(examples) for examples in slices)
 
 
 def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord],
@@ -255,20 +269,18 @@ def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord]
                         target_ids: set[int] | None = None) -> float:
     """Teacher-forced argmax accuracy over story positions, optionally
     restricted to positions whose target id is in ``target_ids``."""
-    from .model import assemble_input, forward_logits
-
     hits = 0
     count = 0
-    for rec, tokens in training_examples(records):
-        layout = assemble_input(rec, tokens + [vocab.eos_id], model.config, vocab.bos_id)
+    for examples in _eval_slices(records, vocab):
+        batch = assemble_batch([assemble_input(rec, tokens, model.config, vocab.bos_id)
+                                for rec, tokens in examples])
         with no_grad():
-            predictions = forward_logits(model, layout).data.argmax(axis=1)
-        for pos in np.nonzero(layout.loss_mask)[0]:
-            target = layout.targets[pos]
-            if target_ids is not None and target not in target_ids:
-                continue
-            count += 1
-            hits += int(predictions[pos] == target)
+            logits = forward_logits(model, batch).data
+        rows = np.flatnonzero(batch.loss_mask)
+        if target_ids is not None:
+            rows = rows[np.isin(batch.targets[rows], list(target_ids))]
+        count += rows.size
+        hits += int((logits[rows].argmax(axis=1) == batch.targets[rows]).sum())
     if count == 0:
         raise DataError("next_token_accuracy: no qualifying positions")
     return hits / count

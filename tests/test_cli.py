@@ -8,7 +8,8 @@ import pytest
 
 from vwpstory import chargrid
 from vwpstory.cli import main
-from vwpstory.corpus import load_dataset, save_dataset
+from vwpstory.corpus import Vocabulary, load_dataset, save_dataset
+from vwpstory.model import ModelConfig, build_model, save_checkpoint
 from vwpstory.synth import (
     fixture_annotations,
     fixture_dataset,
@@ -49,6 +50,18 @@ def trained_dir(prepared_dir, tmp_path_factory):
                  "--batch-size", "4", "--dropout", "0.0", "--max-new", "12"])
     assert code == 0
     return out
+
+
+def run_console(*args):
+    """``python -m vwpstory.cli *args`` run from this checkout's root, importing
+    its own src/, wherever pytest was started and whatever else is on
+    PYTHONPATH."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "vwpstory.cli", *args],
+                          capture_output=True, text=True, cwd=root, env=env)
 
 
 class TestUsage:
@@ -194,6 +207,34 @@ class TestTrainGenerateEvaluate:
                      "--n-heads", "0"]) == 1
         assert "n_heads must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch-size", "0", "batch_size must be at least 1"),
+        ("--batch-size", "-1", "batch_size must be at least 1"),
+        ("--epochs", "0", "epochs must be at least 1"),
+    ])
+    def test_train_degenerate_loop_is_usage_error(self, prepared_dir, tmp_path, capsys,
+                                                  flag, value, message):
+        assert main(["train", "--dataset", str(prepared_dir), "--out", str(tmp_path),
+                     "--seeds", "0", "--epochs", "1", "--d-model", "16",
+                     "--n-heads", "2", flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runlog.json").exists()
+
+    def test_generate_with_other_feature_width_is_data_error(self, prepared_dir, tmp_path):
+        vocab = Vocabulary.from_dict(json.loads((prepared_dir / "vocab.json").read_text()))
+        width = load_dataset(prepared_dir / "test.jsonl")[0].feat_dim
+        ckpt = tmp_path / "wide.ckpt"
+        save_checkpoint(build_model(ModelConfig(
+            vocab_size=len(vocab), feat_dim=width + 4, d_model=16, n_layers=1, n_heads=2,
+            t_max=32, feature_set=("global", "char", "obj"))), ckpt)
+        proc = run_console("generate", "--checkpoint", str(ckpt),
+                           "--dataset", str(prepared_dir / "test.jsonl"),
+                           "--vocab", str(prepared_dir / "vocab.json"),
+                           "--out", str(tmp_path / "out.jsonl"))
+        assert proc.returncode == 2
+        assert f"features are {width} wide" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestAnalyze:
     @pytest.mark.parametrize("what,needle", [
@@ -256,15 +297,6 @@ class TestConfigFile:
 
 class TestConsoleEntry:
     def test_module_invocation(self, fixture_dir):
-        # Run from this checkout's root and import its own src/, wherever
-        # pytest was started and whatever else is on PYTHONPATH.
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "vwpstory.cli", "plan", "--workers",
-             str(fixture_dir / "workers.csv")],
-            capture_output=True, text=True, cwd=root, env=env)
+        proc = run_console("plan", "--workers", str(fixture_dir / "workers.csv"))
         assert proc.returncode == 0
         assert "worker_id" in proc.stdout

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 from vwpstory import decoding
 from vwpstory import model as model_mod
+from vwpstory import numerics as nm
 from vwpstory.corpus import build_vocab, prepare_records
 from vwpstory.decoding import (
     DecodingConfig,
     NamePools,
-    decode_tokens,
     detokenize,
     generate,
     nucleus_sample,
@@ -134,27 +135,47 @@ class TestNucleusSearch:
 
 
 class TestDecodeTokens:
-    def test_rigged_sequence_then_stop(self):
-        script = [5, 6, 7, 2]  # 2 plays the stop token
+    """The decoding loop inside ``generate``, run on scripted logits."""
 
-        def logits_fn(so_far):
-            logits = np.zeros(16)
-            logits[script[len(so_far)]] = 10.0
+    def _decode(self, monkeypatch, script, max_new_tokens, mode="greedy"):
+        """``generate``'s ids when forward number k returns ``script(k, vocab)``,
+        and the number of forwards it ran."""
+        vocab = build_vocab([list("abcdefgh")], min_freq=1)
+        model = build_model(tiny_config(vocab_size=len(vocab)))
+        calls = []
+
+        def scripted_forward(model_, layout, **kwargs):
+            calls.append(layout.length)
+            return nm.Tensor(np.atleast_2d(script(len(calls) - 1, vocab)))
+
+        monkeypatch.setattr(decoding, "forward_logits", scripted_forward)
+        cfg = DecodingConfig(mode=mode, p=0.5, max_new_tokens=max_new_tokens)
+        return generate(model, make_seq(), vocab, cfg).token_ids, calls
+
+    def test_rigged_sequence_then_stop(self, monkeypatch):
+        def script(k, vocab):
+            logits = np.zeros(len(vocab))
+            logits[[5, 6, 7, vocab.eos_id][k]] = 10.0
             return logits
 
-        out = decode_tokens(logits_fn, eos_id=2,
-                            config=DecodingConfig(mode="greedy", max_new_tokens=50))
-        assert out == [5, 6, 7]
+        for mode in ("greedy", "nucleus"):
+            out, calls = self._decode(monkeypatch, script, 50, mode)
+            assert out == [5, 6, 7]
+            assert calls[1:] == [1, 1, 1]  # one-row steps; picking [EOS] ends the loop
 
-    def test_truncation_at_budget(self):
-        out = decode_tokens(lambda so_far: np.eye(8)[3] * 9.0, eos_id=2,
-                            config=DecodingConfig(mode="greedy", max_new_tokens=4))
+    def test_truncation_at_budget(self, monkeypatch):
+        out, calls = self._decode(monkeypatch, lambda k, vocab: np.eye(len(vocab))[3] * 9.0, 4)
         assert out == [3, 3, 3, 3]
+        assert len(calls) == 4  # no forward after the last token of the budget
 
-    def test_greedy_tie_breaks_to_lowest_id(self):
-        out = decode_tokens(lambda so_far: np.zeros(8), eos_id=7,
-                            config=DecodingConfig(mode="greedy", max_new_tokens=1))
-        assert out == [0]
+    def test_greedy_tie_breaks_to_lowest_id(self, monkeypatch):
+        def script(k, vocab):
+            logits = np.zeros(len(vocab))
+            logits[[9, 4, 6]] = 2.0
+            return logits
+
+        out, _ = self._decode(monkeypatch, script, 1)
+        assert out == [4]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -206,15 +227,20 @@ class TestGenerate:
 def full_recompute_decode(model, seq, vocab, config):
     """Reference decoder: assemble and forward the whole sequence at every
     step. Returns the ids and each step's last-position logits."""
-    steps = []
-
-    def logits_fn(story_so_far):
-        layout = assemble_input(seq, story_so_far, model.config, vocab.bos_id)
-        steps.append(forward_logits(model, layout).data[-1])
-        return steps[-1]
-
-    ids = decode_tokens(logits_fn, eos_id=vocab.eos_id, config=config,
-                        max_tokens=model.config.t_max - 1)
+    rng = np.random.default_rng(config.seed)
+    ids, steps = [], []
+    for _ in range(min(config.max_new_tokens, model.config.t_max - 1)):
+        layout = assemble_input(seq, ids, model.config, vocab.bos_id)
+        logits = forward_logits(model, layout).data[-1]
+        steps.append(logits)
+        if config.mode == "greedy":
+            token = int(np.argmax(logits))
+        else:
+            exps = np.exp(logits - logits.max())
+            token = nucleus_sample(exps / exps.sum(), config.p, rng)
+        if token == vocab.eos_id:
+            break
+        ids.append(token)
     return ids, steps
 
 
@@ -249,6 +275,51 @@ def corpus_and_model(corpus, t_max=24, suppress_eos=False):
     return prepared.splits["train"][:3], vocab, model
 
 
+# generate's ids, its number of forwards, and a sha256 over the float.hex of
+# every forward's last-position logits, per record of ``corpus_and_model``,
+# recorded from the callback-driven decoder that the loop in ``generate``
+# replaced (the same NumPy build; another BLAS may sum in another order)
+RECORDED_DECODES = {
+    ("fixture", "greedy"): [
+        ([12, 10, 14, 10, 0, 0, 0], 8,
+         "2f59fc59d7a11b64c8988a257cc9232d6cf0954b7b4dc34581737b52cb7c5bf4"),
+        ([11, 10, 14, 10], 5,
+         "1ca33e6d92388e9044a90b46647771e075bc8ffc015ff7f290d2e578d9f5a081"),
+        ([12, 10, 14, 10], 5,
+         "c1b873727fee1784857f8f66449c208a771cfc05f17870c96239934df44576c4"),
+    ],
+    ("fixture", "nucleus"): [
+        ([18], 2,
+         "5bbbc08fcc0da39f05cb6fa0ae7cda00272808677a9b64941e61feecd3371126"),
+        ([13, 24, 24, 20, 25, 4, 13, 3, 20, 25, 25, 5, 28, 21, 28, 26, 7, 10, 0, 17], 20,
+         "8f0cda4a2543cc4c8f8c04f6b4c649546466ecf03550c2bf3b1340ba40b90063"),
+        ([0, 27, 8, 18, 16, 27, 17, 8, 7, 22, 11, 0], 13,
+         "8d166bb0ca3069ea47022017ca22116b4677ae23757c7de5fdd8304d8a73423b"),
+    ],
+    ("planted", "greedy"): [
+        ([19, 19, 6, 19, 16, 9, 19, 16, 9, 19, 1, 19, 16, 10, 16, 9, 19, 19, 16], 20,
+         "24c7c7cbe487ba0675ce12b61a73c4a2a7409dd872d4923ae93a7745bcefd1ce"),
+        ([19, 19, 6, 19, 16, 9, 19, 16, 9, 19, 1, 19, 16, 10, 16, 9, 19, 19, 16], 20,
+         "ea619873ec46a08a0e6bdee5e26ad99546726d0366a920df8e287177c6582b6c"),
+        ([19, 19, 6, 19, 16, 9, 19, 16, 9, 19, 1, 19, 16, 10, 16, 9, 19, 19, 16], 20,
+         "3a42b305e9e03add03c730d6d2078da3a7753bae1ceb8ddeb9cc24d7e66e9f23"),
+    ],
+    ("planted", "nucleus"): [
+        ([7, 6, 14, 18, 0, 16, 19, 10, 14, 10, 18, 6, 7, 4, 7, 10, 18, 8, 16, 7], 20,
+         "0c7efcb2434d7d2fd61bc667c32d80d92e02abd9faf69128b38274045af3d5f3"),
+        ([6, 16, 15, 8, 6, 17, 18, 14, 5, 6, 15, 13, 17, 13, 9, 17, 6, 12, 16, 9], 20,
+         "8af92545192385a8f33b492ee5cd9dc70287abf2be747aa35093caffc1759e44"),
+        ([11, 9], 3,
+         "370eabcf3b350fbd51c2f829b34e96338c08d00825c363aeb5c21a3579ad17ba"),
+    ],
+}
+
+
+def logits_digest(steps):
+    text = "".join(float.hex(float(x)) for step in steps for x in step)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestCachedDecoding:
     @pytest.mark.parametrize("corpus", ["fixture", "planted"])
     @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
@@ -262,6 +333,17 @@ class TestCachedDecoding:
             assert len(steps) == len(want_steps)
             for got, want in zip(steps, want_steps):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("corpus", ["fixture", "planted"])
+    @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
+    def test_bits_match_recorded_decodes(self, monkeypatch, corpus, mode):
+        records, vocab, model = corpus_and_model(corpus)
+        got = []
+        for r, seq in enumerate(records):
+            cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=20, seed=31 + r)
+            ids, steps = cached_decode(monkeypatch, model, seq, vocab, cfg)
+            got.append((ids, len(steps), logits_digest(steps)))
+        assert got == RECORDED_DECODES[corpus, mode]
 
     @pytest.mark.parametrize("corpus", ["fixture", "planted"])
     def test_stops_at_t_max_budget(self, monkeypatch, corpus):

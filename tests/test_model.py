@@ -14,6 +14,7 @@ from vwpstory.corpus import (
 )
 from vwpstory.errors import ConfigError, DataError, StateError
 from vwpstory.model import (
+    BatchLayout,
     KVCache,
     ModelConfig,
     assemble_batch,
@@ -150,6 +151,18 @@ class TestAssembleInput:
         assert layout.loss_mask.sum() == 0
         with pytest.raises(DataError):
             story_loss(build_model(cfg), make_seq(), [], bos_id=BOS)
+
+    @pytest.mark.parametrize("wide", ["images", "characters"])
+    def test_feature_width_must_match_feat_dim(self, wide):
+        seq = make_seq(n_chars=2)
+        if wide == "images":
+            for im in seq.images:
+                im.global_feat = np.ones(D + 2)
+        else:
+            for ch in seq.characters:
+                ch.representative_feat = np.ones(D + 2)
+        with pytest.raises(DataError, match=f"features are {D + 2} wide"):
+            assemble_input(seq, [2, 3], tiny_config(), bos_id=BOS)
 
     def test_story_too_long(self):
         cfg = tiny_config(t_max=4)
@@ -297,6 +310,14 @@ class TestKVCache:
         # the prefix pass is the uncached forward on the same layout
         assert rows[0].tobytes() == forward_logits(model, prefix).data.tobytes()
         assert cache.length == full.shape[0]
+
+    def test_text_step_is_a_one_row_batch(self):
+        step = text_step(7, 12)
+        assert isinstance(step, BatchLayout)
+        assert step.lengths.tolist() == [1] and step.width == 1 and step.rows is None
+        assert (step.token_ids.tolist(), step.positions.tolist(),
+                step.segments.tolist()) == ([7], [12], [model_mod.SEG_TEXT])
+        assert step.image_feats is None and step.targets is None
 
     def test_rejects_training_and_misplaced_positions(self):
         model = build_model(tiny_config())

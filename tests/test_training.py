@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 from vwpstory import training
 from vwpstory.corpus import prepare_records
 from vwpstory.decoding import DecodingConfig
-from vwpstory.errors import DataError, NumericError, TrainingError
-from vwpstory.model import ModelConfig, build_model, load_checkpoint
-from vwpstory.synth import pattern_token_ids, synthetic_grid_corpus
+from vwpstory.errors import ConfigError, DataError, NumericError, TrainingError
+from vwpstory.model import (
+    ModelConfig,
+    assemble_input,
+    build_model,
+    forward_logits,
+    load_checkpoint,
+    story_loss,
+)
+from vwpstory.numerics import no_grad
+from vwpstory.synth import fixture_dataset, pattern_token_ids, synthetic_grid_corpus
 from vwpstory.training import (
     TrainConfig,
     fit,
@@ -270,6 +278,74 @@ class TestEvalHelpers:
         assert 0.0 <= acc <= 1.0
         with pytest.raises(DataError):
             next_token_accuracy(model, prepared.splits["val"], prepared.vocab, {-42})
+
+
+@pytest.fixture(scope="module")
+def mixed_eval_set():
+    """A briefly trained model and 40 fixture stories cut to 1..18 tokens: the
+    slices of held-out scoring pad every story but the longest, and the last
+    slice is partial."""
+    prepared = prepare_records(fixture_dataset(20, seed=7), seed=0)
+    records, vocab = prepared.splits["train"], prepared.vocab
+    for i, story in enumerate(s for rec in records for s in rec.stories):
+        story.tokens = story.tokens[:1 + (7 * i) % 18]
+    model = build_model(tiny_model_config(
+        len(vocab), feature_set=("global", "char", "obj"), grid_mode="entity"))
+    for epoch in range(1, 4):
+        train_epoch(model, records, vocab, tiny_train_config(lr=1e-2), seed=epoch)
+    return model, records, vocab
+
+
+def per_example_accuracy(model, records, vocab, target_ids=None):
+    """Reference accuracy: one forward per story, scored position by position."""
+    hits = count = 0
+    for rec, tokens in training.training_examples(records):
+        layout = assemble_input(rec, tokens + [vocab.eos_id], model.config, vocab.bos_id)
+        with no_grad():
+            predictions = forward_logits(model, layout).data.argmax(axis=1)
+        for pos in np.flatnonzero(layout.loss_mask):
+            target = layout.targets[pos]
+            if target_ids is None or target in target_ids:
+                count += 1
+                hits += int(predictions[pos] == target)
+    return hits / count
+
+
+class TestBatchedEvaluation:
+    def test_eval_set_is_mixed(self, mixed_eval_set):
+        _, records, _ = mixed_eval_set
+        examples = training.training_examples(records)
+        assert len(examples) % training._EVAL_SLICE != 0
+        assert len({len(tokens) for _, tokens in examples}) == 18
+
+    def test_held_out_loss_is_mean_of_story_losses(self, mixed_eval_set):
+        model, records, vocab = mixed_eval_set
+        with no_grad():
+            losses = [story_loss(model, rec, tokens + [vocab.eos_id], vocab.bos_id).item()
+                      for rec, tokens in training.training_examples(records)]
+        assert abs(held_out_loss(model, records, vocab) - sum(losses) / len(losses)) < 1e-12
+
+    def test_next_token_accuracy_matches_per_example(self, mixed_eval_set):
+        model, records, vocab = mixed_eval_set
+        want = per_example_accuracy(model, records, vocab)
+        assert 0.2 < want < 1.0  # trained far enough that a wrong row would show
+        assert next_token_accuracy(model, records, vocab) == want
+
+    def test_filtered_accuracy_matches_per_example(self, mixed_eval_set):
+        model, records, vocab = mixed_eval_set
+        for target_ids in ({vocab.eos_id}, set(range(0, len(vocab), 2)),
+                           set(range(1, len(vocab), 3))):
+            want = per_example_accuracy(model, records, vocab, target_ids)
+            assert next_token_accuracy(model, records, vocab, target_ids) == want
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -1), ("epochs", 0), ("seeds", ()),
+    ])
+    def test_degenerate_loop_is_config_error(self, field, value):
+        with pytest.raises(ConfigError):
+            tiny_train_config(**{field: value})
 
 
 class TestGridComparisonSmoke:
