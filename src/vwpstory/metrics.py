@@ -402,6 +402,12 @@ def _band(delta: float, ref_std: float) -> tuple[str, bool]:
     return "", False
 
 
+def mean_std(values: list[float]) -> tuple[float, float]:
+    """Population mean and standard deviation of per-seed scores."""
+    mean = sum(values) / len(values)
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
 def aggregate_runs(scores: dict[str, dict[str, list[float]]],
                    reference: str) -> MetricReport:
     """Mean/std over seeds per system, with distance bands vs the reference
@@ -412,13 +418,8 @@ def aggregate_runs(scores: dict[str, dict[str, list[float]]],
         for metric, values in metrics.items():
             if not values:
                 raise DataError(f"{system}/{metric}: no per-seed scores")
-    stats: dict[str, dict[str, tuple[float, float]]] = {}
-    for system, metrics in scores.items():
-        stats[system] = {}
-        for metric, values in metrics.items():
-            mean = sum(values) / len(values)
-            std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-            stats[system][metric] = (mean, std)
+    stats = {system: {metric: mean_std(values) for metric, values in metrics.items()}
+             for system, metrics in scores.items()}
     report = MetricReport(reference=reference)
     for system, metrics in stats.items():
         report.systems[system] = {}

@@ -182,34 +182,17 @@ def parameter_count(config: ModelConfig) -> int:
 
 
 @dataclass
-class InputLayout:
-    """A model-ready arrangement of positions: the conditioning rows of one
-    sequence, then [BOS] and the story tokens."""
-    token_ids: np.ndarray                     # [BOS] + story
-    positions: np.ndarray                     # absolute position of every row
-    segments: np.ndarray
-    image_feats: np.ndarray                   # (N, D)
-    targets: np.ndarray                       # next-token ids, -1 where unused
-    loss_mask: np.ndarray                     # True exactly on story-prediction slots
-    entity_feats: np.ndarray | None = None    # (M_char + M_obj, D)
-    grid_vec: np.ndarray | None = None        # (n_max * m_max,)
-    prefix_len: int = 0                       # positions before [BOS]
-
-    @property
-    def length(self) -> int:
-        return int(self.positions.shape[0])
-
-
-@dataclass
 class BatchLayout:
-    """Layouts right-padded to a common ``width`` and stacked example-major:
-    row ``b * width + t`` holds position t of sequence b.
+    """The model's input: sequences right-padded to a common ``width`` and
+    stacked example-major, so row ``b * width + t`` holds position t of
+    sequence b. Every forward takes one; a single sequence is a batch of
+    one, with ``width`` equal to its length and no pad rows.
 
     The model encodes the conditioning rows of every sequence (images, then
     entities, then grids) and embeds all text tokens, stacks those four
     blocks in that order, and ``rows`` picks each padded row's source row
     from the stack (None when the stack is already in padded order, as for a
-    single layout). Pad rows copy row 0 and carry no loss. They sit after
+    single sequence). Pad rows copy row 0 and carry no loss. They sit after
     every real row of their sequence, so the causal mask already hides them
     from real rows.
     """
@@ -232,52 +215,51 @@ class BatchLayout:
         return int(self.lengths.sum())
 
 
-def assemble_batch(layouts: list[InputLayout]) -> BatchLayout:
-    """Right-pad ``layouts`` to the longest and stack them (see BatchLayout)."""
+def assemble_batch(layouts: list[BatchLayout]) -> BatchLayout:
+    """Right-pad the one-sequence layouts of ``assemble_input`` to the
+    longest and stack them (see BatchLayout). One layout is returned as is."""
     if not layouts:
         raise DataError("assemble_batch: no layouts")
-    lengths = np.array([lay.length for lay in layouts], dtype=np.intp)
+    if len(layouts) == 1:
+        return layouts[0]
+    lengths = np.concatenate([lay.lengths for lay in layouts])
     width = int(lengths.max())
     total = len(layouts) * width
 
-    def stacked(blocks):
-        blocks = [blk for blk in blocks if blk is not None]
+    def stacked(name):
+        blocks = [getattr(lay, name) for lay in layouts if getattr(lay, name) is not None]
         return np.concatenate(blocks) if blocks else None
 
-    image_feats = stacked(lay.image_feats for lay in layouts)
-    entity_feats = stacked(lay.entity_feats for lay in layouts)
-    grid_vecs = stacked(None if lay.grid_vec is None else lay.grid_vec[None, :]
-                        for lay in layouts)
-    token_ids = np.concatenate([lay.token_ids for lay in layouts])
-    # where each block starts in the stack, advanced sequence by sequence
-    starts = np.cumsum([0] + [0 if blk is None else blk.shape[0]
-                              for blk in (image_feats, entity_feats, grid_vecs)])
+    # rows per sequence (axis 0) and block of the stack (axis 1): segment ids
+    # number the blocks in stack order. A run of rows starts after its
+    # block's rows of every earlier sequence.
+    counts = np.array([np.bincount(lay.segments, minlength=4) for lay in layouts])
+    block_sizes = counts.sum(axis=0)
+    runs = counts.ravel()
+    run_starts = (np.cumsum(block_sizes) - block_sizes + np.cumsum(counts, axis=0) - counts).ravel()
+    # real row i of the batch is entry i of the runs laid end to end
+    real = np.arange(lengths.sum())
+    src = real + np.repeat(run_starts - (np.cumsum(runs) - runs), runs)
+    dest = real + np.repeat(np.arange(len(layouts)) * width - (np.cumsum(lengths) - lengths),
+                            lengths)
+
+    def padded(name, fill, dtype):
+        out = np.full(total, fill, dtype=dtype)
+        out[dest] = np.concatenate([getattr(lay, name) for lay in layouts])
+        return out
 
     rows = np.zeros(total, dtype=np.intp)
-    positions = np.zeros(total, dtype=np.intp)
-    segments = np.zeros(total, dtype=np.intp)
-    targets = np.full(total, -1, dtype=np.intp)
-    loss_mask = np.zeros(total, dtype=bool)
+    rows[dest] = src
     loss_weights = np.zeros((len(layouts), total))
-    for b, lay in enumerate(layouts):
-        lo, hi = b * width, b * width + lay.length
-        counts = [lay.image_feats.shape[0],
-                  0 if lay.entity_feats is None else lay.entity_feats.shape[0],
-                  0 if lay.grid_vec is None else 1, lay.token_ids.shape[0]]
-        rows[lo:hi] = np.concatenate([np.arange(start, start + n)
-                                      for start, n in zip(starts, counts)])
-        starts += counts
-        positions[lo:hi] = lay.positions
-        segments[lo:hi] = lay.segments
-        targets[lo:hi] = lay.targets
-        loss_mask[lo:hi] = lay.loss_mask
-        loss_rows = lo + np.flatnonzero(lay.loss_mask)
-        loss_weights[b, loss_rows] = 1.0 / max(loss_rows.size, 1)
-    return BatchLayout(lengths=lengths, width=width, token_ids=token_ids,
-                       positions=positions, segments=segments,
-                       rows=None if len(layouts) == 1 else rows,
-                       image_feats=image_feats, entity_feats=entity_feats,
-                       grid_vecs=grid_vecs, targets=targets, loss_mask=loss_mask,
+    loss_weights[np.repeat(np.arange(len(layouts)), lengths), dest] = np.concatenate(
+        [lay.loss_weights[0] for lay in layouts])
+    return BatchLayout(lengths=lengths, width=width, token_ids=stacked("token_ids"),
+                       positions=padded("positions", 0, np.intp),
+                       segments=padded("segments", 0, np.intp), rows=rows,
+                       image_feats=stacked("image_feats"),
+                       entity_feats=stacked("entity_feats"), grid_vecs=stacked("grid_vecs"),
+                       targets=padded("targets", -1, np.intp),
+                       loss_mask=padded("loss_mask", False, bool),
                        loss_weights=loss_weights)
 
 
@@ -310,8 +292,9 @@ class KVCache:
 
 
 def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
-                   config: ModelConfig, bos_id: int) -> InputLayout:
-    """Layout = images ++ characters/objects ++ grid? ++ [BOS] ++ story."""
+                   config: ModelConfig, bos_id: int) -> BatchLayout:
+    """The batch of one sequence: images ++ characters/objects ++ grid? ++
+    [BOS] ++ story, with a loss on every story-prediction row."""
     n_img = len(seq.images)
     if n_img > config.n_max:
         raise DataError(f"sequence {seq.id}: {n_img} images exceed n_max {config.n_max}")
@@ -333,13 +316,13 @@ def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
         if feats is not None and feats.shape[1] != config.feat_dim:
             raise DataError(f"sequence {seq.id}: features are {feats.shape[1]} wide, not feat_dim {config.feat_dim}")
 
-    grid_vec = None
+    grid_vecs = None
     if config.grid_mode != "none":
         grid = grid_for_mode(seq, config.grid_mode, config.n_max, config.m_max)
-        grid_vec = flatten_pad(grid, config.n_max, config.m_max)
+        grid_vecs = flatten_pad(grid, config.n_max, config.m_max)[None, :]
 
     n_entity = 0 if entity_feats is None else entity_feats.shape[0]
-    n_grid = 0 if grid_vec is None else 1
+    n_grid = 0 if grid_vecs is None else 1
     prefix_len = n_img + n_entity + n_grid
     length = prefix_len + 1 + len(story_tokens)
 
@@ -352,16 +335,19 @@ def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
     positions = np.arange(length, dtype=np.intp)
     token_ids = np.array([bos_id] + list(story_tokens), dtype=np.intp)
 
+    # [BOS] and earlier story tokens predict the next one
+    story_rows = slice(prefix_len, prefix_len + len(story_tokens))
     targets = np.full(length, -1, dtype=np.intp)
+    targets[story_rows] = story_tokens
     loss_mask = np.zeros(length, dtype=bool)
-    for k, tok in enumerate(story_tokens):
-        pos = prefix_len + k  # [BOS] and earlier story tokens predict the next one
-        targets[pos] = tok
-        loss_mask[pos] = True
-    return InputLayout(image_feats=image_feats, entity_feats=entity_feats,
-                       grid_vec=grid_vec, token_ids=token_ids, positions=positions,
-                       segments=segments, targets=targets, loss_mask=loss_mask,
-                       prefix_len=prefix_len)
+    loss_mask[story_rows] = True
+    loss_weights = np.zeros((1, length))
+    loss_weights[0, story_rows] = 1.0 / max(len(story_tokens), 1)
+    return BatchLayout(lengths=np.array([length], dtype=np.intp), width=length,
+                       token_ids=token_ids, positions=positions, segments=segments,
+                       image_feats=image_feats, entity_feats=entity_feats,
+                       grid_vecs=grid_vecs, targets=targets, loss_mask=loss_mask,
+                       loss_weights=loss_weights)
 
 
 def _causal_mask(length: int, past: int) -> np.ndarray:
@@ -370,25 +356,24 @@ def _causal_mask(length: int, past: int) -> np.ndarray:
     return np.triu(np.full((length, past + length), -1e30), k=past + 1)
 
 
-def forward_logits(model: StoryGenModel, layout: InputLayout | BatchLayout, *,
+def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
                    training: bool = False,
                    rng: np.random.Generator | None = None,
                    cache: KVCache | None = None) -> Tensor:
     """Logits (B * width x vocab) under causal self-attention.
 
-    ``layout`` is a BatchLayout, or one InputLayout (a batch of one, whose
-    logits are its ``length`` rows). Without a cache every layout is a whole
-    sequence; training, losses and teacher-forced evaluation all take this
-    path. With a ``KVCache`` the layout is one sequence holding only the
-    positions that follow those already cached (the conditioning prefix
-    first, then one ``text_step`` per token): each layer's new queries attend
-    over the cached keys/values plus the new ones under a (new, past + new)
-    causal mask, the new keys/values are stored, and the cache grows by
-    ``layout.length``. A cache is for inference only.
+    Without a cache ``batch`` holds whole sequences (one from
+    ``assemble_input``, several from ``assemble_batch``); training, losses
+    and teacher-forced evaluation all take this path. With a ``KVCache`` the
+    batch is one sequence holding only the positions that follow those
+    already cached (the conditioning prefix first, then one ``text_step`` per
+    token): each layer's new queries attend over the cached keys/values plus
+    the new ones under a (new, past + new) causal mask, the new keys/values
+    are stored, and the cache grows by ``batch.length``. A cache is for
+    inference only.
     """
     cfg = model.config
     p = model.param
-    batch = layout if isinstance(layout, BatchLayout) else assemble_batch([layout])
     if training and rng is None:
         rng = np.random.default_rng(0)
     past = 0

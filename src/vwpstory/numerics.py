@@ -91,7 +91,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_error()
+        if self.data.size != 1:
+            raise NumericError("item() requires a single-element tensor")
+        return float(self.data.reshape(-1)[0])
 
     def backward(self, grad: Array | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
@@ -145,38 +147,8 @@ class Tensor:
                 else:
                     pending[key] = pg
 
-    # Arithmetic sugar used throughout the model code.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _scalar_error():
-    raise NumericError("item() requires a single-element tensor")
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:

@@ -70,6 +70,16 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and non-negative, not {self.lr}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), not {value}")
+        for name in ("adam_eps", "clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, not {value}")
 
 
 @dataclass
@@ -236,11 +246,7 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
             scores = evaluate_model(model, splits["test"], vocab, config.test_decoding)
             for metric, value in scores.items():
                 test_scores.setdefault(metric, []).append(value)
-    aggregate = {}
-    for metric, values in test_scores.items():
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-        aggregate[metric] = (mean, std)
+    aggregate = {metric: metrics_mod.mean_std(values) for metric, values in test_scores.items()}
     return FitResult(runlogs=runlogs, test_scores=test_scores, aggregate=aggregate)
 
 

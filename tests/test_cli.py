@@ -220,6 +220,16 @@ class TestTrainGenerateEvaluate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runlog.json").exists()
 
+    @pytest.mark.parametrize("lr", ["-1", "nan", "inf"])
+    def test_train_bad_lr_is_usage_error(self, prepared_dir, tmp_path, lr):
+        proc = run_console("train", "--dataset", str(prepared_dir), "--out", str(tmp_path),
+                           "--seeds", "0", "--epochs", "1", "--d-model", "16",
+                           "--n-heads", "2", f"--lr={lr}")
+        assert proc.returncode == 1
+        assert "lr must be finite and non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "runlog.json").exists()
+
     def test_generate_with_other_feature_width_is_data_error(self, prepared_dir, tmp_path):
         vocab = Vocabulary.from_dict(json.loads((prepared_dir / "vocab.json").read_text()))
         width = load_dataset(prepared_dir / "test.jsonl")[0].feat_dim

@@ -358,7 +358,8 @@ class TestCachedDecoding:
     def test_one_prefix_forward_then_one_position_per_token(self, monkeypatch):
         records, vocab, model = corpus_and_model("fixture", suppress_eos=True)
         seq = records[0]
-        prefix_len = assemble_input(seq, [], model.config, vocab.bos_id).prefix_len
+        prefix = assemble_input(seq, [], model.config, vocab.bos_id)
+        prefix_len = prefix.length - prefix.token_ids.size
         lengths, grid_calls = [], []
 
         def counting_forward(model_, layout, **kwargs):

@@ -135,14 +135,14 @@ class TestAssembleInput:
         seq = make_seq(n_images=5, n_chars=3)
         layout = assemble_input(seq, list(range(2, 9)), cfg, bos_id=BOS)
         assert layout.length == 5 + 3 + 1 + 1 + 7
-        assert layout.prefix_len == 9
+        assert layout.length - layout.token_ids.size == 9
         assert layout.loss_mask.sum() == 7
 
     def test_no_grid_position_when_off(self):
         cfg = tiny_config(grid_mode="none")
         seq = make_seq(n_images=5, n_chars=2)
         layout = assemble_input(seq, [2, 3], cfg, bos_id=BOS)
-        assert layout.grid_vec is None
+        assert layout.grid_vecs is None
         assert layout.length == 5 + 2 + 1 + 2
 
     def test_empty_story_has_no_loss_positions(self):
@@ -173,7 +173,7 @@ class TestAssembleInput:
         cfg = tiny_config()
         story = [4, 5, 6]
         layout = assemble_input(make_seq(), story, cfg, bos_id=BOS)
-        start = layout.prefix_len
+        start = layout.length - layout.token_ids.size
         assert list(layout.targets[start:start + 3]) == story
         assert layout.targets[start + 3] == -1  # last story token predicts nothing
 
@@ -242,15 +242,15 @@ class TestForward:
         model = build_model(cfg)
         seq = make_seq(n_images=4, n_chars=2)
         layout = assemble_input(seq, [2, 3], cfg, BOS)
-        explicit = dataclasses.replace(
-            layout, grid_vec=layout.grid_vec.reshape(cfg.n_max, cfg.m_max).reshape(-1).copy())
+        full_frame = layout.grid_vecs[0].reshape(cfg.n_max, cfg.m_max)
+        explicit = dataclasses.replace(layout, grid_vecs=full_frame.reshape(1, -1).copy())
         base = nm.cross_entropy_masked(forward_logits(model, layout),
                                        layout.targets, layout.loss_mask).item()
         same = nm.cross_entropy_masked(forward_logits(model, explicit),
                                        explicit.targets, explicit.loss_mask).item()
         assert same == base
-        poked = dataclasses.replace(layout, grid_vec=layout.grid_vec.copy())
-        poked.grid_vec[-1] = 3.7  # a pad cell: 4 images x 2 chars leaves the tail unused
+        poked = dataclasses.replace(layout, grid_vecs=layout.grid_vecs.copy())
+        poked.grid_vecs[0][-1] = 3.7  # a pad cell: 4 images x 2 chars leaves the tail unused
         changed = nm.cross_entropy_masked(forward_logits(model, poked),
                                           poked.targets, poked.loss_mask).item()
         assert changed != base
@@ -348,6 +348,58 @@ BATCH_VARIANTS = [
 ]
 
 
+def loop_assemble_batch(examples, config):
+    """Reference stacking: right-pad each example's ``assemble_input`` layout
+    and fill its padded row range in turn, advancing every block's start in
+    the stack sequence by sequence."""
+    layouts = [assemble_input(seq, tokens, config, BOS) for seq, tokens in examples]
+    lengths = np.array([lay.length for lay in layouts], dtype=np.intp)
+    width = int(lengths.max())
+    total = len(layouts) * width
+
+    def stacked(blocks):
+        blocks = [blk for blk in blocks if blk is not None]
+        return np.concatenate(blocks) if blocks else None
+
+    want = dict(lengths=lengths, image_feats=stacked(lay.image_feats for lay in layouts),
+                entity_feats=stacked(lay.entity_feats for lay in layouts),
+                grid_vecs=stacked(lay.grid_vecs for lay in layouts),
+                token_ids=np.concatenate([lay.token_ids for lay in layouts]))
+    starts = np.cumsum([0] + [0 if want[name] is None else want[name].shape[0]
+                              for name in ("image_feats", "entity_feats", "grid_vecs")])
+    want.update(rows=np.zeros(total, dtype=np.intp), positions=np.zeros(total, dtype=np.intp),
+                segments=np.zeros(total, dtype=np.intp),
+                targets=np.full(total, -1, dtype=np.intp),
+                loss_mask=np.zeros(total, dtype=bool),
+                loss_weights=np.zeros((len(layouts), total)))
+    for b, lay in enumerate(layouts):
+        lo, hi = b * width, b * width + lay.length
+        counts = [lay.image_feats.shape[0],
+                  0 if lay.entity_feats is None else lay.entity_feats.shape[0],
+                  0 if lay.grid_vecs is None else 1, lay.token_ids.shape[0]]
+        want["rows"][lo:hi] = np.concatenate([np.arange(start, start + n)
+                                              for start, n in zip(starts, counts)])
+        starts += counts
+        for name in ("positions", "segments", "targets", "loss_mask"):
+            want[name][lo:hi] = getattr(lay, name)
+        loss_rows = lo + np.flatnonzero(lay.loss_mask)
+        want["loss_weights"][b, loss_rows] = 1.0 / max(loss_rows.size, 1)
+    return want
+
+
+def assert_matches_loop(examples, config):
+    batch = assemble_batch([assemble_input(seq, tokens, config, BOS) for seq, tokens in examples])
+    want = loop_assemble_batch(examples, config)
+    assert batch.width == want["lengths"].max()
+    for name, value in want.items():
+        got = getattr(batch, name)
+        if value is None:
+            assert got is None, name
+        else:
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+    return batch
+
+
 class TestBatch:
     @pytest.mark.parametrize("variant", BATCH_VARIANTS)
     def test_real_rows_match_single_forward(self, variant):
@@ -364,6 +416,17 @@ class TestBatch:
             np.testing.assert_allclose(rows, forward_logits(model, lay).data, rtol=0, atol=1e-12)
             pads = slice(b * batch.width + lay.length, (b + 1) * batch.width)
             assert not batch.loss_mask[pads].any() and not batch.loss_weights[:, pads].any()
+
+    @pytest.mark.parametrize("variant", BATCH_VARIANTS)
+    def test_matches_per_sequence_loop(self, variant):
+        assert_matches_loop(mixed_batch(), tiny_config(**variant))
+
+    def test_matches_per_sequence_loop_without_grid_or_entities(self):
+        cfg = tiny_config(feature_set=("global", "char", "obj"), grid_mode="none")
+        examples = [(make_seq(n_images=a, n_chars=0, n_objs=0, seed=i, seq_id=f"p{i}"),
+                     [2 + i] * n) for i, (a, n) in enumerate([(5, 3), (2, 7), (4, 1)])]
+        batch = assert_matches_loop(examples, cfg)
+        assert batch.entity_feats is None and batch.grid_vecs is None
 
     @pytest.mark.parametrize("variant", BATCH_VARIANTS)
     def test_losses_and_gradients_match_per_example(self, variant):
@@ -533,8 +596,8 @@ def straightline_forward(model, layout):
     parts = [layout.image_feats @ P["enc_global.w"] + P["enc_global.b"]]
     if layout.entity_feats is not None:
         parts.append(layout.entity_feats @ P["enc_entity.w"] + P["enc_entity.b"])
-    if layout.grid_vec is not None:
-        parts.append(layout.grid_vec[None, :] @ P["enc_grid.w"] + P["enc_grid.b"])
+    if layout.grid_vecs is not None:
+        parts.append(layout.grid_vecs[0][None, :] @ P["enc_grid.w"] + P["enc_grid.b"])
     parts.append(P["tok_emb"][layout.token_ids])
     x = np.concatenate(parts, axis=0)
     x = x + P["pos_emb"][layout.positions] + P["seg_emb"][layout.segments]

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +347,21 @@ class TestTrainConfigValidation:
     def test_degenerate_loop_is_config_error(self, field, value):
         with pytest.raises(ConfigError):
             tiny_train_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
+        ("beta2", -0.1), ("beta2", 1.0), ("beta2", math.nan),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", math.nan), ("adam_eps", math.inf),
+        ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", math.nan),
+        ("clip_norm", math.inf),
+    ])
+    def test_bad_optimizer_setting_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_train_config(**{field: value})
+
+    def test_zero_lr_and_zero_betas_are_valid(self):
+        tiny_train_config(lr=0.0, beta1=0.0, beta2=0.0)
 
 
 class TestGridComparisonSmoke:
