@@ -300,8 +300,8 @@ def cmd_evaluate(args) -> int:
     else:
         raise UsageError("evaluate needs --pairs, or --hyp with --dataset, or --scores")
     names = list(args.metrics)
-    if len(pairs) < 2 and "CIDEr" in names:
-        names.remove("CIDEr")
+    if len(pairs) < 2 and "CIDEr" in names and len(names) > 1:
+        names.remove("CIDEr")  # CIDEr alone on one pair reports why it cannot run
     values = compute_metrics(pairs, names)
     if args.format == "json":
         scaled = {name: values[name] * metrics_mod.REPORT_SCALE.get(name, 1.0)

@@ -224,10 +224,6 @@ class Vocabulary:
         return token in self.token_to_id
 
     @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD]
-
-    @property
     def bos_id(self) -> int:
         return self.token_to_id[BOS]
 
@@ -238,10 +234,6 @@ class Vocabulary:
     @property
     def unk_id(self) -> int:
         return self.token_to_id[UNK]
-
-    @property
-    def sent_id(self) -> int:
-        return self.token_to_id[SENT]
 
     def encode(self, tokens: list[str]) -> list[int]:
         unk = self.unk_id

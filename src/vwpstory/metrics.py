@@ -39,44 +39,82 @@ class EvalPair:
             raise DataError("EvalPair needs at least one reference")
 
 
-# --- BLEU -------------------------------------------------------------------
+# --- n-gram statistics shared by BLEU and CIDEr -----------------------------
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[k:] for k in range(n))))
+def _ngram_counts(tokens: list[str], max_n: int) -> list[Counter]:
+    """Counts of the 1..max_n-grams of ``tokens``, one Counter per order, each
+    gram keyed in order of first occurrence (CIDEr's float sums run in that
+    order)."""
+    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, max_n + 1)]
 
 
-def bleu_corpus(pairs: list[EvalPair], max_order: int = 4) -> float:
-    """Cumulative corpus BLEU: geometric mean of clipped precisions 1..max_order
-    times the brevity penalty (closest-reference length, shorter on ties)."""
+@dataclass
+class _NgramStats:
+    """BLEU's clipped matches and totals per order, its summed lengths, and
+    (when asked for) CIDEr's document frequency of every reference n-gram."""
+
+    matches: list[int]
+    totals: list[int]
+    hyp_len: int
+    ref_len: int
+    doc_freq: list[Counter] | None
+
+
+def _ngram_stats(pairs: list[EvalPair], max_n: int, doc_freq: bool = False) -> _NgramStats:
+    """One pass over the pairs that counts each sentence's 1..max_n-grams once
+    and holds only the current pair's counts. A hypothesis gram is clipped at
+    its highest count in any one reference; the reference length is the one
+    closest to the hypothesis, the shorter on ties; the union of a pair's
+    reference grams is its document for CIDEr."""
     if not pairs:
         raise DataError("bleu_corpus: empty corpus")
-    matches = [0] * max_order
-    totals = [0] * max_order
-    hyp_len = 0
-    ref_len = 0
+    matches = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = ref_len = 0
+    df = [Counter() for _ in range(max_n)] if doc_freq else None
     for pair in pairs:
         c = len(pair.hypothesis)
         hyp_len += c
         ref_len += min((len(r) for r in pair.references),
                        key=lambda rl: (abs(rl - c), rl))
-        for n in range(1, max_order + 1):
-            hyp_counts = _ngrams(pair.hypothesis, n)
-            if not hyp_counts:
-                continue
-            clip = Counter()
-            for ref in pair.references:
-                clip |= _ngrams(ref, n)
-            matches[n - 1] += sum(min(count, clip[gram]) for gram, count in hyp_counts.items())
-            totals[n - 1] += sum(hyp_counts.values())
+        hyp_counts = _ngram_counts(pair.hypothesis, max_n)
+        ref_counts = [_ngram_counts(ref, max_n) for ref in pair.references]
+        for n in range(max_n):
+            clip = dict(ref_counts[0][n])
+            for counts in ref_counts[1:]:
+                for gram, count in counts[n].items():
+                    if count > clip.get(gram, 0):
+                        clip[gram] = count
+            if df is not None:
+                df[n].update(clip.keys())
+            hyp = hyp_counts[n]
+            if hyp:
+                matches[n] += sum(min(count, clip.get(gram, 0)) for gram, count in hyp.items())
+                totals[n] += sum(hyp.values())
+    return _NgramStats(matches, totals, hyp_len, ref_len, df)
+
+
+# --- BLEU -------------------------------------------------------------------
+
+def _bleu(stats: _NgramStats, max_order: int) -> float:
     log_sum = 0.0
     for n in range(max_order):
-        if totals[n] == 0 or matches[n] == 0:
+        if stats.totals[n] == 0 or stats.matches[n] == 0:
             return 0.0
-        log_sum += math.log(matches[n] / totals[n])
+        log_sum += math.log(stats.matches[n] / stats.totals[n])
+    hyp_len, ref_len = stats.hyp_len, stats.ref_len
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
     if hyp_len == 0:
         return 0.0
     return bp * math.exp(log_sum / max_order)
+
+
+def bleu_corpus(pairs: list[EvalPair], max_order: int = 4) -> float:
+    """Cumulative corpus BLEU: geometric mean of clipped precisions 1..max_order
+    times the brevity penalty (closest-reference length, shorter on ties)."""
+    if max_order < 1:
+        raise DataError(f"bleu_corpus: max_order must be at least 1, got {max_order}")
+    return _bleu(_ngram_stats(pairs, max_order), max_order)
 
 
 # --- METEOR -----------------------------------------------------------------
@@ -296,67 +334,88 @@ def rouge_l(pairs: list[EvalPair], beta: float = ROUGE_BETA) -> float:
 
 # --- CIDEr ------------------------------------------------------------------
 
-def _cosine(u: dict, v: dict) -> float:
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
+def _norm(u: dict) -> float:
+    return math.sqrt(sum(x * x for x in u.values()))
+
+
+def _cosine(u: dict, nu: float, v: dict) -> float:
+    """Cosine of ``u`` (norm ``nu``) and ``v``."""
+    nv = _norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
     dot = sum(x * v[g] for g, x in u.items() if g in v)
     return dot / (nu * nv)
 
 
+def _check_cider_corpus(pairs: list[EvalPair]) -> None:
+    if len(pairs) < 2:
+        raise DataError("cider: needs a corpus of at least 2 pairs for IDF")
+
+
+def _cider(pairs: list[EvalPair], doc_freq: list[Counter]) -> float:
+    """Score every order of one pair at a time, recounting its n-grams, and
+    average each order's scores in pair order."""
+    max_n = len(doc_freq)
+    n_images = len(pairs)
+    # the IDF of a gram depends only on its document frequency 0..n_images
+    idf_of = [max(0.0, math.log(n_images / (1.0 + df))) for df in range(n_images + 1)]
+
+    def tf_idf(counts: Counter, df: Counter) -> dict:
+        return {gram: count * idf for gram, count in counts.items()
+                if (idf := idf_of[df.get(gram, 0)]) > 0.0}
+
+    order_scores: list[list[float]] = [[] for _ in range(max_n)]
+    for pair in pairs:
+        hyp_counts = _ngram_counts(pair.hypothesis, max_n)
+        ref_counts = [_ngram_counts(ref, max_n) for ref in pair.references]
+        for n, df in enumerate(doc_freq):
+            hyp_vec = tf_idf(hyp_counts[n], df)
+            nu = _norm(hyp_vec)
+            sims = [_cosine(hyp_vec, nu, tf_idf(counts[n], df)) for counts in ref_counts]
+            order_scores[n].append(sum(sims) / len(sims))
+    per_order = [sum(scores) / len(scores) for scores in order_scores]
+    return CIDER_SCALE * sum(per_order) / max_n
+
+
 def cider(pairs: list[EvalPair], max_n: int = CIDER_MAX_N) -> float:
     """Plain consensus metric: TF-IDF n-gram cosine, averaged over orders
     and pairs, scaled by 10. IDF counts images whose references contain the
     n-gram: log(|corpus| / (1 + df)), clamped at zero."""
-    if len(pairs) < 2:
-        raise DataError("cider: needs a corpus of at least 2 pairs for IDF")
-    n_images = len(pairs)
-    doc_freq: list[Counter] = [Counter() for _ in range(max_n)]
-    for pair in pairs:
-        for n in range(1, max_n + 1):
-            grams = set()
-            for ref in pair.references:
-                grams.update(_ngrams(ref, n))
-            doc_freq[n - 1].update(grams)
-
-    def tf_idf(tokens: list[str], n: int) -> dict:
-        counts = _ngrams(tokens, n)
-        vec = {}
-        for gram, count in counts.items():
-            idf = max(0.0, math.log(n_images / (1.0 + doc_freq[n - 1][gram])))
-            if idf > 0.0:
-                vec[gram] = count * idf
-        return vec
-
-    per_order = []
-    for n in range(1, max_n + 1):
-        order_scores = []
-        for pair in pairs:
-            hyp_vec = tf_idf(pair.hypothesis, n)
-            sims = [_cosine(hyp_vec, tf_idf(ref, n)) for ref in pair.references]
-            order_scores.append(sum(sims) / len(sims))
-        per_order.append(sum(order_scores) / len(order_scores))
-    return CIDER_SCALE * sum(per_order) / max_n
+    _check_cider_corpus(pairs)
+    if max_n < 1:
+        raise DataError(f"cider: max_n must be at least 1, got {max_n}")
+    return _cider(pairs, _ngram_stats(pairs, max_n, doc_freq=True).doc_freq)
 
 
 # --- suite + multi-seed aggregation ------------------------------------------
 
 def compute_metrics(pairs: list[EvalPair], names: list[str] | None = None) -> dict[str, float]:
-    """All requested metrics on their internal scales."""
-    names = names or METRIC_NAMES
+    """All requested metrics on their internal scales; ``None`` asks for
+    every name in METRIC_NAMES. BLEU and CIDEr share one n-gram pass."""
+    if names is None:
+        names = METRIC_NAMES
+    unknown = [name for name in names if name not in METRIC_NAMES]
+    if unknown or not names:
+        what = repr(unknown[0]) if unknown else "list []"
+        raise DataError(f"unknown metric {what}; expected names from {', '.join(METRIC_NAMES)}")
+    orders = [int(name[2:]) for name in names if name.startswith("B-")]
+    with_cider = "CIDEr" in names
+    if with_cider:
+        _check_cider_corpus(pairs)
+    stats = None
+    if orders or with_cider:
+        max_n = max(orders + [CIDER_MAX_N] if with_cider else orders)
+        stats = _ngram_stats(pairs, max_n, doc_freq=with_cider)
     out: dict[str, float] = {}
     for name in names:
         if name.startswith("B-"):
-            out[name] = bleu_corpus(pairs, max_order=int(name[2:]))
+            out[name] = _bleu(stats, int(name[2:]))
         elif name == "METEOR":
             out[name] = meteor(pairs)
         elif name == "ROUGE-L":
             out[name] = rouge_l(pairs)
-        elif name == "CIDEr":
-            out[name] = cider(pairs)
         else:
-            raise DataError(f"unknown metric {name!r}")
+            out[name] = _cider(pairs, stats.doc_freq)
     return out
 
 

@@ -175,6 +175,27 @@ class TestTrainGenerateEvaluate:
         assert list(payload) == sorted(payload)
         assert payload["B-1"] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("value", ["B-0", "B-x", "B-5", ""])
+    def test_evaluate_bad_metric_name_is_data_error(self, tmp_path, value):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(json.dumps({"id": i, "hypothesis": "the cat sat",
+                                             "references": ["the cat sat"]}) + "\n"
+                                 for i in range(2)))
+        proc = run_console("evaluate", "--pairs", str(pairs), f"--metrics={value}")
+        assert proc.returncode == 2
+        assert "data error: unknown metric" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_evaluate_cider_alone_on_one_pair_is_data_error(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": 0, "hypothesis": "the cat",
+                                     "references": ["the cat"]}) + "\n")
+        assert main(["evaluate", "--pairs", str(pairs), "--metrics", "CIDEr"]) == 2
+        assert "cider: needs a corpus of at least 2 pairs" in capsys.readouterr().err
+        assert main(["evaluate", "--pairs", str(pairs), "--metrics", "B-1,CIDEr"]) == 0
+        assert "B-1" in capsys.readouterr().out
+
     def test_evaluate_hyp_against_dataset(self, prepared_dir, trained_dir, tmp_path, capsys):
         ckpt = trained_dir / "checkpoints" / "seed0-best.ckpt"
         gen = tmp_path / "gen.jsonl"

@@ -3,12 +3,16 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vwpstory import metrics
 from vwpstory.errors import DataError
 from vwpstory.metrics import (
+    CIDER_MAX_N,
+    CIDER_SCALE,
     METEOR_EXHAUSTIVE_LIMIT,
+    METRIC_NAMES,
     EvalPair,
     _candidates,
     _count_chunks,
@@ -34,6 +38,15 @@ inflected_st = st.lists(st.sampled_from(["walk", "walks", "walked", "walking", "
                                          "runs", "running", "cat", "cats", "the"]),
                         max_size=12)
 
+# sentences over four words, so empty hypotheses, ones shorter than four
+# tokens, single references and repeated n-grams are all common
+small_tokens_st = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=9)
+eval_pairs_st = st.lists(st.builds(EvalPair, small_tokens_st,
+                                   st.lists(small_tokens_st, min_size=1, max_size=3)),
+                         min_size=2, max_size=12)
+metric_names_st = st.lists(st.sampled_from(METRIC_NAMES), min_size=1,
+                           max_size=len(METRIC_NAMES), unique=True)
+
 # a duplicate-heavy pair on which the exhaustive chunk search runs out of nodes
 BUDGET_HYP = "a c c a b c b c c a c a b b c a a c b c".split()
 BUDGET_REF = "c b b c a a c a c b c a c a a c a b a b".split()
@@ -41,6 +54,15 @@ BUDGET_REF = "c b b c a a c a c b c a c a a c a b a b".split()
 
 def pair(hyp, *refs):
     return EvalPair(hypothesis=list(hyp), references=[list(r) for r in refs])
+
+
+EDGE_PAIRS = [
+    pair([], ["a", "b"]),
+    pair(["a"], ["a", "a", "b"]),
+    pair(["a", "b", "a", "b", "a"], ["a", "b", "a"], ["b", "a", "b", "a"]),
+    pair(["c", "d", "c"], ["c", "d"], ["d", "c", "d", "c", "d"], []),
+    pair(["a", "b", "c", "d", "a", "b", "c"], ["a", "b", "c", "d", "a"]),
+]
 
 
 # --- slow oracles for the fast paths in metrics ---------------------------------
@@ -94,6 +116,79 @@ def quadratic_greedy(hyp, candidates, m_exact, m_stem):
             last_j = j
             taken += 1
     return chosen
+
+
+def ngrams(tokens, n):
+    return Counter(zip(*(tokens[k:] for k in range(n))))
+
+
+def loop_bleu_corpus(pairs, max_order=4):
+    """Corpus BLEU one order at a time, recounting every sentence per order
+    and clipping with ``Counter |=``."""
+    matches = [0] * max_order
+    totals = [0] * max_order
+    hyp_len = 0
+    ref_len = 0
+    for p in pairs:
+        c = len(p.hypothesis)
+        hyp_len += c
+        ref_len += min((len(r) for r in p.references), key=lambda rl: (abs(rl - c), rl))
+        for n in range(1, max_order + 1):
+            hyp_counts = ngrams(p.hypothesis, n)
+            if not hyp_counts:
+                continue
+            clip = Counter()
+            for ref in p.references:
+                clip |= ngrams(ref, n)
+            matches[n - 1] += sum(min(count, clip[gram]) for gram, count in hyp_counts.items())
+            totals[n - 1] += sum(hyp_counts.values())
+    log_sum = 0.0
+    for n in range(max_order):
+        if totals[n] == 0 or matches[n] == 0:
+            return 0.0
+        log_sum += math.log(matches[n] / totals[n])
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / max(hyp_len, 1))
+    if hyp_len == 0:
+        return 0.0
+    return bp * math.exp(log_sum / max_order)
+
+
+def loop_cider(pairs, max_n=CIDER_MAX_N):
+    """CIDEr with the order loop outside the pair loop: every order recounts
+    every sentence and computes each IDF where it is used."""
+    n_images = len(pairs)
+    doc_freq = [Counter() for _ in range(max_n)]
+    for p in pairs:
+        for n in range(1, max_n + 1):
+            grams = set()
+            for ref in p.references:
+                grams.update(ngrams(ref, n))
+            doc_freq[n - 1].update(grams)
+
+    def tf_idf(tokens, n):
+        vec = {}
+        for gram, count in ngrams(tokens, n).items():
+            idf = max(0.0, math.log(n_images / (1.0 + doc_freq[n - 1][gram])))
+            if idf > 0.0:
+                vec[gram] = count * idf
+        return vec
+
+    def cosine(u, v):
+        nu = math.sqrt(sum(x * x for x in u.values()))
+        nv = math.sqrt(sum(x * x for x in v.values()))
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        return sum(x * v[g] for g, x in u.items() if g in v) / (nu * nv)
+
+    per_order = []
+    for n in range(1, max_n + 1):
+        order_scores = []
+        for p in pairs:
+            hyp_vec = tf_idf(p.hypothesis, n)
+            sims = [cosine(hyp_vec, tf_idf(ref, n)) for ref in p.references]
+            order_scores.append(sum(sims) / len(sims))
+        per_order.append(sum(order_scores) / len(order_scores))
+    return CIDER_SCALE * sum(per_order) / max_n
 
 
 def pseudo_words(rng, count):
@@ -156,6 +251,11 @@ class TestBleu:
     def test_empty_corpus_errors(self):
         with pytest.raises(DataError):
             bleu_corpus([])
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_errors(self, order):
+        with pytest.raises(DataError, match="max_order must be at least 1"):
+            bleu_corpus([pair(["a"], ["a"])], max_order=order)
 
     def test_reference_order_invariance(self):
         refs = (["the", "cat"], ["a", "dog", "ran"])
@@ -398,6 +498,11 @@ class TestCider:
         with pytest.raises(DataError):
             cider([pair(["a"], ["a"])])
 
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_order_below_one_errors(self, max_n):
+        with pytest.raises(DataError, match="max_n must be at least 1"):
+            cider([pair(["a"], ["a"]), pair(["b"], ["b"])], max_n=max_n)
+
     def test_reference_order_invariance(self):
         refs = (["the", "cat", "sat"], ["a", "dog", "ran"])
         pairs_a = [pair(["the", "dog"], *refs), pair(["x", "y"], ["x", "y"])]
@@ -466,6 +571,54 @@ class TestSuite:
     def test_unknown_metric(self):
         with pytest.raises(DataError):
             compute_metrics([pair(["a"], ["a"]), pair(["b"], ["b"])], ["SPICE"])
+
+    @pytest.mark.parametrize("names", [["B-0"], ["B-x"], ["B-5"], ["B-1", "SPICE"], []])
+    def test_names_outside_metric_names_error(self, names):
+        with pytest.raises(DataError, match="unknown metric"):
+            compute_metrics([pair(["a"], ["a"]), pair(["b"], ["b"])], names)
+
+    def test_bad_name_errors_before_any_metric_runs(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a metric ran before the names were checked")
+
+        for name in ("_ngram_stats", "meteor", "rouge_l"):
+            monkeypatch.setattr(metrics, name, fail)
+        with pytest.raises(DataError, match="unknown metric 'B-0'"):
+            compute_metrics([pair(["a"], ["a"]), pair(["b"], ["b"])],
+                            ["METEOR", "ROUGE-L", "B-1", "CIDEr", "B-0"])
+
+    def test_none_means_every_metric(self):
+        values = compute_metrics([pair(["a"], ["a"]), pair(["b"], ["b"])], None)
+        assert list(values) == METRIC_NAMES
+
+    @settings(max_examples=150, deadline=None)
+    @given(eval_pairs_st, metric_names_st)
+    @example(EDGE_PAIRS, ["CIDEr", "B-2"])
+    @example(EDGE_PAIRS, ["B-4"])
+    @example(EDGE_PAIRS, ["METEOR"])
+    @example(EDGE_PAIRS, METRIC_NAMES)
+    def test_one_pass_matches_loop_oracles(self, pairs, names):
+        values = compute_metrics(pairs, names)
+        assert list(values) == names
+        for name in names:
+            if name.startswith("B-"):
+                assert values[name].hex() == loop_bleu_corpus(pairs, int(name[2:])).hex(), name
+            elif name == "CIDEr":
+                assert values[name].hex() == loop_cider(pairs).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(eval_pairs_st, st.integers(1, 6))
+    @example(EDGE_PAIRS, 4)
+    def test_bleu_corpus_and_cider_match_loop_oracles(self, pairs, order):
+        assert bleu_corpus(pairs, order).hex() == loop_bleu_corpus(pairs, order).hex()
+        assert cider(pairs, order).hex() == loop_cider(pairs, order).hex()
+
+    def test_golden_pairs_match_loop_oracles(self):
+        pairs = golden_pairs()
+        values = compute_metrics(pairs, ["B-1", "B-2", "B-3", "B-4", "CIDEr"])
+        for order in range(1, 5):
+            assert values[f"B-{order}"].hex() == loop_bleu_corpus(pairs, order).hex()
+        assert values["CIDEr"].hex() == loop_cider(pairs).hex()
 
 
 class TestGolden:
