@@ -26,7 +26,7 @@ from .corpus import (
     save_dataset,
     story_surface_tokens,
 )
-from .decoding import DecodingConfig, NamePools, generate, realize, save_generated
+from .decoding import DecodingConfig, NamePools, generate_batch, realize, save_generated
 from .errors import DataError, NumericError, UsageError, VwpError
 from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs
 from .model import ModelConfig, load_checkpoint
@@ -247,13 +247,11 @@ def cmd_generate(args) -> int:
     pools = None
     if args.names:
         pools = NamePools.from_dict(json.loads(Path(args.names).read_text(encoding="utf-8")))
-    stories = []
-    realize_rng = np.random.default_rng(args.seed)
-    for rec in records:
-        story = generate(model, rec, vocab, config)
-        if pools:
+    stories = generate_batch(model, records, vocab, config)
+    if pools:
+        realize_rng = np.random.default_rng(args.seed)
+        for story in stories:
             story.text = realize(story.tokens, pools, realize_rng)
-        stories.append(story)
     save_generated(stories, args.out)
     log.info("wrote %d stories to %s", len(stories), args.out)
     return 0

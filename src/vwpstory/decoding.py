@@ -1,11 +1,17 @@
 """Greedy and nucleus decoding, plus realization of placeholder text.
 
-``generate`` owns its decoding loop. It builds a sequence's conditioning
-once, forwards it with [BOS] once into a per-layer KV cache, then forwards
-one position per picked token, without building an autograd graph. Each
-token is the argmax of the last logits or a nucleus draw from their
-softmax. Realization swaps [maleK]/[femaleK]/[location] placeholders for
-sampled names, consistently within a story, and re-attaches punctuation.
+``generate_batch`` owns the decoding loop, and ``generate`` is its
+one-record case. Records are grouped by conditioning-prefix width and
+decoded in slices of 16: a slice's prefixes and [BOS] are forwarded once
+into a per-layer KV cache, then every step forwards one position per
+unfinished story, without building an autograd graph. Each token is the
+argmax of its story's last logits or a nucleus draw from their softmax with
+the story's own generator; a story that picks [EOS] leaves the step batch.
+A batched forward's logits may differ from a one-record forward's in the
+last bits (within 1e-12), so a story's ids are those of decoding its record
+alone unless a pick hinges on such a difference.
+Realization swaps [maleK]/[femaleK]/[location] placeholders for sampled
+names, consistently within a story, and re-attaches punctuation.
 """
 
 from __future__ import annotations
@@ -17,11 +23,21 @@ import numpy as np
 
 from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary
 from .errors import ConfigError, NumericError, ResourceError
-from .model import KVCache, StoryGenModel, assemble_input, forward_logits, text_step
+from .model import (
+    KVCache,
+    StoryGenModel,
+    assemble_batch,
+    assemble_input,
+    forward_logits,
+    text_step,
+)
 from .numerics import no_grad, softmax_rows
 
 NO_SPACE_BEFORE = {".", ",", "!", "?", ";", ":", "'", ")", "]", "%", "…"}
 NO_SPACE_AFTER = {"(", "[", "'"}
+
+# records per decode step batch, as in held-out scoring
+DECODE_SLICE = 16
 
 
 @dataclass
@@ -77,33 +93,77 @@ class GeneratedStory:
 
 def generate(model: StoryGenModel, seq, vocab: Vocabulary,
              config: DecodingConfig) -> GeneratedStory:
-    """Continue from the conditioning prefix + [BOS] until [EOS] or budget.
+    """Continue from the conditioning prefix + [BOS] until [EOS] or budget:
+    the one-record ``generate_batch``."""
+    return generate_batch(model, [seq], vocab, config)[0]
 
-    The conditioning (stacked features, entity rows, flattened grid) is
-    assembled once per call, so the grid is computed once. The prefix and
-    [BOS] are forwarded once into a KV cache; each later step forwards only
-    the token picked last. Greedy picks the argmax (ties to the lowest id);
-    nucleus samples from the softmax with the config seed.
+
+def generate_batch(model: StoryGenModel, seqs: list, vocab: Vocabulary,
+                   config: DecodingConfig) -> list[GeneratedStory]:
+    """One story per record, each continued from its conditioning prefix +
+    [BOS] until [EOS] or budget, in the order of ``seqs``.
+
+    Each record's conditioning (stacked features, entity rows, flattened
+    grid) is assembled once, so its grid is computed once. Records with the
+    same prefix width decode together, in slices of ``DECODE_SLICE`` (see
+    ``_decode_slice``). Greedy picks the argmax (ties to the lowest id);
+    nucleus samples from the softmax with a generator seeded with the config
+    seed for each record, so a record's story does not depend on the others.
     """
-    rng = np.random.default_rng(config.seed)
     budget = min(config.max_new_tokens, model.config.t_max - 1)
-    cache = KVCache(model.config)
-    layout = assemble_input(seq, [], model.config, vocab.bos_id)
-    ids: list[int] = []
+    layouts = [assemble_input(seq, [], model.config, vocab.bos_id) for seq in seqs]
+    by_width: dict[int, list[int]] = {}
+    for index, layout in enumerate(layouts):
+        by_width.setdefault(layout.width, []).append(index)
+    stories: list = [None] * len(seqs)
+    for group in by_width.values():
+        for start in range(0, len(group), DECODE_SLICE):
+            members = group[start:start + DECODE_SLICE]
+            decoded = _decode_slice(model, [layouts[i] for i in members], vocab, config, budget)
+            for index, ids in zip(members, decoded):
+                tokens = vocab.decode(ids)
+                stories[index] = GeneratedStory(sequence_id=seqs[index].id, seed=config.seed,
+                                                token_ids=ids, tokens=tokens,
+                                                text=detokenize(tokens))
+    return stories
+
+
+def _decode_slice(model: StoryGenModel, layouts: list, vocab: Vocabulary,
+                  config: DecodingConfig, budget: int) -> list[list[int]]:
+    """The ids decoded from prefixes of one width, as one step batch.
+
+    The prefixes and [BOS] are forwarded once into a KV cache; each later
+    step forwards one position per unfinished story, the token it picked
+    last. A story that picks [EOS] leaves the step batch and the cache.
+    """
+    stories: list[list[int]] = [[] for _ in layouts]
+    active = stories  # the story of each cache row
+    rngs = [np.random.default_rng(config.seed) for _ in layouts] \
+        if config.mode == "nucleus" else None
+    cache = KVCache(model.config, batch=len(layouts))
+    batch = assemble_batch(layouts)
     with no_grad():
         for _ in range(budget):
-            logits = forward_logits(model, layout, cache=cache).data[-1]
-            if config.mode == "greedy":
-                token = int(np.argmax(logits))
+            logits = forward_logits(model, batch, cache=cache).data
+            last = logits.reshape(len(active), -1, logits.shape[-1])[:, -1]
+            if rngs is None:
+                picks = last.argmax(axis=1).tolist()
             else:
-                token = nucleus_sample(softmax_rows(logits), config.p, rng)
-            if token == vocab.eos_id:
-                break
-            ids.append(token)
-            layout = text_step(token, cache.length)
-    tokens = vocab.decode(ids)
-    return GeneratedStory(sequence_id=seq.id, seed=config.seed, token_ids=ids,
-                          tokens=tokens, text=detokenize(tokens))
+                picks = [nucleus_sample(dist, config.p, rng)
+                         for dist, rng in zip(softmax_rows(last), rngs)]
+            if vocab.eos_id in picks:
+                live = [row for row, token in enumerate(picks) if token != vocab.eos_id]
+                if not live:
+                    break
+                cache.keep(live)
+                active = [active[row] for row in live]
+                picks = [picks[row] for row in live]
+                if rngs is not None:
+                    rngs = [rngs[row] for row in live]
+            for story, token in zip(active, picks):
+                story.append(token)
+            batch = text_step(picks, cache.length)
+    return stories
 
 
 def detokenize(tokens: list[str]) -> str:

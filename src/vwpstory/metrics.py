@@ -523,25 +523,40 @@ def scores_text(values: dict[str, float]) -> str:
 
 
 def load_eval_pairs(path) -> list[EvalPair]:
-    """JSON Lines of {id, hypothesis, references}; token lists or strings."""
+    """JSON Lines of {id, hypothesis, references}: the hypothesis a string or
+    a token list, the references a list of strings or token lists."""
     from .corpus import tokenize
 
-    def as_tokens(value):
-        return tokenize(value) if isinstance(value, str) else [str(t) for t in value]
+    def as_tokens(value, where: str, what: str) -> list[str]:
+        if isinstance(value, str):
+            return tokenize(value)
+        if isinstance(value, list):
+            return [str(t) for t in value]
+        raise DataError(f"{where}: bad eval pair ({what} must be a string or a list, "
+                        f"got {type(value).__name__})")
 
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 payload = json.loads(line)
-                pairs.append(EvalPair(
-                    hypothesis=as_tokens(payload["hypothesis"]),
-                    references=[as_tokens(r) for r in payload["references"]],
-                ))
-            except (KeyError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad eval pair ({exc})") from exc
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: bad eval pair ({exc})") from exc
+            if not isinstance(payload, dict):
+                raise DataError(f"{where}: bad eval pair (not a JSON object)")
+            try:
+                hypothesis, references = payload["hypothesis"], payload["references"]
+            except KeyError as exc:
+                raise DataError(f"{where}: bad eval pair (missing {exc})") from exc
+            if not isinstance(references, list):
+                raise DataError(f"{where}: bad eval pair (references must be a list, "
+                                f"got {type(references).__name__})")
+            pairs.append(EvalPair(
+                hypothesis=as_tokens(hypothesis, where, "hypothesis"),
+                references=[as_tokens(r, where, "a reference") for r in references]))
     if not pairs:
         raise DataError(f"{path}: no eval pairs")
     return pairs

@@ -263,32 +263,49 @@ def assemble_batch(layouts: list[BatchLayout]) -> BatchLayout:
                        loss_weights=loss_weights)
 
 
-def text_step(token_id: int, position: int) -> BatchLayout:
-    """One text token at absolute ``position``: the one-row batch a decode
-    step forwards over a KV cache, with no conditioning rows and no loss."""
-    return BatchLayout(lengths=np.ones(1, dtype=np.intp), width=1,
-                       token_ids=np.array([token_id], dtype=np.intp),
-                       positions=np.array([position], dtype=np.intp),
-                       segments=np.array([SEG_TEXT], dtype=np.intp))
+def text_step(token_ids, position: int) -> BatchLayout:
+    """One text token per sequence, each at absolute ``position``: the batch
+    of one-row sequences a decode step forwards over a KV cache, with no
+    conditioning rows and no loss."""
+    token_ids = np.array(token_ids, dtype=np.intp).reshape(-1)
+    rows = token_ids.size
+    # arrays from short lists: cheaper than np.ones / np.full at one row
+    return BatchLayout(lengths=np.array([1] * rows, dtype=np.intp), width=1,
+                       token_ids=token_ids,
+                       positions=np.array([position] * rows, dtype=np.intp),
+                       segments=np.array([SEG_TEXT] * rows, dtype=np.intp))
 
 
 class KVCache:
-    """Keys and values of every position forwarded so far, per layer, in
-    buffers sized for the model's full position range."""
+    """Keys and values of every position forwarded so far, per layer and
+    sequence, in buffers sized for the model's full position range. The
+    ``batch`` cached sequences all hold ``length`` positions."""
 
-    def __init__(self, config: ModelConfig):
-        shape = (config.n_layers, config.n_positions, config.d_model)
+    def __init__(self, config: ModelConfig, batch: int = 1):
+        shape = (config.n_layers, batch, config.n_positions, config.d_model)
         self.keys = np.zeros(shape)
         self.values = np.zeros(shape)
+        self.batch = batch
         self.length = 0
 
     def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Store ``layer``'s keys and values of the rows after ``length``;
-        return that layer's keys and values of every position up to them."""
-        end = self.length + k.data.shape[0]
-        self.keys[layer, self.length:end] = k.data
-        self.values[layer, self.length:end] = v.data
-        return Tensor(self.keys[layer, :end]), Tensor(self.values[layer, :end])
+        """Store ``layer``'s keys and values of the rows after ``length`` (the
+        new positions of each sequence, example-major); return that layer's
+        keys and values of every position up to them, example-major (a view
+        for one sequence)."""
+        b, d = self.batch, k.data.shape[1]
+        end = self.length + k.data.shape[0] // b
+        self.keys[layer, :b, self.length:end] = k.data.reshape(b, -1, d)
+        self.values[layer, :b, self.length:end] = v.data.reshape(b, -1, d)
+        return (Tensor(self.keys[layer, :b, :end].reshape(-1, d)),
+                Tensor(self.values[layer, :b, :end].reshape(-1, d)))
+
+    def keep(self, rows) -> None:
+        """Keep only the cached sequences at ``rows``, in that order."""
+        n = len(rows)
+        self.keys[:, :n, :self.length] = self.keys[:, rows, :self.length]
+        self.values[:, :n, :self.length] = self.values[:, rows, :self.length]
+        self.batch = n
 
 
 def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
@@ -365,12 +382,13 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
     Without a cache ``batch`` holds whole sequences (one from
     ``assemble_input``, several from ``assemble_batch``); training, losses
     and teacher-forced evaluation all take this path. With a ``KVCache`` the
-    batch is one sequence holding only the positions that follow those
-    already cached (the conditioning prefix first, then one ``text_step`` per
-    token): each layer's new queries attend over the cached keys/values plus
-    the new ones under a (new, past + new) causal mask, the new keys/values
-    are stored, and the cache grows by ``batch.length``. A cache is for
-    inference only.
+    batch holds one unpadded sequence per cached one, each holding only the
+    positions that follow those already cached (the conditioning prefixes
+    first, then one ``text_step`` per token): each layer's new queries
+    attend over their sequence's cached keys/values plus the new ones under
+    a (new, past + new) causal mask, the new keys/values are stored, and
+    every cached sequence grows by ``batch.width``. A cache is for inference
+    only.
     """
     cfg = model.config
     p = model.param
@@ -381,8 +399,14 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
         if training:
             raise StateError("forward_logits: a KV cache is for inference only")
         past = cache.length
-        if not np.array_equal(batch.positions, np.arange(past, past + batch.length)):
-            raise StateError(f"forward_logits: positions do not follow the {past} cached ones")
+        follow = np.arange(past, past + batch.width)
+        if batch.lengths.size > 1:
+            follow = np.tile(follow, batch.lengths.size)
+        # one unpadded sequence per cached one, each continuing at ``past``
+        if (batch.lengths.size != cache.batch or batch.length != follow.size
+                or not np.array_equal(batch.positions, follow)):
+            raise StateError(f"forward_logits: positions of {batch.lengths.size} sequences do "
+                             f"not all follow the {past} cached ones of {cache.batch}")
 
     parts = []
     if batch.image_feats is not None:
@@ -425,7 +449,7 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
     if not np.isfinite(logits.data).all():
         raise NumericError("forward_logits: non-finite activation")
     if cache is not None:
-        cache.length += batch.length
+        cache.length += batch.width
     return logits
 
 

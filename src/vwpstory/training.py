@@ -22,7 +22,11 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .corpus import BOS, EOS, PAD, SENT, ImageSequenceRecord, Vocabulary
-from .decoding import DecodingConfig, generate
+from .decoding import (
+    DecodingConfig,
+    generate,  # unused here: perfbench/tracing.py binds training.generate
+    generate_batch,
+)
 from .errors import ConfigError, DataError, TrainingError
 from .metrics import EvalPair
 from .model import (
@@ -151,18 +155,17 @@ def select_best(val_scores: list[float]) -> int:
 
 def eval_pairs(model: StoryGenModel, records: list[ImageSequenceRecord],
                vocab: Vocabulary, decoding: DecodingConfig) -> list[EvalPair]:
-    pairs = []
+    """A decoded story and its references for every record with references."""
+    scored, references = [], []
     for rec in records:
-        references = [metric_tokens(vocab.decode(story.tokens))
-                      for story in rec.stories if story.tokens]
-        if not references:
-            continue
-        hyp = generate(model, rec, vocab, decoding)
-        pairs.append(EvalPair(hypothesis=metric_tokens(hyp.tokens),
-                              references=references))
-    if not pairs:
+        refs = [metric_tokens(vocab.decode(story.tokens)) for story in rec.stories if story.tokens]
+        if refs:
+            scored.append(rec)
+            references.append(refs)
+    if not scored:
         raise DataError("no evaluable sequences (no reference stories)")
-    return pairs
+    return [EvalPair(hypothesis=metric_tokens(hyp.tokens), references=refs)
+            for hyp, refs in zip(generate_batch(model, scored, vocab, decoding), references)]
 
 
 def validate_meteor(model: StoryGenModel, records: list[ImageSequenceRecord],

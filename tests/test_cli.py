@@ -187,6 +187,20 @@ class TestTrainGenerateEvaluate:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("line", [
+        '{"hypothesis": "the cat", "references": "the cat"}',
+        '{"hypothesis": 5, "references": ["the cat"]}',
+        '["the cat"]',
+    ])
+    def test_evaluate_malformed_pair_is_data_error(self, tmp_path, line):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"hypothesis": "a dog", "references": ["a dog"]}\n' + line + "\n")
+        proc = run_console("evaluate", "--pairs", str(pairs))
+        assert proc.returncode == 2
+        assert "pairs.jsonl:2: bad eval pair" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_evaluate_cider_alone_on_one_pair_is_data_error(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         pairs.write_text(json.dumps({"id": 0, "hypothesis": "the cat",

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,17 +11,29 @@ from hypothesis import strategies as st
 from vwpstory import decoding
 from vwpstory import model as model_mod
 from vwpstory import numerics as nm
-from vwpstory.corpus import build_vocab, prepare_records
+from vwpstory.cli import main as cli_main
+from vwpstory.corpus import build_vocab, load_dataset, prepare_records, save_dataset
 from vwpstory.decoding import (
     DecodingConfig,
     NamePools,
     detokenize,
     generate,
+    generate_batch,
     nucleus_sample,
     realize,
+    save_generated,
 )
-from vwpstory.errors import ConfigError, NumericError, ResourceError
-from vwpstory.model import ModelConfig, assemble_input, build_model, forward_logits
+from vwpstory.errors import ConfigError, NumericError, ResourceError, StateError
+from vwpstory.model import (
+    KVCache,
+    ModelConfig,
+    assemble_batch,
+    assemble_input,
+    build_model,
+    forward_logits,
+    save_checkpoint,
+    text_step,
+)
 from vwpstory.synth import fixture_dataset, synthetic_grid_corpus
 
 from test_model import make_seq, tiny_config
@@ -381,6 +395,191 @@ class TestCachedDecoding:
         generate(model, records[1], vocab, DecodingConfig(mode="greedy", max_new_tokens=1))
         assert lengths[12:] == [prefix_len + 1]
         assert grid_calls == [seq.id, records[1].id]
+
+
+def recut_corpus():
+    """40 fixture records cut to 2, 1 or 0 objects, so their prefixes take
+    three widths and the widest group (24 records) spans two slices."""
+    prepared = prepare_records(fixture_dataset(40, seed=7), seed=0)
+    records = [dataclasses.replace(rec, objects=rec.objects[:(2, 2, 1, 2, 0)[i % 5]])
+               for i, rec in enumerate(prepared.splits["train"])]
+    vocab = prepared.vocab
+    model = build_model(ModelConfig(
+        vocab_size=len(vocab), feat_dim=8, d_model=16, n_layers=2, n_heads=2, d_ff=32,
+        t_max=24, n_max=5, m_max=5, o_max=2, feature_set=("global", "char", "obj"),
+        grid_mode="entity", dropout=0.1, seed=4))
+    return records, vocab, model
+
+
+def expected_slices(model, records, vocab):
+    """Record indices of each decode slice: records grouped by prefix width
+    (groups in order of first appearance), each group cut into slices of 16."""
+    widths = [assemble_input(seq, [], model.config, vocab.bos_id).width for seq in records]
+    slices = []
+    for width in dict.fromkeys(widths):
+        group = [i for i, w in enumerate(widths) if w == width]
+        slices += [group[i:i + 16] for i in range(0, len(group), 16)]
+    return slices
+
+
+def expected_forwards(slices, ids, budget):
+    """(slice, step, records still decoding) of every batched forward: a story
+    of n ids takes part in steps 0..n, or 0..budget - 1 when it hits the budget."""
+    last_step = [min(len(story), budget - 1) for story in ids]
+    return [(members, step, [r for r in members if step <= last_step[r]])
+            for members in slices
+            for step in range(max(last_step[r] for r in members) + 1)]
+
+
+def record_batched_forwards(monkeypatch):
+    """Patch ``decoding.forward_logits``; return the list that collects each
+    forward's (sequences, width, last-position logits of each sequence)."""
+    forwards = []
+
+    def recording_forward(model_, batch, **kwargs):
+        logits = forward_logits(model_, batch, **kwargs)
+        rows = batch.lengths.size
+        forwards.append((rows, batch.width,
+                         logits.data.reshape(rows, batch.width, -1)[:, -1].copy()))
+        return logits
+
+    monkeypatch.setattr(decoding, "forward_logits", recording_forward)
+    return forwards
+
+
+class TestBatchedDecoding:
+    CASES = [("greedy", 6), ("nucleus", 8)]
+
+    @pytest.mark.parametrize("mode, budget", CASES)
+    def test_matches_per_record_generate_and_full_recompute(self, monkeypatch, mode, budget):
+        records, vocab, model = recut_corpus()
+        cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=budget, seed=31)
+        per_record = [generate(model, seq, vocab, cfg).token_ids for seq in records]
+        oracle = [full_recompute_decode(model, seq, vocab, cfg) for seq in records]
+        forwards = record_batched_forwards(monkeypatch)
+        stories = generate_batch(model, records, vocab, cfg)
+        ids = [story.token_ids for story in stories]
+        assert [story.sequence_id for story in stories] == [seq.id for seq in records]
+        assert ids == per_record == [want for want, _ in oracle]
+
+        # the data exercise what the test is about
+        slices = expected_slices(model, records, vocab)
+        assert len({len(s) for s in slices}) > 1 and max(len(s) for s in slices) == 16
+        assert len(slices) >= 4  # three widths, one of them over two slices
+        lengths = {len(story) for story in ids}
+        assert budget in lengths and len(lengths - {budget}) >= 2
+
+        steps = [[] for _ in records]
+        schedule = expected_forwards(slices, ids, budget)
+        assert len(forwards) == len(schedule)
+        for (rows, _, last), (_, _, active) in zip(forwards, schedule):
+            assert rows == len(active)
+            for r, row in zip(active, last):
+                steps[r].append(row)
+        for got, (_, want) in zip(steps, oracle):
+            assert len(got) == len(want)
+            np.testing.assert_allclose(np.array(got), np.array(want), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode, budget", CASES)
+    def test_one_prefix_forward_per_slice_then_one_row_per_active_story(
+            self, monkeypatch, mode, budget):
+        records, vocab, model = recut_corpus()
+        cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=budget, seed=31)
+        forwards = record_batched_forwards(monkeypatch)
+        ids = [story.token_ids for story in generate_batch(model, records, vocab, cfg)]
+        widths = [assemble_input(seq, [], model.config, vocab.bos_id).width for seq in records]
+        slices = expected_slices(model, records, vocab)
+        schedule = expected_forwards(slices, ids, budget)
+        # the prefixes of a slice in one forward, then one row per unfinished story
+        assert [(rows, width) for rows, width, _ in forwards] == [
+            (len(active), widths[members[0]] if step == 0 else 1)
+            for members, step, active in schedule]
+        for members in slices:
+            steps = sum(1 for m, step, _ in schedule if m is members and step > 0)
+            assert steps <= max(len(ids[r]) for r in members)
+
+    def test_batched_cache_rows_match_full_forwards_after_keep(self):
+        records, vocab, model = recut_corpus()
+        seqs = [records[0], records[1], records[3]]  # one prefix width
+        stories = [[3, 7, 2, 9], [5, 5, 8, 1], [4, 9, 9, 6]]
+        cache = KVCache(model.config, batch=3)
+        prefix = assemble_batch([assemble_input(seq, [], model.config, vocab.bos_id)
+                                 for seq in seqs])
+        width = prefix.width
+        got = {r: [row] for r, row in enumerate(
+            forward_logits(model, prefix, cache=cache).data.reshape(3, width, -1)[:, -1])}
+        rows = [0, 1, 2]
+        for step in range(4):
+            if step == 2:
+                cache.keep([0, 2])  # the middle story finishes
+                rows = [0, 2]
+            logits = forward_logits(model, text_step([stories[r][step] for r in rows],
+                                                     cache.length), cache=cache).data
+            for r, row in zip(rows, logits):
+                got[r].append(row)
+        assert cache.batch == 2 and cache.length == width + 4
+        for r, seq in enumerate(seqs):
+            n = len(got[r])
+            full = forward_logits(model, assemble_input(seq, stories[r][:n - 1],
+                                                        model.config, vocab.bos_id)).data
+            np.testing.assert_allclose(np.array(got[r]), full[width - 1:], rtol=0, atol=1e-12)
+
+    def test_batched_cached_forward_rejects_misaligned_or_padded_positions(self):
+        records, vocab, model = recut_corpus()
+        same = [assemble_input(records[i], [], model.config, vocab.bos_id) for i in (0, 1)]
+        narrower = assemble_input(records[2], [], model.config, vocab.bos_id)
+        assert narrower.width < same[0].width
+        with pytest.raises(StateError):  # padded: the prefixes differ in width
+            forward_logits(model, assemble_batch([same[0], narrower]), cache=KVCache(
+                model.config, batch=2))
+        cache = KVCache(model.config, batch=2)
+        with pytest.raises(StateError):  # one sequence for a cache of two
+            forward_logits(model, same[0], cache=cache)
+        forward_logits(model, assemble_batch(same), cache=cache)
+        length = cache.length
+        with pytest.raises(StateError):  # both rows one position ahead
+            forward_logits(model, text_step([3, 4], length + 1), cache=cache)
+        step = text_step([3, 4], length)
+        step.positions[1] += 1
+        with pytest.raises(StateError):  # the second row misaligned
+            forward_logits(model, step, cache=cache)
+        step = text_step([3, 4], length)
+        step.lengths[1] = 0
+        with pytest.raises(StateError):  # the second row is padding
+            forward_logits(model, step, cache=cache)
+        with pytest.raises(StateError):  # three rows for a cache of two
+            forward_logits(model, text_step([3, 4, 5], length), cache=cache)
+        assert cache.length == length
+        forward_logits(model, text_step([3, 4], length), cache=cache)
+        assert cache.length == length + 1
+
+    @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
+    def test_cli_generate_writes_the_per_record_stories(self, tmp_path, mode):
+        records, vocab, model = recut_corpus()
+        save_dataset(records, tmp_path / "records.jsonl")
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        (tmp_path / "vocab.json").write_text(json.dumps(vocab.to_dict()))
+        pools = {kind: [f"{kind}{i}" for i in range(12)]
+                 for kind in ("male", "female", "location")}
+        (tmp_path / "names.json").write_text(json.dumps(pools))
+        for names in ([], ["--names", str(tmp_path / "names.json")]):
+            out = tmp_path / "cli.jsonl"
+            assert cli_main(["generate", "--checkpoint", str(tmp_path / "model.ckpt"),
+                             "--dataset", str(tmp_path / "records.jsonl"),
+                             "--vocab", str(tmp_path / "vocab.json"), "--out", str(out),
+                             "--decoding", mode, "--p", "0.9", "--seed", "5",
+                             "--max-new", "8"] + names) == 0
+            cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=8, seed=5)
+            realize_rng = np.random.default_rng(5)
+            stories = []
+            for rec in load_dataset(tmp_path / "records.jsonl"):
+                story = generate(model, rec, vocab, cfg)
+                if names:
+                    story.text = realize(story.tokens, NamePools.from_dict(pools), realize_rng)
+                stories.append(story)
+            save_generated(stories, tmp_path / "per_record.jsonl")
+            assert out.read_bytes() == (tmp_path / "per_record.jsonl").read_bytes()
+        assert len(stories) == len(records)
 
 
 class TestDetokenize:

@@ -24,6 +24,7 @@ from vwpstory.metrics import (
     bleu_corpus,
     cider,
     compute_metrics,
+    load_eval_pairs,
     meteor,
     meteor_alignment,
     report_text,
@@ -553,6 +554,35 @@ class TestAggregateRuns:
         text = report_text(report)
         assert "100.00" in text  # B-1 shown on the x100 scale
         assert "10.00" in text   # CIDEr shown on its own 0..10 scale
+
+
+class TestLoadEvalPairs:
+    def test_strings_and_token_lists(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(
+            '{"id": 0, "hypothesis": "The cat sat.", "references": ["the cat sat", ["a", 2]]}\n'
+            "\n"
+            '{"hypothesis": ["x", 3], "references": ["x 3"]}\n')
+        pairs = load_eval_pairs(path)
+        assert [p.hypothesis for p in pairs] == [["the", "cat", "sat", "."], ["x", "3"]]
+        assert [p.references for p in pairs] == [[["the", "cat", "sat"], ["a", "2"]],
+                                                 [["x", "3"]]]
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"hypothesis": "a b", "references": "a b"}', "references must be a list, got str"),
+        ('{"hypothesis": 5, "references": ["a"]}', "hypothesis must be a string or a list"),
+        ('{"hypothesis": "a", "references": ["a", 7]}', "a reference must be a string or a list"),
+        ('{"hypothesis": null, "references": ["a"]}', "hypothesis must be a string or a list"),
+        ('["a"]', "not a JSON object"),
+        ('"a b"', "not a JSON object"),
+        ('{"hypothesis": "a"}', "missing 'references'"),
+        ('{"hypothesis": "a",', "bad eval pair"),
+    ])
+    def test_malformed_line_is_data_error_with_its_line(self, tmp_path, line, message):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"hypothesis": "ok", "references": ["ok"]}\n' + line + "\n")
+        with pytest.raises(DataError, match=f"pairs.jsonl:2: .*{message}"):
+            load_eval_pairs(path)
 
 
 class TestSuite:
