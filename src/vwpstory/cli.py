@@ -28,7 +28,7 @@ from .corpus import (
 )
 from .decoding import DecodingConfig, NamePools, generate_batch, realize, save_generated
 from .errors import DataError, NumericError, UsageError, VwpError
-from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs
+from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs, token_list
 from .model import ModelConfig, load_checkpoint
 from .training import TrainConfig, fit, metric_tokens, save_runlogs
 
@@ -264,8 +264,20 @@ def _pairs_from_hyp(hyp_path: str, dataset_path: str) -> list[EvalPair]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            payload = json.loads(line)
+            error = f"{hyp_path}:{lineno}: bad hypothesis line"
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{error} ({exc})") from exc
+            if not isinstance(payload, dict):
+                raise DataError(f"{error} (not a JSON object)")
             seq_id = payload.get("sequence_id")
+            if not isinstance(seq_id, str):
+                raise DataError(f"{error} (sequence_id must be a string, "
+                                f"got {type(seq_id).__name__})")
+            if "tokens" not in payload:
+                raise DataError(f"{error} (missing 'tokens')")
+            tokens = token_list(payload["tokens"], "tokens", error)
             rec = records.get(seq_id)
             if rec is None:
                 raise DataError(f"{hyp_path}:{lineno}: unknown sequence {seq_id!r}")
@@ -274,8 +286,7 @@ def _pairs_from_hyp(hyp_path: str, dataset_path: str) -> list[EvalPair]:
             references = [r for r in references if r]
             if not references:
                 raise DataError(f"{hyp_path}:{lineno}: sequence {seq_id!r} has no references")
-            pairs.append(EvalPair(hypothesis=metric_tokens([str(t) for t in payload["tokens"]]),
-                                  references=references))
+            pairs.append(EvalPair(hypothesis=metric_tokens(tokens), references=references))
     if not pairs:
         raise DataError(f"{hyp_path}: no hypotheses")
     return pairs

@@ -550,7 +550,8 @@ def load_checkpoint(path) -> StoryGenModel:
         payload = view.read(count * 8)
         if len(payload) != count * 8:
             raise DataError(f"{path}: truncated payload for {name!r}")
-        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        # a read-only view: store.add copies it into the store's flat buffer
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
 
     expected = {name: shape for name, shape, _ in _param_spec(config)}
     if set(params) != set(expected):

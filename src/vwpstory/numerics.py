@@ -7,6 +7,15 @@ nodes of its inputs and keeps only what its backward step needs;
 accumulates gradients on the leaves and frees the graph as it goes. Inside
 ``no_grad()`` ops build no graph. Kernels only, no general broadcasting
 beyond what add/mul need for bias rows.
+
+The training-step kernels are bit-exact rewrites of their textbook forms,
+kept in the tests as oracles. ``ParamStore`` holds every parameter's values
+in one flat buffer (each ``Tensor.data`` is a view into it) and Adam's two
+moments in two more, so ``adam_step`` runs its formula once over the whole
+model as in-place ufuncs. The embedding backward sums gradient rows into
+table cells with one ``np.bincount`` (the same additions, in the same order,
+as ``np.add.at``), and ``layer_norm`` takes the variance from the centred
+rows it already builds, as ``np.var`` does inside.
 """
 
 from __future__ import annotations
@@ -274,12 +283,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     Forward and backward work in place where they can: on a batch these
     activations are the largest arrays alive, so each temporary counts.
     """
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = x.data - mu
-    xhat *= inv
     gd, d = gamma.data, x.data.shape[-1]
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.var's own steps on the centred rows: square, sum, divide by d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
     out = xhat * gd
     out += beta.data
 
@@ -338,19 +347,25 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup into an embedding table; backward scatter-adds."""
+    """Row lookup into a 2-D embedding table; backward scatter-adds.
+
+    The scatter is one ``np.bincount`` over flat cell indices: each cell
+    starts at 0.0 and adds its rows' gradients in row order, the same sums
+    as ``np.add.at(full, ids, g)``.
+    """
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1:
         raise DataError("embedding expects a 1-D id list")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise DataError(f"embedding id out of range [0, {table.data.shape[0]})")
+    if table.data.ndim != 2:
+        raise DataError(f"embedding expects a 2-D table, got shape {table.data.shape}")
+    n, d = table.data.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise DataError(f"embedding id out of range [0, {n})")
     out = table.data[idx]
-    shape = table.data.shape
 
     def grad_fn(g):
-        full = np.zeros(shape)
-        np.add.at(full, idx, g)
-        return (full,)
+        cells = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(cells, weights=g.ravel(), minlength=n * d).reshape(n, d),)
 
     return Tensor(out, parents=(table,), grad_fn=grad_fn)
 
@@ -465,21 +480,48 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int, *,
 
 
 class ParamStore:
-    """Named trainable tensors plus Adam moment buffers and a step counter."""
+    """Named trainable tensors in one flat float64 buffer, plus Adam's moment
+    buffers and a step counter.
+
+    ``flat`` holds every parameter's values in registration order, and each
+    parameter's ``Tensor.data`` is a reshaped view into it, so writing
+    ``flat`` writes the parameters and the reverse. Registering a parameter
+    may move the buffer (it grows by doubling); the store then re-points
+    every ``data``, so hold the Tensor, not an earlier ``data`` array.
+    ``m`` and ``v`` are Adam's first and second moments, laid out as
+    ``flat``; ``adam_step`` creates them, zero, for parameters it has not
+    seen yet.
+    """
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
-        self.m: dict[str, Array] = {}
-        self.v: dict[str, Array] = {}
+        self._buffer = np.empty(0)
+        self.size = 0
+        self.m = np.zeros(0)
+        self.v = np.zeros(0)
         self.step = 0
+
+    @property
+    def flat(self) -> Array:
+        return self._buffer[:self.size]
 
     def add(self, name: str, data) -> Tensor:
         if name in self.params:
             raise StateError(f"parameter {name!r} already registered")
-        t = Tensor(data, requires_grad=True)
+        values = _as_f64(data)
+        start, stop = self.size, self.size + values.size
+        if stop > self._buffer.size:
+            buffer = np.empty(max(stop, 2 * self._buffer.size))
+            buffer[:start] = self.flat
+            self._buffer = buffer
+            offset = 0
+            for p in self.params.values():
+                p.data = buffer[offset:offset + p.data.size].reshape(p.data.shape)
+                offset += p.data.size
+        self._buffer[start:stop] = values.reshape(-1)
+        self.size = stop
+        t = Tensor(self._buffer[start:stop].reshape(values.shape), requires_grad=True)
         self.params[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -492,7 +534,7 @@ class ParamStore:
         return list(self.params)
 
     def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
+        return self.size
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -501,19 +543,41 @@ class ParamStore:
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update over every parameter in the store."""
+    """One bias-corrected Adam update over every parameter in the store.
+
+    The gradients are gathered into one flat buffer laid out as
+    ``store.flat``, and the update runs over the whole model at once, in
+    place on the moment buffers and on transient scratch. Per element it
+    makes the same float operations in the same order as the textbook form
+    ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g^2``,
+    ``p -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)``.
+    """
     t = store.step + 1
+    grads = []
     for name, p in store.params.items():
         if p.grad is None:
             raise StateError(f"adam_step: missing gradient for {name!r}")
-        g = p.grad
-        m = store.m[name]
-        v = store.v[name]
-        m[:] = beta1 * m + (1.0 - beta1) * g
-        v[:] = beta2 * v + (1.0 - beta2) * (g * g)
-        mhat = m / (1.0 - beta1 ** t)
-        vhat = v / (1.0 - beta2 ** t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        grads.append(p.grad.reshape(-1))
+    n = store.size
+    if store.m.size < n:  # parameters registered since the last step start at zero
+        store.m = np.concatenate([store.m, np.zeros(n - store.m.size)])
+        store.v = np.concatenate([store.v, np.zeros(n - store.v.size)])
+    m, v, flat = store.m, store.v, store.flat
+    g = np.concatenate(grads, out=np.empty(n)) if grads else np.empty(0)
+    step = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += step
+    np.multiply(g, g, out=g)
+    g *= 1.0 - beta2
+    v *= beta2
+    v += g
+    np.divide(m, 1.0 - beta1 ** t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    step /= g
+    flat -= step
     store.step = t
 
 

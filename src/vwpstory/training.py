@@ -217,7 +217,7 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
         model = build_model(replace(model_config, seed=seed))
         run = RunLog(seed=seed, selection="meteor" if validate else "last")
         best_meteor = -1.0
-        best_params: dict[str, np.ndarray] | None = None
+        best_params: np.ndarray | None = None
         ckpt_path = ckpt_dir / f"seed{seed}-best.ckpt" if ckpt_dir else None
         for epoch in range(1, config.epochs + 1):
             loss = train_epoch(model, splits["train"], vocab, config,
@@ -232,8 +232,7 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
             if keep:
                 best_meteor = score
                 run.best_epoch = epoch
-                best_params = {name: model.store[name].data.copy()
-                               for name in model.store.names()}
+                best_params = model.store.flat.copy()
                 if ckpt_path:
                     save_checkpoint(model, ckpt_path)
                     run.best_checkpoint = str(ckpt_path)
@@ -242,8 +241,7 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
                 f"seed {seed}: kept epoch {run.best_epoch}, but validation METEOR "
                 f"{run.val_meteor} selects epoch {select_best(run.val_meteor)}")
         if best_params is not None:
-            for name, data in best_params.items():
-                model.store[name].data[:] = data
+            model.store.flat[:] = best_params
         runlogs.append(run)
         if splits.get("test"):
             scores = evaluate_model(model, splits["test"], vocab, config.test_decoding)

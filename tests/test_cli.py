@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from vwpstory import chargrid
-from vwpstory.cli import main
+from vwpstory.cli import _pairs_from_hyp, main
 from vwpstory.corpus import Vocabulary, load_dataset, save_dataset
+from vwpstory.errors import DataError
 from vwpstory.model import ModelConfig, build_model, save_checkpoint
 from vwpstory.synth import (
     fixture_annotations,
@@ -191,6 +192,7 @@ class TestTrainGenerateEvaluate:
         '{"hypothesis": "the cat", "references": "the cat"}',
         '{"hypothesis": 5, "references": ["the cat"]}',
         '["the cat"]',
+        '{"hypothesis": [null, {"a": 1}], "references": [[null, {"a": 1}]]}',
     ])
     def test_evaluate_malformed_pair_is_data_error(self, tmp_path, line):
         pairs = tmp_path / "pairs.jsonl"
@@ -220,6 +222,41 @@ class TestTrainGenerateEvaluate:
         assert main(["evaluate", "--hyp", str(gen),
                      "--dataset", str(prepared_dir / "test.jsonl")]) == 0
         assert "METEOR" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line, message", [
+        ('["fix0", ["a"]]', "not a JSON object"),
+        ('{"sequence_id": "fix0"}', "missing 'tokens'"),
+        ('{"sequence_id": "fix0", "tokens": "abc"}', "tokens must be a list, got str"),
+        ('{"sequence_id": "fix0", "tokens": [null, true]}', "tokens holds null"),
+        ('{"sequence_id": "fix0", "tokens": ["a", true]}', "tokens holds true/false"),
+        ('{"sequence_id": "fix0", "tokens": [{"a": 1}]}', "tokens holds an object"),
+        ('{"sequence_id": 0, "tokens": ["a"]}', "sequence_id must be a string, got int"),
+        ('{"tokens": ["a"]}', "sequence_id must be a string, got NoneType"),
+        ('{"sequence_id": "fix0", "tokens": ["a"]', "Expecting"),
+    ])
+    def test_malformed_hyp_line_is_data_error_with_its_line(self, fixture_dir, tmp_path,
+                                                            line, message):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"sequence_id": "fix0", "tokens": ["a", 2]}\n' + line + "\n")
+        with pytest.raises(DataError, match=f"hyp.jsonl:2: bad hypothesis line .*{message}"):
+            _pairs_from_hyp(str(hyp), str(fixture_dir / "dataset.jsonl"))
+
+    def test_hyp_numbers_are_tokens(self, fixture_dir, tmp_path):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"sequence_id": "fix0", "tokens": ["a", 2, 0.5]}\n')
+        pairs = _pairs_from_hyp(str(hyp), str(fixture_dir / "dataset.jsonl"))
+        assert [p.hypothesis for p in pairs] == [["a", "2", "0.5"]]
+
+    def test_evaluate_malformed_hyp_is_data_error(self, fixture_dir, tmp_path):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"sequence_id": "fix0", "tokens": ["a"]}\n'
+                       '{"sequence_id": "fix1", "tokens": [null, true]}\n')
+        proc = run_console("evaluate", "--hyp", str(hyp),
+                           "--dataset", str(fixture_dir / "dataset.jsonl"))
+        assert proc.returncode == 2
+        assert "hyp.jsonl:2: bad hypothesis line" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_evaluate_scores_bands(self, tmp_path, capsys):
         scores = tmp_path / "scores.json"

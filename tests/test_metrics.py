@@ -577,6 +577,12 @@ class TestLoadEvalPairs:
         ('"a b"', "not a JSON object"),
         ('{"hypothesis": "a"}', "missing 'references'"),
         ('{"hypothesis": "a",', "bad eval pair"),
+        ('{"hypothesis": [null, {"a": 1}], "references": [[null, {"a": 1}]]}',
+         r"hypothesis holds null; tokens must be strings or numbers"),
+        ('{"hypothesis": ["a", true], "references": ["a"]}', "hypothesis holds true/false"),
+        ('{"hypothesis": "a", "references": [["a", false]]}', "a reference holds true/false"),
+        ('{"hypothesis": "a", "references": [["a", {"b": 1}]]}', "a reference holds an object"),
+        ('{"hypothesis": [["a"]], "references": ["a"]}', "hypothesis holds an array"),
     ])
     def test_malformed_line_is_data_error_with_its_line(self, tmp_path, line, message):
         path = tmp_path / "pairs.jsonl"

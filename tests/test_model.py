@@ -121,6 +121,12 @@ class TestBuildModel:
         model = build_model(cfg)
         assert model.store.n_parameters() == expected
 
+    def test_parameters_are_views_of_the_flat_buffer(self):
+        model = build_model(tiny_config())
+        assert all(np.shares_memory(model.store[name].data, model.store.flat)
+                   for name in model.store.names())
+        assert model.store.flat.size == model.store.n_parameters()
+
     def test_shared_parameters_identical_across_variants(self):
         grid = build_model(tiny_config(grid_mode="char", seed=3))
         plain = build_model(tiny_config(grid_mode="none", seed=3))
@@ -522,6 +528,8 @@ class TestCheckpoint:
         assert again.config == model.config
         for name in model.store.names():
             assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
+            assert np.shares_memory(again.store[name].data, again.store.flat)
+            assert again.store[name].data.flags.writeable
 
     def test_save_is_deterministic(self, tmp_path):
         model = build_model(tiny_config())

@@ -400,3 +400,143 @@ class TestGraph:
         assert z_in() is not None  # matmul's backward needs its input
         loss.backward()
         assert w.grad is not None and z_in() is None  # the walk frees the graph
+
+
+# --- the training-step kernels against the textbook forms they replaced ----------
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def embedding_grad(table_shape, ids, g):
+    """The embedding op's own backward output for upstream gradient ``g``."""
+    out = nm.embedding(nm.Tensor(np.zeros(table_shape), requires_grad=True), ids)
+    return out._node.grad_fn(g)[0]
+
+
+gradient_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e20, -1e20, 1e-20, -1e-20]),
+    st.floats(-1e3, 1e3, allow_nan=False, width=64))
+
+
+@st.composite
+def embedding_cases(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(0, n - 1), max_size=12))
+    values = draw(st.lists(gradient_values, min_size=len(ids) * d, max_size=len(ids) * d))
+    return (n, d), np.asarray(ids, dtype=np.intp), np.asarray(values).reshape(len(ids), d)
+
+
+class TestEmbeddingScatterOracle:
+    @given(embedding_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bincount_matches_add_at_bit_for_bit(self, case):
+        shape, ids, g = case
+        want = np.zeros(shape)
+        np.add.at(want, ids, g)
+        np.testing.assert_array_equal(bits(embedding_grad(shape, ids, g)), bits(want))
+
+    def test_duplicate_ids_sum_in_row_order(self):
+        # (1 + 1e20) - 1e20 is 0 in row order; in reverse order it is 1
+        g = np.array([[1.0], [1e20], [-1e20]])
+        assert embedding_grad((2, 1), [1, 1, 1], g).tolist() == [[0.0], [0.0]]
+
+    def test_empty_id_list_gives_a_zero_gradient(self):
+        got = embedding_grad((3, 2), np.zeros(0, dtype=np.intp), np.zeros((0, 2)))
+        assert got.shape == (3, 2) and not got.any()
+
+    def test_table_must_be_2d(self):
+        with pytest.raises(DataError, match="2-D table"):
+            nm.embedding(nm.Tensor(np.zeros(4)), [0])
+
+
+def layer_norm_var_oracle(x, gamma, beta, g, eps=1e-5):
+    """The two-pass form: mean and ``np.var``, then the same backward."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gamma + beta
+    d = x.shape[-1]
+    dxhat = g * gamma
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    return out, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+class TestLayerNormOracle:
+    @pytest.mark.parametrize("shape,offset", [((1, 2), 0.0), ((7, 16), 0.0), ((5, 64), 1e4),
+                                              ((3, 4, 8), -3.0), ((304, 64), 0.5),
+                                              ((6, 7), 0.0), ((2, 5, 24), 1e3), ((9, 96), -2.0)])
+    def test_one_pass_variance_matches_np_var_bit_for_bit(self, shape, offset):
+        rng = np.random.default_rng(shape[-1] * 10 + len(shape))
+        x = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[:-1] + (1,)) + offset
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        g = rng.normal(size=shape)
+        out = nm.layer_norm(nm.Tensor(x, requires_grad=True), nm.Tensor(gamma, requires_grad=True),
+                            nm.Tensor(beta, requires_grad=True))
+        for got, want in zip((out.data, *out._node.grad_fn(g)),
+                             layer_norm_var_oracle(x, gamma, beta, g)):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def adam_oracle(params, moments, grads, t, lr, beta1, beta2, eps):
+    """Per-parameter Adam with a temporary for every step of the formula."""
+    for name, g in grads.items():
+        m, v = moments.setdefault(name, (np.zeros_like(g), np.zeros_like(g)))
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * (g * g)
+        mhat = m / (1.0 - beta1 ** t)
+        vhat = v / (1.0 - beta2 ** t)
+        params[name] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+class TestAdamOracle:
+    @pytest.mark.parametrize("lr,beta1,beta2,eps", [(1e-3, 0.9, 0.999, 1e-8),
+                                                    (2e-3, 0.5, 0.9, 1e-6),
+                                                    (0.1, 0.0, 0.0, 1e-8)])
+    def test_flat_in_place_step_matches_per_parameter_formula(self, lr, beta1, beta2, eps):
+        rng = np.random.default_rng(17)
+        shapes = {"w": (5, 3), "b": (3,), "s": (), "emb": (7, 4)}
+        store = nm.ParamStore()
+        want = {}
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+            want[name] = store[name].data.copy()
+        moments = {}
+        for t in range(1, 6):
+            if t == 3:  # registered mid-run: starts from zero moments
+                store.add("late", rng.normal(size=(2, 2)))
+                want["late"] = store["late"].data.copy()
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=want[name].shape)
+                     for name in want}
+            grads["b"][0] = -0.0
+            for name, g in grads.items():
+                store[name].grad = g.copy()
+            nm.adam_step(store, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            adam_oracle(want, moments, grads, t, lr, beta1, beta2, eps)
+            offset = 0
+            for name, p in store.params.items():
+                np.testing.assert_array_equal(bits(p.data), bits(want[name]))
+                span = slice(offset, offset + p.data.size)
+                np.testing.assert_array_equal(bits(store.m[span]), bits(moments[name][0].ravel()))
+                np.testing.assert_array_equal(bits(store.v[span]), bits(moments[name][1].ravel()))
+                offset += p.data.size
+        assert store.step == 5
+
+
+class TestFlatParamStore:
+    def test_every_parameter_is_a_view_of_the_flat_buffer_in_order(self):
+        rng = np.random.default_rng(3)
+        store = nm.ParamStore()
+        values = {}
+        for k in range(12):  # enough registrations to move the buffer several times
+            values[f"p{k}"] = rng.normal(size=(k % 3 + 1, k + 1)) if k % 4 else rng.normal()
+            store.add(f"p{k}", values[f"p{k}"])
+            for name, want in values.items():
+                assert np.shares_memory(store[name].data, store.flat)
+                np.testing.assert_array_equal(store[name].data, want)
+        np.testing.assert_array_equal(
+            store.flat, np.concatenate([np.ravel(v) for v in values.values()]))
+        assert store.n_parameters() == store.flat.size
+        store.flat[:] = 0.0
+        assert not any(store[name].data.any() for name in values)

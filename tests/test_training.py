@@ -1,5 +1,7 @@
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +259,20 @@ class TestFit:
                 prepared.vocab)
             blobs.append((tmp_path / sub / "seed0-best.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+    def test_pinned_training_bits(self, tmp_path):
+        # recorded from a seeded run: any change to a training kernel's
+        # float operations or their order moves these bits
+        prepared = tiny_prepared()
+        cfg = tiny_train_config(seeds=(1,), checkpoint_dir=tmp_path)
+        run = fit(cfg, prepared.splits, tiny_model_config(len(prepared.vocab), dropout=0.1),
+                  prepared.vocab).runlogs[0]
+        digest = hashlib.sha256(Path(run.best_checkpoint).read_bytes()).hexdigest()
+        assert digest == "5e2766f150989b63fb9cad5a8663ca799ff6082f0d1896378be6dd89ace068d4"
+        assert [x.hex() for x in run.train_loss] == ["0x1.73cb6b2f7f3b4p+1",
+                                                     "0x1.5640c6bbfea58p+1"]
+        assert [x.hex() for x in run.val_meteor] == ["0x0.0p+0", "0x1.a1f58d0fac687p-5"]
 
 
 class TestEvalHelpers:
