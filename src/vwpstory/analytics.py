@@ -7,13 +7,13 @@ groundedness labels. One story per JSON line; see ``load_annotated``.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import combinations
 
+from .corpus import read_jsonl, text_field
 from .errors import DataError
 
 ROLES = ("S", "O", "X", "-")
@@ -328,7 +328,7 @@ def corpus_stats(stories: list[AnnotatedStory]) -> dict:
 
 def annotated_from_dict(payload: dict) -> AnnotatedStory:
     srl_events = payload.get("srl") or []
-    predicates = [ev["predicate"] for ev in srl_events]
+    predicates = [text_field(ev["predicate"], "predicate") for ev in srl_events]
     args: dict[str, set[str]] = {role: set() for role in ARG_ROLES}
     for ev in srl_events:
         for role, toks in (ev.get("args") or {}).items():
@@ -356,18 +356,7 @@ def annotated_from_dict(payload: dict) -> AnnotatedStory:
 
 
 def load_annotated(path) -> list[AnnotatedStory]:
-    stories = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                stories.append(annotated_from_dict(json.loads(line)))
-            except (KeyError, json.JSONDecodeError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if not stories:
-        raise DataError(f"{path}: no annotated stories")
-    return stories
+    return read_jsonl(path, annotated_from_dict, "annotated story")
 
 
 def group_by_sequence(stories: list[AnnotatedStory]) -> dict[str, list[SRLStory]]:

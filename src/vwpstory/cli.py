@@ -23,6 +23,9 @@ from .corpus import (
     load_dataset,
     load_gender_table,
     prepare_records,
+    read_csv,
+    read_json,
+    read_jsonl,
     save_dataset,
     story_surface_tokens,
 )
@@ -60,7 +63,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -203,7 +206,7 @@ def _load_prepared(directory: str):
     vocab_file = base / "vocab.json"
     if not vocab_file.exists():
         raise DataError(f"{directory}: not a prepared dataset (missing vocab.json)")
-    vocab = Vocabulary.from_dict(json.loads(vocab_file.read_text(encoding="utf-8")))
+    vocab = read_json(vocab_file, Vocabulary.from_dict, "vocabulary")
     splits = {}
     for split in ("train", "val", "test"):
         path = base / f"{split}.jsonl"
@@ -237,7 +240,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    vocab = Vocabulary.from_dict(json.loads(Path(args.vocab).read_text(encoding="utf-8")))
+    vocab = read_json(args.vocab, Vocabulary.from_dict, "vocabulary")
     if len(vocab) != model.config.vocab_size:
         raise DataError(f"vocab size {len(vocab)} does not match checkpoint "
                         f"({model.config.vocab_size})")
@@ -246,7 +249,7 @@ def cmd_generate(args) -> int:
                             max_new_tokens=args.max_new, seed=args.seed)
     pools = None
     if args.names:
-        pools = NamePools.from_dict(json.loads(Path(args.names).read_text(encoding="utf-8")))
+        pools = read_json(args.names, NamePools.from_dict, "name pools")
     stories = generate_batch(model, records, vocab, config)
     if pools:
         realize_rng = np.random.default_rng(args.seed)
@@ -259,45 +262,30 @@ def cmd_generate(args) -> int:
 
 def _pairs_from_hyp(hyp_path: str, dataset_path: str) -> list[EvalPair]:
     records = {rec.id: rec for rec in load_dataset(dataset_path)}
-    pairs = []
-    with open(hyp_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            error = f"{hyp_path}:{lineno}: bad hypothesis line"
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{error} ({exc})") from exc
-            if not isinstance(payload, dict):
-                raise DataError(f"{error} (not a JSON object)")
-            seq_id = payload.get("sequence_id")
-            if not isinstance(seq_id, str):
-                raise DataError(f"{error} (sequence_id must be a string, "
-                                f"got {type(seq_id).__name__})")
-            if "tokens" not in payload:
-                raise DataError(f"{error} (missing 'tokens')")
-            tokens = token_list(payload["tokens"], "tokens", error)
-            rec = records.get(seq_id)
-            if rec is None:
-                raise DataError(f"{hyp_path}:{lineno}: unknown sequence {seq_id!r}")
-            references = [metric_tokens(story_surface_tokens(story.raw_text))
-                          for story in rec.stories]
-            references = [r for r in references if r]
-            if not references:
-                raise DataError(f"{hyp_path}:{lineno}: sequence {seq_id!r} has no references")
-            pairs.append(EvalPair(hypothesis=metric_tokens(tokens), references=references))
-    if not pairs:
-        raise DataError(f"{hyp_path}: no hypotheses")
-    return pairs
+
+    def pair(payload: dict) -> EvalPair:
+        seq_id = payload.get("sequence_id")
+        if not isinstance(seq_id, str):
+            raise DataError(f"sequence_id must be a string, got {type(seq_id).__name__}")
+        tokens = token_list(payload["tokens"], "tokens")
+        rec = records.get(seq_id)
+        if rec is None:
+            raise DataError(f"unknown sequence {seq_id!r}")
+        references = [metric_tokens(story_surface_tokens(story.raw_text))
+                      for story in rec.stories]
+        references = [r for r in references if r]
+        if not references:
+            raise DataError(f"sequence {seq_id!r} has no references")
+        return EvalPair(hypothesis=metric_tokens(tokens), references=references)
+    return read_jsonl(hyp_path, pair, "hypothesis line")
 
 
 def cmd_evaluate(args) -> int:
     if args.scores:
         if not args.reference:
             raise UsageError("--scores needs --reference")
-        scores = json.loads(Path(args.scores).read_text(encoding="utf-8"))
-        report = aggregate_runs(scores, args.reference)
+        report = read_json(args.scores, lambda scores: aggregate_runs(scores, args.reference),
+                           "scores")
         text = _json_dump(report.to_dict()) if args.format == "json" \
             else metrics_mod.report_text(report)
         _emit(text, args.out)
@@ -383,23 +371,15 @@ def _flatten_report(payload: dict, indent: int = 0) -> str:
 
 
 def cmd_plan(args) -> int:
-    lines = Path(args.workers).read_text(encoding="utf-8").splitlines()
-    header = "worker_id,acceptance_rate,avg_quality,accepted,n_w"
-    if not lines or [c.strip() for c in lines[0].split(",")] != header.split(","):
-        raise DataError(f"{args.workers}: expected header '{header}'")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 5:
-            raise DataError(f"{args.workers}:{lineno}: expected 5 fields")
+    def row(fields: list[str]) -> dict:
         stats = analytics.WorkerStats(
-            worker_id=parts[0], acceptance_rate=float(parts[1]),
-            avg_quality=float(parts[2]), accepted=int(parts[3]), n_w=int(parts[4]))
-        rows.append({"worker_id": stats.worker_id,
-                     "qualified": analytics.qualify(stats),
-                     "review_sample": analytics.plan_review_sample(stats)})
+            worker_id=fields[0], acceptance_rate=float(fields[1]),
+            avg_quality=float(fields[2]), accepted=int(fields[3]), n_w=int(fields[4]))
+        return {"worker_id": stats.worker_id,
+                "qualified": analytics.qualify(stats),
+                "review_sample": analytics.plan_review_sample(stats)}
+    rows = read_csv(args.workers, "worker_id,acceptance_rate,avg_quality,accepted,n_w",
+                    row, "worker row")
     if args.format == "json":
         _emit(_json_dump(rows), args.out)
     else:
@@ -430,13 +410,18 @@ def run(argv: list[str] | None = None) -> int:
         idx = argv.index("--config")
         if idx + 1 >= len(argv):
             raise UsageError("--config needs a file argument")
-        raw_defaults = _read_config_file(argv[idx + 1])
+        config = argv[idx + 1]
+        raw_defaults = _read_config_file(config)
         for command in commands.values():
             coerced = {}
             for action in command._actions:
                 if action.dest in raw_defaults:
                     value = raw_defaults[action.dest]
-                    coerced[action.dest] = action.type(value) if action.type else value
+                    try:
+                        value = action.type(value) if action.type else value
+                    except (ValueError, UsageError) as exc:
+                        raise UsageError(f"{config}: bad {action.dest} {value!r} ({exc})") from exc
+                    coerced[action.dest] = value
                     action.required = False  # the config file satisfied it
             command.set_defaults(**coerced)
     args = parser.parse_args(argv)
@@ -453,10 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -118,21 +118,8 @@ def story_surface_tokens(raw_text: str) -> list[str]:
 
 def load_gender_table(path: str | Path) -> dict[str, tuple[int, int]]:
     """Parse the name statistics file: header then name,male_count,female_count."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["name", "male_count", "female_count"]:
-        raise DataError(f"{path}: expected header 'name,male_count,female_count'")
-    table: dict[str, tuple[int, int]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [c.strip() for c in line.split(",")]
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 comma-separated fields")
-        try:
-            table[parts[0].lower()] = (int(parts[1]), int(parts[2]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: counts must be integers") from exc
-    return table
+    return dict(read_csv(path, "name,male_count,female_count",
+                         lambda f: (f[0].lower(), (int(f[1]), int(f[2]))), "gender table row"))
 
 
 def _gender_for(name: str, table: dict[str, tuple[int, int]], unknown_seen: int) -> str:
@@ -209,7 +196,7 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str], min_freq: int = 1):
         for i, special in enumerate(SPECIAL_TOKENS):
-            if tokens[i] != special:
+            if i >= len(tokens) or tokens[i] != special:
                 raise DataError(f"special token {special} missing from slot {i}")
         if len(set(tokens)) != len(tokens):
             raise DataError("vocabulary tokens must be unique")
@@ -287,7 +274,77 @@ def split_dataset(records: list[ImageSequenceRecord], seed: int,
     return splits
 
 
+# --- checked readers for input files ---------------------------------------
+# Every outside input file is read by one of these three. What parsing malformed
+# data raises (missing keys, wrong types, bad numbers, deep nesting) becomes a
+# DataError naming the file (and line), never a traceback.
+_BAD_INPUT = (DataError, LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+              RecursionError)
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _json_object(data: bytes) -> dict:
+    payload = json.loads(data)
+    if not isinstance(payload, dict):
+        raise DataError("not a JSON object")
+    return payload
+
+
+def _parse_lines(path, numbered_lines, parse, what: str) -> list:
+    items = []
+    for lineno, line in numbered_lines:
+        if not line.strip():
+            continue
+        try:
+            items.append(parse(line))
+        except _BAD_INPUT as exc:
+            raise DataError(f"{path}:{lineno}: bad {what} ({_reason(exc)})") from exc
+    if not items:
+        raise DataError(f"{path}: empty file (no {what})")
+    return items
+
+
+def read_jsonl(path, parse, what: str) -> list:
+    """``parse(payload)`` for every non-blank line, each a JSON object. Bytes
+    are decoded inside the check, so a line that is not UTF-8 is a bad line."""
+    with open(path, "rb") as fh:
+        return _parse_lines(path, enumerate(fh, start=1),
+                            lambda line: parse(_json_object(line)), what)
+
+
+def read_json(path, parse, what: str):
+    """``parse(payload)`` for a file holding one JSON object."""
+    try:
+        return parse(_json_object(Path(path).read_bytes()))
+    except _BAD_INPUT as exc:
+        raise DataError(f"{path}: bad {what} ({_reason(exc)})") from exc
+
+
+def read_csv(path, header: str, parse, what: str) -> list:
+    """``parse(fields)`` for every non-blank row after the required header."""
+    names = header.split(",")
+    lines = Path(path).read_bytes().splitlines()
+    if not lines or [c.strip() for c in lines[0].decode("utf-8", "replace").split(",")] != names:
+        raise DataError(f"{path}: expected header '{header}'")
+
+    def row(line: bytes):
+        fields = [c.strip() for c in line.decode("utf-8").split(",")]
+        if len(fields) != len(names):
+            raise DataError(f"expected {len(names)} comma-separated fields, got {len(fields)}")
+        return parse(fields)
+    return _parse_lines(path, enumerate(lines[1:], start=2), row, what)
+
+
 # --- JSON Lines ingest/serialization ---------------------------------------
+
+def text_field(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
 
 def _feat(vec, context: str, dim: int | None) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
@@ -295,6 +352,8 @@ def _feat(vec, context: str, dim: int | None) -> np.ndarray:
         raise DataError(f"{context}: feature vector must be 1-D")
     if dim is not None and arr.shape[0] != dim:
         raise DataError(f"{context}: feature dim {arr.shape[0]} != {dim}")
+    if np.count_nonzero(np.isfinite(arr)) < arr.shape[0]:
+        raise DataError(f"{context}: feature vector holds NaN or infinity")
     return arr
 
 
@@ -349,15 +408,16 @@ def record_from_dict(payload: dict, *, min_images: int = 5, max_images: int = 10
     stories = []
     for st in payload.get("stories") or []:
         spans = [EntitySpan(start=int(s["start"]), end=int(s["end"]),
-                            kind=s["kind"], name=s["name"])
+                            kind=text_field(s["kind"], "kind"),
+                            name=text_field(s["name"], "name"))
                  for s in st.get("entity_spans", [])]
         srl = None
         if st.get("srl") is not None:
-            srl = [SrlEvent(predicate=ev["predicate"],
+            srl = [SrlEvent(predicate=text_field(ev["predicate"], "predicate"),
                             args={k: list(v) for k, v in ev.get("args", {}).items()})
                    for ev in st["srl"]]
-        stories.append(StoryRecord(raw_text=st["raw_text"], entity_spans=spans,
-                                   srl=srl, tokens=st.get("tokens")))
+        stories.append(StoryRecord(raw_text=text_field(st["raw_text"], "raw_text"),
+                                   entity_spans=spans, srl=srl, tokens=st.get("tokens")))
     return ImageSequenceRecord(id=str(seq_id), images=images, characters=characters,
                                objects=objects, stories=stories)
 
@@ -388,27 +448,15 @@ def record_to_dict(rec: ImageSequenceRecord) -> dict:
 
 
 def load_dataset(path: str | Path, **bounds) -> list[ImageSequenceRecord]:
-    records = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            try:
-                rec = record_from_dict(payload, **bounds)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if rec.id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate sequence id {rec.id!r}")
-            seen.add(rec.id)
-            records.append(rec)
-    if not records:
-        raise DataError(f"{path}: empty dataset")
-    return records
+
+    def record(payload: dict) -> ImageSequenceRecord:
+        rec = record_from_dict(payload, **bounds)
+        if rec.id in seen:
+            raise DataError(f"duplicate sequence id {rec.id!r}")
+        seen.add(rec.id)
+        return rec
+    return read_jsonl(path, record, "record")
 
 
 def save_dataset(records: list[ImageSequenceRecord], path: str | Path) -> None:

@@ -9,11 +9,11 @@ unit-interval metrics by 100.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .corpus import read_jsonl, tokenize
 from .errors import DataError
 from .stem import stem
 
@@ -525,17 +525,16 @@ def scores_text(values: dict[str, float]) -> str:
 _JSON_NAMES = {type(None): "null", bool: "true/false", dict: "an object", list: "an array"}
 
 
-def token_list(value, what: str, error: str) -> list[str]:
+def token_list(value, what: str) -> list[str]:
     """A JSON token list as metric tokens. Each element must be a string or
     a number (written with ``str``, so ``2`` is ``"2"``); bools are not
-    numbers here. Anything else is a DataError whose message starts with
-    ``error`` and names ``what``."""
+    numbers here. Anything else is a DataError that names ``what``."""
     if not isinstance(value, list):
-        raise DataError(f"{error} ({what} must be a list, got {type(value).__name__})")
+        raise DataError(f"{what} must be a list, got {type(value).__name__}")
     for token in value:
         if isinstance(token, bool) or not isinstance(token, (str, int, float)):
             found = _JSON_NAMES.get(type(token), type(token).__name__)
-            raise DataError(f"{error} ({what} holds {found}; tokens must be strings or numbers)")
+            raise DataError(f"{what} holds {found}; tokens must be strings or numbers")
     return [str(t) for t in value]
 
 
@@ -543,38 +542,17 @@ def load_eval_pairs(path) -> list[EvalPair]:
     """JSON Lines of {id, hypothesis, references}: the hypothesis a string or
     a token list, the references a list of strings or token lists (see
     ``token_list`` for what a token list may hold)."""
-    from .corpus import tokenize
-
-    def as_tokens(value, error: str, what: str) -> list[str]:
+    def as_tokens(value, what: str) -> list[str]:
         if isinstance(value, str):
             return tokenize(value)
         if isinstance(value, list):
-            return token_list(value, what, error)
-        raise DataError(f"{error} ({what} must be a string or a list, "
-                        f"got {type(value).__name__})")
+            return token_list(value, what)
+        raise DataError(f"{what} must be a string or a list, got {type(value).__name__}")
 
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            error = f"{path}:{lineno}: bad eval pair"
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{error} ({exc})") from exc
-            if not isinstance(payload, dict):
-                raise DataError(f"{error} (not a JSON object)")
-            try:
-                hypothesis, references = payload["hypothesis"], payload["references"]
-            except KeyError as exc:
-                raise DataError(f"{error} (missing {exc})") from exc
-            if not isinstance(references, list):
-                raise DataError(f"{error} (references must be a list, "
-                                f"got {type(references).__name__})")
-            pairs.append(EvalPair(
-                hypothesis=as_tokens(hypothesis, error, "hypothesis"),
-                references=[as_tokens(r, error, "a reference") for r in references]))
-    if not pairs:
-        raise DataError(f"{path}: no eval pairs")
-    return pairs
+    def pair(payload: dict) -> EvalPair:
+        hypothesis, references = payload["hypothesis"], payload["references"]
+        if not isinstance(references, list):
+            raise DataError(f"references must be a list, got {type(references).__name__}")
+        return EvalPair(hypothesis=as_tokens(hypothesis, "hypothesis"),
+                        references=[as_tokens(r, "a reference") for r in references])
+    return read_jsonl(path, pair, "eval pair")

@@ -377,8 +377,114 @@ class TestConfigFile:
         assert summary["val"] == 2 and summary["test"] == 2
 
 
+    def test_config_key_shared_by_commands_with_other_choices(self, fixture_dir, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "vwp.cfg"
+        cfg.write_text("format=json\n")  # plan takes json; grid's --format does not
+        assert main(["--config", str(cfg), "plan",
+                     "--workers", str(fixture_dir / "workers.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["worker_id"] == "w1"
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, fixture_dir):
         proc = run_console("plan", "--workers", str(fixture_dir / "workers.csv"))
         assert proc.returncode == 0
         assert "worker_id" in proc.stdout
+
+
+def _second_line(source: Path, target: Path, mutate) -> Path:
+    """``target``: the first two lines of ``source``, the second passed
+    through ``mutate`` (a JSON value in, a JSON value out)."""
+    first, second = source.read_text().splitlines()[:2]
+    target.write_text(first + "\n" + json.dumps(mutate(json.loads(second))) + "\n")
+    return target
+
+
+def _nan_image(p):
+    image = p["images"][0]
+    return {**p, "images": [{**image, "global_feat": [float("nan")] + image["global_feat"][1:]}]
+            + p["images"][1:]}
+
+
+DATASET_PROBES = {
+    "array-line": lambda p: [1, 2],
+    "image-without-global_feat": lambda p: {**p, "images": [{"image_id": "im"}] + p["images"][1:]},
+    "images-of-ints": lambda p: {**p, "images": [1, 2, 3, 4, 5]},
+    "global_feat-string": lambda p: {
+        **p, "images": [{**im, "global_feat": "abc"} for im in p["images"]]},
+    "story-string": lambda p: {**p, "stories": ["x"]},
+    "nan-feature": _nan_image,
+}
+ANNOTATION_PROBES = {
+    "array-line": lambda p: [1],
+    "tokens-int": lambda p: {**p, "tokens": 5},
+    "srl-int": lambda p: {**p, "srl": 5},
+}
+
+
+class TestBadInputProbes:
+    """Each bad input file exits with its documented code, names the file
+    (and line) on stderr, and never ends in a traceback."""
+
+    @staticmethod
+    def _assert_reported(proc, code: int, where: str):
+        assert proc.returncode == code, proc.stderr
+        assert where in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("probe", list(DATASET_PROBES))
+    def test_bad_dataset_line_fails_prepare(self, fixture_dir, tmp_path, probe):
+        bad = _second_line(fixture_dir / "dataset.jsonl", tmp_path / "bad.jsonl",
+                           DATASET_PROBES[probe])
+        proc = run_console("prepare", "--dataset", str(bad), "--out", str(tmp_path / "out"))
+        self._assert_reported(proc, 2, f"{bad}:2: bad record")
+
+    def test_nan_feature_fails_grid(self, fixture_dir, tmp_path):
+        bad = _second_line(fixture_dir / "dataset.jsonl", tmp_path / "bad.jsonl", _nan_image)
+        proc = run_console("grid", "--dataset", str(bad), "--sequence", "fix0")
+        self._assert_reported(proc, 2, f"{bad}:2: bad record")
+        assert "NaN or infinity" in proc.stderr
+
+    @pytest.mark.parametrize("probe", list(ANNOTATION_PROBES))
+    def test_bad_annotation_line_fails_analyze(self, fixture_dir, tmp_path, probe):
+        bad = _second_line(fixture_dir / "annotations.jsonl", tmp_path / "bad.jsonl",
+                           ANNOTATION_PROBES[probe])
+        proc = run_console("analyze", "stats", "--annotations", str(bad))
+        self._assert_reported(proc, 2, f"{bad}:2: bad annotated story")
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--vocab", "[]"), ("--vocab", "{}"), ("--names", "[]")])
+    def test_bad_json_file_fails_generate(self, prepared_dir, trained_dir, tmp_path,
+                                          flag, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        files = {"--vocab": str(prepared_dir / "vocab.json"), flag: str(bad)}
+        proc = run_console("generate",
+                           "--checkpoint", str(trained_dir / "checkpoints" / "seed0-best.ckpt"),
+                           "--dataset", str(prepared_dir / "test.jsonl"),
+                           "--out", str(tmp_path / "gen.jsonl"),
+                           *[part for item in files.items() for part in item])
+        self._assert_reported(proc, 2, f"{bad}: bad ")
+        assert not (tmp_path / "gen.jsonl").exists()
+
+    @pytest.mark.parametrize("scores", [{"a": {"B-1": 5}}, {"a": {"B-1": [0.1, "x"]}}])
+    def test_bad_scores_fail_evaluate(self, tmp_path, scores):
+        bad = tmp_path / "scores.json"
+        bad.write_text(json.dumps(scores))
+        proc = run_console("evaluate", "--scores", str(bad), "--reference", "a")
+        self._assert_reported(proc, 2, f"{bad}: bad scores")
+
+    def test_bad_worker_row_fails_plan(self, tmp_path):
+        bad = tmp_path / "workers.csv"
+        bad.write_text("worker_id,acceptance_rate,avg_quality,accepted,n_w\n"
+                       "w1,abc,3.5,5,10\n")
+        proc = run_console("plan", "--workers", str(bad))
+        self._assert_reported(proc, 2, f"{bad}:2: bad worker row")
+
+    def test_config_value_of_wrong_type_is_usage_error(self, fixture_dir, tmp_path):
+        cfg = tmp_path / "vwp.cfg"
+        cfg.write_text("epochs=abc\n")
+        proc = run_console("--config", str(cfg), "plan",
+                           "--workers", str(fixture_dir / "workers.csv"))
+        self._assert_reported(proc, 1, f"{cfg}: bad epochs 'abc'")

@@ -327,3 +327,118 @@ class TestDatasetIO:
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(DataError, match="duplicate"):
             corpus.load_dataset(path)
+
+    @pytest.mark.parametrize("vector, named", [
+        (lambda p: p["images"][2]["global_feat"], "sequence s1 image im2"),
+        (lambda p: p["characters"][0]["representative_feat"], "sequence s1 character c0"),
+        (lambda p: p["objects"][0]["feat"], "sequence s1 object o0"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_feature(self, tmp_path, vector, named, value):
+        payload = self._payload()
+        vector(payload)[1] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(DataError, match=f"bad.jsonl:1: bad record \\({named}: "
+                                             "feature vector holds NaN or infinity"):
+            corpus.load_dataset(path)
+
+    def test_huge_number_feature_is_data_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(self._payload()).replace('"feat": [0.5', '"feat": [1e999') + "\n")
+        with pytest.raises(DataError, match="bad.jsonl:1: .*NaN or infinity"):
+            corpus.load_dataset(path)
+
+
+class TestReaders:
+    def test_jsonl_skips_blank_lines_and_counts_them(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
+        assert corpus.read_jsonl(path, lambda p: p["a"], "thing") == [1, 2]
+        path.write_text('{"a": 1}\n\n   \n{"a": 2}\n{"b": 3}\n')
+        with pytest.raises(DataError, match=r"x.jsonl:5: bad thing \(missing 'a'\)"):
+            corpus.read_jsonl(path, lambda p: p["a"], "thing")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("[1, 2]", "not a JSON object"),
+        ("5", "not a JSON object"),
+        ("{", "Expecting property name"),
+        pytest.param("[" * 100_000, "maximum recursion depth", id="deep-nesting"),
+        ('{"a": 1', "Expecting ',' delimiter"),
+    ])
+    def test_jsonl_line_must_be_an_object(self, tmp_path, line, reason):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n")
+        with pytest.raises(DataError, match=f"x.jsonl:2: bad thing \\({reason}"):
+            corpus.read_jsonl(path, lambda p: p, "thing")
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError, ValueError, AttributeError,
+                                       IndexError, OverflowError, DataError])
+    def test_parse_errors_name_the_line(self, tmp_path, error):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n')
+
+        def parse(payload):
+            raise error("boom")
+        with pytest.raises(DataError, match="x.jsonl:1: bad thing .*boom"):
+            corpus.read_jsonl(path, parse, "thing")
+
+    def test_programming_errors_are_not_data_errors(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n')
+
+        def parse(payload):
+            raise RuntimeError("bug")
+        with pytest.raises(RuntimeError):
+            corpus.read_jsonl(path, parse, "thing")
+
+    def test_non_utf8_line_names_its_line(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"a": "\xff"}\n')
+        with pytest.raises(DataError, match="x.jsonl:2: bad thing .*utf-8"):
+            corpus.read_jsonl(path, lambda p: p, "thing")
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n"])
+    def test_empty_file_is_data_error(self, tmp_path, text):
+        path = tmp_path / "x.jsonl"
+        path.write_text(text)
+        with pytest.raises(DataError, match="x.jsonl: empty file"):
+            corpus.read_jsonl(path, lambda p: p, "thing")
+
+    @pytest.mark.parametrize("text, reason", [
+        ("[]", "not a JSON object"),
+        ("", "Expecting value"),
+        ("{}", "missing 'a'"),
+    ])
+    def test_json_file(self, tmp_path, text, reason):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"x.json: bad thing \\({reason}"):
+            corpus.read_json(path, lambda p: p["a"], "thing")
+        path.write_text('{"a": [1]}')
+        assert corpus.read_json(path, lambda p: p["a"], "thing") == [1]
+
+    def test_csv_rows(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("k, v\na, 1\n\nb,2\n")
+        assert corpus.read_csv(path, "k,v", lambda f: (f[0], int(f[1])), "row") == [
+            ("a", 1), ("b", 2)]
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "x.csv: expected header 'k,v'"),
+        ("k,w\na,1\n", "x.csv: expected header 'k,v'"),
+        ("k,v\n", "x.csv: empty file"),
+        ("k,v\na,1\nb\n", r"x.csv:3: bad row \(expected 2 comma-separated fields, got 1\)"),
+        ("k,v\na,1\nb,x\n", r"x.csv:3: bad row \(invalid literal for int"),
+    ])
+    def test_csv_errors(self, tmp_path, text, match):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=match):
+            corpus.read_csv(path, "k,v", lambda f: (f[0], int(f[1])), "row")
+
+    def test_gender_table_bad_count_names_its_line(self, tmp_path):
+        path = tmp_path / "names.csv"
+        path.write_text("name,male_count,female_count\nJohn,90,2\nMary,x,95\n")
+        with pytest.raises(DataError, match="names.csv:3: bad gender table row"):
+            load_gender_table(path)
