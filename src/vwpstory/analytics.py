@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import combinations
 
-from .corpus import read_jsonl, text_field
+from .corpus import placeholder_kind, read_jsonl, text_field
 from .errors import DataError
 
 ROLES = ("S", "O", "X", "-")
@@ -21,6 +21,7 @@ GROUNDEDNESS_KINDS = ("event", "argument")
 GROUNDEDNESS_LABELS = ("Grounded", "Inferred", "Hallucinated")
 ARG_ROLES = ("arg0", "arg1", "arg2", "arg-loc")
 JACCARD_ROLES = ("predicates", "characters", "arguments") + ARG_ROLES
+PREDICATE_NGRAM_ORDERS = (1, 2, 3)
 
 
 @dataclass
@@ -192,13 +193,13 @@ def event_diversity(stories: list[SRLStory], token_streams: list[list[str]]) -> 
     )
 
 
-def predicate_ngram_diversity(stories: list[SRLStory],
-                              orders: tuple[int, ...] = (1, 2, 3)) -> dict[int, float]:
-    """unique:total ratio of predicate n-grams; n-grams never cross stories."""
+def predicate_ngram_diversity(stories: list[SRLStory]) -> dict[int, float]:
+    """unique:total ratio of predicate n-grams for each of PREDICATE_NGRAM_ORDERS;
+    n-grams never cross stories."""
     if not stories:
         raise DataError("predicate_ngram_diversity: empty corpus")
     out: dict[int, float] = {}
-    for n in orders:
+    for n in PREDICATE_NGRAM_ORDERS:
         seen: set[tuple[str, ...]] = set()
         total = 0
         for story in stories:
@@ -305,7 +306,7 @@ class AnnotatedStory:
 
 def _derive_characters(tokens: list[str]) -> set[str]:
     # anonymized corpora carry characters as [maleK]/[femaleK] placeholders
-    return {t for t in tokens if t.startswith(("[male", "[female")) and t.endswith("]")}
+    return {t for t in tokens if placeholder_kind(t) in ("male", "female")}
 
 
 def corpus_stats(stories: list[AnnotatedStory]) -> dict:

@@ -153,17 +153,3 @@ def grid_heat_table(grid: CharacterGrid) -> str:
     lines.append(f"shade scale (low to high): {' '.join(SHADE_CHARS)}")
     return "\n".join(lines) + "\n"
 
-
-def parse_grid_csv(text: str) -> CharacterGrid:
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    if header[0] != "image_id":
-        raise DataError("grid CSV must start with an image_id column")
-    column_ids = header[1:]
-    image_ids, rows = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        image_ids.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
-    values = np.asarray(rows, dtype=np.float64).reshape(len(image_ids), len(column_ids))
-    return CharacterGrid(values=values, image_ids=image_ids, column_ids=column_ids)

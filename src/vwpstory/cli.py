@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,11 @@ def _load_prepared(directory: str):
     for split in ("train", "val", "test"):
         path = base / f"{split}.jsonl"
         splits[split] = load_dataset(path) if path.exists() and path.stat().st_size else []
+        for rec in splits[split]:
+            for story in rec.stories:
+                if story.tokens and max(story.tokens) >= len(vocab):
+                    raise DataError(f"{path}: sequence {rec.id}: token id {max(story.tokens)} "
+                                    f"outside the {len(vocab)}-token vocabulary")
     return vocab, splits
 
 
@@ -224,12 +230,12 @@ def cmd_train(args) -> int:
         n_layers=args.n_layers, n_heads=args.n_heads, d_ff=args.d_ff,
         t_max=args.t_max, feature_set=args.features, grid_mode=args.grid_mode,
         dropout=args.dropout)
+    defaults = TrainConfig()
     train_cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
         seeds=args.seeds, checkpoint_dir=Path(args.out) / "checkpoints",
-        val_decoding=DecodingConfig(mode="nucleus", p=args.p,
-                                    max_new_tokens=args.max_new, seed=9999),
-        test_decoding=DecodingConfig(mode="greedy", max_new_tokens=args.max_new))
+        val_decoding=replace(defaults.val_decoding, p=args.p, max_new_tokens=args.max_new),
+        test_decoding=replace(defaults.test_decoding, max_new_tokens=args.max_new))
     result = fit(train_cfg, splits, model_cfg, vocab)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,9 +303,10 @@ def cmd_evaluate(args) -> int:
     else:
         raise UsageError("evaluate needs --pairs, or --hyp with --dataset, or --scores")
     names = list(args.metrics)
-    if len(pairs) < 2 and "CIDEr" in names and len(names) > 1:
-        names.remove("CIDEr")  # CIDEr alone on one pair reports why it cannot run
     values = compute_metrics(pairs, names)
+    if "CIDEr" in names and "CIDEr" not in values:
+        print(f"note: CIDEr left out: its IDF needs at least 2 pairs, got {len(pairs)}",
+              file=sys.stderr)
     if args.format == "json":
         scaled = {name: values[name] * metrics_mod.REPORT_SCALE.get(name, 1.0)
                   for name in values}

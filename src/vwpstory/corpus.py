@@ -25,6 +25,10 @@ MALE_PLACEHOLDERS = [f"[male{i}]" for i in range(PLACEHOLDER_SLOTS)]
 FEMALE_PLACEHOLDERS = [f"[female{i}]" for i in range(PLACEHOLDER_SLOTS)]
 SPECIAL_TOKENS = [PAD, BOS, EOS, UNK, SENT, LOCATION] + MALE_PLACEHOLDERS + FEMALE_PLACEHOLDERS
 
+# images per sequence and characters per sequence a record may hold
+MIN_IMAGES, MAX_IMAGES = 5, 10
+MAX_CHARACTERS = PLACEHOLDER_SLOTS
+
 # placeholders intact, then words, then single punctuation marks
 _TOKEN_RE = re.compile(r"\[[a-z][a-z0-9]*\]|[a-z0-9]+|[^\sa-z0-9]")
 
@@ -97,6 +101,18 @@ class AnonymizationMap:
     persons: dict[str, str] = field(default_factory=dict)  # placeholder -> name
     genders: dict[str, str] = field(default_factory=dict)  # placeholder -> gender
     locations: list[str] = field(default_factory=list)
+
+
+def placeholder_kind(token: str) -> str | None:
+    """"male", "female" or "location" for a placeholder token, else None.
+    Any bracketed [male...] or [female...] token counts, not only the
+    numbered slots."""
+    if token == LOCATION:
+        return "location"
+    for gender in ("male", "female"):
+        if token.startswith(f"[{gender}") and token.endswith("]"):
+            return gender
+    return None
 
 
 def tokenize(text: str) -> list[str]:
@@ -357,15 +373,34 @@ def _feat(vec, context: str, dim: int | None) -> np.ndarray:
     return arr
 
 
-def record_from_dict(payload: dict, *, min_images: int = 5, max_images: int = 10,
-                     max_characters: int = PLACEHOLDER_SLOTS) -> ImageSequenceRecord:
+def _story_tokens(value, ctx: str) -> list[int] | None:
+    """A story's ``tokens``: null, or a list of non-negative int ids (bools
+    are not ids). The type and sign checks run at C speed, once per story."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not set(map(type, value)) <= {int} \
+            or (value and min(value) < 0):
+        raise DataError(f"{ctx}: tokens must be null or a list of non-negative integer ids")
+    return value
+
+
+def _entity_span(span: dict, text: str, ctx: str) -> EntitySpan:
+    start, end = int(span["start"]), int(span["end"])
+    if not 0 <= start < end <= len(text):
+        raise DataError(f"{ctx}: entity span {start}..{end} outside the "
+                        f"{len(text)}-character story or empty")
+    return EntitySpan(start=start, end=end, kind=text_field(span["kind"], "kind"),
+                      name=text_field(span["name"], "name"))
+
+
+def record_from_dict(payload: dict) -> ImageSequenceRecord:
     seq_id = payload.get("id")
     if not seq_id:
         raise DataError("record missing 'id'")
     ctx = f"sequence {seq_id}"
     images_raw = payload.get("images") or []
-    if not min_images <= len(images_raw) <= max_images:
-        raise DataError(f"{ctx}: {len(images_raw)} images outside [{min_images}, {max_images}]")
+    if not MIN_IMAGES <= len(images_raw) <= MAX_IMAGES:
+        raise DataError(f"{ctx}: {len(images_raw)} images outside [{MIN_IMAGES}, {MAX_IMAGES}]")
     dim: int | None = None
     images = []
     for img in images_raw:
@@ -374,8 +409,8 @@ def record_from_dict(payload: dict, *, min_images: int = 5, max_images: int = 10
         images.append(ImageRecord(image_id=str(img["image_id"]), global_feat=feat))
 
     characters_raw = payload.get("characters") or []
-    if len(characters_raw) > max_characters:
-        raise DataError(f"{ctx}: {len(characters_raw)} characters exceed limit {max_characters}")
+    if len(characters_raw) > MAX_CHARACTERS:
+        raise DataError(f"{ctx}: {len(characters_raw)} characters exceed limit {MAX_CHARACTERS}")
     characters = []
     for ch in characters_raw:
         instances = []
@@ -407,17 +442,15 @@ def record_from_dict(payload: dict, *, min_images: int = 5, max_images: int = 10
 
     stories = []
     for st in payload.get("stories") or []:
-        spans = [EntitySpan(start=int(s["start"]), end=int(s["end"]),
-                            kind=text_field(s["kind"], "kind"),
-                            name=text_field(s["name"], "name"))
-                 for s in st.get("entity_spans", [])]
+        raw_text = text_field(st["raw_text"], "raw_text")
+        spans = [_entity_span(s, raw_text, ctx) for s in st.get("entity_spans", [])]
         srl = None
         if st.get("srl") is not None:
             srl = [SrlEvent(predicate=text_field(ev["predicate"], "predicate"),
                             args={k: list(v) for k, v in ev.get("args", {}).items()})
                    for ev in st["srl"]]
-        stories.append(StoryRecord(raw_text=text_field(st["raw_text"], "raw_text"),
-                                   entity_spans=spans, srl=srl, tokens=st.get("tokens")))
+        stories.append(StoryRecord(raw_text=raw_text, entity_spans=spans, srl=srl,
+                                   tokens=_story_tokens(st.get("tokens"), ctx)))
     return ImageSequenceRecord(id=str(seq_id), images=images, characters=characters,
                                objects=objects, stories=stories)
 
@@ -447,11 +480,11 @@ def record_to_dict(rec: ImageSequenceRecord) -> dict:
     }
 
 
-def load_dataset(path: str | Path, **bounds) -> list[ImageSequenceRecord]:
+def load_dataset(path: str | Path) -> list[ImageSequenceRecord]:
     seen: set[str] = set()
 
     def record(payload: dict) -> ImageSequenceRecord:
-        rec = record_from_dict(payload, **bounds)
+        rec = record_from_dict(payload)
         if rec.id in seen:
             raise DataError(f"duplicate sequence id {rec.id!r}")
         seen.add(rec.id)

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary
+from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind
 from .errors import ConfigError, NumericError, ResourceError
 from .model import (
+    EVAL_SLICE,
     KVCache,
     StoryGenModel,
     assemble_batch,
@@ -35,9 +36,6 @@ from .numerics import no_grad, softmax_rows
 
 NO_SPACE_BEFORE = {".", ",", "!", "?", ";", ":", "'", ")", "]", "%", "…"}
 NO_SPACE_AFTER = {"(", "[", "'"}
-
-# records per decode step batch, as in held-out scoring
-DECODE_SLICE = 16
 
 
 @dataclass
@@ -105,7 +103,7 @@ def generate_batch(model: StoryGenModel, seqs: list, vocab: Vocabulary,
 
     Each record's conditioning (stacked features, entity rows, flattened
     grid) is assembled once, so its grid is computed once. Records with the
-    same prefix width decode together, in slices of ``DECODE_SLICE`` (see
+    same prefix width decode together, in slices of ``EVAL_SLICE`` (see
     ``_decode_slice``). Greedy picks the argmax (ties to the lowest id);
     nucleus samples from the softmax with a generator seeded with the config
     seed for each record, so a record's story does not depend on the others.
@@ -117,8 +115,8 @@ def generate_batch(model: StoryGenModel, seqs: list, vocab: Vocabulary,
         by_width.setdefault(layout.width, []).append(index)
     stories: list = [None] * len(seqs)
     for group in by_width.values():
-        for start in range(0, len(group), DECODE_SLICE):
-            members = group[start:start + DECODE_SLICE]
+        for start in range(0, len(group), EVAL_SLICE):
+            members = group[start:start + EVAL_SLICE]
             decoded = _decode_slice(model, [layouts[i] for i in members], vocab, config, budget)
             for index, ids in zip(members, decoded):
                 tokens = vocab.decode(ids)
@@ -198,16 +196,6 @@ class NamePools:
                    location=list(payload.get("location", [])))
 
 
-def _placeholder_kind(token: str) -> str | None:
-    if token == "[location]":
-        return "location"
-    if token.startswith("[male") and token.endswith("]"):
-        return "male"
-    if token.startswith("[female") and token.endswith("]"):
-        return "female"
-    return None
-
-
 def realize(tokens: list[str], names: NamePools, rng: np.random.Generator) -> str:
     """Swap placeholders for sampled names (consistent per placeholder,
     without replacement per pool) and detokenize for display."""
@@ -216,7 +204,7 @@ def realize(tokens: list[str], names: NamePools, rng: np.random.Generator) -> st
     assigned: dict[str, str] = {}
     realized: list[str] = []
     for token in tokens:
-        kind = _placeholder_kind(token)
+        kind = placeholder_kind(token)
         if kind is None:
             realized.append(token)
             continue

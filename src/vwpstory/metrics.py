@@ -313,11 +313,11 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(pairs: list[EvalPair], beta: float = ROUGE_BETA) -> float:
-    """Mean over pairs of the best-reference LCS F-score."""
+def rouge_l(pairs: list[EvalPair]) -> float:
+    """Mean over pairs of the best-reference LCS F-score (beta ROUGE_BETA)."""
     if not pairs:
         raise DataError("rouge_l: empty corpus")
-    beta2 = beta * beta
+    beta2 = ROUGE_BETA * ROUGE_BETA
     scores = []
     for pair in pairs:
         best = 0.0
@@ -391,13 +391,20 @@ def cider(pairs: list[EvalPair], max_n: int = CIDER_MAX_N) -> float:
 
 def compute_metrics(pairs: list[EvalPair], names: list[str] | None = None) -> dict[str, float]:
     """All requested metrics on their internal scales; ``None`` asks for
-    every name in METRIC_NAMES. BLEU and CIDEr share one n-gram pass."""
+    every name in METRIC_NAMES. BLEU and CIDEr share one n-gram pass.
+
+    CIDEr's IDF needs at least two pairs: on fewer, CIDEr is left out of the
+    result when other metrics are requested, and asked for alone it raises.
+    """
     if names is None:
         names = METRIC_NAMES
     unknown = [name for name in names if name not in METRIC_NAMES]
     if unknown or not names:
         what = repr(unknown[0]) if unknown else "list []"
         raise DataError(f"unknown metric {what}; expected names from {', '.join(METRIC_NAMES)}")
+    others = [name for name in names if name != "CIDEr"]
+    if len(pairs) < 2 and others:
+        names = others
     orders = [int(name[2:]) for name in names if name.startswith("B-")]
     with_cider = "CIDEr" in names
     if with_cider:
@@ -477,6 +484,11 @@ def aggregate_runs(scores: dict[str, dict[str, list[float]]],
         for metric, values in metrics.items():
             if not values:
                 raise DataError(f"{system}/{metric}: no per-seed scores")
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                        or not math.isfinite(value):
+                    raise DataError(f"{system}/{metric}: per-seed score {value!r} "
+                                    "is not a finite number")
     stats = {system: {metric: mean_std(values) for metric, values in metrics.items()}
              for system, metrics in scores.items()}
     report = MetricReport(reference=reference)
@@ -492,9 +504,14 @@ def aggregate_runs(scores: dict[str, dict[str, list[float]]],
     return report
 
 
+def _display_order(name: str) -> tuple[int, str]:
+    """Sort key: METRIC_NAMES in their order, then any other name by name."""
+    return (METRIC_NAMES.index(name) if name in METRIC_NAMES else len(METRIC_NAMES), name)
+
+
 def report_text(report: MetricReport) -> str:
     metric_names = sorted({m for stats in report.systems.values() for m in stats},
-                          key=lambda m: (METRIC_NAMES.index(m) if m in METRIC_NAMES else 99, m))
+                          key=_display_order)
     width = max([len(s) for s in report.systems] + [len("system")])
     header = "system".ljust(width) + "".join(f"  {m:>14}" for m in metric_names)
     lines = [header, "-" * len(header)]
@@ -516,7 +533,7 @@ def report_text(report: MetricReport) -> str:
 
 def scores_text(values: dict[str, float]) -> str:
     lines = []
-    for name in sorted(values, key=lambda m: (METRIC_NAMES.index(m) if m in METRIC_NAMES else 99, m)):
+    for name in sorted(values, key=_display_order):
         scale = REPORT_SCALE.get(name, 1.0)
         lines.append(f"{name:>8}  {values[name] * scale:8.2f}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import io
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,14 @@ FEATURES = ("global", "char", "obj")
 SEG_IMAGE, SEG_CHAR, SEG_GRID, SEG_TEXT = 0, 1, 2, 3
 
 CHECKPOINT_MAGIC = b"VWPCKPT1"
+
+# sequences per no-grad forward, in held-out scoring and in decoding: the
+# planted run's batch size
+EVAL_SLICE = 16
+
+# how canonical_text's value of a field (by its annotation) is read back
+_FIELD_PARSERS = {"int": int, "float": float, "str": str,
+                  "tuple[str, ...]": lambda text: tuple(text.split(","))}
 
 
 @dataclass(frozen=True)
@@ -81,14 +89,14 @@ class ModelConfig:
         return self.n_max + self.m_max + self.o_max + 2 + self.t_max
 
     def canonical_text(self) -> str:
-        fields = {
-            "d_ff": self.d_ff, "d_model": self.d_model, "dropout": repr(self.dropout),
-            "feat_dim": self.feat_dim, "feature_set": ",".join(self.feature_set),
-            "grid_mode": self.grid_mode, "m_max": self.m_max, "n_heads": self.n_heads,
-            "n_layers": self.n_layers, "n_max": self.n_max, "o_max": self.o_max,
-            "seed": self.seed, "t_max": self.t_max, "vocab_size": self.vocab_size,
-        }
-        return "".join(f"{k}={fields[k]}\n" for k in sorted(fields))
+        """One ``name=value`` line per field, sorted by name: a tuple
+        comma-joined, any other value by ``str`` (a float's shortest repr)."""
+        lines = []
+        for f in sorted(fields(self), key=lambda f: f.name):
+            value = getattr(self, f.name)
+            text = ",".join(value) if isinstance(value, tuple) else str(value)
+            lines.append(f"{f.name}={text}\n")
+        return "".join(lines)
 
     @classmethod
     def from_canonical_text(cls, text: str) -> "ModelConfig":
@@ -97,19 +105,10 @@ class ModelConfig:
             if line.strip():
                 key, _, value = line.partition("=")
                 raw[key] = value
-        try:
-            return cls(
-                vocab_size=int(raw["vocab_size"]), feat_dim=int(raw["feat_dim"]),
-                d_model=int(raw["d_model"]), n_layers=int(raw["n_layers"]),
-                n_heads=int(raw["n_heads"]), d_ff=int(raw["d_ff"]),
-                t_max=int(raw["t_max"]), n_max=int(raw["n_max"]),
-                m_max=int(raw["m_max"]), o_max=int(raw["o_max"]),
-                feature_set=tuple(raw["feature_set"].split(",")),
-                grid_mode=raw["grid_mode"], dropout=float(raw["dropout"]),
-                seed=int(raw["seed"]),
-            )
-        except KeyError as exc:
-            raise DataError(f"checkpoint config missing field {exc}") from exc
+        missing = [f.name for f in fields(cls) if f.name not in raw]
+        if missing:
+            raise DataError(f"checkpoint config missing field {missing[0]!r}")
+        return cls(**{f.name: _FIELD_PARSERS[f.type](raw[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -175,10 +174,6 @@ def build_model(config: ModelConfig) -> StoryGenModel:
             data = np.zeros(shape)
         store.add(name, data)
     return StoryGenModel(config=config, store=store)
-
-
-def parameter_count(config: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in _param_spec(config))
 
 
 @dataclass

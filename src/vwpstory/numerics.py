@@ -32,6 +32,7 @@ Array = np.ndarray
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+LAYER_NORM_EPS = 1e-5
 
 
 class _GradMode:
@@ -277,7 +278,7 @@ def softmax(logits: Tensor) -> Tensor:
     return Tensor(y, parents=(logits,), grad_fn=grad_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift.
 
     Forward and backward work in place where they can: on a batch these
@@ -287,7 +288,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     # np.var's own steps on the centred rows: square, sum, divide by d
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out = xhat * gd
     out += beta.data

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -210,7 +211,9 @@ class TestTrainGenerateEvaluate:
         assert main(["evaluate", "--pairs", str(pairs), "--metrics", "CIDEr"]) == 2
         assert "cider: needs a corpus of at least 2 pairs" in capsys.readouterr().err
         assert main(["evaluate", "--pairs", str(pairs), "--metrics", "B-1,CIDEr"]) == 0
-        assert "B-1" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "B-1" in captured.out and "CIDEr" not in captured.out
+        assert captured.err == "note: CIDEr left out: its IDF needs at least 2 pairs, got 1\n"
 
     def test_evaluate_hyp_against_dataset(self, prepared_dir, trained_dir, tmp_path, capsys):
         ckpt = trained_dir / "checkpoints" / "seed0-best.ckpt"
@@ -415,6 +418,10 @@ DATASET_PROBES = {
         **p, "images": [{**im, "global_feat": "abc"} for im in p["images"]]},
     "story-string": lambda p: {**p, "stories": ["x"]},
     "nan-feature": _nan_image,
+    "span-past-story-end": lambda p: {**p, "stories": [
+        {**p["stories"][0], "entity_spans": [
+            {"start": 0, "end": len(p["stories"][0]["raw_text"]) + 1,
+             "kind": "person", "name": "x"}]}] + p["stories"][1:]},
 }
 ANNOTATION_PROBES = {
     "array-line": lambda p: [1],
@@ -468,12 +475,30 @@ class TestBadInputProbes:
         self._assert_reported(proc, 2, f"{bad}: bad ")
         assert not (tmp_path / "gen.jsonl").exists()
 
-    @pytest.mark.parametrize("scores", [{"a": {"B-1": 5}}, {"a": {"B-1": [0.1, "x"]}}])
+    @pytest.mark.parametrize("scores", [
+        {"a": {"B-1": 5}}, {"a": {"B-1": [0.1, "x"]}},
+        {"a": {"B-1": [True, float("nan")]}, "b": {"B-1": [0.1, 0.2]}},
+        {"a": {"B-1": [0.1]}, "b": {"B-1": [0.1, float("inf")]}}])
     def test_bad_scores_fail_evaluate(self, tmp_path, scores):
         bad = tmp_path / "scores.json"
         bad.write_text(json.dumps(scores))
         proc = run_console("evaluate", "--scores", str(bad), "--reference", "a")
         self._assert_reported(proc, 2, f"{bad}: bad scores")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["x", 99999], "tokens must be null or a list of non-negative integer ids"),
+        ([4, 99999], "token id 99999 outside the"),
+    ])
+    def test_bad_prepared_tokens_fail_train(self, prepared_dir, tmp_path, tokens, message):
+        bad = tmp_path / "prepared"
+        shutil.copytree(prepared_dir, bad)
+        _second_line(prepared_dir / "train.jsonl", bad / "train.jsonl",
+                     lambda p: {**p, "stories": [{**p["stories"][0], "tokens": tokens}]})
+        proc = run_console("train", "--dataset", str(bad), "--out", str(tmp_path / "out"),
+                           "--epochs", "1", "--seeds", "0")
+        self._assert_reported(proc, 2, str(bad / "train.jsonl"))
+        assert message in proc.stderr
 
     def test_bad_worker_row_fails_plan(self, tmp_path):
         bad = tmp_path / "workers.csv"

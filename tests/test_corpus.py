@@ -28,6 +28,13 @@ from vwpstory.errors import CapacityError, DataError
 GENDERS = {"john": (90, 2), "jack": (80, 1), "mary": (1, 95), "sam": (50, 50)}
 
 
+@pytest.mark.parametrize("token, kind", [
+    ("[male0]", "male"), ("[female4]", "female"), ("[male7]", "male"),
+    ("[location]", "location"), ("[sent]", None), ("[male", None), ("john", None)])
+def test_placeholder_kind(token, kind):
+    assert corpus.placeholder_kind(token) == kind
+
+
 class TestTokenize:
     def test_punctuation_split(self):
         assert tokenize("Hello, world!") == ["hello", ",", "world", "!"]
@@ -348,6 +355,29 @@ class TestDatasetIO:
         path.write_text(json.dumps(self._payload()).replace('"feat": [0.5', '"feat": [1e999') + "\n")
         with pytest.raises(DataError, match="bad.jsonl:1: .*NaN or infinity"):
             corpus.load_dataset(path)
+
+    def test_story_tokens_are_null_or_non_negative_int_ids(self):
+        payload = self._payload()
+        # the upper bound needs the vocabulary, so the loader leaves it to vwp train
+        for tokens in (None, [], [0, 7, 99999]):
+            payload["stories"][0]["tokens"] = tokens
+            assert corpus.record_from_dict(payload).stories[0].tokens == tokens
+        for tokens in (["x", 99999], [1, True], [3, -1], [1.0], "12", {"a": 1}):
+            payload["stories"][0]["tokens"] = tokens
+            with pytest.raises(DataError, match="sequence s1: tokens must be null or a list of "
+                                                "non-negative integer ids"):
+                corpus.record_from_dict(payload)
+
+    def test_entity_spans_lie_inside_the_story(self):
+        payload = self._payload()  # raw text "John ran.\nHe hid." has 17 characters
+        span = payload["stories"][0]["entity_spans"][0]
+        span.update(start=13, end=17)
+        assert corpus.record_from_dict(payload).stories[0].entity_spans[0].end == 17
+        for start, end in ((-1, 4), (4, 4), (5, 4), (0, 18), (17, 99)):
+            span.update(start=start, end=end)
+            with pytest.raises(DataError, match=f"sequence s1: entity span {start}..{end} "
+                                                "outside the 17-character story or empty"):
+                corpus.record_from_dict(payload)
 
 
 class TestReaders:

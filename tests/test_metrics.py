@@ -544,6 +544,13 @@ class TestAggregateRuns:
             {"ours": {"B-1": [0.5]}, "base": {"B-1": [0.5]}}, reference="base")
         assert report.systems["ours"]["B-1"].band == ""
 
+    @pytest.mark.parametrize("value", [True, float("nan"), float("inf"), "0.5", None])
+    def test_score_must_be_a_finite_number(self, value):
+        with pytest.raises(DataError, match=f"ours/B-1: per-seed score {value!r} "
+                                            "is not a finite number"):
+            aggregate_runs({"base": {"B-1": [0.5]}, "ours": {"B-1": [0.5, value]}},
+                           reference="base")
+
     def test_single_seed_std_zero(self):
         report = aggregate_runs({"s": {"METEOR": [0.4]}}, reference="s")
         assert report.systems["s"]["METEOR"].std == 0.0
@@ -626,6 +633,15 @@ class TestSuite:
     def test_none_means_every_metric(self):
         values = compute_metrics([pair(["a"], ["a"]), pair(["b"], ["b"])], None)
         assert list(values) == METRIC_NAMES
+
+    def test_one_pair_leaves_cider_out_unless_it_is_alone(self):
+        one = [pair(["a", "b"], ["a", "b"])]
+        for names in (None, ["B-1", "CIDEr"], ["CIDEr", "METEOR", "CIDEr"]):
+            values = compute_metrics(one, names)
+            assert list(values) == [n for n in names or METRIC_NAMES if n != "CIDEr"]
+        for names in (["CIDEr"], ["CIDEr", "CIDEr"]):
+            with pytest.raises(DataError, match="cider: needs a corpus of at least 2 pairs"):
+                compute_metrics(one, names)
 
     @settings(max_examples=150, deadline=None)
     @given(eval_pairs_st, metric_names_st)

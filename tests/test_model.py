@@ -22,7 +22,6 @@ from vwpstory.model import (
     build_model,
     forward_logits,
     load_checkpoint,
-    parameter_count,
     save_checkpoint,
     story_loss,
     story_losses,
@@ -117,7 +116,6 @@ class TestBuildModel:
             + 2 * d                          # final layer norm
             + (d * v + v)                   # output projection
         )
-        assert parameter_count(cfg) == expected
         model = build_model(cfg)
         assert model.store.n_parameters() == expected
 

@@ -13,6 +13,7 @@ from vwpstory.corpus import prepare_records
 from vwpstory.decoding import DecodingConfig
 from vwpstory.errors import ConfigError, DataError, NumericError, TrainingError
 from vwpstory.model import (
+    EVAL_SLICE,
     ModelConfig,
     assemble_input,
     build_model,
@@ -94,7 +95,7 @@ class TestTrainEpoch:
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
         model.store["out.w"].data[:] = 1e308  # force an overflow downstream
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError), pytest.warns(RuntimeWarning):
             train_epoch(model, prepared.splits["train"], prepared.vocab,
                         tiny_train_config(), seed=0, epoch=1)
 
@@ -332,7 +333,7 @@ class TestBatchedEvaluation:
     def test_eval_set_is_mixed(self, mixed_eval_set):
         _, records, _ = mixed_eval_set
         examples = training.training_examples(records)
-        assert len(examples) % training._EVAL_SLICE != 0
+        assert len(examples) % EVAL_SLICE != 0
         assert len({len(tokens) for _, tokens in examples}) == 18
 
     def test_held_out_loss_is_mean_of_story_losses(self, mixed_eval_set):
@@ -366,18 +367,13 @@ class TestTrainConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
-        ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
-        ("beta2", -0.1), ("beta2", 1.0), ("beta2", math.nan),
-        ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", math.nan), ("adam_eps", math.inf),
-        ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", math.nan),
-        ("clip_norm", math.inf),
     ])
     def test_bad_optimizer_setting_is_config_error(self, field, value):
         with pytest.raises(ConfigError, match=field):
             tiny_train_config(**{field: value})
 
-    def test_zero_lr_and_zero_betas_are_valid(self):
-        tiny_train_config(lr=0.0, beta1=0.0, beta2=0.0)
+    def test_zero_lr_is_valid(self):
+        tiny_train_config(lr=0.0)
 
 
 class TestGridComparisonSmoke:
