@@ -384,8 +384,17 @@ def _story_tokens(value, ctx: str) -> list[int] | None:
     return value
 
 
+def _json_int(value, what: str, ctx: str) -> int:
+    """A JSON integer: a float, a numeric string or true/false is a DataError
+    rather than a value to convert."""
+    if type(value) is not int:
+        raise DataError(f"{ctx}: {what} must be an integer, got {value!r}")
+    return value
+
+
 def _entity_span(span: dict, text: str, ctx: str) -> EntitySpan:
-    start, end = int(span["start"]), int(span["end"])
+    start = _json_int(span["start"], "entity span start", ctx)
+    end = _json_int(span["end"], "entity span end", ctx)
     if not 0 <= start < end <= len(text):
         raise DataError(f"{ctx}: entity span {start}..{end} outside the "
                         f"{len(text)}-character story or empty")
@@ -415,12 +424,15 @@ def record_from_dict(payload: dict) -> ImageSequenceRecord:
     for ch in characters_raw:
         instances = []
         for inst in ch.get("instances", []):
-            idx = int(inst["image_index"])
+            idx = _json_int(inst["image_index"], "image_index", ctx)
             if not 0 <= idx < len(images):
                 raise DataError(f"{ctx} character {ch.get('char_id')}: image_index {idx} out of range")
+            bbox = inst.get("bbox", [0, 0, 0, 0])
+            if not isinstance(bbox, list) or len(bbox) != 4:
+                raise DataError(f"{ctx}: bbox must be a list of 4 integers, got {bbox!r}")
             instances.append(CharacterInstance(
                 image_index=idx,
-                bbox=tuple(int(b) for b in inst.get("bbox", (0, 0, 0, 0))),
+                bbox=tuple(_json_int(b, "bbox value", ctx) for b in bbox),
                 sharpness=float(inst.get("sharpness", 0.0)),
             ))
         gender = ch.get("gender", "unknown")

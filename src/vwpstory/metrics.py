@@ -152,11 +152,23 @@ def _stem_table(pairs: list[EvalPair]) -> dict[str, str]:
 
 def _stage_sizes(hyp: list[str], ref: list[str], stems: dict[str, str]) -> tuple[int, int]:
     """Sizes of the exact-stage and residual stem-stage maximum matchings."""
-    h_counts, r_counts = Counter(hyp), Counter(ref)
-    exact = sum((h_counts & r_counts).values())
-    resid_h = Counter(stems[w] for w in (h_counts - r_counts).elements())
-    resid_r = Counter(stems[w] for w in (r_counts - h_counts).elements())
-    stemmed = sum((resid_h & resid_r).values())
+    surplus: dict[str, int] = {}  # hypothesis count minus reference count, per word
+    for w in hyp:
+        surplus[w] = surplus.get(w, 0) + 1
+    exact = 0
+    for w in ref:
+        n = surplus.get(w, 0)
+        if n > 0:
+            exact += 1
+        surplus[w] = n - 1
+    resid_h: dict[str, int] = {}
+    resid_r: dict[str, int] = {}
+    for w, n in surplus.items():
+        if n > 0:
+            resid_h[stems[w]] = resid_h.get(stems[w], 0) + n
+        elif n < 0:
+            resid_r[stems[w]] = resid_r.get(stems[w], 0) - n
+    stemmed = sum(min(n, resid_r.get(s, 0)) for s, n in resid_h.items())
     return exact, stemmed
 
 
@@ -209,11 +221,19 @@ def _min_chunk_alignment(hyp: list[str], ref: list[str],
 
     ``stems`` maps every word of both sides to its stem. Candidate pairs are
     the reference positions sharing a hypothesis word's stem, exact ones
-    flagged. With at most METEOR_EXHAUSTIVE_LIMIT matches a branch-and-bound
-    search finds the minimum chunk count; it stops after _SEARCH_NODE_BUDGET
-    nodes against degenerate duplicate-heavy inputs and keeps the best count
-    found so far, or the greedy count if it found none. Above the limit the
-    in-order greedy assignment is used. ``search`` on the result records
+    flagged. The in-order greedy assignment always reaches the stage-maximal
+    counts, so its chunk count bounds the minimum from above; above
+    METEOR_EXHAUSTIVE_LIMIT matches it is the result. Otherwise a
+    branch-and-bound search looks for strictly fewer chunks. It cuts a node
+    when its chunks plus a lower bound on the chunks still to come reach the
+    best count so far. Each match still needed opens a chunk unless it
+    extends a run, and a run can extend into position p + 1 only where some
+    candidate j of p has j + 1 among the candidates of p + 1 (``links``
+    counts those p), or at the current position when the current run's next
+    reference position is a free candidate there; the first new match opens
+    a chunk unless it is that continuation. The search stops after
+    _SEARCH_NODE_BUDGET nodes against degenerate duplicate-heavy inputs and
+    keeps the best count found so far. ``search`` on the result records
     which of the three happened.
     """
     m_exact, m_stem = _stage_sizes(hyp, ref, stems)
@@ -221,30 +241,39 @@ def _min_chunk_alignment(hyp: list[str], ref: list[str],
     if m_total == 0:
         return MeteorAlignment(0, 0, len(hyp), len(ref))
     candidates = _candidates(hyp, ref, stems)
-
+    greedy_chunks = _count_chunks(_greedy_alignment(candidates, m_exact, m_stem))
     if m_total > METEOR_EXHAUSTIVE_LIMIT:
-        chosen = _greedy_alignment(candidates, m_exact, m_stem)
-        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref), "greedy")
+        return MeteorAlignment(m_total, greedy_chunks, len(hyp), len(ref), "greedy")
 
-    best = {"chunks": m_total + 1}
-    nodes = {"n": 0}
     n_hyp = len(hyp)
+    masks = [sum(1 << j for j, _ in cands) for cands in candidates]
+    # links[i]: positions p >= i with a candidate j whose j + 1 is a candidate of p + 1
+    links = [0] * n_hyp
+    for p in range(n_hyp - 2, -1, -1):
+        links[p] = links[p + 1] + bool((masks[p] << 1) & masks[p + 1])
+    best = greedy_chunks
+    nodes = 0
 
     def search(i, used, n_matched, n_exact, last_i, last_j, chunks):
-        if chunks >= best["chunks"]:
+        nonlocal best, nodes
+        if chunks >= best:
             return
-        nodes["n"] += 1
-        if nodes["n"] > _SEARCH_NODE_BUDGET:
+        nodes += 1
+        if nodes > _SEARCH_NODE_BUDGET:
             return
         remaining = n_hyp - i
         if n_matched + remaining < m_total or n_exact + remaining < m_exact:
             return
         if i == n_hyp:
             if n_matched == m_total and n_exact == m_exact:
-                best["chunks"] = chunks
+                best = chunks
+            return
+        need = m_total - n_matched
+        cont = last_i == i - 1 and (masks[i] & ~used) >> (last_j + 1) & 1
+        if need and chunks + max(need - links[i] - cont, 0 if cont else 1) >= best:
             return
         ordered = candidates[i]
-        if last_i == i - 1:
+        if cont:
             # try continuing the current run first; finds tight alignments early
             ordered = sorted(ordered, key=lambda cj: cj[0] != last_j + 1)
         for j, is_exact in ordered:
@@ -260,11 +289,8 @@ def _min_chunk_alignment(hyp: list[str], ref: list[str],
         search(i + 1, used, n_matched, n_exact, last_i, last_j, chunks)
 
     search(0, 0, 0, 0, -2, -2, 0)
-    kind = "budget" if nodes["n"] > _SEARCH_NODE_BUDGET else "exhaustive"
-    if best["chunks"] > m_total:
-        chosen = _greedy_alignment(candidates, m_exact, m_stem)
-        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref), kind)
-    return MeteorAlignment(m_total, best["chunks"], len(hyp), len(ref), kind)
+    kind = "budget" if nodes > _SEARCH_NODE_BUDGET else "exhaustive"
+    return MeteorAlignment(m_total, best, len(hyp), len(ref), kind)
 
 
 def meteor_alignment(pair: EvalPair, stems: dict[str, str] | None = None) -> MeteorAlignment:
@@ -280,20 +306,30 @@ def meteor_alignment(pair: EvalPair, stems: dict[str, str] | None = None) -> Met
     return best
 
 
-def meteor(pairs: list[EvalPair]) -> float:
-    """Corpus METEOR: m, chunks, and lengths are pooled before the final
-    F-mean/penalty formula."""
+def meteor_totals(pairs: list[EvalPair]) -> tuple[MeteorAlignment, dict[str, int]]:
+    """The pairs' best-reference alignments pooled into one MeteorAlignment
+    (m, chunks and lengths summed), and how many pairs had their chunk count
+    found by each ``search`` kind. The pool's own ``search`` field keeps its
+    default; the counts are what say how its segments were found."""
     if not pairs:
         raise DataError("meteor: empty corpus")
     stems = _stem_table(pairs)
     total = MeteorAlignment(0, 0, 0, 0)
+    kinds = {"exhaustive": 0, "greedy": 0, "budget": 0}
     for pair in pairs:
         seg = meteor_alignment(pair, stems)
         total.matches += seg.matches
         total.chunks += seg.chunks
         total.hyp_len += seg.hyp_len
         total.ref_len += seg.ref_len
-    return total.score()
+        kinds[seg.search] += 1
+    return total, kinds
+
+
+def meteor(pairs: list[EvalPair]) -> float:
+    """Corpus METEOR: m, chunks, and lengths are pooled before the final
+    F-mean/penalty formula."""
+    return meteor_totals(pairs)[0].score()
 
 
 # --- ROUGE-L ----------------------------------------------------------------

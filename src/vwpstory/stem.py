@@ -51,12 +51,16 @@ def _ends_cvc(word: str) -> bool:
             and word[-1] not in "wxy")
 
 
-def _longest_rule(word: str, rules, min_measure: int | None) -> str:
-    """Apply the longest-suffix rule whose measure condition holds."""
+def _longest_rule(word: str, rules, suffixes: tuple[str, ...], min_measure: int) -> str:
+    """Apply the longest-suffix rule whose measure condition holds.
+    ``suffixes`` are the rules' suffixes: one ``endswith`` on all of them
+    passes most words through before the per-rule loop."""
+    if not word.endswith(suffixes):
+        return word
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
-            if min_measure is None or _measure(stem) > min_measure:
+            if _measure(stem) > min_measure:
                 return stem + replacement
             return word
     return word
@@ -82,6 +86,9 @@ _STEP4 = [
     ("iti", ""), ("ous", ""), ("ive", ""), ("ize", ""),
     ("al", ""), ("er", ""), ("ic", ""), ("ou", ""),
 ]
+
+_STEP2_SUFFIXES, _STEP3_SUFFIXES, _STEP4_SUFFIXES = (
+    tuple(suffix for suffix, _ in rules) for rules in (_STEP2, _STEP3, _STEP4))
 
 
 def stem(word: str) -> str:
@@ -121,8 +128,8 @@ def stem(word: str) -> str:
     if w.endswith("y") and _has_vowel(w[:-1]):
         w = w[:-1] + "i"
 
-    w = _longest_rule(w, _STEP2, 0)
-    w = _longest_rule(w, _STEP3, 0)
+    w = _longest_rule(w, _STEP2, _STEP2_SUFFIXES, 0)
+    w = _longest_rule(w, _STEP3, _STEP3_SUFFIXES, 0)
 
     # step 4 ("ion" needs a preceding s or t)
     if w.endswith("ion"):
@@ -130,7 +137,7 @@ def stem(word: str) -> str:
         if stem_part.endswith(("s", "t")) and _measure(stem_part) > 1:
             w = stem_part
     else:
-        w = _longest_rule(w, _STEP4, 1)
+        w = _longest_rule(w, _STEP4, _STEP4_SUFFIXES, 1)
 
     # step 5a
     if w.endswith("e"):

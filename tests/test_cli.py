@@ -447,6 +447,17 @@ class TestBadInputProbes:
         proc = run_console("prepare", "--dataset", str(bad), "--out", str(tmp_path / "out"))
         self._assert_reported(proc, 2, f"{bad}:2: bad record")
 
+    @pytest.mark.parametrize("span", [{"start": 0.9, "end": "4"}, {"start": False, "end": 4}])
+    def test_non_integer_span_offsets_fail_prepare(self, fixture_dir, tmp_path, span):
+        def mutate(p):
+            story = p["stories"][0]
+            return {**p, "stories": [{**story, "entity_spans": [
+                {**span, "kind": "person", "name": "x"}]}] + p["stories"][1:]}
+        bad = _second_line(fixture_dir / "dataset.jsonl", tmp_path / "bad.jsonl", mutate)
+        proc = run_console("prepare", "--dataset", str(bad), "--out", str(tmp_path / "out"))
+        self._assert_reported(proc, 2, f"{bad}:2: bad record")
+        assert "entity span start must be an integer" in proc.stderr
+
     def test_nan_feature_fails_grid(self, fixture_dir, tmp_path):
         bad = _second_line(fixture_dir / "dataset.jsonl", tmp_path / "bad.jsonl", _nan_image)
         proc = run_console("grid", "--dataset", str(bad), "--sequence", "fix0")

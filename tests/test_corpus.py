@@ -379,6 +379,26 @@ class TestDatasetIO:
                                                 "outside the 17-character story or empty"):
                 corpus.record_from_dict(payload)
 
+    @pytest.mark.parametrize("where, value, message", [
+        ("start", 0.9, "entity span start must be an integer, got 0.9"),
+        ("end", "4", "entity span end must be an integer, got '4'"),
+        ("start", True, "entity span start must be an integer, got True"),
+        ("image_index", 0.0, "image_index must be an integer, got 0.0"),
+        ("image_index", False, "image_index must be an integer, got False"),
+        ("bbox", [0, 0, 4.5, 4], "bbox value must be an integer, got 4.5"),
+        ("bbox", [0, 0, True, 4], "bbox value must be an integer, got True"),
+        ("bbox", [0, 0, 4], r"bbox must be a list of 4 integers, got \[0, 0, 4\]"),
+        ("bbox", "0 0 4 4", "bbox must be a list of 4 integers, got '0 0 4 4'"),
+    ])
+    def test_offsets_and_indices_must_be_json_integers(self, where, value, message):
+        payload = self._payload()
+        if where in ("start", "end"):
+            payload["stories"][0]["entity_spans"][0][where] = value
+        else:
+            payload["characters"][0]["instances"][0][where] = value
+        with pytest.raises(DataError, match=f"sequence s1: {message}"):
+            corpus.record_from_dict(payload)
+
 
 class TestReaders:
     def test_jsonl_skips_blank_lines_and_counts_them(self, tmp_path):

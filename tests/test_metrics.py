@@ -13,9 +13,12 @@ from vwpstory.metrics import (
     CIDER_SCALE,
     METEOR_EXHAUSTIVE_LIMIT,
     METRIC_NAMES,
+    _SEARCH_NODE_BUDGET,
     EvalPair,
+    MeteorAlignment,
     _candidates,
     _count_chunks,
+    _greedy_alignment,
     _lcs_length,
     _min_chunk_alignment,
     _stage_sizes,
@@ -27,6 +30,7 @@ from vwpstory.metrics import (
     load_eval_pairs,
     meteor,
     meteor_alignment,
+    meteor_totals,
     report_text,
     rouge_l,
 )
@@ -117,6 +121,101 @@ def quadratic_greedy(hyp, candidates, m_exact, m_stem):
             last_j = j
             taken += 1
     return chosen
+
+
+def counter_stage_sizes(hyp, ref, stems):
+    """Stage sizes from six Counter operations."""
+    h_counts, r_counts = Counter(hyp), Counter(ref)
+    exact = sum((h_counts & r_counts).values())
+    resid_h = Counter(stems[w] for w in (h_counts - r_counts).elements())
+    resid_r = Counter(stems[w] for w in (r_counts - h_counts).elements())
+    stemmed = sum((resid_h & resid_r).values())
+    return exact, stemmed
+
+
+def unpruned_min_chunk_alignment(hyp, ref, stems):
+    """Branch-and-bound chunk search with no incumbent and no lower bound
+    beyond the chunks so far; it falls back to the greedy count when it
+    finds no alignment within the node budget."""
+    m_exact, m_stem = counter_stage_sizes(hyp, ref, stems)
+    m_total = m_exact + m_stem
+    if m_total == 0:
+        return MeteorAlignment(0, 0, len(hyp), len(ref))
+    candidates = _candidates(hyp, ref, stems)
+
+    if m_total > METEOR_EXHAUSTIVE_LIMIT:
+        chosen = _greedy_alignment(candidates, m_exact, m_stem)
+        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref), "greedy")
+
+    best = {"chunks": m_total + 1}
+    nodes = {"n": 0}
+    n_hyp = len(hyp)
+
+    def search(i, used, n_matched, n_exact, last_i, last_j, chunks):
+        if chunks >= best["chunks"]:
+            return
+        nodes["n"] += 1
+        if nodes["n"] > _SEARCH_NODE_BUDGET:
+            return
+        remaining = n_hyp - i
+        if n_matched + remaining < m_total or n_exact + remaining < m_exact:
+            return
+        if i == n_hyp:
+            if n_matched == m_total and n_exact == m_exact:
+                best["chunks"] = chunks
+            return
+        ordered = candidates[i]
+        if last_i == i - 1:
+            # try continuing the current run first; finds tight alignments early
+            ordered = sorted(ordered, key=lambda cj: cj[0] != last_j + 1)
+        for j, is_exact in ordered:
+            if used & (1 << j):
+                continue
+            if is_exact and n_exact == m_exact:
+                continue
+            if not is_exact and (n_matched - n_exact) == m_stem:
+                continue
+            extends = last_i == i - 1 and j == last_j + 1
+            search(i + 1, used | (1 << j), n_matched + 1, n_exact + int(is_exact),
+                   i, j, chunks + (0 if extends else 1))
+        search(i + 1, used, n_matched, n_exact, last_i, last_j, chunks)
+
+    search(0, 0, 0, 0, -2, -2, 0)
+    kind = "budget" if nodes["n"] > _SEARCH_NODE_BUDGET else "exhaustive"
+    if best["chunks"] > m_total:
+        chosen = _greedy_alignment(candidates, m_exact, m_stem)
+        return MeteorAlignment(m_total, _count_chunks(chosen), len(hyp), len(ref), kind)
+    return MeteorAlignment(m_total, best["chunks"], len(hyp), len(ref), kind)
+
+
+def brute_force_alignment(hyp, ref, stems):
+    """(matches, chunks) over every one-to-one matching of same-stem
+    positions: the most exact pairs, then the most pairs, then the fewest
+    chunks. Exponential; for pairs of a few tokens."""
+    best = None
+
+    def walk(i, used, chosen, n_exact):
+        nonlocal best
+        if i == len(hyp):
+            key = (-n_exact, -len(chosen), _count_chunks(chosen))
+            best = key if best is None or key < best else best
+            return
+        walk(i + 1, used, chosen, n_exact)
+        for j, word in enumerate(ref):
+            if j not in used and stems[word] == stems[hyp[i]]:
+                walk(i + 1, used | {j}, chosen + [(i, j)], n_exact + (word == hyp[i]))
+
+    walk(0, frozenset(), [], 0)
+    return -best[1], best[2]
+
+
+def greedy_chunks(hyp, ref, stems):
+    m_exact, m_stem = _stage_sizes(hyp, ref, stems)
+    return _count_chunks(_greedy_alignment(_candidates(hyp, ref, stems), m_exact, m_stem))
+
+
+def search_result(align):
+    return align.matches, align.chunks, align.search
 
 
 def ngrams(tokens, n):
@@ -221,6 +320,31 @@ def golden_pairs():
             pairs.append(pair(variant(rng, lemmas, base),
                               *(variant(rng, lemmas, base) for _ in range(3))))
     pairs.append(pair(BUDGET_HYP, BUDGET_REF))
+    return pairs
+
+
+def benchmark_shaped_pairs(seed, count):
+    """Short pairs shaped like the evaluate benchmark's: 12..18 distinct
+    words drawn from a Zipf vocabulary, four references, each side with a
+    quarter of its words replaced and 30 % of them inflected."""
+    rng = random.Random(seed)
+    lemmas = pseudo_words(rng, 600)
+    weights = [1.0 / rank for rank in range(1, len(lemmas) + 1)]
+
+    def noisy(base):
+        return [(rng.choices(lemmas, weights)[0] if rng.random() < 0.25 else word)
+                + (rng.choice(("", "", "s", "ed", "ing")) if rng.random() < 0.3 else "")
+                for word in base]
+
+    pairs = []
+    for _ in range(count):
+        base = []
+        length = rng.randint(12, 18)
+        while len(base) < length:
+            word = rng.choices(lemmas, weights)[0]
+            if word not in base:
+                base.append(word)
+        pairs.append(pair(noisy(base), *(noisy(base) for _ in range(4))))
     return pairs
 
 
@@ -381,6 +505,62 @@ class TestMeteor:
         align = _min_chunk_alignment(hyp, ref, stems)
         assert align.search == "greedy"
         assert (align.matches, align.chunks) == (len(chosen), _count_chunks(chosen))
+
+    @given(inflected_st, inflected_st)
+    @settings(max_examples=150, deadline=None)
+    def test_stage_sizes_match_counter_form(self, hyp, ref):
+        stems = _stem_table([pair(hyp, ref)])
+        assert _stage_sizes(hyp, ref, stems) == counter_stage_sizes(hyp, ref, stems)
+
+    @given(inflected_st, inflected_st)
+    @settings(max_examples=150, deadline=None)
+    @example(BUDGET_HYP[:12], BUDGET_REF[:12])
+    def test_pruned_search_matches_unpruned_search(self, hyp, ref):
+        stems = _stem_table([pair(hyp, ref)])
+        align = _min_chunk_alignment(hyp, ref, stems)
+        oracle = unpruned_min_chunk_alignment(hyp, ref, stems)
+        if oracle.search == "exhaustive":
+            assert search_result(align) == search_result(oracle)
+        assert align.chunks <= greedy_chunks(hyp, ref, stems)
+
+    @pytest.mark.parametrize("source", ["golden", "benchmark-shaped"])
+    def test_pruned_search_matches_unpruned_search_on_fixed_pairs(self, source):
+        pairs = golden_pairs() if source == "golden" else benchmark_shaped_pairs(13, 40)
+        stems = _stem_table(pairs)
+        compared = 0
+        for p in pairs:
+            for ref in p.references:
+                align = _min_chunk_alignment(p.hypothesis, ref, stems)
+                oracle = unpruned_min_chunk_alignment(p.hypothesis, ref, stems)
+                assert align.chunks <= greedy_chunks(p.hypothesis, ref, stems)
+                if oracle.search == "exhaustive":
+                    assert search_result(align) == search_result(oracle)
+                    compared += 1
+        assert compared >= (12 * 3 if source == "golden" else 160)
+
+    @given(st.lists(st.sampled_from(["walk", "walks", "walked", "cat", "cats", "the"]),
+                    max_size=7),
+           st.lists(st.sampled_from(["walk", "walks", "walked", "cat", "cats", "the"]),
+                    max_size=7))
+    @settings(max_examples=150, deadline=None)
+    @example(["the", "cat", "the", "cat", "the"], ["cat", "the", "cat", "the", "cat"])
+    @example(["walks", "cat", "walk"], ["walk", "cats", "walked"])
+    def test_min_chunks_match_brute_force(self, hyp, ref):
+        stems = _stem_table([pair(hyp, ref)])
+        align = _min_chunk_alignment(hyp, ref, stems)
+        assert align.search == "exhaustive"
+        assert (align.matches, align.chunks) == brute_force_alignment(hyp, ref, stems)
+        assert align.chunks <= greedy_chunks(hyp, ref, stems)
+
+    def test_meteor_totals_count_segments_by_search_kind(self):
+        pairs = golden_pairs()
+        total, kinds = meteor_totals(pairs)
+        assert kinds == {"exhaustive": 12, "greedy": 3, "budget": 1}
+        assert total.score() == meteor(pairs)
+        stems = _stem_table(pairs)
+        segments = [meteor_alignment(p, stems) for p in pairs]
+        assert (total.matches, total.chunks) == (sum(a.matches for a in segments),
+                                                 sum(a.chunks for a in segments))
 
 
 class TestRougeL:

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vwpstory import stem as stem_module
 from vwpstory.stem import stem
 
 # classic input/output pairs for the 1980 rule set
@@ -97,3 +100,35 @@ def test_short_and_non_alpha_pass_through():
 def test_idempotent_on_common_stems():
     for w in ("run", "walk", "talk", "jump", "stori"):
         assert stem(stem(w)) == stem(w)
+
+
+def loop_longest_rule(word, rules, min_measure):
+    """The step rule as a plain loop over every suffix."""
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem_part = word[: len(word) - len(suffix)]
+            if stem_module._measure(stem_part) > min_measure:
+                return stem_part + replacement
+            return word
+    return word
+
+
+STEPS = [(stem_module._STEP2, stem_module._STEP2_SUFFIXES, 0),
+         (stem_module._STEP3, stem_module._STEP3_SUFFIXES, 0),
+         (stem_module._STEP4, stem_module._STEP4_SUFFIXES, 1)]
+# lowercase words, half of them ending in some step's suffix
+words_st = st.one_of(
+    st.text("abcdefghijklmnopqrstuvwxyz", max_size=10),
+    st.tuples(st.text("abcdefghijklmnopqrstuvwxyz", max_size=6),
+              st.sampled_from([suffix for rules, _, _ in STEPS for suffix, _ in rules]))
+    .map("".join))
+
+
+@given(words_st)
+@settings(max_examples=300, deadline=None)
+@example("relational")
+@example("ational")
+def test_suffix_reject_matches_rule_loop(word):
+    for rules, suffixes, min_measure in STEPS:
+        assert stem_module._longest_rule(word, rules, suffixes, min_measure) \
+            == loop_longest_rule(word, rules, min_measure)
