@@ -9,6 +9,7 @@ boundaries into the [sent] separator token.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -392,6 +393,14 @@ def _json_int(value, what: str, ctx: str) -> int:
     return value
 
 
+def _json_finite(value, what: str, ctx: str) -> float:
+    """A finite JSON number: a string, true/false, NaN or infinity is a
+    DataError rather than a value to convert."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise DataError(f"{ctx}: {what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _entity_span(span: dict, text: str, ctx: str) -> EntitySpan:
     start = _json_int(span["start"], "entity span start", ctx)
     end = _json_int(span["end"], "entity span end", ctx)
@@ -404,8 +413,8 @@ def _entity_span(span: dict, text: str, ctx: str) -> EntitySpan:
 
 def record_from_dict(payload: dict) -> ImageSequenceRecord:
     seq_id = payload.get("id")
-    if not seq_id:
-        raise DataError("record missing 'id'")
+    if type(seq_id) is not str or not seq_id:
+        raise DataError(f"record id must be a non-empty string, got {seq_id!r}")
     ctx = f"sequence {seq_id}"
     images_raw = payload.get("images") or []
     if not MIN_IMAGES <= len(images_raw) <= MAX_IMAGES:
@@ -413,44 +422,46 @@ def record_from_dict(payload: dict) -> ImageSequenceRecord:
     dim: int | None = None
     images = []
     for img in images_raw:
-        feat = _feat(img["global_feat"], f"{ctx} image {img.get('image_id')}", dim)
+        image_id = text_field(img["image_id"], f"{ctx}: image_id")
+        feat = _feat(img["global_feat"], f"{ctx} image {image_id}", dim)
         dim = feat.shape[0]
-        images.append(ImageRecord(image_id=str(img["image_id"]), global_feat=feat))
+        images.append(ImageRecord(image_id=image_id, global_feat=feat))
 
     characters_raw = payload.get("characters") or []
     if len(characters_raw) > MAX_CHARACTERS:
         raise DataError(f"{ctx}: {len(characters_raw)} characters exceed limit {MAX_CHARACTERS}")
     characters = []
     for ch in characters_raw:
+        char_id = text_field(ch["char_id"], f"{ctx}: char_id")
         instances = []
         for inst in ch.get("instances", []):
             idx = _json_int(inst["image_index"], "image_index", ctx)
             if not 0 <= idx < len(images):
-                raise DataError(f"{ctx} character {ch.get('char_id')}: image_index {idx} out of range")
+                raise DataError(f"{ctx} character {char_id}: image_index {idx} out of range")
             bbox = inst.get("bbox", [0, 0, 0, 0])
             if not isinstance(bbox, list) or len(bbox) != 4:
                 raise DataError(f"{ctx}: bbox must be a list of 4 integers, got {bbox!r}")
             instances.append(CharacterInstance(
                 image_index=idx,
                 bbox=tuple(_json_int(b, "bbox value", ctx) for b in bbox),
-                sharpness=float(inst.get("sharpness", 0.0)),
+                sharpness=_json_finite(inst.get("sharpness", 0.0), "sharpness", ctx),
             ))
         gender = ch.get("gender", "unknown")
         if gender not in ("male", "female", "unknown"):
-            raise DataError(f"{ctx} character {ch.get('char_id')}: bad gender {gender!r}")
+            raise DataError(f"{ctx} character {char_id}: bad gender {gender!r}")
         characters.append(CharacterRecord(
-            char_id=str(ch["char_id"]),
+            char_id=char_id,
             gender=gender,
             instances=instances,
             representative_feat=_feat(ch["representative_feat"],
-                                      f"{ctx} character {ch.get('char_id')}", dim),
+                                      f"{ctx} character {char_id}", dim),
         ))
 
-    objects = [
-        ObjectRecord(object_id=str(ob["object_id"]),
-                     feat=_feat(ob["feat"], f"{ctx} object {ob.get('object_id')}", dim))
-        for ob in payload.get("objects") or []
-    ]
+    objects = []
+    for ob in payload.get("objects") or []:
+        object_id = text_field(ob["object_id"], f"{ctx}: object_id")
+        objects.append(ObjectRecord(object_id=object_id,
+                                    feat=_feat(ob["feat"], f"{ctx} object {object_id}", dim)))
 
     stories = []
     for st in payload.get("stories") or []:
@@ -463,7 +474,7 @@ def record_from_dict(payload: dict) -> ImageSequenceRecord:
                    for ev in st["srl"]]
         stories.append(StoryRecord(raw_text=raw_text, entity_spans=spans, srl=srl,
                                    tokens=_story_tokens(st.get("tokens"), ctx)))
-    return ImageSequenceRecord(id=str(seq_id), images=images, characters=characters,
+    return ImageSequenceRecord(id=seq_id, images=images, characters=characters,
                                objects=objects, stories=stories)
 
 

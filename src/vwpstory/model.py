@@ -162,18 +162,17 @@ def build_model(config: ModelConfig) -> StoryGenModel:
     biases, unit layer-norm gains. Each parameter draws from an rng keyed on
     (seed, name), so shared parameters initialize identically across
     variants with the same seed."""
-    store = ParamStore()
+    init: dict[str, np.ndarray] = {}
     for name, shape, kind in _param_spec(config):
         if kind == "normal":
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, zlib.crc32(name.encode()))))
-            data = rng.normal(0.0, 0.02, size=shape)
+            init[name] = rng.normal(0.0, 0.02, size=shape)
         elif kind == "ones":
-            data = np.ones(shape)
+            init[name] = np.ones(shape)
         else:
-            data = np.zeros(shape)
-        store.add(name, data)
-    return StoryGenModel(config=config, store=store)
+            init[name] = np.zeros(shape)
+    return StoryGenModel(config=config, store=ParamStore(init))
 
 
 @dataclass
@@ -484,7 +483,7 @@ def save_checkpoint(model: StoryGenModel, path) -> None:
     config_blob = model.config.canonical_text().encode("utf-8")
     buf.write(struct.pack("<I", len(config_blob)))
     buf.write(config_blob)
-    for name in sorted(model.store.names()):
+    for name in sorted(model.store.params):
         blob = name.encode("utf-8")
         data = model.store[name].data
         buf.write(struct.pack("<I", len(blob)))
@@ -545,7 +544,7 @@ def load_checkpoint(path) -> StoryGenModel:
         payload = view.read(count * 8)
         if len(payload) != count * 8:
             raise DataError(f"{path}: truncated payload for {name!r}")
-        # a read-only view: store.add copies it into the store's flat buffer
+        # a read-only view: ParamStore copies it into its flat buffer
         params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
 
     expected = {name: shape for name, shape, _ in _param_spec(config)}
@@ -553,10 +552,9 @@ def load_checkpoint(path) -> StoryGenModel:
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))
         raise DataError(f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
-    store = ParamStore()
-    for name, _, _ in _param_spec(config):
-        if params[name].shape != expected[name]:
-            raise DataError(f"{path}: {name} has shape {params[name].shape}, expected {expected[name]}")
-        store.add(name, params[name])
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise DataError(f"{path}: {name} has shape {params[name].shape}, expected {shape}")
+    store = ParamStore({name: params[name] for name in expected})
     return StoryGenModel(config=config, store=store)
 

@@ -9,13 +9,14 @@ accumulates gradients on the leaves and frees the graph as it goes. Inside
 beyond what add/mul need for bias rows.
 
 The training-step kernels are bit-exact rewrites of their textbook forms,
-kept in the tests as oracles. ``ParamStore`` holds every parameter's values
-in one flat buffer (each ``Tensor.data`` is a view into it) and Adam's two
-moments in two more, so ``adam_step`` runs its formula once over the whole
-model as in-place ufuncs. The embedding backward sums gradient rows into
-table cells with one ``np.bincount`` (the same additions, in the same order,
-as ``np.add.at``), and ``layer_norm`` takes the variance from the centred
-rows it already builds, as ``np.var`` does inside.
+kept in the tests as oracles. ``ParamStore`` is built once from the full
+parameter set: one flat buffer holds every parameter's values (each
+``Tensor.data`` is a fixed view into it) and Adam's two moments, created on
+the first step, are two more, so ``adam_step`` runs its formula once over
+the whole model as in-place ufuncs. The embedding backward sums gradient
+rows into table cells with one ``np.bincount`` (the same additions, in the
+same order, as ``np.add.at``), and ``layer_norm`` takes the variance from
+the centred rows it already builds, as ``np.var`` does inside.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ Array = np.ndarray
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 LAYER_NORM_EPS = 1e-5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class _GradMode:
@@ -484,66 +488,36 @@ class ParamStore:
     """Named trainable tensors in one flat float64 buffer, plus Adam's moment
     buffers and a step counter.
 
-    ``flat`` holds every parameter's values in registration order, and each
-    parameter's ``Tensor.data`` is a reshaped view into it, so writing
-    ``flat`` writes the parameters and the reverse. Registering a parameter
-    may move the buffer (it grows by doubling); the store then re-points
-    every ``data``, so hold the Tensor, not an earlier ``data`` array.
-    ``m`` and ``v`` are Adam's first and second moments, laid out as
-    ``flat``; ``adam_step`` creates them, zero, for parameters it has not
-    seen yet.
+    The store is built once from every parameter, ``{name: array}``: ``flat``
+    holds their values in dict order, and each parameter's ``Tensor.data`` is
+    a reshaped view into it, so writing ``flat`` writes the parameters and
+    the reverse. ``m`` and ``v`` are Adam's first and second moments, laid
+    out as ``flat``; they stay None until the first ``adam_step``.
     """
 
-    def __init__(self):
+    def __init__(self, params: dict):
+        values = [_as_f64(data) for data in params.values()]
+        self.flat = np.concatenate([v.reshape(-1) for v in values])
         self.params: dict[str, Tensor] = {}
-        self._buffer = np.empty(0)
-        self.size = 0
-        self.m = np.zeros(0)
-        self.v = np.zeros(0)
+        offset = 0
+        for name, v in zip(params, values):
+            view = self.flat[offset:offset + v.size].reshape(v.shape)
+            self.params[name] = Tensor(view, requires_grad=True)
+            offset += v.size
+        self.m: Array | None = None
+        self.v: Array | None = None
         self.step = 0
-
-    @property
-    def flat(self) -> Array:
-        return self._buffer[:self.size]
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self.params:
-            raise StateError(f"parameter {name!r} already registered")
-        values = _as_f64(data)
-        start, stop = self.size, self.size + values.size
-        if stop > self._buffer.size:
-            buffer = np.empty(max(stop, 2 * self._buffer.size))
-            buffer[:start] = self.flat
-            self._buffer = buffer
-            offset = 0
-            for p in self.params.values():
-                p.data = buffer[offset:offset + p.data.size].reshape(p.data.shape)
-                offset += p.data.size
-        self._buffer[start:stop] = values.reshape(-1)
-        self.size = stop
-        t = Tensor(self._buffer[start:stop].reshape(values.shape), requires_grad=True)
-        self.params[name] = t
-        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def names(self) -> list[str]:
-        return list(self.params)
-
-    def n_parameters(self) -> int:
-        return self.size
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
 
-def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = ADAM_BETA1,
+              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
     """One bias-corrected Adam update over every parameter in the store.
 
     The gradients are gathered into one flat buffer laid out as
@@ -559,12 +533,11 @@ def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
         if p.grad is None:
             raise StateError(f"adam_step: missing gradient for {name!r}")
         grads.append(p.grad.reshape(-1))
-    n = store.size
-    if store.m.size < n:  # parameters registered since the last step start at zero
-        store.m = np.concatenate([store.m, np.zeros(n - store.m.size)])
-        store.v = np.concatenate([store.v, np.zeros(n - store.v.size)])
+    n = store.flat.size
+    if store.m is None:
+        store.m, store.v = np.zeros(n), np.zeros(n)
     m, v, flat = store.m, store.v, store.flat
-    g = np.concatenate(grads, out=np.empty(n)) if grads else np.empty(0)
+    g = np.concatenate(grads, out=np.empty(n))
     step = np.multiply(g, 1.0 - beta1)
     m *= beta1
     m += step

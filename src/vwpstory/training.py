@@ -47,10 +47,7 @@ log = logging.getLogger("vwpstory.training")
 
 CONTROL_TOKENS = {PAD, BOS, EOS, SENT}
 
-# the optimizer's fixed settings
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
+# the optimizer's fixed settings; Adam's betas and eps are adam_step's defaults
 CLIP_NORM = 1.0
 
 
@@ -132,7 +129,7 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
             total += value
         losses.backward(np.full(len(batch), 1.0 / len(batch)))
         clip_global_norm(store, CLIP_NORM)
-        adam_step(store, lr=config.lr, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS)
+        adam_step(store, lr=config.lr)
     return total / len(examples)
 
 

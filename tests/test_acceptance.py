@@ -260,7 +260,7 @@ class TestTrainingDeterminism:
         save_checkpoint(model, path)
         again = load_checkpoint(path)
         assert again.config == model.config
-        for name in model.store.names():
+        for name in model.store.params:
             assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
         report("training determinism: checkpoint save/load round-trips bit-exactly")
 

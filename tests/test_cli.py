@@ -422,6 +422,9 @@ DATASET_PROBES = {
         {**p["stories"][0], "entity_spans": [
             {"start": 0, "end": len(p["stories"][0]["raw_text"]) + 1,
              "kind": "person", "name": "x"}]}] + p["stories"][1:]},
+    "sharpness-string": lambda p: {**p, "characters": [{**p["characters"][0], "instances": [
+        {**p["characters"][0]["instances"][0], "sharpness": "nan"}]}]},
+    "image_id-null": lambda p: {**p, "images": [{**im, "image_id": None} for im in p["images"]]},
 }
 ANNOTATION_PROBES = {
     "array-line": lambda p: [1],

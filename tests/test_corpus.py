@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -397,6 +398,42 @@ class TestDatasetIO:
         else:
             payload["characters"][0]["instances"][0][where] = value
         with pytest.raises(DataError, match=f"sequence s1: {message}"):
+            corpus.record_from_dict(payload)
+
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("sharpness", "nan", "sharpness must be a finite number, got 'nan'"),
+        ("sharpness", True, "sharpness must be a finite number, got True"),
+        ("sharpness", float("nan"), "sharpness must be a finite number, got nan"),
+        ("sharpness", -float("inf"), "sharpness must be a finite number, got -inf"),
+        ("sharpness", None, "sharpness must be a finite number, got None"),
+        ("image_id", None, "image_id must be a string, got NoneType"),
+        ("image_id", 3, "image_id must be a string, got int"),
+        ("char_id", ["c0"], "char_id must be a string, got list"),
+        ("object_id", 0, "object_id must be a string, got int"),
+    ])
+    def test_ids_are_strings_and_sharpness_a_finite_number(self, where, value, message):
+        payload = self._payload()
+        owner = {"sharpness": payload["characters"][0]["instances"][0],
+                 "image_id": payload["images"][3], "char_id": payload["characters"][0],
+                 "object_id": payload["objects"][0]}[where]
+        owner[where] = value
+        with pytest.raises(DataError, match=f"sequence s1: {re.escape(message)}"):
+            corpus.record_from_dict(payload)
+
+    def test_sharpness_accepts_json_numbers_and_defaults_to_zero(self):
+        payload = self._payload()
+        instance = payload["characters"][0]["instances"][0]
+        instance["sharpness"] = 2
+        assert corpus.record_from_dict(payload).characters[0].instances[0].sharpness == 2.0
+        del instance["sharpness"]
+        assert corpus.record_from_dict(payload).characters[0].instances[0].sharpness == 0.0
+
+    @pytest.mark.parametrize("seq_id", [None, "", 7, ["s1"]])
+    def test_sequence_id_must_be_a_non_empty_string(self, seq_id):
+        payload = self._payload(seq_id=seq_id)
+        with pytest.raises(DataError, match=re.escape(
+                f"record id must be a non-empty string, got {seq_id!r}")):
             corpus.record_from_dict(payload)
 
 

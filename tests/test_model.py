@@ -87,7 +87,7 @@ class TestBuildModel:
     def test_seed_determinism(self):
         a = build_model(tiny_config())
         b = build_model(tiny_config())
-        for name in a.store.names():
+        for name in a.store.params:
             np.testing.assert_array_equal(a.store[name].data, b.store[name].data)
 
     def test_different_seed_differs(self):
@@ -97,8 +97,8 @@ class TestBuildModel:
 
     def test_no_grid_encoder_without_grid(self):
         model = build_model(tiny_config(grid_mode="none"))
-        assert "enc_grid.w" not in model.store
-        assert "enc_grid.b" not in model.store
+        assert "enc_grid.w" not in model.store.params
+        assert "enc_grid.b" not in model.store.params
 
     def test_parameter_count_closed_form(self):
         cfg = tiny_config(vocab_size=16, d_model=8, n_layers=1, n_heads=1, d_ff=32)
@@ -117,19 +117,22 @@ class TestBuildModel:
             + (d * v + v)                   # output projection
         )
         model = build_model(cfg)
-        assert model.store.n_parameters() == expected
+        assert model.store.flat.size == expected
 
     def test_parameters_are_views_of_the_flat_buffer(self):
         model = build_model(tiny_config())
-        assert all(np.shares_memory(model.store[name].data, model.store.flat)
-                   for name in model.store.names())
-        assert model.store.flat.size == model.store.n_parameters()
+        store = model.store
+        assert list(store.params) == [name for name, _, _ in model_mod._param_spec(model.config)]
+        assert all(np.shares_memory(p.data, store.flat) for p in store.params.values())
+        np.testing.assert_array_equal(
+            np.concatenate([p.data.ravel() for p in store.params.values()]), store.flat)
+        assert store.m is None and store.v is None  # no moments until the first step
 
     def test_shared_parameters_identical_across_variants(self):
         grid = build_model(tiny_config(grid_mode="char", seed=3))
         plain = build_model(tiny_config(grid_mode="none", seed=3))
-        assert set(plain.store.names()) < set(grid.store.names())
-        for name in plain.store.names():
+        assert set(plain.store.params) < set(grid.store.params)
+        for name in plain.store.params:
             np.testing.assert_array_equal(plain.store[name].data, grid.store[name].data)
 
 
@@ -443,11 +446,11 @@ class TestBatch:
 
         model.store.zero_grad()
         losses.backward(np.full(len(examples), 1.0 / len(examples)))
-        batched = {name: model.store[name].grad.copy() for name in model.store.names()}
+        batched = {name: model.store[name].grad.copy() for name in model.store.params}
         model.store.zero_grad()
         for seq, story in examples:
             story_loss(model, seq, story, bos_id=BOS).backward(np.asarray(1.0 / len(examples)))
-        for name in model.store.names():
+        for name in model.store.params:
             np.testing.assert_allclose(batched[name], model.store[name].grad, rtol=0, atol=1e-10)
 
     def test_tiny_batched_model_grad_check(self):
@@ -524,10 +527,12 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         again = load_checkpoint(path)
         assert again.config == model.config
-        for name in model.store.names():
+        for name in model.store.params:
             assert again.store[name].data.tobytes() == model.store[name].data.tobytes()
             assert np.shares_memory(again.store[name].data, again.store.flat)
             assert again.store[name].data.flags.writeable
+        assert list(again.store.params) == list(model.store.params)
+        assert again.store.m is None and again.store.v is None
 
     def test_save_is_deterministic(self, tmp_path):
         model = build_model(tiny_config())
@@ -597,7 +602,7 @@ class TestCheckpoint:
 
 def straightline_forward(model, layout):
     """Independent plain-numpy recomputation of the forward arithmetic."""
-    P = {name: model.store[name].data for name in model.store.names()}
+    P = {name: model.store[name].data for name in model.store.params}
     cfg = model.config
     parts = [layout.image_feats @ P["enc_global.w"] + P["enc_global.b"]]
     if layout.entity_feats is not None:

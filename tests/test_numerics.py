@@ -104,8 +104,7 @@ class TestCrossEntropyMasked:
 
 class TestGradCheck:
     def test_identity(self):
-        store = nm.ParamStore()
-        store.add("x", 1.5)
+        store = nm.ParamStore({"x": 1.5})
         err = nm.grad_check(lambda s: s["x"], store)
         assert err < 1e-8
         store.zero_grad()
@@ -114,14 +113,12 @@ class TestGradCheck:
         assert out.grad.item() == 1.0
 
     def test_constant(self):
-        store = nm.ParamStore()
-        store.add("x", 2.0)
+        store = nm.ParamStore({"x": 2.0})
         err = nm.grad_check(lambda s: nm.Tensor(3.0), store)
         assert err < 1e-8
 
     def test_epsilon_bounds(self):
-        store = nm.ParamStore()
-        store.add("x", 1.0)
+        store = nm.ParamStore({"x": 1.0})
         with pytest.raises(NumericError):
             nm.grad_check(lambda s: s["x"], store, epsilon=1e-2)
 
@@ -130,11 +127,9 @@ class TestGradCheck:
                                         "dropout", "xent", "concat", "narrow"])
     def test_every_kernel_within_1e4(self, kernel):
         rng = np.random.default_rng(hash(kernel) % 2 ** 31)
-        store = nm.ParamStore()
-        a = store.add("a", rng.normal(size=(3, 4)))
-        b = store.add("b", rng.normal(size=(4, 3)))
-        g = store.add("g", rng.normal(size=4) * 0.1 + 1.0)
-        c = store.add("c", rng.normal(size=4) * 0.1)
+        store = nm.ParamStore({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 3)),
+                               "g": rng.normal(size=4) * 0.1 + 1.0,
+                               "c": rng.normal(size=4) * 0.1})
         ids = np.array([2, 0, 1])
         targets = np.array([1, 2, 0])
         mask = np.array([True, False, True])
@@ -171,8 +166,8 @@ class TestGradCheck:
 
 class TestAdam:
     def _store_with_grad(self, grad):
-        store = nm.ParamStore()
-        p = store.add("w", [1.0, -2.0, 3.0])
+        store = nm.ParamStore({"w": [1.0, -2.0, 3.0]})
+        p = store["w"]
         p.grad = np.asarray(grad, dtype=np.float64)
         return store, p
 
@@ -191,16 +186,15 @@ class TestAdam:
         np.testing.assert_allclose(p.data - before, [-1e-3, 1e-3, -1e-3], rtol=1e-4)
 
     def test_missing_gradient_errors(self):
-        store = nm.ParamStore()
-        store.add("w", [1.0])
+        store = nm.ParamStore({"w": [1.0]})
         with pytest.raises(StateError):
             nm.adam_step(store)
 
     def test_deterministic(self):
         def run():
             rng = np.random.default_rng(5)
-            store = nm.ParamStore()
-            p = store.add("w", rng.normal(size=8))
+            store = nm.ParamStore({"w": rng.normal(size=8)})
+            p = store["w"]
             for _ in range(25):
                 p.grad = rng.normal(size=8)
                 nm.adam_step(store, lr=3e-3)
@@ -233,16 +227,16 @@ class TestDropout:
 
 class TestClipGlobalNorm:
     def test_noop_below_threshold(self):
-        store = nm.ParamStore()
-        p = store.add("w", [3.0, 4.0])
+        store = nm.ParamStore({"w": [3.0, 4.0]})
+        p = store["w"]
         p.grad = np.array([0.3, 0.4])
         norm = nm.clip_global_norm(store, 1.0)
         assert norm == pytest.approx(0.5)
         np.testing.assert_allclose(p.grad, [0.3, 0.4])
 
     def test_scales_above_threshold(self):
-        store = nm.ParamStore()
-        p = store.add("w", [0.0, 0.0])
+        store = nm.ParamStore({"w": [0.0, 0.0]})
+        p = store["w"]
         p.grad = np.array([3.0, 4.0])
         nm.clip_global_norm(store, 1.0)
         assert math.sqrt(float((p.grad ** 2).sum())) == pytest.approx(1.0)
@@ -301,10 +295,9 @@ class TestAttention:
     def test_grad_check_batched_multi_head_masked(self, dropout):
         rng = np.random.default_rng(4)
         b, tq, tk, heads = 3, 3, 5, 2
-        store = nm.ParamStore()
-        store.add("q", rng.normal(size=(b * tq, 4)))
-        store.add("k", rng.normal(size=(b * tk, 4)))
-        store.add("v", rng.normal(size=(b * tk, 4)))
+        store = nm.ParamStore({"q": rng.normal(size=(b * tq, 4)),
+                               "k": rng.normal(size=(b * tk, 4)),
+                               "v": rng.normal(size=(b * tk, 4))})
         mask = causal(tq, tk)
         targets = rng.integers(0, 4, size=b * tq)
 
@@ -317,8 +310,7 @@ class TestAttention:
 
     def test_masked_keys_get_no_weight_or_gradient(self):
         rng = np.random.default_rng(8)
-        store = nm.ParamStore()
-        k = store.add("k", rng.normal(size=(4, 4)))
+        k = nm.ParamStore({"k": rng.normal(size=(4, 4))})["k"]
         q, v = nm.Tensor(rng.normal(size=(4, 4))), nm.Tensor(rng.normal(size=(4, 4)))
         out = nm.attention(q, k, v, causal(4, 4), 2)
         nm.cross_entropy_masked(out, [0, 1, 2, 3], [True, True, False, False]).backward()
@@ -354,8 +346,7 @@ class TestCrossEntropyWeights:
 
     def test_grad_check_with_weights(self):
         rng = np.random.default_rng(9)
-        store = nm.ParamStore()
-        store.add("x", rng.normal(size=(4, 3)))
+        store = nm.ParamStore({"x": rng.normal(size=(4, 3))})
         weights = np.array([0.5, 0.0, 0.25, 0.25])
 
         def f(s):
@@ -371,8 +362,7 @@ class TestCrossEntropyWeights:
 
 class TestGraph:
     def test_no_grad_builds_no_graph(self):
-        store = nm.ParamStore()
-        w = store.add("w", np.ones((2, 2)))
+        w = nm.ParamStore({"w": np.ones((2, 2))})["w"]
         with nm.no_grad():
             out = nm.gelu(nm.matmul(nm.Tensor(np.eye(2)), w))
             assert out._node is None and not out.requires_grad
@@ -382,13 +372,11 @@ class TestGraph:
         with pytest.raises(NumericError):
             with nm.no_grad():
                 nm.softmax(nm.Tensor([np.nan]))
-        store = nm.ParamStore()
-        assert nm.gelu(store.add("w", [1.0]))._node is not None
+        assert nm.gelu(nm.ParamStore({"w": [1.0]})["w"])._node is not None
 
     def test_activation_no_backward_step_needs_is_freed(self):
         import weakref
-        store = nm.ParamStore()
-        w = store.add("w", np.ones((3, 3)))
+        w = nm.ParamStore({"w": np.ones((3, 3))})["w"]
         y = nm.matmul(nm.Tensor(np.eye(3)), w)
         kept = weakref.ref(y.data)
         z = nm.gelu(nm.add(y, nm.Tensor(np.ones(3))))
@@ -497,16 +485,10 @@ class TestAdamOracle:
     def test_flat_in_place_step_matches_per_parameter_formula(self, lr, beta1, beta2, eps):
         rng = np.random.default_rng(17)
         shapes = {"w": (5, 3), "b": (3,), "s": (), "emb": (7, 4)}
-        store = nm.ParamStore()
-        want = {}
-        for name, shape in shapes.items():
-            store.add(name, rng.normal(size=shape))
-            want[name] = store[name].data.copy()
+        store = nm.ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        want = {name: p.data.copy() for name, p in store.params.items()}
         moments = {}
         for t in range(1, 6):
-            if t == 3:  # registered mid-run: starts from zero moments
-                store.add("late", rng.normal(size=(2, 2)))
-                want["late"] = store["late"].data.copy()
             grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=want[name].shape)
                      for name in want}
             grads["b"][0] = -0.0
@@ -527,16 +509,24 @@ class TestAdamOracle:
 class TestFlatParamStore:
     def test_every_parameter_is_a_view_of_the_flat_buffer_in_order(self):
         rng = np.random.default_rng(3)
-        store = nm.ParamStore()
-        values = {}
-        for k in range(12):  # enough registrations to move the buffer several times
-            values[f"p{k}"] = rng.normal(size=(k % 3 + 1, k + 1)) if k % 4 else rng.normal()
-            store.add(f"p{k}", values[f"p{k}"])
-            for name, want in values.items():
-                assert np.shares_memory(store[name].data, store.flat)
-                np.testing.assert_array_equal(store[name].data, want)
+        values = {f"p{k}": rng.normal(size=(k % 3 + 1, k + 1)) if k % 4 else rng.normal()
+                  for k in range(12)}
+        store = nm.ParamStore(values)
+        assert store["p0"].shape == () and list(store.params) == list(values)
+        offset = 0
+        for name, want in values.items():
+            data = store[name].data
+            assert np.shares_memory(data, store.flat[offset:offset + data.size])
+            assert not np.shares_memory(data, want)
+            np.testing.assert_array_equal(data, want)
+            offset += data.size
+        assert offset == store.flat.size
+        store.flat[:] = np.arange(store.flat.size)
         np.testing.assert_array_equal(
-            store.flat, np.concatenate([np.ravel(v) for v in values.values()]))
-        assert store.n_parameters() == store.flat.size
-        store.flat[:] = 0.0
-        assert not any(store[name].data.any() for name in values)
+            np.concatenate([store[name].data.ravel() for name in values]), store.flat)
+        assert store.m is None and store.v is None
+        for p in store.params.values():
+            p.grad = np.ones_like(p.data)
+        nm.adam_step(store)
+        assert store.m.shape == store.v.shape == store.flat.shape
+        assert all(np.shares_memory(p.data, store.flat) for p in store.params.values())

@@ -83,11 +83,11 @@ class TestTrainEpoch:
     def test_zero_lr_freezes_parameters(self):
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
-        before = {n: model.store[n].data.copy() for n in model.store.names()}
+        before = {n: model.store[n].data.copy() for n in model.store.params}
         cfg = tiny_train_config(lr=0.0)
         losses = [train_epoch(model, prepared.splits["train"], prepared.vocab,
                               cfg, seed=3, epoch=e) for e in range(2)]
-        for name in model.store.names():
+        for name in model.store.params:
             np.testing.assert_array_equal(model.store[name].data, before[name])
         assert losses[0] == pytest.approx(losses[1])
 
@@ -237,12 +237,12 @@ class TestFit:
         for epoch in range(1, 4):
             train_epoch(replay, prepared.splits["train"], prepared.vocab, cfg,
                         seed=training._epoch_seed(0, epoch), epoch=epoch)
-            snapshots.append({n: replay.store[n].data.copy() for n in replay.store.names()})
+            snapshots.append({n: replay.store[n].data.copy() for n in replay.store.params})
         saved = load_checkpoint(run.best_checkpoint)
-        for name in replay.store.names():
+        for name in replay.store.params:
             assert saved.store[name].data.tobytes() == snapshots[2][name].tobytes()
         assert any(not np.array_equal(snapshots[0][n], snapshots[2][n])
-                   for n in replay.store.names())
+                   for n in replay.store.params)
 
     def test_selection_disagreement_raises(self, monkeypatch):
         prepared = tiny_prepared()
