@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from itertools import combinations
 
-from .corpus import placeholder_kind, read_jsonl, text_field
+from .corpus import json_list, placeholder_kind, read_jsonl, string_list, text_field, token_list
 from .errors import DataError
 
 ROLES = ("S", "O", "X", "-")
@@ -337,13 +337,19 @@ def annotated_from_dict(payload: dict) -> AnnotatedStory:
                 continue
             if role not in ARG_ROLES:
                 raise DataError(f"unknown SRL role {role!r}")
-            args[role].update(toks)
-    tokens = [str(t) for t in payload.get("tokens") or []]
-    characters = set(payload["characters"]) if "characters" in payload else _derive_characters(tokens)
+            args[role].update(string_list(toks, f"SRL argument {role!r}"))
+    tokens = payload.get("tokens")
+    tokens = [] if tokens is None else token_list(tokens, "tokens")
+    if "characters" in payload:
+        characters = set(string_list(payload["characters"], "characters"))
+    else:
+        characters = _derive_characters(tokens)
     grid = None
     if payload.get("entity_grid"):
-        grid = EntityRoleGrid(entities=list(payload["entity_grid"]["entities"]),
-                              rows=[list(r) for r in payload["entity_grid"]["rows"]])
+        rows = json_list(payload["entity_grid"]["rows"], "entity grid rows")
+        grid = EntityRoleGrid(entities=string_list(payload["entity_grid"]["entities"],
+                                                   "entity grid entities"),
+                              rows=[string_list(r, "an entity grid row") for r in rows])
     annotations = [GroundednessAnnotation(kind=g["kind"], label=g["label"])
                    for g in payload.get("groundedness") or []]
     return AnnotatedStory(

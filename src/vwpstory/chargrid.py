@@ -1,11 +1,11 @@
 """The images-by-characters similarity grid and its fixed-frame layout.
 
 Cell (a, b) is the plain dot product of image a's global feature vector
-and character b's representative feature vector: high values mark images
-where that character carries narrative weight. Columns can equally hold
-object features (object grid) or characters followed by objects (entity
-grid). Accumulation is explicit left-to-right so results are reproducible
-bit for bit.
+and column b's feature vector: high values mark images where that entity
+carries narrative weight. ``GRID_COLUMNS`` names each grid mode's columns:
+the characters' representative features, the object features, or both,
+characters first. Accumulation is explicit left-to-right so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -22,20 +22,16 @@ N_MAX_DEFAULT = 10
 M_MAX_DEFAULT = 5
 SHADE_CHARS = " .:*#"  # 5 min-max normalized buckets, light to dark
 
+# grid mode -> the entity kinds its columns hold, characters before objects.
+# The model's grid modes, its feature checks and the CLI choices read this.
+GRID_COLUMNS = {"char": ("char",), "obj": ("obj",), "entity": ("char", "obj")}
+
 
 @dataclass
 class CharacterGrid:
     values: np.ndarray  # (N images, M columns) float64
     image_ids: list[str]
     column_ids: list[str]
-
-    @property
-    def n_images(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def n_columns(self) -> int:
-        return int(self.values.shape[1])
 
 
 def _grid_from_features(image_ids, image_feats, column_ids, column_feats,
@@ -60,48 +56,29 @@ def _grid_from_features(image_ids, image_feats, column_ids, column_feats,
                          column_ids=list(column_ids))
 
 
-def compute_grid(seq: ImageSequenceRecord, n_max: int = N_MAX_DEFAULT,
-                 m_max: int = M_MAX_DEFAULT) -> CharacterGrid:
-    """Character grid: one column per character, rows in image order."""
-    return _grid_from_features(
-        [im.image_id for im in seq.images],
-        [im.global_feat for im in seq.images],
-        [ch.char_id for ch in seq.characters],
-        [ch.representative_feat for ch in seq.characters],
-        n_max, m_max)
-
-
-def compute_object_grid(seq: ImageSequenceRecord, n_max: int = N_MAX_DEFAULT,
-                        m_max: int = M_MAX_DEFAULT) -> CharacterGrid:
-    """Same construction over detected-object features."""
-    return _grid_from_features(
-        [im.image_id for im in seq.images],
-        [im.global_feat for im in seq.images],
-        [ob.object_id for ob in seq.objects],
-        [ob.feat for ob in seq.objects],
-        n_max, m_max)
-
-
-def compute_entity_grid(seq: ImageSequenceRecord, n_max: int = N_MAX_DEFAULT,
-                        m_max: int = M_MAX_DEFAULT) -> CharacterGrid:
-    """Characters first, then objects, as one wider grid."""
-    return _grid_from_features(
-        [im.image_id for im in seq.images],
-        [im.global_feat for im in seq.images],
-        [ch.char_id for ch in seq.characters] + [ob.object_id for ob in seq.objects],
-        [ch.representative_feat for ch in seq.characters] + [ob.feat for ob in seq.objects],
-        n_max, m_max)
+def entity_columns(seq: ImageSequenceRecord, kinds) -> tuple[list[str], list[np.ndarray]]:
+    """Ids and feature vectors of the entity kinds in ``kinds``: each
+    character's ``representative_feat`` ("char"), then each object's
+    ``feat`` ("obj"). Other kinds are ignored."""
+    ids, feats = [], []
+    if "char" in kinds:
+        ids += [ch.char_id for ch in seq.characters]
+        feats += [ch.representative_feat for ch in seq.characters]
+    if "obj" in kinds:
+        ids += [ob.object_id for ob in seq.objects]
+        feats += [ob.feat for ob in seq.objects]
+    return ids, feats
 
 
 def grid_for_mode(seq: ImageSequenceRecord, mode: str, n_max: int = N_MAX_DEFAULT,
                   m_max: int = M_MAX_DEFAULT) -> CharacterGrid:
-    if mode == "char":
-        return compute_grid(seq, n_max, m_max)
-    if mode == "obj":
-        return compute_object_grid(seq, n_max, m_max)
-    if mode == "entity":
-        return compute_entity_grid(seq, n_max, m_max)
-    raise DataError(f"unknown grid mode {mode!r}")
+    """The grid of the images against the entity columns of ``mode``."""
+    if mode not in GRID_COLUMNS:
+        raise DataError(f"unknown grid mode {mode!r}")
+    column_ids, column_feats = entity_columns(seq, GRID_COLUMNS[mode])
+    return _grid_from_features(
+        [im.image_id for im in seq.images], [im.global_feat for im in seq.images],
+        column_ids, column_feats, n_max, m_max)
 
 
 def flatten_pad(grid: CharacterGrid, n_max: int = N_MAX_DEFAULT,

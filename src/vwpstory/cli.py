@@ -29,11 +29,13 @@ from .corpus import (
     read_jsonl,
     save_dataset,
     story_surface_tokens,
+    text_field,
+    token_list,
 )
 from .decoding import DecodingConfig, NamePools, generate_batch, realize, save_generated
 from .errors import DataError, NumericError, UsageError, VwpError
-from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs, token_list
-from .model import ModelConfig, load_checkpoint
+from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs
+from .model import GRID_MODES, ModelConfig, load_checkpoint
 from .training import TrainConfig, fit, metric_tokens, save_runlogs
 
 log = logging.getLogger("vwpstory.cli")
@@ -102,7 +104,7 @@ def build_parser() -> tuple[Parser, dict[str, argparse.ArgumentParser]]:
     p = add_parser("grid", help="emit the similarity grid for a sequence")
     p.add_argument("--dataset", required=True)
     p.add_argument("--sequence", required=True)
-    p.add_argument("--grid-mode", choices=("char", "obj", "entity"), default="char")
+    p.add_argument("--grid-mode", choices=tuple(chargrid.GRID_COLUMNS), default="char")
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--out")
 
@@ -113,7 +115,7 @@ def build_parser() -> tuple[Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--grid-mode", choices=("none", "char", "obj", "entity"), default="char")
+    p.add_argument("--grid-mode", choices=GRID_MODES, default="char")
     p.add_argument("--features", type=_csv_strs, default=("global", "char"))
     p.add_argument("--d-model", type=int, default=128)
     p.add_argument("--n-layers", type=int, default=2)
@@ -270,9 +272,7 @@ def _pairs_from_hyp(hyp_path: str, dataset_path: str) -> list[EvalPair]:
     records = {rec.id: rec for rec in load_dataset(dataset_path)}
 
     def pair(payload: dict) -> EvalPair:
-        seq_id = payload.get("sequence_id")
-        if not isinstance(seq_id, str):
-            raise DataError(f"sequence_id must be a string, got {type(seq_id).__name__}")
+        seq_id = text_field(payload.get("sequence_id"), "sequence_id")
         tokens = token_list(payload["tokens"], "tokens")
         rec = records.get(seq_id)
         if rec is None:

@@ -200,14 +200,6 @@ def anonymize(story: StoryRecord,
                        srl=story.srl, tokens=None), mapping
 
 
-def select_representative(character: CharacterRecord) -> int:
-    """Image index of the sharpest instance; ties go to the lowest index."""
-    if not character.instances:
-        raise DataError(f"character {character.char_id!r} has no instances")
-    best = max(character.instances, key=lambda inst: (inst.sharpness, -inst.image_index))
-    return best.image_index
-
-
 class Vocabulary:
     """Bijective token<->id map with the special tokens at the lowest ids."""
 
@@ -363,6 +355,38 @@ def text_field(value, what: str) -> str:
     return value
 
 
+_JSON_NAMES = {type(None): "null", bool: "true/false", dict: "an object", list: "an array"}
+
+
+def json_list(value, what: str) -> list:
+    """A JSON array. Anything else is a DataError naming ``what``: above all
+    a string, which would otherwise iterate as its letters."""
+    if not isinstance(value, list):
+        raise DataError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def string_list(value, what: str) -> list[str]:
+    """A JSON array whose elements are all strings (names, ids, roles). The
+    element check runs at C speed, once per list."""
+    if not set(map(type, json_list(value, what))) <= {str}:
+        found = next(v for v in value if type(v) is not str)
+        raise DataError(f"{what} holds {_JSON_NAMES.get(type(found), type(found).__name__)}; "
+                        "it must hold strings only")
+    return value
+
+
+def token_list(value, what: str) -> list[str]:
+    """A JSON token list as metric tokens. Each element must be a string or
+    a number (written with ``str``, so ``2`` is ``"2"``); bools are not
+    numbers here. Anything else is a DataError that names ``what``."""
+    for token in json_list(value, what):
+        if isinstance(token, bool) or not isinstance(token, (str, int, float)):
+            found = _JSON_NAMES.get(type(token), type(token).__name__)
+            raise DataError(f"{what} holds {found}; tokens must be strings or numbers")
+    return [str(t) for t in value]
+
+
 def _feat(vec, context: str, dim: int | None) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.ndim != 1:
@@ -470,7 +494,8 @@ def record_from_dict(payload: dict) -> ImageSequenceRecord:
         srl = None
         if st.get("srl") is not None:
             srl = [SrlEvent(predicate=text_field(ev["predicate"], "predicate"),
-                            args={k: list(v) for k, v in ev.get("args", {}).items()})
+                            args={k: string_list(v, f"{ctx}: SRL argument {k!r}")
+                                  for k, v in ev.get("args", {}).items()})
                    for ev in st["srl"]]
         stories.append(StoryRecord(raw_text=raw_text, entity_spans=spans, srl=srl,
                                    tokens=_story_tokens(st.get("tokens"), ctx)))

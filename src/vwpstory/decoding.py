@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind
+from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind, string_list
 from .errors import ConfigError, NumericError, ResourceError
 from .model import (
     EVAL_SLICE,
@@ -191,9 +191,9 @@ class NamePools:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NamePools":
-        return cls(male=list(payload.get("male", [])),
-                   female=list(payload.get("female", [])),
-                   location=list(payload.get("location", [])))
+        return cls(male=string_list(payload.get("male", []), "male names"),
+                   female=string_list(payload.get("female", []), "female names"),
+                   location=string_list(payload.get("location", []), "location names"))
 
 
 def realize(tokens: list[str], names: NamePools, rng: np.random.Generator) -> str:

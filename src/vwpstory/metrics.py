@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import read_jsonl, tokenize
+from .corpus import json_list, read_jsonl, token_list, tokenize
 from .errors import DataError
 from .stem import stem
 
@@ -575,26 +575,10 @@ def scores_text(values: dict[str, float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_JSON_NAMES = {type(None): "null", bool: "true/false", dict: "an object", list: "an array"}
-
-
-def token_list(value, what: str) -> list[str]:
-    """A JSON token list as metric tokens. Each element must be a string or
-    a number (written with ``str``, so ``2`` is ``"2"``); bools are not
-    numbers here. Anything else is a DataError that names ``what``."""
-    if not isinstance(value, list):
-        raise DataError(f"{what} must be a list, got {type(value).__name__}")
-    for token in value:
-        if isinstance(token, bool) or not isinstance(token, (str, int, float)):
-            found = _JSON_NAMES.get(type(token), type(token).__name__)
-            raise DataError(f"{what} holds {found}; tokens must be strings or numbers")
-    return [str(t) for t in value]
-
-
 def load_eval_pairs(path) -> list[EvalPair]:
     """JSON Lines of {id, hypothesis, references}: the hypothesis a string or
     a token list, the references a list of strings or token lists (see
-    ``token_list`` for what a token list may hold)."""
+    ``corpus.token_list`` for what a token list may hold)."""
     def as_tokens(value, what: str) -> list[str]:
         if isinstance(value, str):
             return tokenize(value)
@@ -603,9 +587,7 @@ def load_eval_pairs(path) -> list[EvalPair]:
         raise DataError(f"{what} must be a string or a list, got {type(value).__name__}")
 
     def pair(payload: dict) -> EvalPair:
-        hypothesis, references = payload["hypothesis"], payload["references"]
-        if not isinstance(references, list):
-            raise DataError(f"references must be a list, got {type(references).__name__}")
-        return EvalPair(hypothesis=as_tokens(hypothesis, "hypothesis"),
+        references = json_list(payload["references"], "references")
+        return EvalPair(hypothesis=as_tokens(payload["hypothesis"], "hypothesis"),
                         references=[as_tokens(r, "a reference") for r in references])
     return read_jsonl(path, pair, "eval pair")

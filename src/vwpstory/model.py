@@ -18,12 +18,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .chargrid import flatten_pad, grid_for_mode
+from .chargrid import (GRID_COLUMNS, M_MAX_DEFAULT, N_MAX_DEFAULT, entity_columns, flatten_pad,
+                       grid_for_mode)
 from .corpus import ImageSequenceRecord
 from .errors import ConfigError, DataError, NumericError, StateError
 from .numerics import ParamStore, Tensor
 
-GRID_MODES = ("none", "char", "obj", "entity")
+GRID_MODES = ("none", *GRID_COLUMNS)
 FEATURES = ("global", "char", "obj")
 SEG_IMAGE, SEG_CHAR, SEG_GRID, SEG_TEXT = 0, 1, 2, 3
 
@@ -47,8 +48,8 @@ class ModelConfig:
     n_heads: int = 4
     d_ff: int = 0  # 0 means 4 * d_model
     t_max: int = 256
-    n_max: int = 10
-    m_max: int = 5
+    n_max: int = N_MAX_DEFAULT
+    m_max: int = M_MAX_DEFAULT
     o_max: int = 20
     feature_set: tuple[str, ...] = ("global",)
     grid_mode: str = "none"
@@ -72,8 +73,7 @@ class ModelConfig:
                 raise ConfigError(f"unknown feature {feat!r}")
         if self.grid_mode not in GRID_MODES:
             raise ConfigError(f"unknown grid_mode {self.grid_mode!r}")
-        needs = {"char": ("char",), "obj": ("obj",), "entity": ("char", "obj")}.get(self.grid_mode, ())
-        for feat in needs:
+        for feat in GRID_COLUMNS.get(self.grid_mode, ()):
             if feat not in self.feature_set:
                 raise ConfigError(f"grid_mode {self.grid_mode!r} requires feature {feat!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -313,15 +313,11 @@ def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
         raise DataError(f"sequence {seq.id}: story length {len(story_tokens)} exceeds t_max {config.t_max}")
     image_feats = np.stack([im.global_feat for im in seq.images])
 
-    entity_rows = []
-    if "char" in config.feature_set:
-        if len(seq.characters) > config.m_max:
-            raise DataError(f"sequence {seq.id}: {len(seq.characters)} characters exceed m_max {config.m_max}")
-        entity_rows += [ch.representative_feat for ch in seq.characters]
-    if "obj" in config.feature_set:
-        if len(seq.objects) > config.o_max:
-            raise DataError(f"sequence {seq.id}: {len(seq.objects)} objects exceed o_max {config.o_max}")
-        entity_rows += [ob.feat for ob in seq.objects]
+    if "char" in config.feature_set and len(seq.characters) > config.m_max:
+        raise DataError(f"sequence {seq.id}: {len(seq.characters)} characters exceed m_max {config.m_max}")
+    if "obj" in config.feature_set and len(seq.objects) > config.o_max:
+        raise DataError(f"sequence {seq.id}: {len(seq.objects)} objects exceed o_max {config.o_max}")
+    entity_rows = entity_columns(seq, config.feature_set)[1]
     entity_feats = np.stack(entity_rows) if entity_rows else None
     for feats in (image_feats, entity_feats):
         if feats is not None and feats.shape[1] != config.feat_dim:

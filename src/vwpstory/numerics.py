@@ -5,8 +5,8 @@ gradients returns a new Tensor whose backward-graph node is wired to the
 nodes of its inputs and keeps only what its backward step needs;
 ``Tensor.backward()`` walks the graph once in reverse topological order,
 accumulates gradients on the leaves and frees the graph as it goes. Inside
-``no_grad()`` ops build no graph. Kernels only, no general broadcasting
-beyond what add/mul need for bias rows.
+``no_grad()`` ops build no graph. Kernels only, and no broadcasting:
+``add`` and ``mul`` take equal shapes, and bias rows go through ``matmul``.
 
 The training-step kernels are bit-exact rewrites of their textbook forms,
 kept in the tests as oracles. ``ParamStore`` is built once from the full
@@ -165,34 +165,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``grad`` back down to ``shape`` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape:
+        raise DataError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-    a_shape, b_shape = a.data.shape, b.data.shape
-
-    def grad_fn(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-    return Tensor(out, parents=(a, b), grad_fn=grad_fn)
+    """Elementwise ``a + b`` of two equal-shaped tensors."""
+    _same_shape("add", a, b)
+    return Tensor(a.data + b.data, parents=(a, b), grad_fn=lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise ``a * b`` of two equal-shaped tensors."""
+    _same_shape("mul", a, b)
     ad, bd = a.data, b.data
-    out = ad * bd
-
-    def grad_fn(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return Tensor(out, parents=(a, b), grad_fn=grad_fn)
+    return Tensor(ad * bd, parents=(a, b), grad_fn=lambda g: (g * bd, g * ad))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:

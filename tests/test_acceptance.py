@@ -28,7 +28,7 @@ from vwpstory.analytics import (
     score_coherence,
     train_entity_grid,
 )
-from vwpstory.chargrid import compute_grid
+from vwpstory.chargrid import grid_for_mode
 from vwpstory.cli import main as cli_main
 from vwpstory.corpus import (
     CharacterInstance,
@@ -104,7 +104,7 @@ class TestGridOracle:
                 characters=[CharacterRecord(f"c{b}", "unknown",
                                             [CharacterInstance(0, (0, 0, 1, 1), 1.0)],
                                             cfeats[b]) for b in range(m)])
-            grid = compute_grid(seq)
+            grid = grid_for_mode(seq, "char")
             for a in range(n):
                 for b in range(m):
                     expected = 0.0
@@ -125,13 +125,13 @@ class TestGridOracle:
                                             [CharacterInstance(0, (0, 0, 1, 1), 1.0)],
                                             chars[b]) for b in range(len(chars))])
 
-        base = compute_grid(seq_of(ifeats, cfeats)).values
+        base = grid_for_mode(seq_of(ifeats, cfeats), "char").values
         perm = [2, 0, 1]
-        permuted = compute_grid(seq_of(ifeats, cfeats[perm])).values
+        permuted = grid_for_mode(seq_of(ifeats, cfeats[perm]), "char").values
         np.testing.assert_array_equal(permuted, base[:, perm])
         # powers of two scale mantissas exactly in IEEE double
         for s in (0.5, 2.0, 8.0):
-            scaled = compute_grid(seq_of(ifeats * s, cfeats)).values
+            scaled = grid_for_mode(seq_of(ifeats * s, cfeats), "char").values
             np.testing.assert_array_equal(scaled, base * s)
         report("grid oracle: permutation equivariance and row scaling exact")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -380,3 +381,27 @@ class TestAnnotatedIngest:
         path.write_text('{"tokens": []}\n')
         with pytest.raises(DataError, match="bad.jsonl:1"):
             analytics.load_annotated(path)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"tokens": "hello"}, "tokens must be a list, got str"),
+        ({"tokens": ["a", None]}, "tokens holds null"),
+        ({"srl": [{"predicate": "run", "args": {"arg0": "bob"}}]},
+         "SRL argument 'arg0' must be a list, got str"),
+        ({"srl": [{"predicate": "run", "args": {"arg1": ["a", 2]}}]},
+         "SRL argument 'arg1' holds int"),
+        ({"characters": "bob"}, "characters must be a list, got str"),
+        ({"entity_grid": {"entities": "ab", "rows": [["S", "O"]]}},
+         "entity grid entities must be a list, got str"),
+        ({"entity_grid": {"entities": ["a", "b"], "rows": ["SO"]}},
+         "an entity grid row must be a list, got str"),
+        ({"entity_grid": {"entities": ["a"], "rows": "S"}},
+         "entity grid rows must be a list, got str"),
+    ])
+    def test_a_string_is_not_a_list(self, field, message):
+        payload = {"sequence_id": "s1", "tokens": ["a"], **field}
+        with pytest.raises(DataError, match=re.escape(message)):
+            analytics.annotated_from_dict(payload)
+
+    def test_absent_or_null_tokens_read_as_no_tokens(self):
+        for payload in ({"sequence_id": "s1"}, {"sequence_id": "s1", "tokens": None}):
+            assert analytics.annotated_from_dict(payload).tokens == []

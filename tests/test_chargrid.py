@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from vwpstory import chargrid
 from vwpstory.chargrid import (
     CharacterGrid,
-    compute_entity_grid,
-    compute_grid,
-    compute_object_grid,
     flatten_pad,
+    grid_for_mode,
     grid_csv,
     grid_heat_table,
     shade_buckets,
@@ -72,14 +70,14 @@ def assert_bits_equal(actual, expected):
 class TestComputeGrid:
     def test_zero_character_column(self):
         seq = make_seq([[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 0.0]])
-        grid = compute_grid(seq)
+        grid = grid_for_mode(seq, "char")
         np.testing.assert_array_equal(grid.values[:, 0], 0.0)
 
     def test_unit_vector_identity(self):
         unit = [1.0, 0.0, 0.0]
         seq = make_seq([unit], [unit])
         # single image allowed here: grid construction has no image-count bound
-        grid = compute_grid(seq)
+        grid = grid_for_mode(seq, "char")
         assert grid.values[0, 0] == 1.0
 
     def test_matches_brute_force_exactly(self):
@@ -87,7 +85,7 @@ class TestComputeGrid:
         for _ in range(25):
             ifeats = rng.normal(size=(3, 4))
             cfeats = rng.normal(size=(2, 4))
-            grid = compute_grid(make_seq(ifeats, cfeats))
+            grid = grid_for_mode(make_seq(ifeats, cfeats), "char")
             for a in range(3):
                 for b in range(2):
                     assert grid.values[a, b] == _dot(ifeats[a], cfeats[b])
@@ -95,15 +93,15 @@ class TestComputeGrid:
     def test_dimension_mismatch(self):
         seq = make_seq([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
         with pytest.raises(DataError):
-            compute_grid(seq)
+            grid_for_mode(seq, "char")
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         ifeats = rng.normal(size=(4, 3))
         cfeats = rng.normal(size=(3, 3))
-        base = compute_grid(make_seq(ifeats, cfeats))
+        base = grid_for_mode(make_seq(ifeats, cfeats), "char")
         perm = [2, 0, 1]
-        permuted = compute_grid(make_seq(ifeats, cfeats[perm]))
+        permuted = grid_for_mode(make_seq(ifeats, cfeats[perm]), "char")
         np.testing.assert_array_equal(permuted.values, base.values[:, perm])
 
     @given(st.floats(0.1, 8.0))
@@ -112,8 +110,8 @@ class TestComputeGrid:
         rng = np.random.default_rng(3)
         ifeats = rng.normal(size=(2, 3))
         cfeats = rng.normal(size=(2, 3))
-        base = compute_grid(make_seq(ifeats, cfeats))
-        scaled = compute_grid(make_seq(ifeats * s, cfeats))
+        base = grid_for_mode(make_seq(ifeats, cfeats), "char")
+        scaled = grid_for_mode(make_seq(ifeats * s, cfeats), "char")
         np.testing.assert_allclose(scaled.values, base.values * s, rtol=1e-12)
 
 
@@ -152,20 +150,33 @@ class TestVectorisedGridOracle:
 class TestVariantGrids:
     def test_no_objects_zero_columns(self):
         seq = make_seq([[1.0, 0.0]], [[1.0, 1.0]])
-        grid = compute_object_grid(seq)
+        grid = grid_for_mode(seq, "obj")
         assert grid.values.shape == (1, 0)
 
     def test_entity_grid_concatenates(self):
         seq = make_seq([[1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]], obj_feats=[[2.0, 0.0]])
-        grid = compute_entity_grid(seq)
-        assert grid.n_columns == 3
+        grid = grid_for_mode(seq, "entity")
+        assert grid.values.shape == (1, 3)
         assert grid.column_ids == ["c0", "c1", "o0"]
+
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 5),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_entity_grid_is_char_grid_then_object_grid(self, n, m, o, width, seed):
+        rng = np.random.default_rng(seed)
+        seq = make_seq(rng.normal(size=(n, width)), rng.normal(size=(m, width)),
+                       obj_feats=rng.normal(size=(o, width)))
+        char, obj = grid_for_mode(seq, "char"), grid_for_mode(seq, "obj")
+        entity = grid_for_mode(seq, "entity")
+        assert_bits_equal(entity.values, np.concatenate([char.values, obj.values], axis=1))
+        assert entity.column_ids == char.column_ids + obj.column_ids
+        assert entity.image_ids == char.image_ids == obj.image_ids
 
     def test_object_grid_matches_brute_force(self):
         rng = np.random.default_rng(17)
         ifeats = rng.normal(size=(2, 5))
         ofeats = rng.normal(size=(3, 5))
-        grid = compute_object_grid(make_seq(ifeats, [], obj_feats=ofeats))
+        grid = grid_for_mode(make_seq(ifeats, [], obj_feats=ofeats), "obj")
         for a in range(2):
             for k in range(3):
                 assert grid.values[a, k] == _dot(ifeats[a], ofeats[k])

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from vwpstory import chargrid
-from vwpstory.cli import _pairs_from_hyp, main
+from vwpstory.chargrid import GRID_COLUMNS
+from vwpstory.cli import _pairs_from_hyp, build_parser, main
 from vwpstory.corpus import Vocabulary, load_dataset, save_dataset
 from vwpstory.errors import DataError
-from vwpstory.model import ModelConfig, build_model, save_checkpoint
+from vwpstory.model import GRID_MODES, ModelConfig, build_model, save_checkpoint
 from vwpstory.synth import (
     fixture_annotations,
     fixture_dataset,
@@ -104,13 +105,13 @@ class TestPrepare:
 
 
 class TestGrid:
-    def test_csv_matches_compute_grid(self, fixture_dir, capsys):
+    def test_csv_matches_char_grid(self, fixture_dir, capsys):
         code = main(["grid", "--dataset", str(fixture_dir / "dataset.jsonl"),
                      "--sequence", "fix1", "--format", "csv"])
         assert code == 0
         out = capsys.readouterr().out
         records = {r.id: r for r in load_dataset(fixture_dir / "dataset.jsonl")}
-        expected = chargrid.grid_csv(chargrid.compute_grid(records["fix1"]))
+        expected = chargrid.grid_csv(chargrid.grid_for_mode(records["fix1"], "char"))
         assert out == expected
 
     def test_missing_sequence_is_data_error(self, fixture_dir):
@@ -121,6 +122,14 @@ class TestGrid:
         assert main(["grid", "--dataset", str(fixture_dir / "dataset.jsonl"),
                      "--sequence", "fix1", "--format", "text"]) == 0
         assert "shade scale" in capsys.readouterr().out
+
+    def test_grid_mode_choices_are_the_grid_mode_table(self):
+        _, commands = build_parser()
+
+        def choices(command):
+            return next(a.choices for a in commands[command]._actions if a.dest == "grid_mode")
+        assert choices("train") == GRID_MODES
+        assert choices("grid") == tuple(GRID_COLUMNS)
 
 
 class TestTrainGenerateEvaluate:
@@ -425,11 +434,21 @@ DATASET_PROBES = {
     "sharpness-string": lambda p: {**p, "characters": [{**p["characters"][0], "instances": [
         {**p["characters"][0]["instances"][0], "sharpness": "nan"}]}]},
     "image_id-null": lambda p: {**p, "images": [{**im, "image_id": None} for im in p["images"]]},
+    "srl-argument-string": lambda p: {**p, "stories": [
+        {**p["stories"][0], "srl": [{"predicate": "meet", "args": {"arg0": "john"}}]}]},
 }
 ANNOTATION_PROBES = {
     "array-line": lambda p: [1],
     "tokens-int": lambda p: {**p, "tokens": 5},
     "srl-int": lambda p: {**p, "srl": 5},
+    "tokens-string": lambda p: {**p, "tokens": "hello"},
+    "tokens-null-token": lambda p: {**p, "tokens": ["a", None]},
+    "srl-argument-string": lambda p: {**p, "srl": [{"predicate": "run", "args": {"arg0": "bob"}}]},
+    "characters-string": lambda p: {**p, "characters": "bob"},
+    "entity-grid-entities-string": lambda p: {
+        **p, "entity_grid": {"entities": "ab", "rows": [["S", "O"]]}},
+    "entity-grid-row-string": lambda p: {
+        **p, "entity_grid": {"entities": ["a", "b"], "rows": ["SO"]}},
 }
 
 
@@ -475,7 +494,8 @@ class TestBadInputProbes:
         self._assert_reported(proc, 2, f"{bad}:2: bad annotated story")
 
     @pytest.mark.parametrize("flag, text", [
-        ("--vocab", "[]"), ("--vocab", "{}"), ("--names", "[]")])
+        ("--vocab", "[]"), ("--vocab", "{}"), ("--names", "[]"),
+        ("--names", '{"male": "Bob"}'), ("--names", '{"female": ["Sue", 5]}')])
     def test_bad_json_file_fails_generate(self, prepared_dir, trained_dir, tmp_path,
                                           flag, text):
         bad = tmp_path / "bad.json"

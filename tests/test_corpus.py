@@ -19,7 +19,6 @@ from vwpstory.corpus import (
     anonymize,
     build_vocab,
     load_gender_table,
-    select_representative,
     split_dataset,
     story_surface_tokens,
     tokenize,
@@ -132,30 +131,6 @@ class TestAnonymize:
         once, _ = anonymize(self._story(text, spans), GENDERS)
         twice, _ = anonymize(once, GENDERS)
         assert twice.raw_text == once.raw_text
-
-
-class TestSelectRepresentative:
-    def _char(self, sharpness, indices=None):
-        indices = indices if indices is not None else list(range(len(sharpness)))
-        return CharacterRecord(
-            char_id="c0", gender="unknown",
-            instances=[CharacterInstance(image_index=i, bbox=(0, 0, 1, 1), sharpness=s)
-                       for i, s in zip(indices, sharpness)],
-            representative_feat=np.zeros(4),
-        )
-
-    def test_argmax(self):
-        assert select_representative(self._char([0.2, 0.9, 0.5])) == 1
-
-    def test_single(self):
-        assert select_representative(self._char([0.4], indices=[3])) == 3
-
-    def test_tie_breaks_low_index(self):
-        assert select_representative(self._char([0.9, 0.9])) == 0
-
-    def test_empty_errors(self):
-        with pytest.raises(DataError):
-            select_representative(self._char([]))
 
 
 class TestVocabulary:
@@ -429,12 +404,52 @@ class TestDatasetIO:
         del instance["sharpness"]
         assert corpus.record_from_dict(payload).characters[0].instances[0].sharpness == 0.0
 
+    @pytest.mark.parametrize("args, message", [
+        ({"arg0": "john"}, "SRL argument 'arg0' must be a list, got str"),
+        ({"arg1": ["him", 3]}, "SRL argument 'arg1' holds int; it must hold strings only"),
+        ({"arg0": None}, "SRL argument 'arg0' must be a list, got NoneType"),
+    ])
+    def test_srl_arguments_are_lists_of_strings(self, args, message):
+        payload = self._payload()
+        payload["stories"][0]["srl"][0]["args"] = args
+        with pytest.raises(DataError, match=f"sequence s1: {re.escape(message)}"):
+            corpus.record_from_dict(payload)
+
     @pytest.mark.parametrize("seq_id", [None, "", 7, ["s1"]])
     def test_sequence_id_must_be_a_non_empty_string(self, seq_id):
         payload = self._payload(seq_id=seq_id)
         with pytest.raises(DataError, match=re.escape(
                 f"record id must be a non-empty string, got {seq_id!r}")):
             corpus.record_from_dict(payload)
+
+
+class TestJsonFieldChecks:
+    def test_json_list_rejects_what_would_iterate_as_a_list(self):
+        assert corpus.json_list([1, "a"], "x") == [1, "a"]
+        for value, found in (("ab", "str"), ({"a": 1}, "dict"), (None, "NoneType"), (3, "int")):
+            with pytest.raises(DataError, match=f"^x must be a list, got {found}$"):
+                corpus.json_list(value, "x")
+
+    def test_string_list(self):
+        assert corpus.string_list(["a", ""], "names") == ["a", ""]
+        assert corpus.string_list([], "names") == []
+        for value, message in (("Bob", "names must be a list, got str"),
+                               (["a", 5], "names holds int; it must hold strings only"),
+                               (["a", None], "names holds null; it must hold strings only"),
+                               ([["a"]], "names holds an array; it must hold strings only"),
+                               ([True], "names holds true/false; it must hold strings only")):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                corpus.string_list(value, "names")
+
+    def test_token_list(self):
+        assert corpus.token_list(["a", 2, 1.5], "tokens") == ["a", "2", "1.5"]
+        for value, message in (("hello", "tokens must be a list, got str"),
+                               (["a", True], "tokens holds true/false; tokens must be strings "
+                                             "or numbers"),
+                               ([{}], "tokens holds an object; tokens must be strings or "
+                                      "numbers")):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                corpus.token_list(value, "tokens")
 
 
 class TestReaders:

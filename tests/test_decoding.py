@@ -23,7 +23,7 @@ from vwpstory.decoding import (
     realize,
     save_generated,
 )
-from vwpstory.errors import ConfigError, NumericError, ResourceError, StateError
+from vwpstory.errors import ConfigError, DataError, NumericError, ResourceError, StateError
 from vwpstory.model import (
     KVCache,
     ModelConfig,
@@ -621,6 +621,15 @@ class TestRealize:
         rng = np.random.default_rng(0)
         text = realize(["in", "[location]", "."], NAMES, rng)
         assert any(loc in text for loc in NAMES.location)
+
+    def test_name_pools_are_lists_of_strings(self):
+        pools = NamePools.from_dict({"male": ["Bob"], "location": []})
+        assert (pools.male, pools.female, pools.location) == (["Bob"], [], [])
+        for payload, message in (({"male": "Bob"}, "male names must be a list, got str"),
+                                 ({"female": ["Sue", 5]}, "female names holds int"),
+                                 ({"location": [None]}, "location names holds null")):
+            with pytest.raises(DataError, match=message):
+                NamePools.from_dict(payload)
 
     def test_empty_pool_errors(self):
         rng = np.random.default_rng(0)

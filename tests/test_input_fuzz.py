@@ -1,8 +1,9 @@
 """Property-based fuzzing of the four JSON-lines loaders.
 
 Each loader is fed lines drawn from arbitrary JSON values and mutated copies
-of valid lines: a key dropped, a value replaced by one of another kind,
-NaN or infinity in a feature, a feature of another width. Every call must
+of valid lines: a key dropped, a value replaced by one of another kind, a
+list replaced by a string, NaN or infinity in a feature, a feature of
+another width. Every call must
 either return or raise DataError; any other exception is a traceback that
 reaches the user. What a loader returns must also survive the next step the
 command line takes with it (prepare and grids; the analytics reports).
@@ -78,12 +79,14 @@ def mutated(draw, kind: str):
         if not slots:
             break
         container, key = draw(st.sampled_from(slots))
-        action = draw(st.sampled_from(["drop", "replace", "non-finite", "width"]))
+        action = draw(st.sampled_from(["drop", "replace", "string", "non-finite", "width"]))
         child = container[key]
         if action == "drop":
             del container[key]
         elif action == "replace":
             container[key] = draw(json_values)
+        elif action == "string" and isinstance(child, list):
+            container[key] = draw(st.text(min_size=1, max_size=6))
         elif action == "non-finite" and isinstance(child, list) and child:
             child[draw(st.integers(0, len(child) - 1))] = draw(
                 st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -95,7 +98,7 @@ def mutated(draw, kind: str):
 def _use(kind: str, loaded: list):
     if kind == "dataset":
         corpus.prepare_records(loaded)
-        for mode in ("char", "obj", "entity"):
+        for mode in chargrid.GRID_COLUMNS:
             chargrid.grid_for_mode(loaded[0], mode)
     elif kind == "annotations":
         analytics.corpus_stats(loaded)
@@ -146,3 +149,28 @@ def test_valid_lines_load(workdir, kind):
     loaded = _load(kind, path, workdir)
     assert len(loaded) == len(VALID[kind])
     _use(kind, loaded)
+
+
+def _string_for_list(kind: str, payload: dict, container, key) -> bool:
+    """Whether a string may stand where this list is: an eval pair's
+    hypothesis and each of its references are tokenized."""
+    return kind == "pairs" and (key == "hypothesis" or container is payload["references"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_list_replaced_by_a_string_is_a_data_error(workdir, kind):
+    """A string where a list belongs would iterate as its letters, so every
+    list of a valid line, replaced by a string, makes the line fail."""
+    path = workdir / f"{kind}-string.jsonl"
+    checked = 0
+    for i in range(len(_slots(VALID[kind][0], []))):
+        payload = json.loads(json.dumps(VALID[kind][0]))
+        container, key = _slots(payload, [])[i]
+        if not isinstance(container[key], list) or _string_for_list(kind, payload, container, key):
+            continue
+        container[key] = "ab"
+        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            _load(kind, path, workdir)
+        checked += 1
+    assert checked > 0

@@ -5,6 +5,7 @@ import pytest
 
 from vwpstory import model as model_mod
 from vwpstory import numerics as nm
+from vwpstory.chargrid import entity_columns
 from vwpstory.corpus import (
     CharacterInstance,
     CharacterRecord,
@@ -151,6 +152,18 @@ class TestAssembleInput:
         layout = assemble_input(seq, [2, 3], cfg, bos_id=BOS)
         assert layout.grid_vecs is None
         assert layout.length == 5 + 2 + 1 + 2
+
+    @pytest.mark.parametrize("features", [("global",), ("global", "char"), ("global", "obj"),
+                                          ("global", "char", "obj")])
+    def test_entity_rows_are_the_entity_columns(self, features):
+        seq = make_seq(n_images=3, n_chars=2, n_objs=2, seed=4)
+        layout = assemble_input(seq, [2, 3], tiny_config(feature_set=features, grid_mode="none"),
+                                bos_id=BOS)
+        feats = entity_columns(seq, features)[1]
+        if not feats:
+            assert layout.entity_feats is None
+        else:
+            np.testing.assert_array_equal(layout.entity_feats, np.stack(feats))
 
     def test_empty_story_has_no_loss_positions(self):
         cfg = tiny_config()

@@ -133,13 +133,13 @@ class TestGradCheck:
         ids = np.array([2, 0, 1])
         targets = np.array([1, 2, 0])
         mask = np.array([True, False, True])
-        bias_row = nm.Tensor(rng.normal(size=(1, 4)))
+        other = nm.Tensor(rng.normal(size=(3, 4)))
 
         def f(s):
             if kernel == "matmul":
                 z = nm.matmul(s["a"], s["b"])
             elif kernel == "add":
-                z = nm.add(s["a"], bias_row)
+                z = nm.add(s["a"], other)
             elif kernel == "mul":
                 z = nm.mul(s["a"], s["a"])
             elif kernel == "softmax":
@@ -162,6 +162,11 @@ class TestGradCheck:
                                            np.ones(z.shape[0], dtype=bool))
 
         assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("op", [nm.add, nm.mul])
+    def test_elementwise_ops_take_equal_shapes(self, op):
+        with pytest.raises(DataError, match=r"shapes \(3, 4\) and \(1, 4\) differ"):
+            op(nm.Tensor(np.ones((3, 4))), nm.Tensor(np.ones((1, 4))))
 
 
 class TestAdam:
@@ -379,9 +384,9 @@ class TestGraph:
         w = nm.ParamStore({"w": np.ones((3, 3))})["w"]
         y = nm.matmul(nm.Tensor(np.eye(3)), w)
         kept = weakref.ref(y.data)
-        z = nm.gelu(nm.add(y, nm.Tensor(np.ones(3))))
+        z = nm.gelu(nm.add(y, nm.Tensor(np.ones((3, 3)))))
         del y
-        assert kept() is None  # add's backward needs shapes only
+        assert kept() is None  # add's backward keeps neither input
         z_in = weakref.ref(z.data)
         loss = nm.cross_entropy_masked(nm.matmul(z, w), [0, 1, 2], [True] * 3)
         del z
