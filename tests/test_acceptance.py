@@ -405,7 +405,7 @@ class TestEndToEndCli:
                              "--seed", "1", "--max-new", "12"]) == 0
             for line in out.read_text().splitlines():
                 payload = json.loads(line)
-                assert set(payload) == {"sequence_id", "seed", "tokens", "text"}
+                assert set(payload) == {"sequence_id", "seed", "tokens", "text", "stop"}
         capsys.readouterr()  # drain earlier subcommand output
         assert cli_main(["evaluate", "--hyp", str(tmp_path / "gen-greedy.jsonl"),
                          "--dataset", str(prepared / "test.jsonl"),

@@ -405,3 +405,23 @@ class TestAnnotatedIngest:
     def test_absent_or_null_tokens_read_as_no_tokens(self):
         for payload in ({"sequence_id": "s1"}, {"sequence_id": "s1", "tokens": None}):
             assert analytics.annotated_from_dict(payload).tokens == []
+
+    @pytest.mark.parametrize("field, message", [
+        ({"sequence_id": None}, "sequence_id must be a string, got NoneType"),
+        ({"sequence_id": ["a"]}, "sequence_id must be a string, got list"),
+        ({"sequence_id": 7}, "sequence_id must be a string, got int"),
+        ({"n_images": "5"}, "n_images must be a positive integer, got '5'"),
+        ({"n_images": True}, "n_images must be a positive integer, got True"),
+        ({"n_images": -3}, "n_images must be a positive integer, got -3"),
+        ({"n_images": 0}, "n_images must be a positive integer, got 0"),
+        ({"n_images": 5.0}, "n_images must be a positive integer, got 5.0"),
+    ])
+    def test_id_is_a_string_and_image_count_a_positive_integer(self, field, message):
+        payload = {"sequence_id": "s1", "tokens": ["a"], **field}
+        with pytest.raises(DataError, match=re.escape(message)):
+            analytics.annotated_from_dict(payload)
+
+    def test_absent_or_null_image_count_reads_as_none(self):
+        for payload in ({"sequence_id": "s1"}, {"sequence_id": "s1", "n_images": None}):
+            assert analytics.annotated_from_dict(payload).n_images is None
+        assert analytics.annotated_from_dict({"sequence_id": "s1", "n_images": 1}).n_images == 1

@@ -151,7 +151,7 @@ class TestTrainGenerateEvaluate:
                                     "--p", "0.9", "--seed", "3"]) == 0
             assert out1.read_bytes() == out2.read_bytes()
             payload = json.loads(out1.read_text().splitlines()[0])
-            assert set(payload) == {"sequence_id", "seed", "tokens", "text"}
+            assert set(payload) == {"sequence_id", "seed", "tokens", "text", "stop"}
 
     def test_generate_on_damaged_checkpoint_is_data_error(self, prepared_dir, trained_dir,
                                                           tmp_path, capsys):
@@ -231,6 +231,8 @@ class TestTrainGenerateEvaluate:
                      "--dataset", str(prepared_dir / "test.jsonl"),
                      "--vocab", str(prepared_dir / "vocab.json"),
                      "--out", str(gen), "--max-new", "10"]) == 0
+        lines = [json.loads(line) for line in gen.read_text().splitlines()]
+        assert lines and all(line["stop"] in ("eos", "budget") for line in lines)
         assert main(["evaluate", "--hyp", str(gen),
                      "--dataset", str(prepared_dir / "test.jsonl")]) == 0
         assert "METEOR" in capsys.readouterr().out
@@ -449,6 +451,10 @@ ANNOTATION_PROBES = {
         **p, "entity_grid": {"entities": "ab", "rows": [["S", "O"]]}},
     "entity-grid-row-string": lambda p: {
         **p, "entity_grid": {"entities": ["a", "b"], "rows": ["SO"]}},
+    "sequence-id-null": lambda p: {**p, "sequence_id": None},
+    "n-images-string": lambda p: {**p, "n_images": "5"},
+    "n-images-bool": lambda p: {**p, "n_images": True},
+    "n-images-negative": lambda p: {**p, "n_images": -3},
 }
 
 

@@ -85,6 +85,14 @@ class TestNucleusSample:
         with pytest.raises(NumericError):
             nucleus_sample(np.array([0.5, 0.5]), 0.0, rng)
 
+    @pytest.mark.parametrize("dist", [
+        [0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, -np.inf, 0.5], [np.inf, -np.inf, 1.0],
+        [0.7, 0.4, -0.1], [[0.5, 0.5]], [0.5, 0.4], []],
+        ids=["nan", "inf", "minus-inf", "inf-minus-inf", "negative", "2-d", "bad-sum", "empty"])
+    def test_rejects_each_bad_distribution(self, dist):
+        with pytest.raises(NumericError):
+            nucleus_sample(np.array(dist, dtype=np.float64), 0.9, np.random.default_rng(0))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_tiny_p_equals_greedy_on_unique_max(self, seed):
@@ -147,13 +155,42 @@ class TestNucleusSearch:
         for sampler in (nucleus_sample, nucleus_sample_loop):
             assert sampler(dist, 1.0, FixedDraw(largest)) == 9
 
+    # 40 ids: id 11 alone on top, ids 5, 17, 29 and 33 tied below it (numpy's
+    # default sort puts 29 before 17), the rest tied at the bottom
+    TIED = np.ones(40)
+    TIED[11], TIED[[5, 17, 29, 33]] = 10.0, 4.0
+    UNTIED_HEAD = TIED.copy()
+    UNTIED_HEAD[[5, 17, 29, 33]] = [4.0, 3.9, 3.8, 3.7]
+
+    @pytest.mark.parametrize("raw, p, stable", [
+        (TIED, 0.4, True),          # the support ends with the whole tied group
+        (TIED, 0.25, True),         # the support ends inside the tied group
+        (UNTIED_HEAD, 0.25, False),  # only the bottom group, beyond the cut, is tied
+    ], ids=["inside", "straddling", "beyond"])
+    def test_ties_in_the_head_take_the_stable_sort(self, monkeypatch, raw, p, stable):
+        dist = raw / raw.sum()
+        kinds = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            kinds.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        for seed in range(300):
+            kinds.clear()
+            monkeypatch.setattr(np, "argsort", spy)
+            got = nucleus_sample(dist, p, np.random.default_rng(seed))
+            monkeypatch.setattr(np, "argsort", argsort)
+            assert got == nucleus_sample_loop(dist, p, np.random.default_rng(seed))
+            assert kinds == ([None, "stable"] if stable else [None])
+
 
 class TestDecodeTokens:
     """The decoding loop inside ``generate``, run on scripted logits."""
 
     def _decode(self, monkeypatch, script, max_new_tokens, mode="greedy"):
-        """``generate``'s ids when forward number k returns ``script(k, vocab)``,
-        and the number of forwards it ran."""
+        """``generate``'s story when forward number k returns ``script(k, vocab)``,
+        and the length of each forward's input."""
         vocab = build_vocab([list("abcdefgh")], min_freq=1)
         model = build_model(tiny_config(vocab_size=len(vocab)))
         calls = []
@@ -164,7 +201,7 @@ class TestDecodeTokens:
 
         monkeypatch.setattr(decoding, "forward_logits", scripted_forward)
         cfg = DecodingConfig(mode=mode, p=0.5, max_new_tokens=max_new_tokens)
-        return generate(model, make_seq(), vocab, cfg).token_ids, calls
+        return generate(model, make_seq(), vocab, cfg), calls
 
     def test_rigged_sequence_then_stop(self, monkeypatch):
         def script(k, vocab):
@@ -174,12 +211,12 @@ class TestDecodeTokens:
 
         for mode in ("greedy", "nucleus"):
             out, calls = self._decode(monkeypatch, script, 50, mode)
-            assert out == [5, 6, 7]
+            assert out.token_ids == [5, 6, 7] and out.stop == "eos"
             assert calls[1:] == [1, 1, 1]  # one-row steps; picking [EOS] ends the loop
 
     def test_truncation_at_budget(self, monkeypatch):
         out, calls = self._decode(monkeypatch, lambda k, vocab: np.eye(len(vocab))[3] * 9.0, 4)
-        assert out == [3, 3, 3, 3]
+        assert out.token_ids == [3, 3, 3, 3] and out.stop == "budget"
         assert len(calls) == 4  # no forward after the last token of the budget
 
     def test_greedy_tie_breaks_to_lowest_id(self, monkeypatch):
@@ -189,7 +226,7 @@ class TestDecodeTokens:
             return logits
 
         out, _ = self._decode(monkeypatch, script, 1)
-        assert out == [4]
+        assert out.token_ids == [4]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -235,6 +272,7 @@ class TestGenerate:
         payload = out.to_dict()
         assert payload["sequence_id"] == "seq9"
         assert payload["seed"] == 3
+        assert payload["stop"] == ("budget" if len(out.token_ids) == 4 else "eos")
         assert isinstance(payload["text"], str)
 
 
@@ -251,7 +289,7 @@ def full_recompute_decode(model, seq, vocab, config):
             token = int(np.argmax(logits))
         else:
             exps = np.exp(logits - logits.max())
-            token = nucleus_sample(exps / exps.sum(), config.p, rng)
+            token = nucleus_sample_loop(exps / exps.sum(), config.p, rng)
         if token == vocab.eos_id:
             break
         ids.append(token)
@@ -368,6 +406,52 @@ class TestCachedDecoding:
         assert len(ids) == model.config.t_max - 1
         assert ids == want_ids
         np.testing.assert_allclose(np.array(steps), np.array(want_steps), rtol=0, atol=1e-12)
+        assert generate(model, records[0], vocab, cfg).stop == "budget"
+
+    def test_matches_full_recompute_at_the_generate_benchmark_shape(self, monkeypatch):
+        # the ``vwp train`` default model on 512-wide features, 10 images and
+        # 5 characters, over a vocabulary of more than 1 000 ids
+        vocab = build_vocab([[f"w{i}" for i in range(1100)]], min_freq=1)
+        seq = make_seq(n_images=10, n_chars=5, seed=2, dim=512)
+        model = build_model(ModelConfig(vocab_size=len(vocab), feat_dim=512,
+                                        feature_set=("global", "char"), grid_mode="char",
+                                        seed=6))
+        assert len(vocab) > 1000 and model.config.n_layers == 2
+        model.store["out.b"].data[vocab.eos_id] = -1e9
+        cfg = DecodingConfig(mode="nucleus", p=0.9, max_new_tokens=40, seed=12)
+        ids, steps = cached_decode(monkeypatch, model, seq, vocab, cfg)
+        want_ids, want_steps = full_recompute_decode(model, seq, vocab, cfg)
+        assert len(ids) == 40
+        assert ids == want_ids
+        np.testing.assert_allclose(np.array(steps), np.array(want_steps), rtol=0, atol=1e-12)
+        assert generate(model, seq, vocab, cfg).stop == "budget"
+
+    # Tensors built by the 19 cached steps of a 20-token decode with the
+    # two-layer ``corpus_and_model`` models, each step one text row: 36 per step
+    CACHED_STEP_TENSORS = 19 * 36
+
+    @pytest.mark.parametrize("corpus", ["fixture", "planted"])
+    def test_cached_steps_build_no_more_tensors(self, monkeypatch, corpus):
+        records, vocab, model = corpus_and_model(corpus, suppress_eos=True)
+        built, forwards = [0], []
+        init = nm.Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            built[0] += 1
+            init(tensor, *args, **kwargs)
+
+        def counting_forward(*args, **kwargs):
+            before = built[0]
+            logits = forward_logits(*args, **kwargs)
+            forwards.append(built[0] - before)
+            return logits
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+        monkeypatch.setattr(decoding, "forward_logits", counting_forward)
+        out = generate(model, records[0], vocab,
+                       DecodingConfig(mode="nucleus", p=0.9, max_new_tokens=20, seed=3))
+        assert len(out.token_ids) == 20 and len(forwards) == 20
+        assert sum(forwards[1:]) <= self.CACHED_STEP_TENSORS
 
     def test_one_prefix_forward_then_one_position_per_token(self, monkeypatch):
         records, vocab, model = corpus_and_model("fixture", suppress_eos=True)
@@ -454,13 +538,17 @@ class TestBatchedDecoding:
     def test_matches_per_record_generate_and_full_recompute(self, monkeypatch, mode, budget):
         records, vocab, model = recut_corpus()
         cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=budget, seed=31)
-        per_record = [generate(model, seq, vocab, cfg).token_ids for seq in records]
+        alone = [generate(model, seq, vocab, cfg) for seq in records]
         oracle = [full_recompute_decode(model, seq, vocab, cfg) for seq in records]
         forwards = record_batched_forwards(monkeypatch)
         stories = generate_batch(model, records, vocab, cfg)
         ids = [story.token_ids for story in stories]
         assert [story.sequence_id for story in stories] == [seq.id for seq in records]
-        assert ids == per_record == [want for want, _ in oracle]
+        assert ids == [story.token_ids for story in alone] == [want for want, _ in oracle]
+        # each story keeps its own stop reason through the batch's row changes
+        stops = [story.stop for story in stories]
+        assert stops == [story.stop for story in alone]
+        assert stops == ["budget" if len(story) == budget else "eos" for story in ids]
 
         # the data exercise what the test is about
         slices = expected_slices(model, records, vocab)
@@ -468,6 +556,7 @@ class TestBatchedDecoding:
         assert len(slices) >= 4  # three widths, one of them over two slices
         lengths = {len(story) for story in ids}
         assert budget in lengths and len(lengths - {budget}) >= 2
+        assert any(len({stops[r] for r in members}) == 2 for members in slices)
 
         steps = [[] for _ in records]
         schedule = expected_forwards(slices, ids, budget)

@@ -33,18 +33,18 @@ BOS = 1
 D = 4
 
 
-def make_seq(n_images=5, n_chars=2, n_objs=0, seed=0, seq_id="s"):
+def make_seq(n_images=5, n_chars=2, n_objs=0, seed=0, seq_id="s", dim=D):
     rng = np.random.default_rng(seed)
-    images = [ImageRecord(image_id=f"{seq_id}-im{a}", global_feat=rng.normal(size=D))
+    images = [ImageRecord(image_id=f"{seq_id}-im{a}", global_feat=rng.normal(size=dim))
               for a in range(n_images)]
     chars = [
         CharacterRecord(
             char_id=f"{seq_id}-c{b}", gender="unknown",
             instances=[CharacterInstance(image_index=0, bbox=(0, 0, 2, 2), sharpness=1.0)],
-            representative_feat=rng.normal(size=D))
+            representative_feat=rng.normal(size=dim))
         for b in range(n_chars)
     ]
-    objs = [ObjectRecord(object_id=f"{seq_id}-o{k}", feat=rng.normal(size=D))
+    objs = [ObjectRecord(object_id=f"{seq_id}-o{k}", feat=rng.normal(size=dim))
             for k in range(n_objs)]
     return ImageSequenceRecord(id=seq_id, images=images, characters=chars, objects=objs)
 
