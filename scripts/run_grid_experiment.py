@@ -27,12 +27,12 @@ def main() -> int:
     args = parser.parse_args()
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    start = time.time()
+    start = time.perf_counter()
     result = run_grid_comparison(
         n_sequences=args.sequences, val_count=args.val_count, seeds=seeds,
         epochs=args.epochs, lr=args.lr, d_model=args.d_model,
         n_layers=args.n_layers, n_heads=args.n_heads)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     if args.json:
         payload = result.to_dict()
         payload["elapsed_seconds"] = elapsed

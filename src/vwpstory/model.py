@@ -5,6 +5,11 @@ One causal stream: encoded image tokens, then character/object tokens, then
 [BOS] and the story. Every position gets a learned absolute position
 embedding and one of four segment embeddings (image/character/grid/text).
 Pre-LN GPT-2 style blocks; loss is masked cross-entropy on story positions.
+
+Training and scoring batches come from ``batch_layout``, which builds the
+padded batch straight from its (record, story) pairs with index arithmetic.
+Decoding builds each prefix with ``assemble_input`` and stacks them with
+``assemble_batch``; the tests hold the two ways to the same bits.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import numerics as nm
 from .chargrid import (GRID_COLUMNS, M_MAX_DEFAULT, N_MAX_DEFAULT, entity_columns, flatten_pad,
-                       grid_for_mode)
+                       grid_for_mode, grid_frames)
 from .corpus import ImageSequenceRecord
 from .errors import ConfigError, DataError, NumericError, StateError
 from .numerics import ParamStore, Tensor
@@ -209,6 +214,24 @@ class BatchLayout:
         return int(self.lengths.sum())
 
 
+def _padded_order(counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each real row of a batch comes from and goes: ``counts[b, k]``
+    is sequence b's number of rows in block k of the stack (segment ids
+    number the blocks in stack order). Real row i, counted sequence by
+    sequence, is stack row ``src[i]`` and padded row ``dest[i]``."""
+    lengths = counts.sum(axis=1)
+    block_sizes = counts.sum(axis=0)
+    runs = counts.ravel()
+    # a run of rows starts after its block's rows of every earlier sequence
+    run_starts = (np.cumsum(block_sizes) - block_sizes + np.cumsum(counts, axis=0) - counts).ravel()
+    # real row i of the batch is entry i of the runs laid end to end
+    real = np.arange(lengths.sum())
+    src = real + np.repeat(run_starts - (np.cumsum(runs) - runs), runs)
+    dest = real + np.repeat(np.arange(len(counts)) * width - (np.cumsum(lengths) - lengths),
+                            lengths)
+    return src, dest
+
+
 def assemble_batch(layouts: list[BatchLayout]) -> BatchLayout:
     """Right-pad the one-sequence layouts of ``assemble_input`` to the
     longest and stack them (see BatchLayout). One layout is returned as is."""
@@ -224,18 +247,8 @@ def assemble_batch(layouts: list[BatchLayout]) -> BatchLayout:
         blocks = [getattr(lay, name) for lay in layouts if getattr(lay, name) is not None]
         return np.concatenate(blocks) if blocks else None
 
-    # rows per sequence (axis 0) and block of the stack (axis 1): segment ids
-    # number the blocks in stack order. A run of rows starts after its
-    # block's rows of every earlier sequence.
     counts = np.array([np.bincount(lay.segments, minlength=4) for lay in layouts])
-    block_sizes = counts.sum(axis=0)
-    runs = counts.ravel()
-    run_starts = (np.cumsum(block_sizes) - block_sizes + np.cumsum(counts, axis=0) - counts).ravel()
-    # real row i of the batch is entry i of the runs laid end to end
-    real = np.arange(lengths.sum())
-    src = real + np.repeat(run_starts - (np.cumsum(runs) - runs), runs)
-    dest = real + np.repeat(np.arange(len(layouts)) * width - (np.cumsum(lengths) - lengths),
-                            lengths)
+    src, dest = _padded_order(counts, width)
 
     def padded(name, fill, dtype):
         out = np.full(total, fill, dtype=dtype)
@@ -302,33 +315,43 @@ class KVCache:
         self.batch = n
 
 
-def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
-                   config: ModelConfig, bos_id: int) -> BatchLayout:
-    """The batch of one sequence: images ++ characters/objects ++ grid? ++
-    [BOS] ++ story, with a loss on every story-prediction row."""
+def _conditioning_rows(seq: ImageSequenceRecord, story_tokens: list[int],
+                       config: ModelConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A sequence's image rows and entity rows, once it passes the checks of
+    every sequence the model takes: frame capacities, story budget and
+    feature width."""
     n_img = len(seq.images)
     if n_img > config.n_max:
         raise DataError(f"sequence {seq.id}: {n_img} images exceed n_max {config.n_max}")
     if len(story_tokens) > config.t_max:
         raise DataError(f"sequence {seq.id}: story length {len(story_tokens)} exceeds t_max {config.t_max}")
-    image_feats = np.stack([im.global_feat for im in seq.images])
-
     if "char" in config.feature_set and len(seq.characters) > config.m_max:
         raise DataError(f"sequence {seq.id}: {len(seq.characters)} characters exceed m_max {config.m_max}")
     if "obj" in config.feature_set and len(seq.objects) > config.o_max:
         raise DataError(f"sequence {seq.id}: {len(seq.objects)} objects exceed o_max {config.o_max}")
+    image_rows = [im.global_feat for im in seq.images]
     entity_rows = entity_columns(seq, config.feature_set)[1]
+    for feat in image_rows + entity_rows:
+        if feat.shape != (config.feat_dim,):
+            raise DataError(f"sequence {seq.id}: features are {feat.shape[0]} wide, not feat_dim {config.feat_dim}")
+    return image_rows, entity_rows
+
+
+def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
+                   config: ModelConfig, bos_id: int) -> BatchLayout:
+    """The batch of one sequence: images ++ characters/objects ++ grid? ++
+    [BOS] ++ story, with a loss on every story-prediction row."""
+    image_rows, entity_rows = _conditioning_rows(seq, story_tokens, config)
+    n_img = len(image_rows)
+    image_feats = np.stack(image_rows)
     entity_feats = np.stack(entity_rows) if entity_rows else None
-    for feats in (image_feats, entity_feats):
-        if feats is not None and feats.shape[1] != config.feat_dim:
-            raise DataError(f"sequence {seq.id}: features are {feats.shape[1]} wide, not feat_dim {config.feat_dim}")
 
     grid_vecs = None
     if config.grid_mode != "none":
         grid = grid_for_mode(seq, config.grid_mode, config.n_max, config.m_max)
         grid_vecs = flatten_pad(grid, config.n_max, config.m_max)[None, :]
 
-    n_entity = 0 if entity_feats is None else entity_feats.shape[0]
+    n_entity = len(entity_rows)
     n_grid = 0 if grid_vecs is None else 1
     prefix_len = n_img + n_entity + n_grid
     length = prefix_len + 1 + len(story_tokens)
@@ -357,6 +380,76 @@ def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
                        loss_weights=loss_weights)
 
 
+def batch_layout(examples: list[tuple[ImageSequenceRecord, list[int]]], config: ModelConfig,
+                 bos_id: int) -> BatchLayout:
+    """The batch of (record, story) pairs that training and scoring forward,
+    built straight from the records: field for field, the ``assemble_batch``
+    of their ``assemble_input`` layouts, after the same checks, and every
+    story must be non-empty.
+
+    The image rows and the entity rows of the batch are each stacked in one
+    array build, the grids come from ``grid_frames``, and every per-row field
+    is index arithmetic on the per-sequence block sizes. One difference: a
+    feature set with characters or objects always gets an entity block, with
+    no rows when no record in the batch has one, so the entity encoder gets
+    an exact zero gradient rather than none.
+    """
+    if not examples:
+        raise DataError("batch_layout: no examples")
+    n_grid = 0 if config.grid_mode == "none" else 1
+    image_rows, entity_rows, token_ids, sizes = [], [], [], []
+    for seq, story in examples:
+        if not story:
+            raise DataError(f"sequence {seq.id}: empty story has no loss positions")
+        images, entities = _conditioning_rows(seq, story, config)
+        image_rows += images
+        entity_rows += entities
+        token_ids += [bos_id, *story]
+        sizes.append((len(images), len(entities), n_grid, 1 + len(story)))
+
+    # rows of each sequence (axis 0) in each block of the stack (axis 1)
+    counts = np.array(sizes, dtype=np.intp)
+    n = len(examples)
+    lengths = counts.sum(axis=1)
+    width = int(lengths.max())
+    total = n * width
+    src, dest = _padded_order(counts, width)
+    positions = np.zeros(total, dtype=np.intp)
+    positions[dest] = dest - np.repeat(np.arange(n) * width, lengths)
+    segments = np.zeros(total, dtype=np.intp)
+    segments[dest] = np.repeat(np.tile(np.arange(4), n), counts.ravel())
+
+    # text row i holds token_ids[i]; all but each sequence's last predict the next
+    text = np.flatnonzero(segments == SEG_TEXT)
+    tokens = np.array(token_ids, dtype=np.intp)
+    predicts = np.ones(tokens.size, dtype=bool)
+    predicts[np.cumsum(counts[:, SEG_TEXT]) - 1] = False
+    loss_rows = text[predicts]
+    targets = np.full(total, -1, dtype=np.intp)
+    targets[loss_rows] = tokens[1:][predicts[:-1]]
+    loss_mask = np.zeros(total, dtype=bool)
+    loss_mask[loss_rows] = True
+    owner = loss_rows // width
+    loss_weights = np.zeros((n, total))
+    loss_weights[owner, loss_rows] = 1.0 / (counts[owner, SEG_TEXT] - 1)
+
+    rows = None
+    if n > 1:
+        rows = np.zeros(total, dtype=np.intp)
+        rows[dest] = src
+    entity_feats = None
+    if "char" in config.feature_set or "obj" in config.feature_set:
+        entity_feats = np.array(entity_rows).reshape(len(entity_rows), config.feat_dim)
+    grid_vecs = None
+    if n_grid:
+        grid_vecs = grid_frames([seq for seq, _ in examples], config.grid_mode,
+                                config.n_max, config.m_max)
+    return BatchLayout(lengths=lengths, width=width, token_ids=tokens, positions=positions,
+                       segments=segments, rows=rows, image_feats=np.array(image_rows),
+                       entity_feats=entity_feats, grid_vecs=grid_vecs, targets=targets,
+                       loss_mask=loss_mask, loss_weights=loss_weights)
+
+
 def _causal_mask(length: int, past: int) -> np.ndarray:
     """(length, past + length): row r sits at position past + r and sees
     every position up to its own."""
@@ -371,10 +464,10 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
                    cache: KVCache | None = None) -> Tensor:
     """Logits (B * width x vocab) under causal self-attention.
 
-    Without a cache ``batch`` holds whole sequences (one from
-    ``assemble_input``, several from ``assemble_batch``); training, losses
-    and teacher-forced evaluation all take this path. With a ``KVCache`` the
-    batch holds one unpadded sequence per cached one, each holding only the
+    Without a cache ``batch`` holds whole sequences (from ``batch_layout``,
+    or one from ``assemble_input``); training, losses and teacher-forced
+    evaluation all take this path. With a ``KVCache`` the batch holds one
+    unpadded sequence per cached one, each holding only the
     positions that follow those already cached (the conditioning prefixes
     first, then one ``text_step`` per token): each layer's new queries
     attend over their sequence's cached keys/values plus the new ones under
@@ -459,12 +552,9 @@ def story_losses(model: StoryGenModel,
                  examples: list[tuple[ImageSequenceRecord, list[int]]], bos_id: int, *,
                  training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Each example's ``story_loss`` from one forward pass over the padded
-    batch: a vector with one mean masked cross-entropy per example."""
-    for seq, story_tokens in examples:
-        if not story_tokens:
-            raise DataError(f"sequence {seq.id}: empty story has no loss positions")
-    batch = assemble_batch([assemble_input(seq, story_tokens, model.config, bos_id)
-                            for seq, story_tokens in examples])
+    batch of ``batch_layout``: a vector with one mean masked cross-entropy
+    per example."""
+    batch = batch_layout(examples, model.config, bos_id)
     logits = forward_logits(model, batch, training=training, rng=rng)
     return nm.cross_entropy_masked(logits, batch.targets, batch.loss_mask, batch.loss_weights)
 

@@ -482,7 +482,8 @@ class ParamStore:
     holds their values in dict order, and each parameter's ``Tensor.data`` is
     a reshaped view into it, so writing ``flat`` writes the parameters and
     the reverse. ``m`` and ``v`` are Adam's first and second moments, laid
-    out as ``flat``; they stay None until the first ``adam_step``.
+    out as ``flat``, and ``scratch`` is two more such rows that each
+    ``adam_step`` overwrites; all three stay None until the first step.
     """
 
     def __init__(self, params: dict):
@@ -496,6 +497,7 @@ class ParamStore:
             offset += v.size
         self.m: Array | None = None
         self.v: Array | None = None
+        self.scratch: Array | None = None
         self.step = 0
 
     def __getitem__(self, name: str) -> Tensor:
@@ -512,7 +514,7 @@ def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = ADAM_BETA1,
 
     The gradients are gathered into one flat buffer laid out as
     ``store.flat``, and the update runs over the whole model at once, in
-    place on the moment buffers and on transient scratch. Per element it
+    place on the moment buffers and on the store's scratch. Per element it
     makes the same float operations in the same order as the textbook form
     ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g^2``,
     ``p -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)``.
@@ -525,10 +527,11 @@ def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = ADAM_BETA1,
         grads.append(p.grad.reshape(-1))
     n = store.flat.size
     if store.m is None:
-        store.m, store.v = np.zeros(n), np.zeros(n)
+        store.m, store.v, store.scratch = np.zeros(n), np.zeros(n), np.empty((2, n))
     m, v, flat = store.m, store.v, store.flat
-    g = np.concatenate(grads, out=np.empty(n))
-    step = np.multiply(g, 1.0 - beta1)
+    g, step = store.scratch
+    np.concatenate(grads, out=g)
+    np.multiply(g, 1.0 - beta1, out=step)
     m *= beta1
     m += step
     np.multiply(g, g, out=g)

@@ -1,7 +1,8 @@
 """Maximum-likelihood training with epoch-level METEOR model selection.
 
 One optimizer step per mini-batch of sequences: one forward pass over the
-batch right-padded to its longest sequence, one backward pass of the mean
+batch right-padded to its longest sequence (built by ``batch_layout``
+straight from the records and stories), one backward pass of the mean
 of the per-example losses, gradients clipped at a global norm of 1.0, then
 Adam. After every epoch the model decodes the validation split with seeded
 nucleus sampling and the epoch with the highest METEOR wins (earliest on
@@ -33,8 +34,7 @@ from .model import (
     EVAL_SLICE,
     ModelConfig,
     StoryGenModel,
-    assemble_batch,
-    assemble_input,
+    batch_layout,
     build_model,
     forward_logits,
     save_checkpoint,
@@ -264,8 +264,7 @@ def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord]
     hits = 0
     count = 0
     for examples in _eval_slices(records, vocab):
-        batch = assemble_batch([assemble_input(rec, tokens, model.config, vocab.bos_id)
-                                for rec, tokens in examples])
+        batch = batch_layout(examples, model.config, vocab.bos_id)
         with no_grad():
             logits = forward_logits(model, batch).data
         rows = np.flatnonzero(batch.loss_mask)

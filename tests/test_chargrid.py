@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from vwpstory import chargrid
 from vwpstory.chargrid import (
+    GRID_COLUMNS,
     CharacterGrid,
+    entity_columns,
     flatten_pad,
     grid_for_mode,
+    grid_frames,
     grid_csv,
     grid_heat_table,
     shade_buckets,
@@ -145,6 +148,58 @@ class TestVectorisedGridOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             actual = vector_grid(ifeats, cfeats)
         assert_bits_equal(actual, loop_grid(ifeats, cfeats))
+
+
+def loop_frame(seq, mode, n_max, m_max):
+    """Reference frame: ``loop_grid`` of the record's images against its
+    mode's columns, laid out by the ``flatten_pad`` rule."""
+    values = loop_grid([im.global_feat for im in seq.images],
+                       entity_columns(seq, GRID_COLUMNS[mode])[1])
+    frame = np.zeros((n_max, m_max))
+    frame[:values.shape[0], :values.shape[1]] = values
+    return frame.reshape(-1)
+
+
+class TestStackedGridOracle:
+    """``grid_frames`` computes every record of one grid shape in one stacked
+    cumsum; each row must carry the bits of that record's own loop grid."""
+
+    @pytest.mark.parametrize("mode", list(GRID_COLUMNS))
+    def test_bit_identical_to_per_record_loop(self, mode):
+        rng = np.random.default_rng(5)
+        # repeated shapes share a stack; (2, 0, 0) and (1, 0, 2) have no char columns
+        shapes = [(3, 2, 1), (1, 0, 2), (3, 2, 1), (5, 3, 2), (2, 0, 0), (3, 2, 1), (5, 3, 2)]
+        seqs = [make_seq(rng.normal(size=(n, 6)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 1)),
+                         rng.normal(size=(m, 6)), obj_feats=rng.normal(size=(o, 6)))
+                for n, m, o in shapes]
+        # every product -0.0 (the cell must read +0.0), then exact cancellation
+        signed = [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+        seqs.append(make_seq([[1.0, -1.0, 2.0, -1.0, 1.0, -1.0], [-0.0] * 6],
+                             [signed, [0.0] * 6], obj_feats=[signed]))
+        seqs.append(make_seq([[1.0, -1.0, 0.5, 0.0, 3.0, -3.0]] * 2,
+                             [[1.0, 1.0, 0.0, 0.0, 1.0, 1.0]],
+                             obj_feats=[[2.0, 2.0, 0.0, 0.0, 1.0, 1.0]]))
+        frames = grid_frames(seqs, mode, n_max=6, m_max=5)
+        assert frames.shape == (len(seqs), 30)
+        for frame, seq in zip(frames, seqs):
+            assert_bits_equal(frame, loop_frame(seq, mode, 6, 5))
+        assert not np.signbit(frames[-2:]).any()
+
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_zero_columns_and_zero_width_features(self, width):
+        seqs = [make_seq(np.ones((n, width)), np.ones((m, width)))
+                for n, m in [(2, 0), (2, 3), (1, 1), (2, 3)]]
+        frames = grid_frames(seqs, "char", n_max=4, m_max=3)
+        for frame, seq in zip(frames, seqs):
+            assert_bits_equal(frame, loop_frame(seq, "char", 4, 3))
+
+    def test_frame_overflow_is_data_error(self):
+        fits = make_seq([[1.0]] * 2, [[1.0]] * 2)
+        with pytest.raises(DataError, match="3 images exceed grid frame height 2"):
+            grid_frames([fits, make_seq([[1.0]] * 3, [])], "char", n_max=2, m_max=2)
+        with pytest.raises(DataError, match="3 columns exceed grid frame width 2"):
+            grid_frames([fits, make_seq([[1.0]], [[1.0]] * 2, obj_feats=[[1.0]])], "entity",
+                        n_max=2, m_max=2)
 
 
 class TestVariantGrids:

@@ -316,6 +316,20 @@ class TestTrainGenerateEvaluate:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "runlog.json").exists()
 
+    def test_train_object_features_on_records_without_objects(self, prepared_dir, tmp_path):
+        data = tmp_path / "no-objects"
+        shutil.copytree(prepared_dir, data)
+        for split in ("train", "val", "test"):
+            records = load_dataset(data / f"{split}.jsonl")
+            for rec in records:
+                rec.objects = []
+            save_dataset(records, data / f"{split}.jsonl")
+        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "out"),
+                     "--seeds", "0", "--epochs", "1", "--d-model", "16", "--n-layers", "1",
+                     "--n-heads", "2", "--t-max", "32", "--batch-size", "4",
+                     "--features", "global,obj", "--grid-mode", "obj", "--max-new", "4"]) == 0
+        assert (tmp_path / "out" / "checkpoints" / "seed0-best.ckpt").exists()
+
     def test_generate_with_other_feature_width_is_data_error(self, prepared_dir, tmp_path):
         vocab = Vocabulary.from_dict(json.loads((prepared_dir / "vocab.json").read_text()))
         width = load_dataset(prepared_dir / "test.jsonl")[0].feat_dim

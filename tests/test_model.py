@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from vwpstory.corpus import (
 )
 from vwpstory.errors import ConfigError, DataError, StateError
 from vwpstory.model import (
+    FEATURES,
+    GRID_MODES,
     BatchLayout,
     KVCache,
     ModelConfig,
     assemble_batch,
     assemble_input,
+    batch_layout,
     build_model,
     forward_logits,
     load_checkpoint,
@@ -509,6 +514,90 @@ class TestBatch:
             without = forward_logits(model, batch)
         assert with_graph._node is not None and without._node is None
         assert without.data.tobytes() == with_graph.data.tobytes()
+
+
+def valid_feature_grid_pairs():
+    """Every (feature set, grid mode) pair that ModelConfig accepts."""
+    entities = FEATURES[1:]
+    pairs = []
+    for features in [("global", *kinds) for r in range(len(entities) + 1)
+                     for kinds in combinations(entities, r)]:
+        for mode in GRID_MODES:
+            try:
+                tiny_config(feature_set=features, grid_mode=mode)
+            except ConfigError:
+                continue
+            pairs.append((features, mode))
+    return pairs
+
+
+def layout_batches():
+    """Batches for the ``batch_layout`` oracle: a mix of 1..n_max images,
+    records with no characters or no objects, stories from one token up and
+    repeated grid shapes; two records without any entity; and each record
+    alone."""
+    shapes = [(1, 0, 0, 1), (5, 3, 2, 6), (2, 0, 1, 3), (3, 2, 0, 9), (4, 1, 1, 2),
+              (5, 3, 2, 2), (3, 2, 0, 4)]
+    examples = [(make_seq(n_images=a, n_chars=c, n_objs=o, seed=i, seq_id=f"m{i}"),
+                 [2 + (3 * i + j) % 14 for j in range(n)])
+                for i, (a, c, o, n) in enumerate(shapes)]
+    bare = [(make_seq(n_images=a, n_chars=0, seed=9 + a, seq_id=f"b{a}"), [5] * a)
+            for a in (2, 4)]
+    return [examples, bare] + [[example] for example in examples]
+
+
+def has_entities(config):
+    return "char" in config.feature_set or "obj" in config.feature_set
+
+
+class TestBatchLayout:
+    @pytest.mark.parametrize("features, grid_mode", valid_feature_grid_pairs())
+    def test_every_field_equals_assemble_batch(self, features, grid_mode):
+        config = tiny_config(feature_set=features, grid_mode=grid_mode, m_max=5)
+        for examples in layout_batches():
+            got = batch_layout(examples, config, BOS)
+            want = assemble_batch([assemble_input(seq, story, config, BOS)
+                                   for seq, story in examples])
+            assert type(got.width) is int and got.width == want.width
+            for field in fields(BatchLayout):
+                if field.name == "width":
+                    continue
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if field.name == "entity_feats" and b is None and has_entities(config):
+                    # the entity encoder keeps a (zero) gradient: see batch_layout
+                    b = np.zeros((0, config.feat_dim))
+                if b is None:
+                    assert a is None, field.name
+                else:
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                        field.name
+            assert (got.rows is None) == (len(examples) == 1)
+
+    def test_valid_pairs_cover_each_grid_mode(self):
+        pairs = valid_feature_grid_pairs()
+        assert len(pairs) == 9 and {mode for _, mode in pairs} == set(GRID_MODES)
+
+    @pytest.mark.parametrize("shape, features, story, message", [
+        (dict(n_images=6), ("global",), [2, 3], "6 images exceed n_max 5"),
+        (dict(n_chars=4), ("global", "char"), [2, 3], "4 characters exceed m_max 3"),
+        (dict(n_objs=3), ("global", "obj"), [2, 3], "3 objects exceed o_max 2"),
+        (dict(dim=D + 2), ("global",), [2, 3], f"features are {D + 2} wide"),
+        ({}, ("global",), [], "empty story has no loss positions"),
+        ({}, ("global",), [2] * 17, "story length 17 exceeds t_max 16"),
+    ])
+    def test_data_errors_name_the_sequence(self, shape, features, story, message):
+        config = tiny_config(feature_set=features, grid_mode="none")
+        bad = make_seq(**shape, seq_id="bad")
+        examples = [(make_seq(n_chars=1, seq_id="good"), [2, 3]), (bad, story)]
+        with pytest.raises(DataError, match=f"sequence bad: {message}"):
+            batch_layout(examples, config, BOS)
+        if story:  # a decoding prefix has no story, so assemble_input takes an empty one
+            with pytest.raises(DataError, match=f"sequence bad: {message}"):
+                assemble_input(bad, story, config, BOS)
+
+    def test_no_examples(self):
+        with pytest.raises(DataError):
+            batch_layout([], tiny_config(), BOS)
 
 
 class TestGradCheck:

@@ -156,6 +156,40 @@ class TestTrainEpoch:
             train_epoch(model, [], prepared.vocab, tiny_train_config(), seed=0)
 
 
+    @pytest.mark.parametrize("features", [("global", "obj"), ("global", "char")])
+    def test_batches_without_entity_rows_train(self, features):
+        # the planted corpus has no objects; drop its characters too
+        prepared = tiny_prepared()
+        records = prepared.splits["train"]
+        for rec in records:
+            assert not rec.objects
+            rec.characters = []
+        model = build_model(tiny_model_config(len(prepared.vocab), feature_set=features,
+                                              grid_mode=features[1]))
+        entity = model.store["enc_entity.w"].data.copy()
+        loss = train_epoch(model, records, prepared.vocab, tiny_train_config(), seed=0)
+        assert math.isfinite(loss) and model.store.step > 0
+        # a zero gradient leaves Adam's moments, and so the encoder, at rest
+        assert model.store["enc_entity.w"].grad.tobytes() == bytes(entity.nbytes)
+        assert model.store["enc_entity.w"].data.tobytes() == entity.tobytes()
+
+    def test_hot_loops_build_no_per_example_layouts(self, monkeypatch):
+        from vwpstory import decoding, model as model_mod
+        prepared = tiny_prepared()
+        model = build_model(tiny_model_config(len(prepared.vocab)))
+        calls = []
+        for module in (model_mod, training, decoding):
+            for name in ("assemble_input", "assemble_batch"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        lambda *args, _name=name, **kwargs: calls.append(_name))
+        records, vocab = prepared.splits["train"], prepared.vocab
+        train_epoch(model, records, vocab, tiny_train_config(), seed=0)
+        held_out_loss(model, records, vocab)
+        next_token_accuracy(model, records, vocab)
+        assert calls == []
+
+
 class TestSelectBest:
     def test_argmax(self):
         assert select_best([0.30, 0.33, 0.31]) == 2
