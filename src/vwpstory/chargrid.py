@@ -5,9 +5,8 @@ and column b's feature vector: high values mark images where that entity
 carries narrative weight. ``GRID_COLUMNS`` names each grid mode's columns:
 the characters' representative features, the object features, or both,
 characters first. Accumulation is explicit left-to-right so results are
-reproducible bit for bit. ``grid_for_mode`` builds one record's grid and
-``grid_frames`` the flattened frames of many, stacking the records whose
-grids share a shape; both run one arithmetic, ``_cell_sums``.
+reproducible bit for bit. ``grid_for_mode`` builds one record's grid, and
+``flatten_pad`` lays it out in the fixed frame the model's grid slot reads.
 """
 
 from __future__ import annotations
@@ -36,34 +35,28 @@ class CharacterGrid:
     column_ids: list[str]
 
 
-def _check_frame(n_images: int, n_columns: int, n_max: int, m_max: int) -> None:
-    if n_images > n_max:
-        raise DataError(f"{n_images} images exceed grid frame height {n_max}")
-    if n_columns > m_max:
-        raise DataError(f"{n_columns} columns exceed grid frame width {m_max}")
-
-
 def _cell_sums(images: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """(k, n, m) grid values of k stacked (n, w) image blocks against their
-    (m, w) column blocks."""
-    if images.shape[2] == 0:
-        return np.zeros(images.shape[:2] + columns.shape[1:2])
+    """(n, m) grid values of (n, w) image rows against (m, w) column rows."""
+    if images.shape[1] == 0:
+        return np.zeros((images.shape[0], columns.shape[0]))
     # cumsum adds each cell's products one by one, left to right, as a loop
-    # from 0.0 would, whatever the leading axes; "+ 0.0" maps an all -0.0 sum
-    # to +0.0 as 0.0 + ... does
-    return np.cumsum(images[:, :, None] * columns[:, None], axis=3)[..., -1] + 0.0
+    # from 0.0 would; "+ 0.0" maps an all -0.0 sum to +0.0 as 0.0 + ... does
+    return np.cumsum(images[:, None] * columns[None], axis=2)[..., -1] + 0.0
 
 
 def _grid_from_features(image_ids, image_feats, column_ids, column_feats,
                         n_max: int, m_max: int) -> CharacterGrid:
-    _check_frame(len(image_feats), len(column_feats), n_max, m_max)
+    if len(image_feats) > n_max:
+        raise DataError(f"{len(image_feats)} images exceed grid frame height {n_max}")
+    if len(column_feats) > m_max:
+        raise DataError(f"{len(column_feats)} columns exceed grid frame width {m_max}")
     dims = {f.shape[0] for f in image_feats} | {f.shape[0] for f in column_feats}
     if len(dims) > 1:
         raise DataError(f"feature dimensions differ: {sorted(dims)}")
     width = dims.pop() if dims else 0
-    images = np.asarray(image_feats, dtype=np.float64).reshape(1, len(image_feats), width)
-    columns = np.asarray(column_feats, dtype=np.float64).reshape(1, len(column_feats), width)
-    return CharacterGrid(values=_cell_sums(images, columns)[0], image_ids=list(image_ids),
+    images = np.asarray(image_feats, dtype=np.float64).reshape(len(image_feats), width)
+    columns = np.asarray(column_feats, dtype=np.float64).reshape(len(column_feats), width)
+    return CharacterGrid(values=_cell_sums(images, columns), image_ids=list(image_ids),
                          column_ids=list(column_ids))
 
 
@@ -106,30 +99,6 @@ def flatten_pad(grid: CharacterGrid, n_max: int = N_MAX_DEFAULT,
     frame = np.zeros((n_max, m_max))
     frame[:n, :m] = grid.values
     return frame.reshape(-1)
-
-
-def grid_frames(seqs: list[ImageSequenceRecord], mode: str, n_max: int,
-                m_max: int) -> np.ndarray:
-    """One row per record: ``flatten_pad`` of its ``grid_for_mode`` grid.
-
-    Records whose grids have the same shape are computed in one stacked
-    ``_cell_sums``, which gives each cell the bits of the one-record grid.
-    Every record's feature vectors must be equally wide (the model checks
-    them against its ``feat_dim`` first).
-    """
-    by_shape: dict[tuple[int, int], list] = {}
-    for index, seq in enumerate(seqs):
-        images = [im.global_feat for im in seq.images]
-        columns = entity_columns(seq, GRID_COLUMNS[mode])[1]
-        _check_frame(len(images), len(columns), n_max, m_max)
-        by_shape.setdefault((len(images), len(columns)), []).append((index, images, columns))
-    frames = np.zeros((len(seqs), n_max, m_max))
-    for (n, m), members in by_shape.items():
-        if n and m:  # an empty grid leaves its frame zero
-            images = np.array([member[1] for member in members], dtype=np.float64)
-            columns = np.array([member[2] for member in members], dtype=np.float64)
-            frames[[member[0] for member in members], :n, :m] = _cell_sums(images, columns)
-    return frames.reshape(len(seqs), n_max * m_max)
 
 
 def shade_buckets(grid: CharacterGrid) -> np.ndarray:

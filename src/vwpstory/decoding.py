@@ -2,8 +2,9 @@
 
 ``generate_batch`` owns the decoding loop, and ``generate`` is its
 one-record case. Records are grouped by conditioning-prefix width and
-decoded in slices of 16: a slice's prefixes and [BOS] are forwarded once
-into a per-layer KV cache, then every step forwards one position per
+decoded in slices of 16: a slice's prefixes and [BOS], built by one
+``assemble_input`` call on its records with empty stories, are forwarded
+once into a per-layer KV cache, then every step forwards one position per
 unfinished story, without building an autograd graph. Each token is the
 argmax of its story's last logits or a nucleus draw from their softmax with
 the story's own generator; a story that picks [EOS] leaves the step batch.
@@ -37,11 +38,12 @@ from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind, stri
 from .errors import ConfigError, NumericError, ResourceError
 from .model import (
     EVAL_SLICE,
+    BatchLayout,
     KVCache,
     StoryGenModel,
-    assemble_batch,
     assemble_input,
     forward_logits,
+    prefix_width,
     text_step,
 )
 from .numerics import no_grad, softmax_rows
@@ -124,37 +126,38 @@ def generate_batch(model: StoryGenModel, seqs: list, vocab: Vocabulary,
     """One story per record, each continued from its conditioning prefix +
     [BOS] until [EOS] or budget, in the order of ``seqs``.
 
-    Each record's conditioning (stacked features, entity rows, flattened
-    grid) is assembled once, so its grid is computed once. Records with the
-    same prefix width decode together, in slices of ``EVAL_SLICE`` (see
-    ``_decode_slice``). Greedy picks the argmax (ties to the lowest id);
-    nucleus samples from the softmax with a generator seeded with the config
-    seed for each record, so a record's story does not depend on the others.
+    Records with the same ``prefix_width`` decode together, in slices of
+    ``EVAL_SLICE``: one ``assemble_input`` call builds a slice's prefixes,
+    so each record's grid is computed once (see ``_decode_slice``). Greedy
+    picks the argmax (ties to the lowest id); nucleus samples from the
+    softmax with a generator seeded with the config seed for each record, so
+    a record's story does not depend on the others.
     """
     budget = min(config.max_new_tokens, model.config.t_max - 1)
-    layouts = [assemble_input(seq, [], model.config, vocab.bos_id) for seq in seqs]
     by_width: dict[int, list[int]] = {}
-    for index, layout in enumerate(layouts):
-        by_width.setdefault(layout.width, []).append(index)
+    for index, seq in enumerate(seqs):
+        by_width.setdefault(prefix_width(seq, model.config), []).append(index)
+    slices = [group[start:start + EVAL_SLICE] for group in by_width.values()
+              for start in range(0, len(group), EVAL_SLICE)]
+    # every slice's prefixes are built, so every record is checked, before any decodes
+    prefixes = [assemble_input([(seqs[i], []) for i in members], model.config, vocab.bos_id)
+                for members in slices]
     stories: list = [None] * len(seqs)
-    for group in by_width.values():
-        for start in range(0, len(group), EVAL_SLICE):
-            members = group[start:start + EVAL_SLICE]
-            decoded, stops = _decode_slice(model, [layouts[i] for i in members], vocab,
-                                           config, budget)
-            for index, ids, stop in zip(members, decoded, stops):
-                tokens = vocab.decode(ids)
-                stories[index] = GeneratedStory(sequence_id=seqs[index].id, seed=config.seed,
-                                                token_ids=ids, tokens=tokens,
-                                                text=detokenize(tokens), stop=stop)
+    for members, batch in zip(slices, prefixes):
+        decoded, stops = _decode_slice(model, batch, vocab, config, budget)
+        for index, ids, stop in zip(members, decoded, stops):
+            tokens = vocab.decode(ids)
+            stories[index] = GeneratedStory(sequence_id=seqs[index].id, seed=config.seed,
+                                            token_ids=ids, tokens=tokens,
+                                            text=detokenize(tokens), stop=stop)
     return stories
 
 
-def _decode_slice(model: StoryGenModel, layouts: list, vocab: Vocabulary,
+def _decode_slice(model: StoryGenModel, batch: BatchLayout, vocab: Vocabulary,
                   config: DecodingConfig,
                   budget: int) -> tuple[list[list[int]], list[str]]:
-    """The ids decoded from prefixes of one width, as one step batch, and
-    why each story stopped.
+    """The ids decoded from a batch of prefixes of one width, as one step
+    batch, and why each story stopped.
 
     The prefixes and [BOS] are forwarded once into a KV cache; each later
     step forwards one position per unfinished story, the token it picked
@@ -162,13 +165,13 @@ def _decode_slice(model: StoryGenModel, layouts: list, vocab: Vocabulary,
     the stop reason "eos"; the stories still in it when the loop ends ran out
     of budget.
     """
-    stories: list[list[int]] = [[] for _ in layouts]
-    stops = ["budget"] * len(layouts)
-    active = list(range(len(layouts)))  # the story of each cache row
-    rngs = [np.random.default_rng(config.seed) for _ in layouts] \
+    n = batch.lengths.size
+    stories: list[list[int]] = [[] for _ in range(n)]
+    stops = ["budget"] * n
+    active = list(range(n))  # the story of each cache row
+    rngs = [np.random.default_rng(config.seed) for _ in range(n)] \
         if config.mode == "nucleus" else None
-    cache = KVCache(model.config, batch=len(layouts))
-    batch = assemble_batch(layouts)
+    cache = KVCache(model.config, batch=n)
     with no_grad():
         for _ in range(budget):
             logits = forward_logits(model, batch, cache=cache).data

@@ -6,10 +6,11 @@ One causal stream: encoded image tokens, then character/object tokens, then
 embedding and one of four segment embeddings (image/character/grid/text).
 Pre-LN GPT-2 style blocks; loss is masked cross-entropy on story positions.
 
-Training and scoring batches come from ``batch_layout``, which builds the
-padded batch straight from its (record, story) pairs with index arithmetic.
-Decoding builds each prefix with ``assemble_input`` and stacks them with
-``assemble_batch``; the tests hold the two ways to the same bits.
+Every forward input comes from ``assemble_input``, which builds the padded
+batch straight from its (record, story) pairs with index arithmetic:
+training and scoring batches, and decoding's prefixes, which are records
+with empty stories. The tests hold it to a per-sequence reference, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import numerics as nm
 from .chargrid import (GRID_COLUMNS, M_MAX_DEFAULT, N_MAX_DEFAULT, entity_columns, flatten_pad,
-                       grid_for_mode, grid_frames)
+                       grid_for_mode)
 from .corpus import ImageSequenceRecord
 from .errors import ConfigError, DataError, NumericError, StateError
 from .numerics import ParamStore, Tensor
@@ -214,62 +215,6 @@ class BatchLayout:
         return int(self.lengths.sum())
 
 
-def _padded_order(counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each real row of a batch comes from and goes: ``counts[b, k]``
-    is sequence b's number of rows in block k of the stack (segment ids
-    number the blocks in stack order). Real row i, counted sequence by
-    sequence, is stack row ``src[i]`` and padded row ``dest[i]``."""
-    lengths = counts.sum(axis=1)
-    block_sizes = counts.sum(axis=0)
-    runs = counts.ravel()
-    # a run of rows starts after its block's rows of every earlier sequence
-    run_starts = (np.cumsum(block_sizes) - block_sizes + np.cumsum(counts, axis=0) - counts).ravel()
-    # real row i of the batch is entry i of the runs laid end to end
-    real = np.arange(lengths.sum())
-    src = real + np.repeat(run_starts - (np.cumsum(runs) - runs), runs)
-    dest = real + np.repeat(np.arange(len(counts)) * width - (np.cumsum(lengths) - lengths),
-                            lengths)
-    return src, dest
-
-
-def assemble_batch(layouts: list[BatchLayout]) -> BatchLayout:
-    """Right-pad the one-sequence layouts of ``assemble_input`` to the
-    longest and stack them (see BatchLayout). One layout is returned as is."""
-    if not layouts:
-        raise DataError("assemble_batch: no layouts")
-    if len(layouts) == 1:
-        return layouts[0]
-    lengths = np.concatenate([lay.lengths for lay in layouts])
-    width = int(lengths.max())
-    total = len(layouts) * width
-
-    def stacked(name):
-        blocks = [getattr(lay, name) for lay in layouts if getattr(lay, name) is not None]
-        return np.concatenate(blocks) if blocks else None
-
-    counts = np.array([np.bincount(lay.segments, minlength=4) for lay in layouts])
-    src, dest = _padded_order(counts, width)
-
-    def padded(name, fill, dtype):
-        out = np.full(total, fill, dtype=dtype)
-        out[dest] = np.concatenate([getattr(lay, name) for lay in layouts])
-        return out
-
-    rows = np.zeros(total, dtype=np.intp)
-    rows[dest] = src
-    loss_weights = np.zeros((len(layouts), total))
-    loss_weights[np.repeat(np.arange(len(layouts)), lengths), dest] = np.concatenate(
-        [lay.loss_weights[0] for lay in layouts])
-    return BatchLayout(lengths=lengths, width=width, token_ids=stacked("token_ids"),
-                       positions=padded("positions", 0, np.intp),
-                       segments=padded("segments", 0, np.intp), rows=rows,
-                       image_feats=stacked("image_feats"),
-                       entity_feats=stacked("entity_feats"), grid_vecs=stacked("grid_vecs"),
-                       targets=padded("targets", -1, np.intp),
-                       loss_mask=padded("loss_mask", False, bool),
-                       loss_weights=loss_weights)
-
-
 def text_step(token_ids, position: int) -> BatchLayout:
     """One text token per sequence, each at absolute ``position``: the batch
     of one-row sequences a decode step forwards over a KV cache, with no
@@ -329,6 +274,9 @@ def _conditioning_rows(seq: ImageSequenceRecord, story_tokens: list[int],
         raise DataError(f"sequence {seq.id}: {len(seq.characters)} characters exceed m_max {config.m_max}")
     if "obj" in config.feature_set and len(seq.objects) > config.o_max:
         raise DataError(f"sequence {seq.id}: {len(seq.objects)} objects exceed o_max {config.o_max}")
+    n_columns = len(entity_columns(seq, GRID_COLUMNS.get(config.grid_mode, ()))[0])
+    if n_columns > config.m_max:
+        raise DataError(f"sequence {seq.id}: {n_columns} grid columns exceed m_max {config.m_max}")
     image_rows = [im.global_feat for im in seq.images]
     entity_rows = entity_columns(seq, config.feature_set)[1]
     for feat in image_rows + entity_rows:
@@ -337,87 +285,56 @@ def _conditioning_rows(seq: ImageSequenceRecord, story_tokens: list[int],
     return image_rows, entity_rows
 
 
-def assemble_input(seq: ImageSequenceRecord, story_tokens: list[int],
-                   config: ModelConfig, bos_id: int) -> BatchLayout:
-    """The batch of one sequence: images ++ characters/objects ++ grid? ++
-    [BOS] ++ story, with a loss on every story-prediction row."""
-    image_rows, entity_rows = _conditioning_rows(seq, story_tokens, config)
-    n_img = len(image_rows)
-    image_feats = np.stack(image_rows)
-    entity_feats = np.stack(entity_rows) if entity_rows else None
-
-    grid_vecs = None
-    if config.grid_mode != "none":
-        grid = grid_for_mode(seq, config.grid_mode, config.n_max, config.m_max)
-        grid_vecs = flatten_pad(grid, config.n_max, config.m_max)[None, :]
-
-    n_entity = len(entity_rows)
-    n_grid = 0 if grid_vecs is None else 1
-    prefix_len = n_img + n_entity + n_grid
-    length = prefix_len + 1 + len(story_tokens)
-
-    segments = np.concatenate([
-        np.full(n_img, SEG_IMAGE),
-        np.full(n_entity, SEG_CHAR),
-        np.full(n_grid, SEG_GRID),
-        np.full(1 + len(story_tokens), SEG_TEXT),
-    ]).astype(np.intp)
-    positions = np.arange(length, dtype=np.intp)
-    token_ids = np.array([bos_id] + list(story_tokens), dtype=np.intp)
-
-    # [BOS] and earlier story tokens predict the next one
-    story_rows = slice(prefix_len, prefix_len + len(story_tokens))
-    targets = np.full(length, -1, dtype=np.intp)
-    targets[story_rows] = story_tokens
-    loss_mask = np.zeros(length, dtype=bool)
-    loss_mask[story_rows] = True
-    loss_weights = np.zeros((1, length))
-    loss_weights[0, story_rows] = 1.0 / max(len(story_tokens), 1)
-    return BatchLayout(lengths=np.array([length], dtype=np.intp), width=length,
-                       token_ids=token_ids, positions=positions, segments=segments,
-                       image_feats=image_feats, entity_feats=entity_feats,
-                       grid_vecs=grid_vecs, targets=targets, loss_mask=loss_mask,
-                       loss_weights=loss_weights)
+def prefix_width(seq: ImageSequenceRecord, config: ModelConfig) -> int:
+    """Rows of ``seq``'s decode prefix: its images, its entity rows, its grid
+    slot if the model has one, then [BOS]."""
+    n_grid = 0 if config.grid_mode == "none" else 1
+    return len(seq.images) + len(entity_columns(seq, config.feature_set)[0]) + n_grid + 1
 
 
-def batch_layout(examples: list[tuple[ImageSequenceRecord, list[int]]], config: ModelConfig,
-                 bos_id: int) -> BatchLayout:
-    """The batch of (record, story) pairs that training and scoring forward,
-    built straight from the records: field for field, the ``assemble_batch``
-    of their ``assemble_input`` layouts, after the same checks, and every
-    story must be non-empty.
+def assemble_input(examples: list[tuple[ImageSequenceRecord, list[int]]], config: ModelConfig,
+                   bos_id: int) -> BatchLayout:
+    """The padded batch of (record, story) pairs that every forward takes:
+    per sequence images ++ characters/objects ++ grid? ++ [BOS] ++ story,
+    with a loss on every story-prediction row. An empty story is a decode
+    prefix: the conditioning rows and [BOS], with no loss rows.
 
     The image rows and the entity rows of the batch are each stacked in one
-    array build, the grids come from ``grid_frames``, and every per-row field
-    is index arithmetic on the per-sequence block sizes. One difference: a
+    array build, each record's grid comes from ``grid_for_mode``, and every
+    per-row field is index arithmetic on the per-sequence block sizes. A
     feature set with characters or objects always gets an entity block, with
     no rows when no record in the batch has one, so the entity encoder gets
     an exact zero gradient rather than none.
     """
     if not examples:
-        raise DataError("batch_layout: no examples")
+        raise DataError("assemble_input: no examples")
     n_grid = 0 if config.grid_mode == "none" else 1
-    image_rows, entity_rows, token_ids, sizes = [], [], [], []
+    image_rows, entity_rows, grid_rows, token_ids, sizes = [], [], [], [], []
     for seq, story in examples:
-        if not story:
-            raise DataError(f"sequence {seq.id}: empty story has no loss positions")
         images, entities = _conditioning_rows(seq, story, config)
         image_rows += images
         entity_rows += entities
+        if n_grid:
+            grid = grid_for_mode(seq, config.grid_mode, config.n_max, config.m_max)
+            grid_rows.append(flatten_pad(grid, config.n_max, config.m_max))
         token_ids += [bos_id, *story]
         sizes.append((len(images), len(entities), n_grid, 1 + len(story)))
 
-    # rows of each sequence (axis 0) in each block of the stack (axis 1)
+    # rows of each sequence (axis 0) in each block of the stack (axis 1);
+    # segment ids number the blocks in stack order
     counts = np.array(sizes, dtype=np.intp)
     n = len(examples)
     lengths = counts.sum(axis=1)
     width = int(lengths.max())
     total = n * width
-    src, dest = _padded_order(counts, width)
+    # real row i, counted sequence by sequence, is padded row dest[i]
+    runs = counts.ravel()
+    real = np.arange(lengths.sum())
+    dest = real + np.repeat(np.arange(n) * width - (np.cumsum(lengths) - lengths), lengths)
     positions = np.zeros(total, dtype=np.intp)
     positions[dest] = dest - np.repeat(np.arange(n) * width, lengths)
     segments = np.zeros(total, dtype=np.intp)
-    segments[dest] = np.repeat(np.tile(np.arange(4), n), counts.ravel())
+    segments[dest] = np.repeat(np.arange(4 * n) % 4, runs)  # blocks 0..3 of each sequence
 
     # text row i holds token_ids[i]; all but each sequence's last predict the next
     text = np.flatnonzero(segments == SEG_TEXT)
@@ -435,18 +352,22 @@ def batch_layout(examples: list[tuple[ImageSequenceRecord, list[int]]], config: 
 
     rows = None
     if n > 1:
+        # real row i is stack row src[i]: entry i of the runs laid end to end,
+        # where a run of rows starts after its block's rows of every earlier
+        # sequence
+        block_sizes = counts.sum(axis=0)
+        run_starts = (np.cumsum(block_sizes) - block_sizes + np.cumsum(counts, axis=0)
+                      - counts).ravel()
+        src = real + np.repeat(run_starts - (np.cumsum(runs) - runs), runs)
         rows = np.zeros(total, dtype=np.intp)
         rows[dest] = src
     entity_feats = None
     if "char" in config.feature_set or "obj" in config.feature_set:
         entity_feats = np.array(entity_rows).reshape(len(entity_rows), config.feat_dim)
-    grid_vecs = None
-    if n_grid:
-        grid_vecs = grid_frames([seq for seq, _ in examples], config.grid_mode,
-                                config.n_max, config.m_max)
     return BatchLayout(lengths=lengths, width=width, token_ids=tokens, positions=positions,
                        segments=segments, rows=rows, image_feats=np.array(image_rows),
-                       entity_feats=entity_feats, grid_vecs=grid_vecs, targets=targets,
+                       entity_feats=entity_feats,
+                       grid_vecs=np.array(grid_rows) if n_grid else None, targets=targets,
                        loss_mask=loss_mask, loss_weights=loss_weights)
 
 
@@ -464,16 +385,15 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
                    cache: KVCache | None = None) -> Tensor:
     """Logits (B * width x vocab) under causal self-attention.
 
-    Without a cache ``batch`` holds whole sequences (from ``batch_layout``,
-    or one from ``assemble_input``); training, losses and teacher-forced
-    evaluation all take this path. With a ``KVCache`` the batch holds one
-    unpadded sequence per cached one, each holding only the
-    positions that follow those already cached (the conditioning prefixes
-    first, then one ``text_step`` per token): each layer's new queries
-    attend over their sequence's cached keys/values plus the new ones under
-    a (new, past + new) causal mask, the new keys/values are stored, and
-    every cached sequence grows by ``batch.width``. A cache is for inference
-    only.
+    Without a cache ``batch`` holds whole sequences (from ``assemble_input``);
+    training, losses and teacher-forced evaluation all take this path. With
+    a ``KVCache`` the batch holds one unpadded sequence per cached one, each
+    holding only the positions that follow those already cached (the
+    conditioning prefixes first, then one ``text_step`` per token): each
+    layer's new queries attend over their sequence's cached keys/values plus
+    the new ones under a (new, past + new) causal mask, the new keys/values
+    are stored, and every cached sequence grows by ``batch.width``. A cache
+    is for inference only.
     """
     cfg = model.config
     p = model.param
@@ -543,7 +463,7 @@ def story_loss(model: StoryGenModel, seq: ImageSequenceRecord, story_tokens: lis
     the one-example case of ``story_losses``."""
     if not story_tokens:
         raise DataError(f"sequence {seq.id}: empty story has no loss positions")
-    layout = assemble_input(seq, story_tokens, model.config, bos_id)
+    layout = assemble_input([(seq, story_tokens)], model.config, bos_id)
     logits = forward_logits(model, layout, training=training, rng=rng)
     return nm.cross_entropy_masked(logits, layout.targets, layout.loss_mask)
 
@@ -552,9 +472,12 @@ def story_losses(model: StoryGenModel,
                  examples: list[tuple[ImageSequenceRecord, list[int]]], bos_id: int, *,
                  training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Each example's ``story_loss`` from one forward pass over the padded
-    batch of ``batch_layout``: a vector with one mean masked cross-entropy
+    batch of ``assemble_input``: a vector with one mean masked cross-entropy
     per example."""
-    batch = batch_layout(examples, model.config, bos_id)
+    for seq, story in examples:
+        if not story:
+            raise DataError(f"sequence {seq.id}: empty story has no loss positions")
+    batch = assemble_input(examples, model.config, bos_id)
     logits = forward_logits(model, batch, training=training, rng=rng)
     return nm.cross_entropy_masked(logits, batch.targets, batch.loss_mask, batch.loss_weights)
 

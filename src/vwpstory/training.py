@@ -1,7 +1,7 @@
 """Maximum-likelihood training with epoch-level METEOR model selection.
 
 One optimizer step per mini-batch of sequences: one forward pass over the
-batch right-padded to its longest sequence (built by ``batch_layout``
+batch right-padded to its longest sequence (built by ``assemble_input``
 straight from the records and stories), one backward pass of the mean
 of the per-example losses, gradients clipped at a global norm of 1.0, then
 Adam. After every epoch the model decodes the validation split with seeded
@@ -34,7 +34,7 @@ from .model import (
     EVAL_SLICE,
     ModelConfig,
     StoryGenModel,
-    batch_layout,
+    assemble_input,
     build_model,
     forward_logits,
     save_checkpoint,
@@ -264,7 +264,7 @@ def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord]
     hits = 0
     count = 0
     for examples in _eval_slices(records, vocab):
-        batch = batch_layout(examples, model.config, vocab.bos_id)
+        batch = assemble_input(examples, model.config, vocab.bos_id)
         with no_grad():
             logits = forward_logits(model, batch).data
         rows = np.flatnonzero(batch.loss_mask)

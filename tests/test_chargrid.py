@@ -10,7 +10,6 @@ from vwpstory.chargrid import (
     entity_columns,
     flatten_pad,
     grid_for_mode,
-    grid_frames,
     grid_csv,
     grid_heat_table,
     shade_buckets,
@@ -160,14 +159,21 @@ def loop_frame(seq, mode, n_max, m_max):
     return frame.reshape(-1)
 
 
+def record_frames(seqs, mode, n_max, m_max):
+    """Each record's ``grid_for_mode`` grid in its ``flatten_pad`` frame, one
+    row per record: the grid rows the model's input builder stacks."""
+    return np.array([flatten_pad(grid_for_mode(seq, mode, n_max, m_max), n_max, m_max)
+                     for seq in seqs])
+
+
 class TestStackedGridOracle:
-    """``grid_frames`` computes every record of one grid shape in one stacked
-    cumsum; each row must carry the bits of that record's own loop grid."""
+    """The grid rows of a batch, one ``grid_for_mode`` call per record: each
+    row must carry the bits of that record's own loop grid."""
 
     @pytest.mark.parametrize("mode", list(GRID_COLUMNS))
     def test_bit_identical_to_per_record_loop(self, mode):
         rng = np.random.default_rng(5)
-        # repeated shapes share a stack; (2, 0, 0) and (1, 0, 2) have no char columns
+        # repeated shapes; (2, 0, 0) and (1, 0, 2) have no char columns
         shapes = [(3, 2, 1), (1, 0, 2), (3, 2, 1), (5, 3, 2), (2, 0, 0), (3, 2, 1), (5, 3, 2)]
         seqs = [make_seq(rng.normal(size=(n, 6)) * rng.choice([1e-8, 1.0, 1e8], size=(n, 1)),
                          rng.normal(size=(m, 6)), obj_feats=rng.normal(size=(o, 6)))
@@ -179,7 +185,7 @@ class TestStackedGridOracle:
         seqs.append(make_seq([[1.0, -1.0, 0.5, 0.0, 3.0, -3.0]] * 2,
                              [[1.0, 1.0, 0.0, 0.0, 1.0, 1.0]],
                              obj_feats=[[2.0, 2.0, 0.0, 0.0, 1.0, 1.0]]))
-        frames = grid_frames(seqs, mode, n_max=6, m_max=5)
+        frames = record_frames(seqs, mode, n_max=6, m_max=5)
         assert frames.shape == (len(seqs), 30)
         for frame, seq in zip(frames, seqs):
             assert_bits_equal(frame, loop_frame(seq, mode, 6, 5))
@@ -189,17 +195,17 @@ class TestStackedGridOracle:
     def test_zero_columns_and_zero_width_features(self, width):
         seqs = [make_seq(np.ones((n, width)), np.ones((m, width)))
                 for n, m in [(2, 0), (2, 3), (1, 1), (2, 3)]]
-        frames = grid_frames(seqs, "char", n_max=4, m_max=3)
+        frames = record_frames(seqs, "char", n_max=4, m_max=3)
         for frame, seq in zip(frames, seqs):
             assert_bits_equal(frame, loop_frame(seq, "char", 4, 3))
 
     def test_frame_overflow_is_data_error(self):
         fits = make_seq([[1.0]] * 2, [[1.0]] * 2)
         with pytest.raises(DataError, match="3 images exceed grid frame height 2"):
-            grid_frames([fits, make_seq([[1.0]] * 3, [])], "char", n_max=2, m_max=2)
+            record_frames([fits, make_seq([[1.0]] * 3, [])], "char", n_max=2, m_max=2)
         with pytest.raises(DataError, match="3 columns exceed grid frame width 2"):
-            grid_frames([fits, make_seq([[1.0]], [[1.0]] * 2, obj_feats=[[1.0]])], "entity",
-                        n_max=2, m_max=2)
+            record_frames([fits, make_seq([[1.0]], [[1.0]] * 2, obj_feats=[[1.0]])], "entity",
+                          n_max=2, m_max=2)
 
 
 class TestVariantGrids:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -329,6 +330,23 @@ class TestTrainGenerateEvaluate:
                      "--n-heads", "2", "--t-max", "32", "--batch-size", "4",
                      "--features", "global,obj", "--grid-mode", "obj", "--max-new", "4"]) == 0
         assert (tmp_path / "out" / "checkpoints" / "seed0-best.ckpt").exists()
+
+    def test_train_grid_column_overflow_names_the_record(self, prepared_dir, tmp_path):
+        # 6 objects fit o_max (20) but not the grid frame's m_max (5) columns
+        data = tmp_path / "many-objects"
+        shutil.copytree(prepared_dir, data)
+        records = load_dataset(data / "train.jsonl")
+        bad = records[1]
+        bad.objects = [dataclasses.replace(bad.objects[0], object_id=f"extra{k}")
+                       for k in range(6)]
+        save_dataset(records, data / "train.jsonl")
+        proc = run_console("train", "--dataset", str(data), "--out", str(tmp_path / "out"),
+                           "--seeds", "0", "--epochs", "1", "--d-model", "16",
+                           "--n-layers", "1", "--n-heads", "2", "--t-max", "32",
+                           "--features", "global,obj", "--grid-mode", "obj")
+        assert proc.returncode == 2
+        assert f"sequence {bad.id}: 6 grid columns exceed m_max 5" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_generate_with_other_feature_width_is_data_error(self, prepared_dir, tmp_path):
         vocab = Vocabulary.from_dict(json.loads((prepared_dir / "vocab.json").read_text()))

@@ -27,7 +27,6 @@ from vwpstory.errors import ConfigError, DataError, NumericError, ResourceError,
 from vwpstory.model import (
     KVCache,
     ModelConfig,
-    assemble_batch,
     assemble_input,
     build_model,
     forward_logits,
@@ -282,7 +281,7 @@ def full_recompute_decode(model, seq, vocab, config):
     rng = np.random.default_rng(config.seed)
     ids, steps = [], []
     for _ in range(min(config.max_new_tokens, model.config.t_max - 1)):
-        layout = assemble_input(seq, ids, model.config, vocab.bos_id)
+        layout = assemble_input([(seq, ids)], model.config, vocab.bos_id)
         logits = forward_logits(model, layout).data[-1]
         steps.append(logits)
         if config.mode == "greedy":
@@ -456,7 +455,7 @@ class TestCachedDecoding:
     def test_one_prefix_forward_then_one_position_per_token(self, monkeypatch):
         records, vocab, model = corpus_and_model("fixture", suppress_eos=True)
         seq = records[0]
-        prefix = assemble_input(seq, [], model.config, vocab.bos_id)
+        prefix = assemble_input([(seq, [])], model.config, vocab.bos_id)
         prefix_len = prefix.length - prefix.token_ids.size
         lengths, grid_calls = [], []
 
@@ -498,7 +497,7 @@ def recut_corpus():
 def expected_slices(model, records, vocab):
     """Record indices of each decode slice: records grouped by prefix width
     (groups in order of first appearance), each group cut into slices of 16."""
-    widths = [assemble_input(seq, [], model.config, vocab.bos_id).width for seq in records]
+    widths = [assemble_input([(seq, [])], model.config, vocab.bos_id).width for seq in records]
     slices = []
     for width in dict.fromkeys(widths):
         group = [i for i, w in enumerate(widths) if w == width]
@@ -576,7 +575,7 @@ class TestBatchedDecoding:
         cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=budget, seed=31)
         forwards = record_batched_forwards(monkeypatch)
         ids = [story.token_ids for story in generate_batch(model, records, vocab, cfg)]
-        widths = [assemble_input(seq, [], model.config, vocab.bos_id).width for seq in records]
+        widths = [assemble_input([(seq, [])], model.config, vocab.bos_id).width for seq in records]
         slices = expected_slices(model, records, vocab)
         schedule = expected_forwards(slices, ids, budget)
         # the prefixes of a slice in one forward, then one row per unfinished story
@@ -592,8 +591,7 @@ class TestBatchedDecoding:
         seqs = [records[0], records[1], records[3]]  # one prefix width
         stories = [[3, 7, 2, 9], [5, 5, 8, 1], [4, 9, 9, 6]]
         cache = KVCache(model.config, batch=3)
-        prefix = assemble_batch([assemble_input(seq, [], model.config, vocab.bos_id)
-                                 for seq in seqs])
+        prefix = assemble_input([(seq, []) for seq in seqs], model.config, vocab.bos_id)
         width = prefix.width
         got = {r: [row] for r, row in enumerate(
             forward_logits(model, prefix, cache=cache).data.reshape(3, width, -1)[:, -1])}
@@ -609,22 +607,22 @@ class TestBatchedDecoding:
         assert cache.batch == 2 and cache.length == width + 4
         for r, seq in enumerate(seqs):
             n = len(got[r])
-            full = forward_logits(model, assemble_input(seq, stories[r][:n - 1],
+            full = forward_logits(model, assemble_input([(seq, stories[r][:n - 1])],
                                                         model.config, vocab.bos_id)).data
             np.testing.assert_allclose(np.array(got[r]), full[width - 1:], rtol=0, atol=1e-12)
 
     def test_batched_cached_forward_rejects_misaligned_or_padded_positions(self):
         records, vocab, model = recut_corpus()
-        same = [assemble_input(records[i], [], model.config, vocab.bos_id) for i in (0, 1)]
-        narrower = assemble_input(records[2], [], model.config, vocab.bos_id)
-        assert narrower.width < same[0].width
+        same = [(records[i], []) for i in (0, 1)]
+        padded = assemble_input([same[0], (records[2], [])], model.config, vocab.bos_id)
+        assert padded.lengths[1] < padded.width
         with pytest.raises(StateError):  # padded: the prefixes differ in width
-            forward_logits(model, assemble_batch([same[0], narrower]), cache=KVCache(
-                model.config, batch=2))
+            forward_logits(model, padded, cache=KVCache(model.config, batch=2))
         cache = KVCache(model.config, batch=2)
         with pytest.raises(StateError):  # one sequence for a cache of two
-            forward_logits(model, same[0], cache=cache)
-        forward_logits(model, assemble_batch(same), cache=cache)
+            forward_logits(model, assemble_input(same[:1], model.config, vocab.bos_id),
+                           cache=cache)
+        forward_logits(model, assemble_input(same, model.config, vocab.bos_id), cache=cache)
         length = cache.length
         with pytest.raises(StateError):  # both rows one position ahead
             forward_logits(model, text_step([3, 4], length + 1), cache=cache)
@@ -641,6 +639,14 @@ class TestBatchedDecoding:
         assert cache.length == length
         forward_logits(model, text_step([3, 4], length), cache=cache)
         assert cache.length == length + 1
+
+    def test_a_bad_record_fails_before_any_slice_decodes(self, monkeypatch):
+        records, vocab, model = recut_corpus()
+        bad = dataclasses.replace(records[-1], images=records[-1].images * 2)
+        forwards = record_batched_forwards(monkeypatch)
+        with pytest.raises(DataError, match=f"sequence {bad.id}: 10 images exceed n_max 5"):
+            generate_batch(model, records[:-1] + [bad], vocab, DecodingConfig(max_new_tokens=4))
+        assert forwards == []
 
     @pytest.mark.parametrize("mode", ["greedy", "nucleus"])
     def test_cli_generate_writes_the_per_record_stories(self, tmp_path, mode):

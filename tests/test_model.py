@@ -7,7 +7,7 @@ import pytest
 
 from vwpstory import model as model_mod
 from vwpstory import numerics as nm
-from vwpstory.chargrid import entity_columns
+from vwpstory.chargrid import entity_columns, flatten_pad, grid_for_mode
 from vwpstory.corpus import (
     CharacterInstance,
     CharacterRecord,
@@ -22,9 +22,7 @@ from vwpstory.model import (
     BatchLayout,
     KVCache,
     ModelConfig,
-    assemble_batch,
     assemble_input,
-    batch_layout,
     build_model,
     forward_logits,
     load_checkpoint,
@@ -146,7 +144,7 @@ class TestAssembleInput:
     def test_layout_arithmetic(self):
         cfg = tiny_config(n_max=5, m_max=3)
         seq = make_seq(n_images=5, n_chars=3)
-        layout = assemble_input(seq, list(range(2, 9)), cfg, bos_id=BOS)
+        layout = assemble_input([(seq, list(range(2, 9)))], cfg, bos_id=BOS)
         assert layout.length == 5 + 3 + 1 + 1 + 7
         assert layout.length - layout.token_ids.size == 9
         assert layout.loss_mask.sum() == 7
@@ -154,7 +152,7 @@ class TestAssembleInput:
     def test_no_grid_position_when_off(self):
         cfg = tiny_config(grid_mode="none")
         seq = make_seq(n_images=5, n_chars=2)
-        layout = assemble_input(seq, [2, 3], cfg, bos_id=BOS)
+        layout = assemble_input([(seq, [2, 3])], cfg, bos_id=BOS)
         assert layout.grid_vecs is None
         assert layout.length == 5 + 2 + 1 + 2
 
@@ -162,8 +160,8 @@ class TestAssembleInput:
                                           ("global", "char", "obj")])
     def test_entity_rows_are_the_entity_columns(self, features):
         seq = make_seq(n_images=3, n_chars=2, n_objs=2, seed=4)
-        layout = assemble_input(seq, [2, 3], tiny_config(feature_set=features, grid_mode="none"),
-                                bos_id=BOS)
+        layout = assemble_input([(seq, [2, 3])],
+                                tiny_config(feature_set=features, grid_mode="none"), bos_id=BOS)
         feats = entity_columns(seq, features)[1]
         if not feats:
             assert layout.entity_feats is None
@@ -172,7 +170,7 @@ class TestAssembleInput:
 
     def test_empty_story_has_no_loss_positions(self):
         cfg = tiny_config()
-        layout = assemble_input(make_seq(), [], cfg, bos_id=BOS)
+        layout = assemble_input([(make_seq(), [])], cfg, bos_id=BOS)
         assert layout.loss_mask.sum() == 0
         with pytest.raises(DataError):
             story_loss(build_model(cfg), make_seq(), [], bos_id=BOS)
@@ -187,17 +185,17 @@ class TestAssembleInput:
             for ch in seq.characters:
                 ch.representative_feat = np.ones(D + 2)
         with pytest.raises(DataError, match=f"features are {D + 2} wide"):
-            assemble_input(seq, [2, 3], tiny_config(), bos_id=BOS)
+            assemble_input([(seq, [2, 3])], tiny_config(), bos_id=BOS)
 
     def test_story_too_long(self):
         cfg = tiny_config(t_max=4)
         with pytest.raises(DataError):
-            assemble_input(make_seq(), [2] * 5, cfg, bos_id=BOS)
+            assemble_input([(make_seq(), [2] * 5)], cfg, bos_id=BOS)
 
     def test_mask_targets_shifted(self):
         cfg = tiny_config()
         story = [4, 5, 6]
-        layout = assemble_input(make_seq(), story, cfg, bos_id=BOS)
+        layout = assemble_input([(make_seq(), story)], cfg, bos_id=BOS)
         start = layout.length - layout.token_ids.size
         assert list(layout.targets[start:start + 3]) == story
         assert layout.targets[start + 3] == -1  # last story token predicts nothing
@@ -208,8 +206,8 @@ class TestForward:
         cfg = tiny_config()
         model = build_model(cfg)
         seq = make_seq()
-        a = forward_logits(model, assemble_input(seq, [2, 3, 4, 5], cfg, BOS))
-        b = forward_logits(model, assemble_input(seq, [2, 3, 9, 5], cfg, BOS))
+        a = forward_logits(model, assemble_input([(seq, [2, 3, 4, 5])], cfg, BOS))
+        b = forward_logits(model, assemble_input([(seq, [2, 3, 9, 5])], cfg, BOS))
         boundary = a.shape[0] - 2  # position of the perturbed token
         np.testing.assert_array_equal(a.data[:boundary], b.data[:boundary])
         assert not np.array_equal(a.data[boundary:], b.data[boundary:])
@@ -217,14 +215,14 @@ class TestForward:
     def test_rows_softmax_to_one(self):
         cfg = tiny_config()
         model = build_model(cfg)
-        logits = forward_logits(model, assemble_input(make_seq(), [2, 3], cfg, BOS))
+        logits = forward_logits(model, assemble_input([(make_seq(), [2, 3])], cfg, BOS))
         probs = nm.softmax(logits).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_straightline_recomputation(self):
         cfg = tiny_config(n_layers=2)
         model = build_model(cfg)
-        layout = assemble_input(make_seq(n_objs=0), [2, 3, 4], cfg, BOS)
+        layout = assemble_input([(make_seq(n_objs=0), [2, 3, 4])], cfg, BOS)
         got = forward_logits(model, layout).data
         want = straightline_forward(model, layout)
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -242,7 +240,7 @@ class TestForward:
         model = build_model(cfg)
         seq = make_seq()
         story = [2, 3, 4, 5]
-        layout = assemble_input(seq, story, cfg, BOS)
+        layout = assemble_input([(seq, story)], cfg, BOS)
         manual = nm.cross_entropy_masked(forward_logits(model, layout),
                                          layout.targets, layout.loss_mask)
         assert story_loss(model, seq, story, bos_id=BOS).item() == manual.item()
@@ -266,7 +264,7 @@ class TestForward:
         cfg = tiny_config()
         model = build_model(cfg)
         seq = make_seq(n_images=4, n_chars=2)
-        layout = assemble_input(seq, [2, 3], cfg, BOS)
+        layout = assemble_input([(seq, [2, 3])], cfg, BOS)
         full_frame = layout.grid_vecs[0].reshape(cfg.n_max, cfg.m_max)
         explicit = dataclasses.replace(layout, grid_vecs=full_frame.reshape(1, -1).copy())
         base = nm.cross_entropy_masked(forward_logits(model, layout),
@@ -287,9 +285,9 @@ class TestForward:
         plain_model = build_model(tiny_config(grid_mode="none", seed=5))
         seq = make_seq()
         grid_logits = forward_logits(
-            grid_model, assemble_input(seq, [2, 3], grid_model.config, BOS))
+            grid_model, assemble_input([(seq, [2, 3])], grid_model.config, BOS))
         plain_logits = forward_logits(
-            plain_model, assemble_input(seq, [2, 3], plain_model.config, BOS))
+            plain_model, assemble_input([(seq, [2, 3])], plain_model.config, BOS))
         cut = len(seq.images) + len(seq.characters)
         np.testing.assert_array_equal(grid_logits.data[:cut], plain_logits.data[:cut])
 
@@ -298,7 +296,7 @@ class TestForward:
                           m_max=3)
         model = build_model(cfg)
         seq = make_seq(n_chars=2, n_objs=1)
-        layout = assemble_input(seq, [2], cfg, BOS)
+        layout = assemble_input([(seq, [2])], cfg, BOS)
         assert layout.entity_feats.shape == (3, D)
         logits = forward_logits(model, layout)
         assert logits.shape == (layout.length, 16)
@@ -324,10 +322,10 @@ class TestKVCache:
         model = build_model(tiny_config(**variant))
         seq = make_seq(n_images=4, n_chars=2, n_objs=1, seed=5)
         story = [3, 7, 2, 9, 4]
-        full = forward_logits(model, assemble_input(seq, story, model.config, BOS)).data
+        full = forward_logits(model, assemble_input([(seq, story)], model.config, BOS)).data
 
         cache = KVCache(model.config)
-        prefix = assemble_input(seq, [], model.config, BOS)
+        prefix = assemble_input([(seq, [])], model.config, BOS)
         rows = [forward_logits(model, prefix, cache=cache).data]
         for tok in story:
             rows.append(forward_logits(model, text_step(tok, cache.length), cache=cache).data)
@@ -348,7 +346,7 @@ class TestKVCache:
         model = build_model(tiny_config())
         seq = make_seq()
         cache = KVCache(model.config)
-        prefix = assemble_input(seq, [], model.config, BOS)
+        prefix = assemble_input([(seq, [])], model.config, BOS)
         with pytest.raises(StateError):
             forward_logits(model, prefix, training=True, cache=cache)
         forward_logits(model, prefix, cache=cache)
@@ -373,11 +371,52 @@ BATCH_VARIANTS = [
 ]
 
 
+def reference_input(seq, story, config, bos_id=BOS):
+    """Per-sequence reference layout: images ++ characters/objects ++ grid?
+    ++ [BOS] ++ story, each field built for this one sequence, with a loss
+    on every story-prediction row. The frame and width checks are the
+    builder's own, so this takes only records it accepts."""
+    image_rows, entity_rows = model_mod._conditioning_rows(seq, story, config)
+    n_img = len(image_rows)
+    image_feats = np.stack(image_rows)
+    entity_feats = np.stack(entity_rows) if entity_rows else None
+
+    grid_vecs = None
+    if config.grid_mode != "none":
+        grid = grid_for_mode(seq, config.grid_mode, config.n_max, config.m_max)
+        grid_vecs = flatten_pad(grid, config.n_max, config.m_max)[None, :]
+
+    n_entity = len(entity_rows)
+    n_grid = 0 if grid_vecs is None else 1
+    prefix_len = n_img + n_entity + n_grid
+    length = prefix_len + 1 + len(story)
+
+    segments = np.concatenate([
+        np.full(n_img, model_mod.SEG_IMAGE),
+        np.full(n_entity, model_mod.SEG_CHAR),
+        np.full(n_grid, model_mod.SEG_GRID),
+        np.full(1 + len(story), model_mod.SEG_TEXT),
+    ]).astype(np.intp)
+    positions = np.arange(length, dtype=np.intp)
+    token_ids = np.array([bos_id] + list(story), dtype=np.intp)
+
+    # [BOS] and earlier story tokens predict the next one
+    story_rows = slice(prefix_len, prefix_len + len(story))
+    targets = np.full(length, -1, dtype=np.intp)
+    targets[story_rows] = story
+    loss_mask = np.zeros(length, dtype=bool)
+    loss_mask[story_rows] = True
+    return BatchLayout(lengths=np.array([length], dtype=np.intp), width=length,
+                       token_ids=token_ids, positions=positions, segments=segments,
+                       image_feats=image_feats, entity_feats=entity_feats,
+                       grid_vecs=grid_vecs, targets=targets, loss_mask=loss_mask)
+
+
 def loop_assemble_batch(examples, config):
-    """Reference stacking: right-pad each example's ``assemble_input`` layout
-    and fill its padded row range in turn, advancing every block's start in
-    the stack sequence by sequence."""
-    layouts = [assemble_input(seq, tokens, config, BOS) for seq, tokens in examples]
+    """Reference stacking: right-pad each example's ``reference_input``
+    layout and fill its padded row range in turn, advancing every block's
+    start in the stack sequence by sequence."""
+    layouts = [reference_input(seq, tokens, config) for seq, tokens in examples]
     lengths = np.array([lay.length for lay in layouts], dtype=np.intp)
     width = int(lengths.max())
     total = len(layouts) * width
@@ -409,19 +448,32 @@ def loop_assemble_batch(examples, config):
             want[name][lo:hi] = getattr(lay, name)
         loss_rows = lo + np.flatnonzero(lay.loss_mask)
         want["loss_weights"][b, loss_rows] = 1.0 / max(loss_rows.size, 1)
+    if len(layouts) == 1:
+        want["rows"] = None  # a lone sequence's stack is already in padded order
+    if want["entity_feats"] is None and has_entities(config):
+        # the entity encoder keeps a (zero) gradient: see assemble_input
+        want["entity_feats"] = np.zeros((0, config.feat_dim))
     return want
 
 
+def has_entities(config):
+    return "char" in config.feature_set or "obj" in config.feature_set
+
+
 def assert_matches_loop(examples, config):
-    batch = assemble_batch([assemble_input(seq, tokens, config, BOS) for seq, tokens in examples])
+    """``assemble_input`` of the examples equals ``loop_assemble_batch``
+    field for field: dtype, shape and bytes."""
+    batch = assemble_input(examples, config, BOS)
     want = loop_assemble_batch(examples, config)
-    assert batch.width == want["lengths"].max()
+    assert type(batch.width) is int and batch.width == want["lengths"].max()
+    assert set(want) == {f.name for f in fields(BatchLayout)} - {"width"}
     for name, value in want.items():
         got = getattr(batch, name)
         if value is None:
             assert got is None, name
         else:
-            assert got.dtype == value.dtype and np.array_equal(got, value), name
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (value.dtype, value.shape, value.tobytes()), name
     return batch
 
 
@@ -429,9 +481,9 @@ class TestBatch:
     @pytest.mark.parametrize("variant", BATCH_VARIANTS)
     def test_real_rows_match_single_forward(self, variant):
         model = build_model(tiny_config(**variant))
-        layouts = [assemble_input(seq, story, model.config, BOS)
+        layouts = [assemble_input([(seq, story)], model.config, BOS)
                    for seq, story in mixed_batch()]
-        batch = assemble_batch(layouts)
+        batch = assemble_input(mixed_batch(), model.config, BOS)
         assert batch.width == max(lay.length for lay in layouts)
         assert batch.length == sum(lay.length for lay in layouts)
         logits = forward_logits(model, batch).data
@@ -451,7 +503,7 @@ class TestBatch:
         examples = [(make_seq(n_images=a, n_chars=0, n_objs=0, seed=i, seq_id=f"p{i}"),
                      [2 + i] * n) for i, (a, n) in enumerate([(5, 3), (2, 7), (4, 1)])]
         batch = assert_matches_loop(examples, cfg)
-        assert batch.entity_feats is None and batch.grid_vecs is None
+        assert batch.entity_feats.shape == (0, D) and batch.grid_vecs is None
 
     @pytest.mark.parametrize("variant", BATCH_VARIANTS)
     def test_losses_and_gradients_match_per_example(self, variant):
@@ -478,8 +530,7 @@ class TestBatch:
                                         grid_mode="entity"))
         examples = [(make_seq(n_images=2, n_chars=1, n_objs=1, seed=1, seq_id="a"), [2, 3, 4]),
                     (make_seq(n_images=1, n_chars=2, n_objs=0, seed=2, seq_id="b"), [5])]
-        batch = assemble_batch([assemble_input(seq, story, model.config, BOS)
-                                for seq, story in examples])
+        batch = assemble_input(examples, model.config, BOS)
         mean_weights = batch.loss_weights.mean(axis=0)
 
         def batch_mean(store):
@@ -503,12 +554,11 @@ class TestBatch:
         with pytest.raises(DataError):
             story_losses(model, [(make_seq(), [2]), (make_seq(seq_id="e"), [])], BOS)
         with pytest.raises(DataError):
-            assemble_batch([])
+            assemble_input([], model.config, BOS)
 
     def test_no_grad_logits_bit_identical(self):
         model = build_model(tiny_config(n_layers=2))
-        batch = assemble_batch([assemble_input(seq, story, model.config, BOS)
-                                for seq, story in mixed_batch()])
+        batch = assemble_input(mixed_batch(), model.config, BOS)
         with_graph = forward_logits(model, batch)
         with nm.no_grad():
             without = forward_logits(model, batch)
@@ -532,10 +582,11 @@ def valid_feature_grid_pairs():
 
 
 def layout_batches():
-    """Batches for the ``batch_layout`` oracle: a mix of 1..n_max images,
+    """Batches for the ``assemble_input`` oracle: a mix of 1..n_max images,
     records with no characters or no objects, stories from one token up and
-    repeated grid shapes; two records without any entity; and each record
-    alone."""
+    repeated grid shapes; two records without any entity; decode prefixes
+    (empty stories), with and without entities, alone and mixed with
+    stories; and each record alone."""
     shapes = [(1, 0, 0, 1), (5, 3, 2, 6), (2, 0, 1, 3), (3, 2, 0, 9), (4, 1, 1, 2),
               (5, 3, 2, 2), (3, 2, 0, 4)]
     examples = [(make_seq(n_images=a, n_chars=c, n_objs=o, seed=i, seq_id=f"m{i}"),
@@ -543,39 +594,29 @@ def layout_batches():
                 for i, (a, c, o, n) in enumerate(shapes)]
     bare = [(make_seq(n_images=a, n_chars=0, seed=9 + a, seq_id=f"b{a}"), [5] * a)
             for a in (2, 4)]
-    return [examples, bare] + [[example] for example in examples]
-
-
-def has_entities(config):
-    return "char" in config.feature_set or "obj" in config.feature_set
+    prefixes = [(seq, []) for seq, _ in examples[:4] + bare]
+    bare_prefixes = [(seq, []) for seq, _ in bare]
+    return ([examples, bare, prefixes, bare_prefixes, prefixes[:3] + examples[3:]]
+            + [[example] for example in examples + prefixes[:1]])
 
 
 class TestBatchLayout:
     @pytest.mark.parametrize("features, grid_mode", valid_feature_grid_pairs())
-    def test_every_field_equals_assemble_batch(self, features, grid_mode):
+    def test_every_field_equals_the_per_sequence_reference(self, features, grid_mode):
         config = tiny_config(feature_set=features, grid_mode=grid_mode, m_max=5)
         for examples in layout_batches():
-            got = batch_layout(examples, config, BOS)
-            want = assemble_batch([assemble_input(seq, story, config, BOS)
-                                   for seq, story in examples])
-            assert type(got.width) is int and got.width == want.width
-            for field in fields(BatchLayout):
-                if field.name == "width":
-                    continue
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                if field.name == "entity_feats" and b is None and has_entities(config):
-                    # the entity encoder keeps a (zero) gradient: see batch_layout
-                    b = np.zeros((0, config.feat_dim))
-                if b is None:
-                    assert a is None, field.name
-                else:
-                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
-                        field.name
-            assert (got.rows is None) == (len(examples) == 1)
+            assert_matches_loop(examples, config)
 
     def test_valid_pairs_cover_each_grid_mode(self):
         pairs = valid_feature_grid_pairs()
         assert len(pairs) == 9 and {mode for _, mode in pairs} == set(GRID_MODES)
+
+    def test_prefix_width_is_the_decode_prefix_length(self):
+        for features, grid_mode in valid_feature_grid_pairs():
+            config = tiny_config(feature_set=features, grid_mode=grid_mode, m_max=5)
+            for seq, _ in layout_batches()[0]:
+                prefix = assemble_input([(seq, [])], config, BOS)
+                assert model_mod.prefix_width(seq, config) == prefix.width
 
     @pytest.mark.parametrize("shape, features, story, message", [
         (dict(n_images=6), ("global",), [2, 3], "6 images exceed n_max 5"),
@@ -589,15 +630,31 @@ class TestBatchLayout:
         config = tiny_config(feature_set=features, grid_mode="none")
         bad = make_seq(**shape, seq_id="bad")
         examples = [(make_seq(n_chars=1, seq_id="good"), [2, 3]), (bad, story)]
-        with pytest.raises(DataError, match=f"sequence bad: {message}"):
-            batch_layout(examples, config, BOS)
-        if story:  # a decoding prefix has no story, so assemble_input takes an empty one
+        if story:
             with pytest.raises(DataError, match=f"sequence bad: {message}"):
-                assemble_input(bad, story, config, BOS)
+                assemble_input(examples, config, BOS)
+        else:
+            # an empty story is a decode prefix; only its loss is undefined
+            prefix = assemble_input(examples, config, BOS)
+            assert prefix.lengths[1] == len(bad.images) + 1
+            assert not prefix.loss_weights[1].any()
+            with pytest.raises(DataError, match=f"sequence bad: {message}"):
+                story_losses(build_model(config), examples, BOS)
+
+    @pytest.mark.parametrize("grid_mode, n_chars", [("obj", 0), ("entity", 2)])
+    def test_grid_column_overflow_names_the_sequence(self, grid_mode, n_chars):
+        # every count is within its own capacity, but the grid's columns are not
+        config = tiny_config(feature_set=("global", "char", "obj"), grid_mode=grid_mode,
+                             m_max=3, o_max=5)
+        bad = make_seq(n_chars=n_chars, n_objs=4 - n_chars, seq_id="bad")
+        for story in ([2, 3], []):
+            with pytest.raises(DataError, match="sequence bad: 4 grid columns exceed m_max 3"):
+                assemble_input([(make_seq(n_chars=1, seq_id="good"), [2, 3]), (bad, story)],
+                               config, BOS)
 
     def test_no_examples(self):
         with pytest.raises(DataError):
-            batch_layout([], tiny_config(), BOS)
+            assemble_input([], tiny_config(), BOS)
 
 
 class TestGradCheck:

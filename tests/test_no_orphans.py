@@ -1,0 +1,60 @@
+"""Every top-level function and class in ``src/vwpstory`` has a reader.
+
+A name counts as read when some file under ``src``, ``scripts`` or ``tests``
+loads it (as a bare name or as an attribute) outside its own definition,
+or when the benchmark's tracer binds it (``SPAN_TARGETS`` in
+``perfbench/tracing.py``). A helper whose last caller was deleted fails
+here. Names are matched by spelling, not by module, so a dead helper can
+hide behind a live one of the same name elsewhere."""
+
+import ast
+from pathlib import Path
+
+from test_perfbench_bindings import tracing
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vwpstory"
+READER_DIRS = [ROOT / "src", ROOT / "scripts", ROOT / "tests"]
+
+
+def _definitions(tree: ast.Module) -> list[ast.AST]:
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _loads(node: ast.AST, skip: set[int]) -> set[str]:
+    """Names loaded under ``node``, leaving out the subtrees in ``skip``."""
+    names: set[str] = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if id(current) in skip:
+            continue
+        if isinstance(current, ast.Name) and isinstance(current.ctx, ast.Load):
+            names.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            names.add(current.attr)
+        stack.extend(ast.iter_child_nodes(current))
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the module loads. A definition's loads of its own name
+    (recursion) do not count."""
+    definitions = _definitions(tree)
+    loaded = _loads(tree, {id(node) for node in definitions})
+    for node in definitions:
+        loaded |= _loads(node, set()) - {node.name}
+    return loaded
+
+
+def test_every_top_level_definition_is_read():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for directory in READER_DIRS for path in sorted(directory.rglob("*.py"))}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    known = read | {attr for _, attr, _ in tracing.SPAN_TARGETS}
+    orphans = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+               for path, tree in trees.items() if path.is_relative_to(PACKAGE)
+               for node in _definitions(tree)
+               if node.name not in known]
+    assert not orphans, "defined but never read: " + ", ".join(orphans)

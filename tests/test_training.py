@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vwpstory import training
 from vwpstory.corpus import prepare_records
-from vwpstory.decoding import DecodingConfig
+from vwpstory.decoding import DecodingConfig, generate_batch
 from vwpstory.errors import ConfigError, DataError, NumericError, TrainingError
 from vwpstory.model import (
     EVAL_SLICE,
@@ -174,20 +174,40 @@ class TestTrainEpoch:
         assert model.store["enc_entity.w"].data.tobytes() == entity.tobytes()
 
     def test_hot_loops_build_no_per_example_layouts(self, monkeypatch):
+        """Every batch, scoring slice and decode slice is one ``assemble_input``
+        call that holds all of its sequences."""
         from vwpstory import decoding, model as model_mod
-        prepared = tiny_prepared()
+        prepared = tiny_prepared(n=40)
         model = build_model(tiny_model_config(len(prepared.vocab)))
-        calls = []
-        for module in (model_mod, training, decoding):
-            for name in ("assemble_input", "assemble_batch"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name,
-                                        lambda *args, _name=name, **kwargs: calls.append(_name))
         records, vocab = prepared.splits["train"], prepared.vocab
+        for rec in records[::4]:  # a second prefix width
+            rec.characters = rec.characters[:-1]
+        n_examples = len(training.training_examples(records))
+        widths = [assemble_input([(rec, [])], model.config, vocab.bos_id).width
+                  for rec in records]
+        real, sizes = model_mod.assemble_input, []
+
+        def counting(examples, *args, **kwargs):
+            sizes.append(len(examples))
+            return real(examples, *args, **kwargs)
+
+        for module in (model_mod, training, decoding):
+            monkeypatch.setattr(module, "assemble_input", counting)
+
+        def batch_sizes(n, size):
+            return [min(size, n - start) for start in range(0, n, size)]
+
         train_epoch(model, records, vocab, tiny_train_config(), seed=0)
-        held_out_loss(model, records, vocab)
-        next_token_accuracy(model, records, vocab)
-        assert calls == []
+        assert sizes == batch_sizes(n_examples, 4)
+        for score in (held_out_loss, next_token_accuracy):
+            sizes.clear()
+            score(model, records, vocab)
+            assert sizes == batch_sizes(n_examples, EVAL_SLICE)
+        sizes.clear()
+        generate_batch(model, records, vocab, DecodingConfig(max_new_tokens=2))
+        groups = [widths.count(width) for width in dict.fromkeys(widths)]
+        assert len(groups) > 1 and max(groups) > EVAL_SLICE  # the data cut slices
+        assert sizes == [n for group in groups for n in batch_sizes(group, EVAL_SLICE)]
 
 
 class TestSelectBest:
@@ -352,7 +372,7 @@ def per_example_accuracy(model, records, vocab, target_ids=None):
     """Reference accuracy: one forward per story, scored position by position."""
     hits = count = 0
     for rec, tokens in training.training_examples(records):
-        layout = assemble_input(rec, tokens + [vocab.eos_id], model.config, vocab.bos_id)
+        layout = assemble_input([(rec, tokens + [vocab.eos_id])], model.config, vocab.bos_id)
         with no_grad():
             predictions = forward_logits(model, layout).data.argmax(axis=1)
         for pos in np.flatnonzero(layout.loss_mask):
