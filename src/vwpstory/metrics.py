@@ -10,6 +10,10 @@ unit-interval metrics by 100.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -425,9 +429,92 @@ def cider(pairs: list[EvalPair], max_n: int = CIDER_MAX_N) -> float:
 
 # --- suite + multi-seed aggregation ------------------------------------------
 
+# Below this many tokens (hypotheses and references together) both metric
+# families run in the caller: a fork + pipe round trip costs about what a
+# worker saves on a corpus this size (measured in the README's design notes).
+WORKER_MIN_TOKENS = 2000
+_ALIGNED = ("METEOR", "ROUGE-L")  # scored pair by pair, no n-gram statistics
+
+
+def _aligned_scores(pairs: list[EvalPair], names: list[str]) -> dict[str, float]:
+    return {name: meteor(pairs) if name == "METEOR" else rouge_l(pairs) for name in names}
+
+
+def _ngram_scores(pairs: list[EvalPair], names: list[str]) -> dict[str, float]:
+    """B-k and CIDEr from one shared n-gram pass."""
+    if not names:
+        return {}
+    orders = [int(name[2:]) for name in names if name.startswith("B-")]
+    with_cider = "CIDEr" in names
+    stats = _ngram_stats(pairs, max(orders + [CIDER_MAX_N] if with_cider else orders),
+                         doc_freq=with_cider)
+    return {name: _cider(pairs, stats.doc_freq) if name == "CIDEr" else _bleu(stats, int(name[2:]))
+            for name in names}
+
+
+def _worker_pays(pairs: list[EvalPair]) -> bool:
+    """Whether a forked worker can run beside the caller, safely and faster."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return False
+    tokens = sum(len(pair.hypothesis) + sum(map(len, pair.references)) for pair in pairs)
+    return tokens >= WORKER_MIN_TOKENS
+
+
+def _beside_worker(here, there):
+    """``here()`` in the caller while a forked child runs ``there()``;
+    returns both results. The child leaves only through ``os._exit`` and
+    sends its result or its exception back pickled; the exception is raised
+    here with its type and message. If ``here`` fails, KeyboardInterrupt
+    included, the child is killed. Either way it is reaped before return."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run both here
+        os.close(read_fd)
+        os.close(write_fd)
+        return here(), there()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, there())
+            except BaseException as exc:
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            mine = here()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not data:  # the child died, or its exception does not pickle
+        raise RuntimeError("metrics worker ended without a result")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
 def compute_metrics(pairs: list[EvalPair], names: list[str] | None = None) -> dict[str, float]:
-    """All requested metrics on their internal scales; ``None`` asks for
-    every name in METRIC_NAMES. BLEU and CIDEr share one n-gram pass.
+    """All requested metrics on their internal scales, in the order first
+    named, each computed once; ``None`` asks for every name in METRIC_NAMES.
+    BLEU and CIDEr share one n-gram pass.
+
+    When METEOR or ROUGE-L is asked for beside a B-k or CIDEr, the corpus
+    has at least WORKER_MIN_TOKENS tokens, this process may use 2 or more
+    CPUs and runs no other thread, a forked worker scores METEOR and
+    ROUGE-L while the caller runs the n-gram pass. Each value comes from
+    the same function on the same pairs as in the serial path, so it is the
+    same bit for bit.
 
     CIDEr's IDF needs at least two pairs: on fewer, CIDEr is left out of the
     result when other metrics are requested, and asked for alone it raises.
@@ -438,28 +525,22 @@ def compute_metrics(pairs: list[EvalPair], names: list[str] | None = None) -> di
     if unknown or not names:
         what = repr(unknown[0]) if unknown else "list []"
         raise DataError(f"unknown metric {what}; expected names from {', '.join(METRIC_NAMES)}")
+    names = list(dict.fromkeys(names))
     others = [name for name in names if name != "CIDEr"]
     if len(pairs) < 2 and others:
         names = others
-    orders = [int(name[2:]) for name in names if name.startswith("B-")]
-    with_cider = "CIDEr" in names
-    if with_cider:
+    if "CIDEr" in names:
         _check_cider_corpus(pairs)
-    stats = None
-    if orders or with_cider:
-        max_n = max(orders + [CIDER_MAX_N] if with_cider else orders)
-        stats = _ngram_stats(pairs, max_n, doc_freq=with_cider)
-    out: dict[str, float] = {}
-    for name in names:
-        if name.startswith("B-"):
-            out[name] = _bleu(stats, int(name[2:]))
-        elif name == "METEOR":
-            out[name] = meteor(pairs)
-        elif name == "ROUGE-L":
-            out[name] = rouge_l(pairs)
-        else:
-            out[name] = _cider(pairs, stats.doc_freq)
-    return out
+    aligned = [name for name in names if name in _ALIGNED]
+    counted = [name for name in names if name not in _ALIGNED]
+    if aligned and counted and _worker_pays(pairs):
+        scores, theirs = _beside_worker(lambda: _ngram_scores(pairs, counted),
+                                        lambda: _aligned_scores(pairs, aligned))
+        scores.update(theirs)
+    else:
+        scores = _ngram_scores(pairs, counted)
+        scores.update(_aligned_scores(pairs, aligned))
+    return {name: scores[name] for name in names}
 
 
 @dataclass
