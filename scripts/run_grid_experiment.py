@@ -3,11 +3,14 @@
 Trains the grid-conditioned variant and the no-grid baseline identically
 over several seeds, then reports held-out loss and accuracy on the tokens
 the grid determines. Mirrors the direction of the reference-metric table:
-the coherence representation should win every seed.
+the coherence representation should win every seed. Beside the wall time
+it reports the run's minor page faults and system CPU seconds (getrusage
+deltas of this process).
 """
 
 import argparse
 import json
+import resource
 import time
 
 from vwpstory.training import run_grid_comparison
@@ -27,15 +30,20 @@ def main() -> int:
     args = parser.parse_args()
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     result = run_grid_comparison(
         n_sequences=args.sequences, val_count=args.val_count, seeds=seeds,
         epochs=args.epochs, lr=args.lr, d_model=args.d_model,
         n_layers=args.n_layers, n_heads=args.n_heads)
     elapsed = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    minor_faults = after.ru_minflt - usage.ru_minflt
+    system_seconds = after.ru_stime - usage.ru_stime
     if args.json:
         payload = result.to_dict()
-        payload["elapsed_seconds"] = elapsed
+        payload.update(elapsed_seconds=elapsed, minor_faults=minor_faults,
+                       system_seconds=system_seconds)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"{'seed':>4}  {'grid loss':>10}  {'baseline loss':>14}  {'grid accuracy':>14}")
@@ -43,7 +51,8 @@ def main() -> int:
             print(f"{row['seed']:>4}  {row['grid_loss']:>10.4f}  "
                   f"{row['baseline_loss']:>14.4f}  {row['grid_accuracy']:>14.3f}")
         print(f"grid wins {result.grid_wins}/{len(result.per_seed)} seeds; "
-              f"min accuracy {result.min_grid_accuracy:.3f}; {elapsed:.0f}s")
+              f"min accuracy {result.min_grid_accuracy:.3f}; {elapsed:.0f}s; "
+              f"{minor_faults} minor faults; {system_seconds:.2f}s system")
     return 0 if result.grid_wins == len(result.per_seed) else 1
 
 

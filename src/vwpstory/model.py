@@ -240,17 +240,16 @@ class KVCache:
         self.batch = batch
         self.length = 0
 
-    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple[np.ndarray, np.ndarray]:
         """Store ``layer``'s keys and values of the rows after ``length`` (the
-        new positions of each sequence, example-major); return that layer's
-        keys and values of every position up to them, example-major (a view
-        for one sequence)."""
+        new positions of each sequence, example-major); return views of that
+        layer's keys and values of every position up to them, (batch,
+        positions, d)."""
         b, d = self.batch, k.data.shape[1]
         end = self.length + k.data.shape[0] // b
         self.keys[layer, :b, self.length:end] = k.data.reshape(b, -1, d)
         self.values[layer, :b, self.length:end] = v.data.reshape(b, -1, d)
-        return (Tensor(self.keys[layer, :b, :end].reshape(-1, d)),
-                Tensor(self.values[layer, :b, :end].reshape(-1, d)))
+        return self.keys[layer, :b, :end], self.values[layer, :b, :end]
 
     def keep(self, rows) -> None:
         """Keep only the cached sequences at ``rows``, in that order."""

@@ -423,13 +423,15 @@ def cross_entropy_masked(logits: Tensor, targets, mask, weights=None) -> Tensor:
     return Tensor(loss, parents=(logits,), grad_fn=grad_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int, *,
+def attention(q: Tensor, k: Tensor | Array, v: Tensor | Array, mask, n_heads: int, *,
               dropout: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head scaled dot-product attention over a batch, as one op.
 
-    ``q`` is (B * Tq, d) and ``k``, ``v`` are (B * Tk, d): B sequences of rows,
-    example-major. ``mask`` is an additive (Tq, Tk) array shared by every
-    sequence and head (-1e30 hides a key). Each of the ``n_heads`` heads
+    ``q`` is (B * Tq, d) and ``k``, ``v`` are (B * Tk, d) Tensors: B sequences
+    of rows, example-major. ``k`` and ``v`` may instead be (B, Tk, d) arrays,
+    such as a KV cache's strided views, whose heads are split without a copy;
+    they get no gradient. ``mask`` is an additive (Tq, Tk) array shared by
+    every sequence and head (-1e30 hides a key). Each of the ``n_heads`` heads
     attends over its own d / n_heads columns; with ``dropout`` > 0 the
     attention weights are dropped (inverted) with masks drawn from ``rng``.
     Backward needs only the saved attention weights.
@@ -437,18 +439,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int, *,
     mask = np.asarray(mask, dtype=np.float64)
     tq, tk = mask.shape
     rows, d = q.data.shape
-    if rows % tq or k.data.shape != (rows // tq * tk, d) or v.data.shape != k.data.shape:
-        raise DataError(f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} "
-                        f"do not fit a ({tq}, {tk}) mask")
     b, hd = rows // tq, d // n_heads
+    cached = not isinstance(k, Tensor)
+    kd, vd = (k, v) if cached else (k.data, v.data)
+    if rows % tq or kd.shape != ((b, tk, d) if cached else (b * tk, d)) or vd.shape != kd.shape:
+        raise DataError(f"attention: q {q.data.shape}, k {kd.shape}, v {vd.shape} "
+                        f"do not fit a ({tq}, {tk}) mask")
 
-    def heads(x: Array, t: int) -> Array:  # (B * t, d) -> (B, H, t, hd), a view
+    def heads(x: Array, t: int) -> Array:  # (B * t, d) or (B, t, d) -> (B, H, t, hd), a view
         return x.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
 
     def merge(x: Array) -> Array:  # (B, H, t, hd) -> (B * t, d)
         return x.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    qh, kh, vh = heads(q.data, tq), heads(k.data, tk), heads(v.data, tk)
+    qh, kh, vh = heads(q.data, tq), heads(kd, tk), heads(vd, tk)
     scale = 1.0 / math.sqrt(hd)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale + mask
     if not np.isfinite(scores).all():
@@ -471,7 +475,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, n_heads: int, *,
         ds = probs * (dw - (dw * probs).sum(axis=-1, keepdims=True)) * scale
         return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(dv)
 
-    return Tensor(out, parents=(q, k, v), grad_fn=grad_fn)
+    return Tensor(out, parents=(q,) if cached else (q, k, v), grad_fn=grad_fn)
 
 
 class ParamStore:

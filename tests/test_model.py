@@ -334,6 +334,21 @@ class TestKVCache:
         assert rows[0].tobytes() == forward_logits(model, prefix).data.tobytes()
         assert cache.length == full.shape[0]
 
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_extend_hands_back_views_of_the_cache(self, batch):
+        model = build_model(tiny_config())
+        d = model.config.d_model
+        cache = KVCache(model.config, batch=batch)
+        rng = np.random.default_rng(batch)
+        for step, rows in enumerate((3, 1)):
+            k, v = (nm.Tensor(rng.normal(size=(batch * rows, d))) for _ in range(2))
+            keys, values = cache.extend(0, k, v)
+            cache.length += rows
+            assert keys.shape == values.shape == (batch, cache.length, d)
+            assert np.shares_memory(keys, cache.keys) and np.shares_memory(values, cache.values)
+            assert (keys[:, -rows:].reshape(-1, d) == k.data).all()
+            assert (values[:, -rows:].reshape(-1, d) == v.data).all()
+
     def test_text_step_is_a_one_row_batch(self):
         step = text_step(7, 12)
         assert isinstance(step, BatchLayout)

@@ -313,6 +313,34 @@ class TestAttention:
 
         assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
 
+    def test_array_keys_are_the_same_op(self):
+        # (B, Tk, d) key and value arrays, here strided views into a wider
+        # buffer as a KV cache hands them over, give the bits of (B * Tk, d)
+        # Tensors of the same rows
+        rng = np.random.default_rng(6)
+        b, tq, tk, heads = 3, 2, 5, 2
+        q = rng.normal(size=(b * tq, 4))
+        buffers = rng.normal(size=(2, b, 9, 4))
+        k, v = buffers[0, :, :tk], buffers[1, :, :tk]
+        mask = causal(tq, tk)
+        got = nm.attention(nm.Tensor(q), k, v, mask, heads).data
+        want = nm.attention(nm.Tensor(q), nm.Tensor(k.reshape(-1, 4)),
+                            nm.Tensor(v.reshape(-1, 4)), mask, heads).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_grad_check_with_array_keys(self):
+        rng = np.random.default_rng(5)
+        b, tq, tk, heads = 2, 3, 4, 2
+        store = nm.ParamStore({"q": rng.normal(size=(b * tq, 4))})
+        k, v = rng.normal(size=(2, b, tk, 4))
+        targets = rng.integers(0, 4, size=b * tq)
+
+        def f(s):
+            out = nm.attention(s["q"], k, v, causal(tq, tk), heads)
+            return nm.cross_entropy_masked(out, targets, np.ones(b * tq, dtype=bool))
+
+        assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
+
     def test_masked_keys_get_no_weight_or_gradient(self):
         rng = np.random.default_rng(8)
         k = nm.ParamStore({"k": rng.normal(size=(4, 4))})["k"]
@@ -329,6 +357,8 @@ class TestAttention:
             nm.attention(t, nm.Tensor(np.zeros((5, 4))), t, causal(3, 3), 2)
         with pytest.raises(DataError):
             nm.attention(nm.Tensor(np.zeros((5, 4))), t, t, causal(3, 3), 2)
+        with pytest.raises(DataError):
+            nm.attention(t, np.zeros((6, 4)), np.zeros((6, 4)), causal(3, 3), 2)
 
 
 class TestCrossEntropyWeights:

@@ -1,5 +1,11 @@
 import hashlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,6 +214,142 @@ class TestTrainEpoch:
         groups = [widths.count(width) for width in dict.fromkeys(widths)]
         assert len(groups) > 1 and max(groups) > EVAL_SLICE  # the data cut slices
         assert sizes == [n for group in groups for n in batch_sizes(group, EVAL_SLICE)]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# three epochs of 4 steps at the planted run's shape in a fresh process; with
+# "off" the malloc thresholds are never set. Prints the losses, the minor page
+# faults of each epoch and the step count, and saves the checkpoint.
+STEPS_SCRIPT = """
+import json
+import resource
+import sys
+
+from vwpstory import training
+from vwpstory.corpus import prepare_records
+from vwpstory.model import ModelConfig, build_model, save_checkpoint
+from vwpstory.synth import synthetic_grid_corpus
+
+if sys.argv[1] == "off":
+    training.keep_freed_memory = lambda: None
+prepared = prepare_records(synthetic_grid_corpus(64, seed=0), seed=0, val_count=0,
+                           test_count=0)
+vocab = prepared.vocab
+model = build_model(ModelConfig(
+    vocab_size=len(vocab), feat_dim=8, d_model=64, n_layers=1, n_heads=4, d_ff=128,
+    t_max=24, n_max=5, m_max=5, o_max=2, feature_set=("global", "char"),
+    grid_mode="char", dropout=0.1, seed=1))
+config = training.TrainConfig(epochs=1, batch_size=16, lr=2e-3, seeds=(1,))
+losses, faults = [], []
+for epoch in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    losses.append(training.train_epoch(model, prepared.splits["train"], vocab, config,
+                                       seed=epoch).hex())
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+save_checkpoint(model, sys.argv[2])
+print(json.dumps({"losses": losses, "faults": faults, "steps": model.store.step}))
+"""
+
+# imports the package, decodes and scores, then trains one epoch; prints
+# whether the malloc thresholds were set after each stage
+SCOPE_SCRIPT = """
+import json
+
+import vwpstory.cli
+from vwpstory import training
+from vwpstory.corpus import prepare_records
+from vwpstory.decoding import DecodingConfig, generate_batch
+from vwpstory.metrics import EvalPair, compute_metrics
+from vwpstory.model import ModelConfig, build_model
+from vwpstory.synth import synthetic_grid_corpus
+
+calls = []
+real = training.keep_freed_memory
+training.keep_freed_memory = lambda: calls.append(1) or real()
+seen = {"import": training._malloc_thresholds_set}
+prepared = prepare_records(synthetic_grid_corpus(12, seed=0), seed=0, val_count=2,
+                           test_count=2)
+vocab = prepared.vocab
+model = build_model(ModelConfig(
+    vocab_size=len(vocab), feat_dim=8, d_model=16, n_layers=1, n_heads=2, d_ff=32,
+    t_max=24, n_max=5, m_max=5, o_max=2, feature_set=("global", "char"),
+    grid_mode="char", dropout=0.0, seed=0))
+generate_batch(model, prepared.splits["val"], vocab,
+               DecodingConfig(mode="nucleus", p=0.9, max_new_tokens=8, seed=1))
+seen["generate_batch"] = training._malloc_thresholds_set
+words = [f"w{i % 37}" for i in range(1200)]
+compute_metrics([EvalPair(hypothesis=words, references=[words[::-1]])] * 2)
+seen["compute_metrics"] = training._malloc_thresholds_set
+seen["calls_before_training"] = len(calls)
+training.train_epoch(model, prepared.splits["train"], vocab,
+                     training.TrainConfig(epochs=1, batch_size=4, seeds=(0,)), seed=0)
+seen["train_epoch"] = training._malloc_thresholds_set
+print(json.dumps(seen))
+"""
+
+
+def run_fresh(*args) -> dict:
+    """Run ``python -c *args`` in a new process importing this checkout's src/;
+    return the JSON it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True,
+                         cwd=ROOT, env=env, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def fresh_steps(tmp_path_factory):
+    """``STEPS_SCRIPT``'s output and checkpoint bytes per mode, run once each."""
+    runs = {}
+
+    def run(mode):
+        if mode not in runs:
+            path = tmp_path_factory.mktemp(mode) / "model.ckpt"
+            runs[mode] = run_fresh(STEPS_SCRIPT, mode, str(path)), path.read_bytes()
+        return runs[mode]
+
+    return run
+
+
+class TestMallocThresholds:
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="mallopt's thresholds are glibc's")
+    def test_steps_after_a_warm_up_fault_in_no_pages(self, fresh_steps):
+        # glibc's defaults hand each step's freed activations back to the
+        # kernel: about a thousand minor faults a step at this shape
+        result, _ = fresh_steps("on")
+        later_steps = result["steps"] * 2 // 3
+        assert sum(result["faults"][1:]) < 10 * later_steps, result["faults"]
+
+    def test_thresholds_change_no_bit(self, fresh_steps):
+        # training is bit for bit the same with and without the thresholds
+        (on, on_ckpt), (off, off_ckpt) = fresh_steps("on"), fresh_steps("off")
+        assert on["losses"] == off["losses"] and on["steps"] == off["steps"] == 12
+        assert on_ckpt == off_ckpt
+
+    def test_without_mallopt_training_runs_unchanged(self, monkeypatch):
+        prepared = tiny_prepared()
+
+        def losses():
+            model = build_model(tiny_model_config(len(prepared.vocab)))
+            return [train_epoch(model, prepared.splits["train"], prepared.vocab,
+                                tiny_train_config(), seed=seed).hex() for seed in (0, 1)]
+
+        want = losses()
+        lookups = []
+        monkeypatch.setattr(training, "_malloc_thresholds_set", False)
+        monkeypatch.setattr(training.ctypes, "CDLL",
+                            lambda name: lookups.append(name) or types.SimpleNamespace())
+        assert losses() == want
+        assert lookups == [None] and training._malloc_thresholds_set
+
+    def test_only_training_sets_them(self):
+        seen = run_fresh(SCOPE_SCRIPT)
+        assert seen == {"import": False, "generate_batch": False, "compute_metrics": False,
+                        "calls_before_training": 0, "train_epoch": True}
 
 
 class TestSelectBest:
