@@ -5,7 +5,8 @@ over several seeds, then reports held-out loss and accuracy on the tokens
 the grid determines. Mirrors the direction of the reference-metric table:
 the coherence representation should win every seed. Beside the wall time
 it reports the run's minor page faults and system CPU seconds (getrusage
-deltas of this process).
+deltas of this process). Exits 0 only when the run passes the acceptance
+gate: the grid wins every seed, with accuracy at least 0.90 on each.
 """
 
 import argparse
@@ -14,6 +15,8 @@ import resource
 import time
 
 from vwpstory.training import run_grid_comparison
+
+MIN_GRID_ACCURACY = 0.90
 
 
 def main() -> int:
@@ -53,7 +56,9 @@ def main() -> int:
         print(f"grid wins {result.grid_wins}/{len(result.per_seed)} seeds; "
               f"min accuracy {result.min_grid_accuracy:.3f}; {elapsed:.0f}s; "
               f"{minor_faults} minor faults; {system_seconds:.2f}s system")
-    return 0 if result.grid_wins == len(result.per_seed) else 1
+    passed = (result.grid_wins == len(result.per_seed)
+              and result.min_grid_accuracy >= MIN_GRID_ACCURACY)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

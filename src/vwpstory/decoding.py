@@ -88,7 +88,8 @@ def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
     # change which ids form the support, and then the stable sort decides
     order = np.argsort(-dist)
     ranked = dist[order]
-    cut = int(np.cumsum(ranked).searchsorted(p - 1e-15)) + 1
+    # a sorted cumsum that ends below p - 1e-15 keeps every id
+    cut = min(int(np.cumsum(ranked).searchsorted(p - 1e-15)) + 1, dist.size)
     head = ranked[:cut + 1]
     if (head[1:] == head[:-1]).any():
         order = np.argsort(-dist, kind="stable")

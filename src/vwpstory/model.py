@@ -301,9 +301,7 @@ def assemble_input(examples: list[tuple[ImageSequenceRecord, list[int]]], config
     The image rows and the entity rows of the batch are each stacked in one
     array build, each record's grid comes from ``grid_for_mode``, and every
     per-row field is index arithmetic on the per-sequence block sizes. A
-    feature set with characters or objects always gets an entity block, with
-    no rows when no record in the batch has one, so the entity encoder gets
-    an exact zero gradient rather than none.
+    block with no rows in the batch (entities, grids) is None.
     """
     if not examples:
         raise DataError("assemble_input: no examples")
@@ -360,12 +358,9 @@ def assemble_input(examples: list[tuple[ImageSequenceRecord, list[int]]], config
         src = real + np.repeat(run_starts - (np.cumsum(runs) - runs), runs)
         rows = np.zeros(total, dtype=np.intp)
         rows[dest] = src
-    entity_feats = None
-    if "char" in config.feature_set or "obj" in config.feature_set:
-        entity_feats = np.array(entity_rows).reshape(len(entity_rows), config.feat_dim)
     return BatchLayout(lengths=lengths, width=width, token_ids=tokens, positions=positions,
                        segments=segments, rows=rows, image_feats=np.array(image_rows),
-                       entity_feats=entity_feats,
+                       entity_feats=np.array(entity_rows) if entity_rows else None,
                        grid_vecs=np.array(grid_rows) if n_grid else None, targets=targets,
                        loss_mask=loss_mask, loss_weights=loss_weights)
 

@@ -10,9 +10,9 @@ accumulates gradients on the leaves and frees the graph as it goes. Inside
 
 The training-step kernels are bit-exact rewrites of their textbook forms,
 kept in the tests as oracles. ``ParamStore`` is built once from the full
-parameter set: one flat buffer holds every parameter's values (each
-``Tensor.data`` is a fixed view into it) and Adam's two moments, created on
-the first step, are two more, so ``adam_step`` runs its formula once over
+parameter set into flat buffers of values and of gradients (each
+``Tensor.data`` and ``Tensor.grad`` is a fixed view), plus Adam's two
+moments from the first step, so ``adam_step`` runs its formula once over
 the whole model as in-place ufuncs. The embedding backward sums gradient
 rows into table cells with one ``np.bincount`` (the same additions, in the
 same order, as ``np.add.at``), and ``layer_norm`` takes the variance from
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NumericError, StateError
+from .errors import DataError, NumericError
 
 Array = np.ndarray
 
@@ -79,17 +79,17 @@ class _Node:
 class Tensor:
     """A float64 ndarray plus the wiring for reverse-mode differentiation.
 
-    ``data`` is always C-contiguous float64 (row-major). ``grad`` is filled
-    in for leaves with ``requires_grad`` after ``backward()``. An op's output
-    that depends on such a leaf carries a ``_node`` in the backward graph.
+    ``data`` is always C-contiguous float64 (row-major). A leaf built with
+    ``requires_grad`` holds a zero ``grad`` that ``backward()`` adds into. An
+    op's output that depends on such a leaf carries a ``_node`` in the graph.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), grad_fn=None):
         self.data = _as_f64(data)
-        self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
+        self.grad: Array | None = np.zeros(self.data.shape) if self.requires_grad else None
         self._node: _Node | None = None
         if _GradMode.enabled and any(p.requires_grad for p in parents):
             self.requires_grad = True
@@ -146,8 +146,6 @@ class Tensor:
             if g is None:
                 continue
             if isinstance(node, Tensor):  # a leaf
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
                 node.grad += g
                 continue
             parents, grad_fn = node.parents, node.grad_fn
@@ -479,25 +477,29 @@ def attention(q: Tensor, k: Tensor | Array, v: Tensor | Array, mask, n_heads: in
 
 
 class ParamStore:
-    """Named trainable tensors in one flat float64 buffer, plus Adam's moment
-    buffers and a step counter.
+    """Named trainable tensors and their gradients in two flat float64
+    buffers, plus Adam's moment buffers and a step counter.
 
     The store is built once from every parameter, ``{name: array}``: ``flat``
-    holds their values in dict order, and each parameter's ``Tensor.data`` is
-    a reshaped view into it, so writing ``flat`` writes the parameters and
-    the reverse. ``m`` and ``v`` are Adam's first and second moments, laid
-    out as ``flat``, and ``scratch`` is two more such rows that each
-    ``adam_step`` overwrites; all three stay None until the first step.
+    holds their values in dict order and ``grad`` their gradients, laid out
+    alike and zero until a backward pass adds into it; each ``Tensor.data``
+    and ``Tensor.grad`` is a reshaped view into them. ``m``, ``v`` (Adam's
+    moments) and ``scratch`` (two rows each ``adam_step`` overwrites) are
+    laid out as ``flat`` too, and stay None until the first step.
     """
 
     def __init__(self, params: dict):
         values = [_as_f64(data) for data in params.values()]
         self.flat = np.concatenate([v.reshape(-1) for v in values])
+        self.grad = np.zeros(self.flat.size)
         self.params: dict[str, Tensor] = {}
         offset = 0
         for name, v in zip(params, values):
-            view = self.flat[offset:offset + v.size].reshape(v.shape)
-            self.params[name] = Tensor(view, requires_grad=True)
+            span = slice(offset, offset + v.size)
+            param = Tensor(self.flat[span].reshape(v.shape))
+            param.requires_grad = True  # set after construction, which would make a grad to drop
+            param.grad = self.grad[span].reshape(v.shape)
+            self.params[name] = param
             offset += v.size
         self.m: Array | None = None
         self.v: Array | None = None
@@ -508,62 +510,52 @@ class ParamStore:
         return self.params[name]
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self.grad.fill(0.0)
 
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = ADAM_BETA1,
               beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
     """One bias-corrected Adam update over every parameter in the store.
 
-    The gradients are gathered into one flat buffer laid out as
-    ``store.flat``, and the update runs over the whole model at once, in
-    place on the moment buffers and on the store's scratch. Per element it
+    The update reads the gradients from ``store.grad`` and runs over the
+    whole model at once, in place on the moment buffers and on the store's
+    scratch; it never writes ``store.grad``. Per element it
     makes the same float operations in the same order as the textbook form
     ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g^2``,
     ``p -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)``.
     """
     t = store.step + 1
-    grads = []
-    for name, p in store.params.items():
-        if p.grad is None:
-            raise StateError(f"adam_step: missing gradient for {name!r}")
-        grads.append(p.grad.reshape(-1))
     n = store.flat.size
     if store.m is None:
         store.m, store.v, store.scratch = np.zeros(n), np.zeros(n), np.empty((2, n))
-    m, v, flat = store.m, store.v, store.flat
-    g, step = store.scratch
-    np.concatenate(grads, out=g)
+    m, v, flat, g = store.m, store.v, store.flat, store.grad
+    sq, step = store.scratch
     np.multiply(g, 1.0 - beta1, out=step)
     m *= beta1
     m += step
-    np.multiply(g, g, out=g)
-    g *= 1.0 - beta2
+    np.multiply(g, g, out=sq)
+    sq *= 1.0 - beta2
     v *= beta2
-    v += g
+    v += sq
     np.divide(m, 1.0 - beta1 ** t, out=step)
     step *= lr
-    np.divide(v, 1.0 - beta2 ** t, out=g)
-    np.sqrt(g, out=g)
-    g += eps
-    step /= g
+    np.divide(v, 1.0 - beta2 ** t, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += eps
+    step /= sq
     flat -= step
     store.step = t
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``; the
+    squares are summed per parameter, and those sums added in name order."""
     total = 0.0
     for p in store.params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+        total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for p in store.params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        store.grad *= max_norm / norm
     return norm
 
 
@@ -582,10 +574,7 @@ def grad_check(f: Callable[[ParamStore], Tensor], store: ParamStore,
     if not np.isfinite(out.data).all():
         raise NumericError("grad_check: f evaluated to a non-finite value")
     out.backward()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in store.params.items()
-    }
+    analytic = {name: p.grad.copy() for name, p in store.params.items()}
     worst = 0.0
     for name, p in store.params.items():
         flat = p.data.reshape(-1)

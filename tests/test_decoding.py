@@ -104,6 +104,16 @@ class TestNucleusSample:
         assert nucleus_sample(dist, 1e-9, rng) == int(np.argmax(dist))
 
 
+class FixedDraw:
+    """A generator stub whose every ``random()`` draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 def nucleus_sample_loop(dist, p, rng):
     """Reference sampler: walk the nucleus token by token."""
     order = np.argsort(-dist, kind="stable")
@@ -134,13 +144,6 @@ class TestNucleusSearch:
             assert got == nucleus_sample_loop(dist, p, np.random.default_rng(seed))
 
     def test_draws_on_mass_boundaries(self):
-        class FixedDraw:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         # a draw equal to a running mass belongs to the next token
         for sampler in (nucleus_sample, nucleus_sample_loop):
             assert sampler(np.array([0.5, 0.25, 0.25]), 1.0, FixedDraw(0.5)) == 1
@@ -153,6 +156,15 @@ class TestNucleusSearch:
         assert np.cumsum(dist / dist.sum())[-1] <= largest
         for sampler in (nucleus_sample, nucleus_sample_loop):
             assert sampler(dist, 1.0, FixedDraw(largest)) == 9
+
+    def test_full_support_whose_mass_ends_short_of_one(self):
+        # the sorted running mass ends below 1 - 1e-15, so every id is in the
+        # support; the largest draw takes the last-ranked one
+        dist = nm.softmax_rows(np.random.default_rng(8).normal(size=1120) * 2)
+        assert np.cumsum(dist[np.argsort(-dist)])[-1] < 1.0 - 1e-15
+        largest = np.nextafter(1.0, 0.0)
+        for sampler in (nucleus_sample, nucleus_sample_loop):
+            assert sampler(dist, 1.0, FixedDraw(largest)) == int(np.argmin(dist))
 
     # 40 ids: id 11 alone on top, ids 5, 17, 29 and 33 tied below it (numpy's
     # default sort puts 29 before 17), the rest tied at the bottom

@@ -465,14 +465,7 @@ def loop_assemble_batch(examples, config):
         want["loss_weights"][b, loss_rows] = 1.0 / max(loss_rows.size, 1)
     if len(layouts) == 1:
         want["rows"] = None  # a lone sequence's stack is already in padded order
-    if want["entity_feats"] is None and has_entities(config):
-        # the entity encoder keeps a (zero) gradient: see assemble_input
-        want["entity_feats"] = np.zeros((0, config.feat_dim))
     return want
-
-
-def has_entities(config):
-    return "char" in config.feature_set or "obj" in config.feature_set
 
 
 def assert_matches_loop(examples, config):
@@ -518,7 +511,7 @@ class TestBatch:
         examples = [(make_seq(n_images=a, n_chars=0, n_objs=0, seed=i, seq_id=f"p{i}"),
                      [2 + i] * n) for i, (a, n) in enumerate([(5, 3), (2, 7), (4, 1)])]
         batch = assert_matches_loop(examples, cfg)
-        assert batch.entity_feats.shape == (0, D) and batch.grid_vecs is None
+        assert batch.entity_feats is None and batch.grid_vecs is None
 
     @pytest.mark.parametrize("variant", BATCH_VARIANTS)
     def test_losses_and_gradients_match_per_example(self, variant):

@@ -1,11 +1,14 @@
-"""Every top-level function and class in ``src/vwpstory`` has a reader.
+"""Every top-level function and class under ``src``, ``scripts`` and
+``tests`` has a reader.
 
 A name counts as read when some file under ``src``, ``scripts`` or ``tests``
 loads it (as a bare name or as an attribute) outside its own definition,
 or when the benchmark's tracer binds it (``SPAN_TARGETS`` in
-``perfbench/tracing.py``). A helper whose last caller was deleted fails
-here. Names are matched by spelling, not by module, so a dead helper can
-hide behind a live one of the same name elsewhere."""
+``perfbench/tracing.py``). In ``tests``, pytest itself reads ``test_*``
+functions, ``Test*`` classes and ``@pytest.fixture`` functions, so those
+need no other reader. A helper whose last caller was deleted fails here.
+Names are matched by spelling, not by module, so a dead helper can hide
+behind a live one of the same name elsewhere."""
 
 import ast
 from pathlib import Path
@@ -13,13 +16,24 @@ from pathlib import Path
 from test_perfbench_bindings import tracing
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "vwpstory"
-READER_DIRS = [ROOT / "src", ROOT / "scripts", ROOT / "tests"]
+TESTS = ROOT / "tests"
+READER_DIRS = [ROOT / "src", ROOT / "scripts", TESTS]
 
 
 def _definitions(tree: ast.Module) -> list[ast.AST]:
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _collected_by_pytest(node: ast.AST) -> bool:
+    """A ``test_*`` function, a ``Test*`` class or a ``@pytest.fixture``."""
+    if isinstance(node, ast.ClassDef):
+        return node.name.startswith("Test")
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Attribute) and target.attr == "fixture":
+            return True
+    return node.name.startswith("test_")
 
 
 def _loads(node: ast.AST, skip: set[int]) -> set[str]:
@@ -54,7 +68,7 @@ def test_every_top_level_definition_is_read():
     read = set().union(*(_read_names(tree) for tree in trees.values()))
     known = read | {attr for _, attr, _ in tracing.SPAN_TARGETS}
     orphans = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
-               for path, tree in trees.items() if path.is_relative_to(PACKAGE)
-               for node in _definitions(tree)
-               if node.name not in known]
+               for path, tree in trees.items() for node in _definitions(tree)
+               if node.name not in known
+               and not (path.is_relative_to(TESTS) and _collected_by_pytest(node))]
     assert not orphans, "defined but never read: " + ", ".join(orphans)

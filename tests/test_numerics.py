@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vwpstory import numerics as nm
-from vwpstory.errors import DataError, NumericError, StateError
+from vwpstory.errors import DataError, NumericError
 
 
 def small_arrays(max_rows=4, max_cols=5):
@@ -173,7 +173,7 @@ class TestAdam:
     def _store_with_grad(self, grad):
         store = nm.ParamStore({"w": [1.0, -2.0, 3.0]})
         p = store["w"]
-        p.grad = np.asarray(grad, dtype=np.float64)
+        p.grad[...] = grad
         return store, p
 
     def test_zero_gradient_zero_moments_no_op(self):
@@ -190,10 +190,28 @@ class TestAdam:
         nm.adam_step(store, lr=1e-3)
         np.testing.assert_allclose(p.data - before, [-1e-3, 1e-3, -1e-3], rtol=1e-4)
 
-    def test_missing_gradient_errors(self):
-        store = nm.ParamStore({"w": [1.0]})
-        with pytest.raises(StateError):
-            nm.adam_step(store)
+    def test_parameter_no_op_reaches_keeps_a_zero_gradient(self):
+        # "u" is reached on the first step only; on the later steps Adam moves
+        # it with g = 0 from the moments it has
+        store = nm.ParamStore({"w": np.ones((2, 1)), "u": np.full((2, 1), -0.5)})
+        want = {name: p.data.copy() for name, p in store.params.items()}
+        moments = {}
+        x = nm.Tensor([[0.3, -1.2]])
+        for t, reached in enumerate([("w", "u"), ("w",), ("w",)], start=1):
+            store.zero_grad()
+            for name in reached:
+                nm.matmul(x, store[name]).backward(np.ones((1, 1)))
+            if "u" not in reached:
+                assert store["u"].grad.tobytes() == bytes(16)  # exactly +0.0
+            grads = {name: p.grad.copy() for name, p in store.params.items()}
+            nm.adam_step(store, lr=1e-2)
+            adam_oracle(want, moments, grads, t, 1e-2, nm.ADAM_BETA1, nm.ADAM_BETA2,
+                        nm.ADAM_EPS)
+            for name, p in store.params.items():
+                np.testing.assert_array_equal(bits(p.data), bits(want[name]))
+            if t == 1:
+                after_reached = store["u"].data.copy()
+        assert (store["u"].data != after_reached).all()
 
     def test_deterministic(self):
         def run():
@@ -201,7 +219,7 @@ class TestAdam:
             store = nm.ParamStore({"w": rng.normal(size=8)})
             p = store["w"]
             for _ in range(25):
-                p.grad = rng.normal(size=8)
+                p.grad[...] = rng.normal(size=8)
                 nm.adam_step(store, lr=3e-3)
             return p.data.tobytes()
 
@@ -210,7 +228,7 @@ class TestAdam:
     def test_step_counter_monotone(self):
         store, p = self._store_with_grad([1.0, 1.0, 1.0])
         for expected in (1, 2, 3):
-            p.grad = np.ones(3)
+            p.grad[...] = 1.0
             nm.adam_step(store)
             assert store.step == expected
 
@@ -234,7 +252,7 @@ class TestClipGlobalNorm:
     def test_noop_below_threshold(self):
         store = nm.ParamStore({"w": [3.0, 4.0]})
         p = store["w"]
-        p.grad = np.array([0.3, 0.4])
+        p.grad[...] = [0.3, 0.4]
         norm = nm.clip_global_norm(store, 1.0)
         assert norm == pytest.approx(0.5)
         np.testing.assert_allclose(p.grad, [0.3, 0.4])
@@ -242,7 +260,7 @@ class TestClipGlobalNorm:
     def test_scales_above_threshold(self):
         store = nm.ParamStore({"w": [0.0, 0.0]})
         p = store["w"]
-        p.grad = np.array([3.0, 4.0])
+        p.grad[...] = [3.0, 4.0]
         nm.clip_global_norm(store, 1.0)
         assert math.sqrt(float((p.grad ** 2).sum())) == pytest.approx(1.0)
 
@@ -422,7 +440,7 @@ class TestGraph:
         del z
         assert z_in() is not None  # matmul's backward needs its input
         loss.backward()
-        assert w.grad is not None and z_in() is None  # the walk frees the graph
+        assert w.grad.any() and z_in() is None  # the walk frees the graph
 
 
 # --- the training-step kernels against the textbook forms they replaced ----------
@@ -528,7 +546,7 @@ class TestAdamOracle:
                      for name in want}
             grads["b"][0] = -0.0
             for name, g in grads.items():
-                store[name].grad = g.copy()
+                store[name].grad[...] = g
             nm.adam_step(store, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
             adam_oracle(want, moments, grads, t, lr, beta1, beta2, eps)
             offset = 0
@@ -561,7 +579,60 @@ class TestFlatParamStore:
             np.concatenate([store[name].data.ravel() for name in values]), store.flat)
         assert store.m is None and store.v is None
         for p in store.params.values():
-            p.grad = np.ones_like(p.data)
+            p.grad[...] = 1.0
         nm.adam_step(store)
         assert store.m.shape == store.v.shape == store.flat.shape
         assert all(np.shares_memory(p.data, store.flat) for p in store.params.values())
+
+    def test_every_gradient_is_a_fixed_view_of_the_grad_buffer(self):
+        store = nm.ParamStore({"w": np.ones((3, 2)), "s": 2.0, "b": np.ones(4)})
+        grads = {name: p.grad for name, p in store.params.items()}
+        offset = 0
+        for name, p in store.params.items():
+            assert p.grad.shape == p.data.shape
+            assert np.shares_memory(p.grad, store.grad[offset:offset + p.data.size])
+            assert p.grad.ctypes.data == store.grad[offset:].ctypes.data
+            offset += p.data.size
+        assert offset == store.grad.size and not store.grad.any()
+        loss = nm.matmul(nm.Tensor(np.ones((1, 3))), store["w"])
+        nm.mul(loss, nm.Tensor([[3.0, 3.0]])).backward(np.ones((1, 2)))
+        nm.mul(store["s"], store["s"]).backward()
+        assert all(store[name].grad is g for name, g in grads.items())
+        np.testing.assert_array_equal(store.grad, [3.0] * 6 + [4.0] + [0.0] * 4)
+        store.zero_grad()
+        assert all(store[name].grad is g for name, g in grads.items())
+        assert not store.grad.any()
+
+    def test_adam_step_leaves_the_gradients_unchanged(self):
+        rng = np.random.default_rng(4)
+        store = nm.ParamStore({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+        store.grad[:] = rng.normal(size=store.grad.size)
+        before = store.grad.tobytes()
+        for _ in range(3):
+            nm.adam_step(store)
+            assert store.grad.tobytes() == before
+
+
+class TestClipOracle:
+    @pytest.mark.parametrize("max_norm", [1.0, 1e4])
+    def test_norm_and_scale_match_per_parameter_name_order(self, max_norm):
+        # magnitudes from 1e-6 to 1e2 per element: over these draws, squares
+        # summed in any other order (one pass over the buffer, names
+        # reversed) round differently at least once; norms are about 500
+        shapes = {"emb": (40, 16), "w": (16, 24), "s": (), "b": (24,)}
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
+                     for name, shape in shapes.items()}
+            store = nm.ParamStore({name: np.zeros(shape) for name, shape in shapes.items()})
+            for name, g in grads.items():
+                store[name].grad[...] = g
+            total = 0.0
+            for g in grads.values():
+                total += float((g * g).sum())
+            want_norm = math.sqrt(total)
+            assert nm.clip_global_norm(store, max_norm).hex() == want_norm.hex()
+            for name, g in grads.items():
+                if want_norm > max_norm:
+                    g *= max_norm / want_norm
+                np.testing.assert_array_equal(bits(store[name].grad), bits(g))

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -581,3 +582,21 @@ class TestGridComparisonSmoke:
         assert set(row) == {"seed", "grid_loss", "baseline_loss", "grid_accuracy"}
         assert 0 <= result.min_grid_accuracy <= 1
         assert result.grid_wins in (0, 1)
+
+
+class TestGridExperimentScript:
+    @pytest.mark.parametrize("wins, accuracy, code",
+                             [(3, 0.85, 1), (3, 0.90, 0), (3, 0.95, 0), (2, 0.95, 1)])
+    def test_exit_code_is_the_acceptance_gate(self, monkeypatch, capsys, wins, accuracy, code):
+        spec = importlib.util.spec_from_file_location(
+            "run_grid_experiment", ROOT / "scripts" / "run_grid_experiment.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        rows = [{"seed": seed, "grid_loss": 1.0, "baseline_loss": 2.0, "grid_accuracy": accuracy}
+                for seed in (0, 1, 2)]
+        result = training.GridComparisonResult(per_seed=rows, grid_wins=wins,
+                                               min_grid_accuracy=accuracy)
+        monkeypatch.setattr(script, "run_grid_comparison", lambda **kwargs: result)
+        monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py"])
+        assert script.main() == code
+        assert f"grid wins {wins}/3 seeds" in capsys.readouterr().out
