@@ -5,7 +5,8 @@ over several seeds, then reports held-out loss and accuracy on the tokens
 the grid determines. Mirrors the direction of the reference-metric table:
 the coherence representation should win every seed. Beside the wall time
 it reports the run's minor page faults and system CPU seconds (getrusage
-deltas of this process). Exits 0 only when the run passes the acceptance
+deltas of this process) and the process's peak resident set size in MB
+(``ru_maxrss``, which Linux gives in KiB). Exits 0 only when the run passes the acceptance
 gate: the grid wins every seed, with accuracy at least 0.90 on each.
 """
 
@@ -43,10 +44,11 @@ def main() -> int:
     after = resource.getrusage(resource.RUSAGE_SELF)
     minor_faults = after.ru_minflt - usage.ru_minflt
     system_seconds = after.ru_stime - usage.ru_stime
+    peak_rss_mb = after.ru_maxrss / 1024.0
     if args.json:
         payload = result.to_dict()
         payload.update(elapsed_seconds=elapsed, minor_faults=minor_faults,
-                       system_seconds=system_seconds)
+                       system_seconds=system_seconds, peak_rss_mb=peak_rss_mb)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"{'seed':>4}  {'grid loss':>10}  {'baseline loss':>14}  {'grid accuracy':>14}")
@@ -55,7 +57,8 @@ def main() -> int:
                   f"{row['baseline_loss']:>14.4f}  {row['grid_accuracy']:>14.3f}")
         print(f"grid wins {result.grid_wins}/{len(result.per_seed)} seeds; "
               f"min accuracy {result.min_grid_accuracy:.3f}; {elapsed:.0f}s; "
-              f"{minor_faults} minor faults; {system_seconds:.2f}s system")
+              f"{minor_faults} minor faults; {system_seconds:.2f}s system; "
+              f"{peak_rss_mb:.1f} MB peak RSS")
     passed = (result.grid_wins == len(result.per_seed)
               and result.min_grid_accuracy >= MIN_GRID_ACCURACY)
     return 0 if passed else 1

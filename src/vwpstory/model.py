@@ -11,13 +11,19 @@ batch straight from its (record, story) pairs with index arithmetic:
 training and scoring batches, and decoding's prefixes, which are records
 with empty stories. The tests hold it to a per-sequence reference, bit for
 bit.
+
+The parameters live in one ``ParamStore`` buffer, allocated once:
+``build_model`` draws each parameter into its view, ``load_checkpoint``
+reads each payload into its view, and ``save_checkpoint`` writes each view
+to the file, so no path copies the parameters in transit.
 """
 
 from __future__ import annotations
 
-import io
+import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, fields
 
@@ -66,7 +72,7 @@ class ModelConfig:
         object.__setattr__(self, "feature_set", tuple(sorted(set(self.feature_set))))
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
-        for name in ("vocab_size", "feat_dim", "d_model", "n_layers", "n_heads",
+        for name in ("vocab_size", "feat_dim", "d_model", "n_layers", "n_heads", "d_ff",
                      "t_max", "n_max", "m_max", "o_max"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
@@ -167,18 +173,22 @@ def build_model(config: ModelConfig) -> StoryGenModel:
     """Seed-deterministic initialization: normal(0, 0.02) weights, zero
     biases, unit layer-norm gains. Each parameter draws from an rng keyed on
     (seed, name), so shared parameters initialize identically across
-    variants with the same seed."""
-    init: dict[str, np.ndarray] = {}
-    for name, shape, kind in _param_spec(config):
+    variants with the same seed. Every value is written straight into its
+    view of the store's one buffer."""
+    spec = _param_spec(config)
+    store = ParamStore.empty({name: shape for name, shape, _ in spec})
+    for name, _, kind in spec:
+        view = store[name].data
         if kind == "normal":
             rng = np.random.default_rng(
                 np.random.SeedSequence((config.seed, zlib.crc32(name.encode()))))
-            init[name] = rng.normal(0.0, 0.02, size=shape)
-        elif kind == "ones":
-            init[name] = np.ones(shape)
+            # rng.normal(0.0, 0.02)'s own arithmetic, 0.0 + 0.02 z, in place
+            rng.standard_normal(out=view)
+            view *= 0.02
+            view += 0.0
         else:
-            init[name] = np.zeros(shape)
-    return StoryGenModel(config=config, store=ParamStore(init))
+            view.fill(1.0 if kind == "ones" else 0.0)
+    return StoryGenModel(config=config, store=store)
 
 
 @dataclass
@@ -480,27 +490,21 @@ def story_losses(model: StoryGenModel,
 
 def save_checkpoint(model: StoryGenModel, path) -> None:
     """Magic, length-prefixed canonical config text, then sorted named
-    parameters as (u32 name length, name, u32 rank, u32 extents, <f8 data)."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    config_blob = model.config.canonical_text().encode("utf-8")
-    buf.write(struct.pack("<I", len(config_blob)))
-    buf.write(config_blob)
-    for name in sorted(model.store.params):
-        blob = name.encode("utf-8")
-        data = model.store[name].data
-        buf.write(struct.pack("<I", len(blob)))
-        buf.write(blob)
-        buf.write(struct.pack("<I", data.ndim))
-        for extent in data.shape:
-            buf.write(struct.pack("<I", extent))
-        buf.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    parameters as (u32 name length, name, u32 rank, u32 extents, <f8 data).
+    Each parameter's bytes go from its view straight to the file."""
     # write beside the target, then rename over it: a crash mid-write never
     # leaves a truncated checkpoint at ``path``
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(buf.getvalue())
+            config_blob = model.config.canonical_text().encode("utf-8")
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(config_blob)) + config_blob)
+            for name in sorted(model.store.params):
+                blob = name.encode("utf-8")
+                data = model.store[name].data
+                fh.write(struct.pack(f"<I{len(blob)}sI{data.ndim}I", len(blob), blob, data.ndim,
+                                     *data.shape))
+                fh.write(data.astype("<f8", copy=False))  # a copy on big-endian hosts only
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -509,55 +513,71 @@ def save_checkpoint(model: StoryGenModel, path) -> None:
 
 
 def load_checkpoint(path) -> StoryGenModel:
-    """Read a checkpoint written by ``save_checkpoint``. A truncated or
-    otherwise malformed file raises DataError."""
+    """Read a checkpoint written by ``save_checkpoint``: each payload goes
+    straight into its parameter's view of a store allocated once.
+
+    A truncated or otherwise malformed file raises DataError, and before it
+    allocates for or reads anything the file claims: the file must be
+    exactly as long as its config's parameters make a checkpoint, and each
+    record's name, rank and extents must be its spec's before the next field
+    or its payload is read.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint (bad magic)")
-    view = io.BytesIO(raw[8:])
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(8) != CHECKPOINT_MAGIC:
+            raise DataError(f"{path}: not a checkpoint (bad magic)")
 
-    def read(n: int) -> bytes:
-        blob = view.read(n)
-        if len(blob) != n:
-            raise DataError(f"{path}: truncated checkpoint")
-        return blob
+        def read(n: int) -> bytes:
+            if n > size - fh.tell():
+                raise DataError(f"{path}: truncated checkpoint")
+            return fh.read(n)
 
-    def read_u32() -> int:
-        return struct.unpack("<I", read(4))[0]
+        def read_u32() -> int:
+            return struct.unpack("<I", read(4))[0]
 
-    def read_text() -> str:
+        def read_text() -> str:
+            try:
+                return read(read_u32()).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: malformed checkpoint text ({exc})") from exc
+
         try:
-            return read(read_u32()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: malformed checkpoint text ({exc})") from exc
-
-    try:
-        config = ModelConfig.from_canonical_text(read_text())
-    except (ValueError, ConfigError) as exc:
-        raise DataError(f"{path}: malformed checkpoint config ({exc})") from exc
-    params: dict[str, np.ndarray] = {}
-    while view.tell() < len(raw) - 8:
-        name = read_text()
-        if name in params:
-            raise DataError(f"{path}: parameter {name!r} appears twice")
-        rank = read_u32()
-        shape = tuple(read_u32() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        payload = view.read(count * 8)
-        if len(payload) != count * 8:
-            raise DataError(f"{path}: truncated payload for {name!r}")
-        # a read-only view: ParamStore copies it into its flat buffer
-        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
-
-    expected = {name: shape for name, shape, _ in _param_spec(config)}
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise DataError(f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise DataError(f"{path}: {name} has shape {params[name].shape}, expected {shape}")
-    store = ParamStore({name: params[name] for name in expected})
+            config = ModelConfig.from_canonical_text(read_text())
+        except (ValueError, ConfigError) as exc:
+            raise DataError(f"{path}: malformed checkpoint config ({exc})") from exc
+        # each layer adds 16 records of more than 16 bytes, so a config that
+        # claims more layers than the file can hold fails before its spec
+        # is listed
+        if 16 * 16 * config.n_layers > size:
+            raise DataError(f"{path}: {size} bytes cannot hold {config.n_layers} layers")
+        spec = {name: shape for name, shape, _ in _param_spec(config)}
+        # per record: name length, name, rank, extents, payload
+        want = fh.tell() + sum(8 + len(name.encode("utf-8")) + 4 * len(shape)
+                               + 8 * math.prod(shape) for name, shape in spec.items())
+        if size != want:
+            raise DataError(f"{path}: {size} bytes, but its config's parameters "
+                            f"make a {want}-byte checkpoint")
+        store = ParamStore.empty(spec)
+        # as many records as the spec has names, each a distinct one of them:
+        # with the size above, that is every name and the whole file
+        seen: set[str] = set()
+        for _ in spec:
+            name = read_text()
+            if name not in spec:
+                raise DataError(f"{path}: unknown parameter {name!r}")
+            if name in seen:
+                raise DataError(f"{path}: parameter {name!r} appears twice")
+            seen.add(name)
+            shape = spec[name]
+            rank = read_u32()
+            if rank != len(shape):
+                raise DataError(f"{path}: {name} has rank {rank}, expected {len(shape)}")
+            extents = struct.unpack(f"<{rank}I", read(4 * rank))
+            if extents != shape:
+                raise DataError(f"{path}: {name} has shape {extents}, expected {shape}")
+            view = store[name].data
+            if fh.readinto(view) != view.nbytes:
+                raise DataError(f"{path}: truncated payload for {name!r}")
+            if sys.byteorder == "big":
+                view.byteswap(inplace=True)  # the file's floats are little-endian
     return StoryGenModel(config=config, store=store)
-

@@ -9,19 +9,23 @@ accumulates gradients on the leaves and frees the graph as it goes. Inside
 ``add`` and ``mul`` take equal shapes, and bias rows go through ``matmul``.
 
 The training-step kernels are bit-exact rewrites of their textbook forms,
-kept in the tests as oracles. ``ParamStore`` is built once from the full
-parameter set into flat buffers of values and of gradients (each
-``Tensor.data`` and ``Tensor.grad`` is a fixed view), plus Adam's two
-moments from the first step, so ``adam_step`` runs its formula once over
-the whole model as in-place ufuncs. The embedding backward sums gradient
-rows into table cells with one ``np.bincount`` (the same additions, in the
-same order, as ``np.add.at``), and ``layer_norm`` takes the variance from
-the centred rows it already builds, as ``np.var`` does inside.
+kept in the tests as oracles. ``ParamStore`` allocates one flat buffer of
+values and one of gradients from the parameter shapes, once; each
+``Tensor.data`` and ``Tensor.grad`` is a fixed view, and whatever makes the
+values (an initializer, a checkpoint) writes them into those views. The
+gradient buffer is an anonymous mapping that takes no memory until a
+backward pass writes it. Adam's two moments come with the first step, so
+``adam_step`` runs its formula once over the whole model as in-place
+ufuncs. The embedding backward sums gradient rows into table cells with one
+``np.bincount`` (the same additions, in the same order, as ``np.add.at``),
+and ``layer_norm`` takes the variance from the centred rows it already
+builds, as ``np.var`` does inside.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from contextlib import contextmanager
 from typing import Callable
 
@@ -476,31 +480,63 @@ def attention(q: Tensor, k: Tensor | Array, v: Tensor | Array, mask, n_heads: in
     return Tensor(out, parents=(q,) if cached else (q, k, v), grad_fn=grad_fn)
 
 
+def _untouched_zeros(n: int) -> Array:
+    """``n`` float64 zeros that use no memory until they are written: a
+    private anonymous mapping, whose pages the kernel backs only on a first
+    write, and which a forked child writes copy-on-write. Where ``mmap`` has
+    no ``MAP_PRIVATE``, plain ``np.zeros``."""
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(n)
+    # the flags are explicit: mmap.mmap(-1, n)'s default is MAP_SHARED, which
+    # a forked child would write through to its parent
+    pages = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype=np.float64)
+
+
 class ParamStore:
     """Named trainable tensors and their gradients in two flat float64
     buffers, plus Adam's moment buffers and a step counter.
 
-    The store is built once from every parameter, ``{name: array}``: ``flat``
-    holds their values in dict order and ``grad`` their gradients, laid out
-    alike and zero until a backward pass adds into it; each ``Tensor.data``
-    and ``Tensor.grad`` is a reshaped view into them. ``m``, ``v`` (Adam's
-    moments) and ``scratch`` (two rows each ``adam_step`` overwrites) are
-    laid out as ``flat`` too, and stay None until the first step.
+    Each buffer is allocated once, from the parameter shapes, and never
+    copied: ``flat`` holds the values in dict order and ``grad`` the
+    gradients, laid out alike; each ``Tensor.data`` and ``Tensor.grad`` is a
+    reshaped view into them. ``ParamStore.empty`` leaves ``flat`` for its
+    caller to fill through those views (an initializer's draws, a
+    checkpoint's payloads); ``ParamStore({name: value})`` copies the values
+    in. ``grad`` is zero until a backward pass adds into it, and its pages
+    take no memory until then (``_untouched_zeros``), so a process that only
+    decodes never pays for it. ``m``, ``v`` (Adam's moments) and ``scratch``
+    (two rows each ``adam_step`` overwrites) are laid out as ``flat`` too,
+    and stay None until the first step.
     """
 
     def __init__(self, params: dict):
-        values = [_as_f64(data) for data in params.values()]
-        self.flat = np.concatenate([v.reshape(-1) for v in values])
-        self.grad = np.zeros(self.flat.size)
+        values = {name: _as_f64(data) for name, data in params.items()}
+        self._allocate({name: v.shape for name, v in values.items()})
+        for name, v in values.items():
+            self.params[name].data[...] = v
+
+    @classmethod
+    def empty(cls, shapes: dict[str, tuple[int, ...]]) -> "ParamStore":
+        """A store of parameters with these shapes, in dict order, whose
+        values are unset until the caller writes every ``Tensor.data``."""
+        store = cls.__new__(cls)
+        store._allocate(shapes)
+        return store
+
+    def _allocate(self, shapes: dict[str, tuple[int, ...]]) -> None:
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.empty(sum(sizes))
+        self.grad = _untouched_zeros(self.flat.size)
         self.params: dict[str, Tensor] = {}
         offset = 0
-        for name, v in zip(params, values):
-            span = slice(offset, offset + v.size)
-            param = Tensor(self.flat[span].reshape(v.shape))
+        for (name, shape), size in zip(shapes.items(), sizes):
+            span = slice(offset, offset + size)
+            param = Tensor(self.flat[span].reshape(shape))
             param.requires_grad = True  # set after construction, which would make a grad to drop
-            param.grad = self.grad[span].reshape(v.shape)
+            param.grad = self.grad[span].reshape(shape)
             self.params[name] = param
-            offset += v.size
+            offset += size
         self.m: Array | None = None
         self.v: Array | None = None
         self.scratch: Array | None = None

@@ -1,4 +1,7 @@
 import math
+import mmap
+import re
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations
 
@@ -8,6 +11,7 @@ import pytest
 from vwpstory import model as model_mod
 from vwpstory import numerics as nm
 from vwpstory.chargrid import entity_columns, flatten_pad, grid_for_mode
+from vwpstory.cli import main
 from vwpstory.corpus import (
     CharacterInstance,
     CharacterRecord,
@@ -765,6 +769,124 @@ class TestCheckpoint:
         path.write_bytes(blob[:len(blob) - 9])
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("vocab_size=4000000000", "make a"), ("n_layers=1000000000000", "cannot hold"),
+        ("d_ff=-16", "d_ff must be positive"), ("rank", "rank 4294967295"),
+        ("name", "unknown parameter 'ln_f.x'"), ("extent", r"shape \(9,\)"),
+    ])
+    def test_a_malformed_claim_fails_before_it_is_allocated_or_read(
+            self, tmp_path, monkeypatch, capsys, damage, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_config()), path)
+        path.write_bytes(damaged_checkpoint(path.read_bytes(), damage))
+        size = path.stat().st_size
+        asked = []
+
+        class Counted:  # the loader's file, counting the bytes each read asks for
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def read(self, n=-1):
+                asked.append(size - self.fh.tell() if n < 0 else n)
+                return self.fh.read(n)
+
+            def readinto(self, buffer):
+                asked.append(memoryview(buffer).nbytes)
+                return self.fh.readinto(buffer)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "open", lambda *a, **k: Counted(open(*a, **k)),
+                          raising=False)
+            tracemalloc.start()
+            try:
+                with pytest.raises(DataError, match=message):
+                    load_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sum(asked) <= size
+        assert peak < 100_000  # the whole file is 12 kB
+        assert main(["generate", "--checkpoint", str(path), "--dataset", "unread.jsonl",
+                     "--vocab", "unread.json", "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert "data error" in capsys.readouterr().err
+
+
+def damaged_checkpoint(blob: bytes, damage: str) -> bytes:
+    """``blob``, a ``tiny_config`` checkpoint, with one claim made wrong: a
+    config field's value (``damage`` is its new ``field=value`` line), or the
+    rank, name or extent of ``ln_f.g``'s record."""
+    if "=" in damage:
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        field = damage.partition("=")[0]
+        text = re.sub(f"(?m)^{field}=.*$", damage, blob[12:end].decode()).encode()
+        return blob[:8] + len(text).to_bytes(4, "little") + text + blob[end:]
+    name = blob.index(b"ln_f.g")
+    if damage == "name":
+        return blob[:name] + b"ln_f.x" + blob[name + 6:]
+    field = name + 6 + (4 if damage == "extent" else 0)
+    value = 9 if damage == "extent" else 0xFFFFFFFF
+    return blob[:field] + value.to_bytes(4, "little") + blob[field + 4:]
+
+
+def mid_size_model():
+    """384 592 parameters (3 MB a buffer), so each copy of them shows."""
+    return build_model(ModelConfig(vocab_size=2000, feat_dim=32, d_model=64, n_layers=2,
+                                   n_heads=4, feature_set=("global", "char"),
+                                   grid_mode="char", seed=1))
+
+
+def traced(call):
+    """``call()``'s result, and the peak and kept bytes that it allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
+class TestParameterMemory:
+    """Each producer of a store writes into its one buffer: no copy of the
+    parameters is made in transit (tracemalloc sees numpy's allocations,
+    and not the gradient's anonymous mapping)."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        mid_size_model()  # a first call also imports what it needs
+        return mid_size_model()
+
+    def test_build_model_draws_into_the_buffer(self, model):
+        built, peak, _ = traced(mid_size_model)
+        assert built.store.flat.tobytes() == model.store.flat.tobytes()
+        assert peak <= 1.5 * model.store.flat.nbytes
+
+    def test_save_writes_from_the_views(self, model, tmp_path):
+        save_checkpoint(model, tmp_path / "warm.ckpt")
+        _, peak, _ = traced(lambda: save_checkpoint(model, tmp_path / "model.ckpt"))
+        assert peak <= 0.1 * model.store.flat.nbytes
+        assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "warm.ckpt").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
+                        reason="the gradient buffer is np.zeros without MAP_PRIVATE")
+    def test_load_reads_into_the_views(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        load_checkpoint(path)
+        loaded, peak, kept = traced(lambda: load_checkpoint(path))
+        assert loaded.store.flat.tobytes() == model.store.flat.tobytes()
+        assert peak <= 1.1 * model.store.flat.nbytes
+        assert kept <= 1.1 * model.store.flat.nbytes
 
 
 def straightline_forward(model, layout):

@@ -1,4 +1,8 @@
 import math
+import mmap
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -611,6 +615,55 @@ class TestFlatParamStore:
         for _ in range(3):
             nm.adam_step(store)
             assert store.grad.tobytes() == before
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_s_backward_leaves_the_parent_s_gradients_zero(self):
+        store = nm.ParamStore({"w": np.ones((64, 64))})
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: run backward, report what it sees, exit
+            try:
+                nm.matmul(nm.Tensor(np.ones((1, 64))), store["w"]).backward(np.ones((1, 64)))
+                os.write(write, b"1" if store.grad.all() else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG)[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the child did not exit within 60 s")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as fh:
+            child_saw = fh.read()
+        assert child_saw == b"1"
+        assert not store.grad.any()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"),
+                        reason="reads page residency from Linux's /proc/self/pagemap")
+    def test_gradient_pages_stay_unbacked_until_written(self):
+        store = nm.ParamStore({"w": np.ones((64, 64)), "b": np.ones(64)})
+        with nm.no_grad():
+            out = nm.matmul(nm.Tensor(np.ones((3, 64))), store["w"], store["b"])
+        assert out.data.sum() == 3 * 64 * 65
+        assert resident_pages(store.grad) == 0
+        store.zero_grad()  # any write backs the pages it touches
+        assert resident_pages(store.grad) == -(-store.grad.nbytes // mmap.PAGESIZE)
+
+
+def resident_pages(buffer: np.ndarray) -> int:
+    """How many of the memory pages under ``buffer`` are backed by RAM: bit
+    63 of each page's entry in /proc/self/pagemap. This is the page-exact
+    form of a mapping's ``Rss`` in /proc/self/smaps, which can also count
+    an adjacent mapping that the kernel merged with it."""
+    first = buffer.ctypes.data // mmap.PAGESIZE
+    last = (buffer.ctypes.data + buffer.nbytes - 1) // mmap.PAGESIZE
+    with open("/proc/self/pagemap", "rb") as fh:
+        fh.seek(8 * first)
+        entries = np.frombuffer(fh.read(8 * (last - first + 1)), dtype="<u8")
+    return int((entries >> np.uint64(63)).sum())
 
 
 class TestClipOracle:

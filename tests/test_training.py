@@ -585,13 +585,18 @@ class TestGridComparisonSmoke:
 
 
 class TestGridExperimentScript:
-    @pytest.mark.parametrize("wins, accuracy, code",
-                             [(3, 0.85, 1), (3, 0.90, 0), (3, 0.95, 0), (2, 0.95, 1)])
-    def test_exit_code_is_the_acceptance_gate(self, monkeypatch, capsys, wins, accuracy, code):
+    @pytest.fixture
+    def script(self):
         spec = importlib.util.spec_from_file_location(
             "run_grid_experiment", ROOT / "scripts" / "run_grid_experiment.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    @pytest.mark.parametrize("wins, accuracy, code",
+                             [(3, 0.85, 1), (3, 0.90, 0), (3, 0.95, 0), (2, 0.95, 1)])
+    def test_exit_code_is_the_acceptance_gate(self, script, monkeypatch, capsys, wins, accuracy,
+                                             code):
         rows = [{"seed": seed, "grid_loss": 1.0, "baseline_loss": 2.0, "grid_accuracy": accuracy}
                 for seed in (0, 1, 2)]
         result = training.GridComparisonResult(per_seed=rows, grid_wins=wins,
@@ -600,3 +605,14 @@ class TestGridExperimentScript:
         monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py"])
         assert script.main() == code
         assert f"grid wins {wins}/3 seeds" in capsys.readouterr().out
+
+    def test_json_reports_time_faults_and_peak_rss(self, script, monkeypatch, capsys):
+        result = training.GridComparisonResult(per_seed=[], grid_wins=0, min_grid_accuracy=0.0)
+        monkeypatch.setattr(script, "run_grid_comparison", lambda **kwargs: result)
+        monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py", "--json"])
+        script.main()
+        payload = json.loads(capsys.readouterr().out)
+        figures = ("elapsed_seconds", "minor_faults", "system_seconds", "peak_rss_mb")
+        assert all(payload[name] >= 0 for name in figures)
+        # this process holds at least the interpreter and numpy
+        assert payload["peak_rss_mb"] > 10
