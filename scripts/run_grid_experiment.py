@@ -11,10 +11,12 @@ gate: the grid wins every seed, with accuracy at least 0.90 on each.
 """
 
 import argparse
-import json
 import resource
+import sys
 import time
+from dataclasses import asdict
 
+from vwpstory.corpus import json_text
 from vwpstory.training import run_grid_comparison
 
 MIN_GRID_ACCURACY = 0.90
@@ -46,10 +48,10 @@ def main() -> int:
     system_seconds = after.ru_stime - usage.ru_stime
     peak_rss_mb = after.ru_maxrss / 1024.0
     if args.json:
-        payload = result.to_dict()
+        payload = asdict(result)
         payload.update(elapsed_seconds=elapsed, minor_faults=minor_faults,
                        system_seconds=system_seconds, peak_rss_mb=peak_rss_mb)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(payload))
     else:
         print(f"{'seed':>4}  {'grid loss':>10}  {'baseline loss':>14}  {'grid accuracy':>14}")
         for row in result.per_seed:

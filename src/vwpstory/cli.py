@@ -9,11 +9,10 @@ flags win. VWP_LOG={error,info,debug} controls stderr logging.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from . import analytics, chargrid, metrics as metrics_mod
 from .corpus import (
     Vocabulary,
+    json_text,
     load_dataset,
     load_gender_table,
     prepare_records,
@@ -28,7 +28,6 @@ from .corpus import (
     read_json,
     read_jsonl,
     save_dataset,
-    story_surface_tokens,
     text_field,
     token_list,
 )
@@ -36,7 +35,7 @@ from .decoding import DecodingConfig, NamePools, generate_batch, realize, save_g
 from .errors import DataError, NumericError, UsageError, VwpError
 from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs
 from .model import GRID_MODES, ModelConfig, load_checkpoint
-from .training import TrainConfig, fit, metric_tokens, save_runlogs
+from .training import TrainConfig, fit, metric_tokens, references, save_runlogs
 
 log = logging.getLogger("vwpstory.cli")
 
@@ -171,10 +170,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_prepare(args) -> int:
     records = load_dataset(args.dataset)
     gender_table = load_gender_table(args.gender_table) if args.gender_table else None
@@ -185,11 +180,11 @@ def cmd_prepare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for split, recs in prepared.splits.items():
         save_dataset(recs, out / f"{split}.jsonl")
-    (out / "vocab.json").write_text(_json_dump(prepared.vocab.to_dict()), encoding="utf-8")
-    (out / "names.json").write_text(_json_dump(prepared.name_pools), encoding="utf-8")
+    (out / "vocab.json").write_text(json_text(prepared.vocab.to_dict()), encoding="utf-8")
+    (out / "names.json").write_text(json_text(prepared.name_pools), encoding="utf-8")
     summary = {split: len(recs) for split, recs in prepared.splits.items()}
     summary["vocab_size"] = len(prepared.vocab)
-    _emit(_json_dump(summary), None)
+    _emit(json_text(summary), None)
     return 0
 
 
@@ -242,7 +237,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_runlogs(result, out / "runlog.json")
-    _emit(_json_dump(result.to_dict()["aggregate"]), None)
+    _emit(json_text(result.to_dict()["aggregate"]), None)
     return 0
 
 
@@ -277,12 +272,10 @@ def _pairs_from_hyp(hyp_path: str, dataset_path: str) -> list[EvalPair]:
         rec = records.get(seq_id)
         if rec is None:
             raise DataError(f"unknown sequence {seq_id!r}")
-        references = [metric_tokens(story_surface_tokens(story.raw_text))
-                      for story in rec.stories]
-        references = [r for r in references if r]
-        if not references:
+        refs = references(rec)
+        if not refs:
             raise DataError(f"sequence {seq_id!r} has no references")
-        return EvalPair(hypothesis=metric_tokens(tokens), references=references)
+        return EvalPair(hypothesis=metric_tokens(tokens), references=refs)
     return read_jsonl(hyp_path, pair, "hypothesis line")
 
 
@@ -292,7 +285,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError("--scores needs --reference")
         report = read_json(args.scores, lambda scores: aggregate_runs(scores, args.reference),
                            "scores")
-        text = _json_dump(report.to_dict()) if args.format == "json" \
+        text = json_text(asdict(report)) if args.format == "json" \
             else metrics_mod.report_text(report)
         _emit(text, args.out)
         return 0
@@ -310,7 +303,7 @@ def cmd_evaluate(args) -> int:
     if args.format == "json":
         scaled = {name: values[name] * metrics_mod.REPORT_SCALE.get(name, 1.0)
                   for name in values}
-        _emit(_json_dump(scaled), args.out)
+        _emit(json_text(scaled), args.out)
     else:
         _emit(metrics_mod.scores_text(values), args.out)
     return 0
@@ -335,10 +328,7 @@ def cmd_analyze(args) -> int:
             "mean_story_ll": total_ll / len(grids),
         }
     elif args.what == "jaccard":
-        report = analytics.jaccard_similarity(analytics.group_by_sequence(stories))
-        payload = {"per_role": report.per_role,
-                   "sequences_used": report.sequences_used,
-                   "sequences_skipped": report.sequences_skipped}
+        payload = asdict(analytics.jaccard_similarity(analytics.group_by_sequence(stories)))
     elif args.what == "diversity":
         event = analytics.event_diversity([s.srl for s in stories],
                                           [s.tokens for s in stories])
@@ -357,7 +347,7 @@ def cmd_analyze(args) -> int:
     else:
         payload = analytics.corpus_stats(stories)
     if args.format == "json":
-        _emit(_json_dump(payload), args.out)
+        _emit(json_text(payload), args.out)
     else:
         _emit(_flatten_report(payload), args.out)
     return 0
@@ -388,7 +378,7 @@ def cmd_plan(args) -> int:
     rows = read_csv(args.workers, "worker_id,acceptance_rate,avg_quality,accepted,n_w",
                     row, "worker row")
     if args.format == "json":
-        _emit(_json_dump(rows), args.out)
+        _emit(json_text(rows), args.out)
     else:
         out = ["worker_id  qualified  review_sample"]
         out += [f"{r['worker_id']:>9}  {str(r['qualified']):>9}  {r['review_sample']:>13}"

@@ -324,6 +324,20 @@ def read_jsonl(path, parse, what: str) -> list:
                             lambda line: parse(_json_object(line)), what)
 
 
+def write_jsonl(path, items, to_payload) -> None:
+    """``to_payload(item)`` for every item, one JSON object a line with its
+    keys sorted: what ``read_jsonl`` reads. Each payload is freed before the
+    next one is built."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for item in items:
+            fh.write(json.dumps(to_payload(item), sort_keys=True) + "\n")
+
+
+def json_text(payload) -> str:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def read_json(path, parse, what: str):
     """``parse(payload)`` for a file holding one JSON object."""
     try:
@@ -541,9 +555,7 @@ def load_dataset(path: str | Path) -> list[ImageSequenceRecord]:
 
 
 def save_dataset(records: list[ImageSequenceRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec), sort_keys=True) + "\n")
+    write_jsonl(path, records, record_to_dict)
 
 
 # --- the prepare pipeline ---------------------------------------------------

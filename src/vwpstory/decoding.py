@@ -29,12 +29,12 @@ names, consistently within a story, and re-attaches punctuation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind, string_list
+from .corpus import (BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind, string_list,
+                     write_jsonl)
 from .errors import ConfigError, NumericError, ResourceError
 from .model import (
     EVAL_SLICE,
@@ -257,6 +257,4 @@ def realize(tokens: list[str], names: NamePools, rng: np.random.Generator) -> st
 
 
 def save_generated(stories: list[GeneratedStory], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for story in stories:
-            fh.write(json.dumps(story.to_dict(), sort_keys=True) + "\n")
+    write_jsonl(path, stories, GeneratedStory.to_dict)

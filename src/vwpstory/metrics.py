@@ -556,21 +556,6 @@ class MetricReport:
     reference: str
     systems: dict[str, dict[str, MetricStat]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "reference": self.reference,
-            "systems": {
-                system: {
-                    metric: {
-                        "mean": stat.mean, "std": stat.std, "band": stat.band,
-                        "zero_variance_flag": stat.zero_variance_flag,
-                    }
-                    for metric, stat in metrics.items()
-                }
-                for system, metrics in self.systems.items()
-            },
-        }
-
 
 def _band(delta: float, ref_std: float) -> tuple[str, bool]:
     if ref_std == 0.0:

@@ -202,9 +202,9 @@ class BatchLayout:
     entities, then grids) and embeds all text tokens, stacks those four
     blocks in that order, and ``rows`` picks each padded row's source row
     from the stack (None when the stack is already in padded order, as for a
-    single sequence). Pad rows copy row 0 and carry no loss. They sit after
-    every real row of their sequence, so the causal mask already hides them
-    from real rows.
+    single sequence). Pad rows copy row 0 and carry no loss (target -1).
+    They sit after every real row of their sequence, so the causal mask
+    already hides them from real rows.
     """
     lengths: np.ndarray                       # real positions per sequence
     width: int
@@ -215,8 +215,7 @@ class BatchLayout:
     image_feats: np.ndarray | None = None     # every sequence's image rows, concatenated
     entity_feats: np.ndarray | None = None
     grid_vecs: np.ndarray | None = None       # (sequences with a grid, n_max * m_max)
-    targets: np.ndarray | None = None         # (B * width,), -1 where unused
-    loss_mask: np.ndarray | None = None       # (B * width,)
+    targets: np.ndarray | None = None         # (B * width,), -1 on rows with no loss
     loss_weights: np.ndarray | None = None    # (B, B * width): 1 / story length on a sequence's loss rows
 
     @property
@@ -351,8 +350,6 @@ def assemble_input(examples: list[tuple[ImageSequenceRecord, list[int]]], config
     loss_rows = text[predicts]
     targets = np.full(total, -1, dtype=np.intp)
     targets[loss_rows] = tokens[1:][predicts[:-1]]
-    loss_mask = np.zeros(total, dtype=bool)
-    loss_mask[loss_rows] = True
     owner = loss_rows // width
     loss_weights = np.zeros((n, total))
     loss_weights[owner, loss_rows] = 1.0 / (counts[owner, SEG_TEXT] - 1)
@@ -372,7 +369,7 @@ def assemble_input(examples: list[tuple[ImageSequenceRecord, list[int]]], config
                        segments=segments, rows=rows, image_feats=np.array(image_rows),
                        entity_feats=np.array(entity_rows) if entity_rows else None,
                        grid_vecs=np.array(grid_rows) if n_grid else None, targets=targets,
-                       loss_mask=loss_mask, loss_weights=loss_weights)
+                       loss_weights=loss_weights)
 
 
 def _causal_mask(length: int, past: int) -> np.ndarray:
@@ -469,7 +466,7 @@ def story_loss(model: StoryGenModel, seq: ImageSequenceRecord, story_tokens: lis
         raise DataError(f"sequence {seq.id}: empty story has no loss positions")
     layout = assemble_input([(seq, story_tokens)], model.config, bos_id)
     logits = forward_logits(model, layout, training=training, rng=rng)
-    return nm.cross_entropy_masked(logits, layout.targets, layout.loss_mask)
+    return nm.cross_entropy_masked(logits, layout.targets)
 
 
 def story_losses(model: StoryGenModel,
@@ -483,7 +480,7 @@ def story_losses(model: StoryGenModel,
             raise DataError(f"sequence {seq.id}: empty story has no loss positions")
     batch = assemble_input(examples, model.config, bos_id)
     logits = forward_logits(model, batch, training=training, rng=rng)
-    return nm.cross_entropy_masked(logits, batch.targets, batch.loss_mask, batch.loss_weights)
+    return nm.cross_entropy_masked(logits, batch.targets, batch.loss_weights)
 
 
 # --- checkpoint io ------------------------------------------------------------

@@ -367,36 +367,43 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor(out, parents=(table,), grad_fn=grad_fn)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is 0."""
+def _keep_mask(shape, rate: float, rng: np.random.Generator | None,
+               draw: bool = True) -> Array | None:
+    """Inverted dropout's factor per element: ``1 / (1 - rate)`` where the
+    element is kept, 0 where it is dropped. None, with nothing drawn, when
+    ``draw`` is false or the rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise NumericError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(keep))
+    if not draw or rate == 0.0:
+        return None
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def cross_entropy_masked(logits: Tensor, targets, mask, weights=None) -> Tensor:
-    """Negative log-likelihood over the masked positions.
+def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
+    """Inverted dropout; identity when not training or rate is 0."""
+    keep = _keep_mask(x.data.shape, rate, rng, draw=training)
+    return x if keep is None else mul(x, Tensor(keep))
 
-    ``logits`` is (T, V), ``targets`` T token ids, ``mask`` T booleans that
-    select which positions contribute. Positions outside the mask have no
-    effect on the value or the gradient. Without ``weights`` the loss is the
-    mean over the masked positions. With ``weights`` of shape (T,) or (E, T)
-    it is ``weights @ nll``, where ``nll`` is zero outside the mask: a scalar,
-    or one loss per row of ``weights`` (say, one per example of a batch).
+
+def cross_entropy_masked(logits: Tensor, targets, weights=None) -> Tensor:
+    """Negative log-likelihood over the rows that carry a loss.
+
+    ``logits`` is (T, V) and ``targets`` T token ids, where -1 marks a row
+    with no loss: such rows have no effect on the value or the gradient.
+    Without ``weights`` the loss is the mean over the loss rows. With
+    ``weights`` of shape (T,) or (E, T) it is ``weights @ nll``, where
+    ``nll`` is zero on the rows without a loss: a scalar, or one loss per row
+    of ``weights`` (say, one per example of a batch).
     """
     tgt = np.asarray(targets, dtype=np.intp)
-    msk = np.asarray(mask, dtype=bool)
     t, v = logits.data.shape
-    if tgt.shape != (t,) or msk.shape != (t,):
-        raise DataError(f"targets/mask must have length {t}")
-    if not msk.any():
-        raise DataError("cross_entropy_masked: empty loss (all positions masked out)")
-    sel = msk.nonzero()[0]
-    if (tgt[sel] < 0).any() or (tgt[sel] >= v).any():
-        raise DataError(f"target id out of range [0, {v})")
+    if tgt.shape != (t,):
+        raise DataError(f"targets must have length {t}")
+    if (tgt < -1).any() or (tgt >= v).any():
+        raise DataError(f"target id out of range [0, {v}) (-1 marks a row with no loss)")
+    sel = np.flatnonzero(tgt >= 0)
+    if not sel.size:
+        raise DataError("cross_entropy_masked: empty loss (every target is -1)")
     rows = logits.data[sel]
     m = rows.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=-1))
@@ -460,11 +467,7 @@ def attention(q: Tensor, k: Tensor | Array, v: Tensor | Array, mask, n_heads: in
     if not np.isfinite(scores).all():
         raise NumericError("attention: non-finite scores")
     probs = softmax_rows(scores)
-    if not 0.0 <= dropout < 1.0:
-        raise NumericError(f"dropout rate must be in [0, 1), got {dropout}")
-    keep = None
-    if dropout > 0.0:
-        keep = (rng.random(probs.shape) >= dropout) / (1.0 - dropout)
+    keep = _keep_mask(probs.shape, dropout, rng)
     out = merge((probs if keep is None else probs * keep) @ vh)
 
     def grad_fn(g):

@@ -9,8 +9,6 @@ pattern directly while raw features keep it entangled.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .corpus import (
@@ -22,6 +20,7 @@ from .corpus import (
     ObjectRecord,
     SrlEvent,
     StoryRecord,
+    write_jsonl,
 )
 
 PATTERN_WORDS = ("quiet", "alone", "pair", "crowd")  # indexed by appearance code
@@ -182,6 +181,4 @@ def fixture_annotations(records: list[ImageSequenceRecord], seed: int = 11) -> l
 
 
 def write_annotations(payloads: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for payload in payloads:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    write_jsonl(path, payloads, dict)

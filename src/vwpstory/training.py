@@ -21,16 +21,16 @@ and keep the allocator's defaults.
 from __future__ import annotations
 
 import ctypes
-import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .corpus import BOS, EOS, PAD, SENT, ImageSequenceRecord, Vocabulary
+from .corpus import (BOS, EOS, PAD, SENT, ImageSequenceRecord, Vocabulary, json_text,
+                     story_surface_tokens)
 from .decoding import (
     DecodingConfig,
     generate,  # unused here: perfbench/tracing.py binds training.generate
@@ -118,11 +118,6 @@ class RunLog:
     best_checkpoint: str | None = None
     selection: str = "meteor"  # "last" when there is no validation split
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "train_loss": self.train_loss,
-                "val_meteor": self.val_meteor, "best_epoch": self.best_epoch,
-                "best_checkpoint": self.best_checkpoint, "selection": self.selection}
-
 
 def metric_tokens(surface_tokens: list[str]) -> list[str]:
     """Tokens as scored by the metrics: control/separator tokens dropped."""
@@ -176,19 +171,24 @@ def select_best(val_scores: list[float]) -> int:
     return best + 1
 
 
+def references(rec: ImageSequenceRecord) -> list[list[str]]:
+    """What a story generated for ``rec`` is scored against: the metric
+    tokens of each of its stories' text, leaving out stories with none. The
+    text, not the token ids, so a word outside the vocabulary stays itself
+    and a generated [UNK] never matches it."""
+    refs = [metric_tokens(story_surface_tokens(story.raw_text)) for story in rec.stories]
+    return [ref for ref in refs if ref]
+
+
 def eval_pairs(model: StoryGenModel, records: list[ImageSequenceRecord],
                vocab: Vocabulary, decoding: DecodingConfig) -> list[EvalPair]:
     """A decoded story and its references for every record with references."""
-    scored, references = [], []
-    for rec in records:
-        refs = [metric_tokens(vocab.decode(story.tokens)) for story in rec.stories if story.tokens]
-        if refs:
-            scored.append(rec)
-            references.append(refs)
+    scored = [(rec, refs) for rec in records if (refs := references(rec))]
     if not scored:
         raise DataError("no evaluable sequences (no reference stories)")
+    stories = generate_batch(model, [rec for rec, _ in scored], vocab, decoding)
     return [EvalPair(hypothesis=metric_tokens(hyp.tokens), references=refs)
-            for hyp, refs in zip(generate_batch(model, scored, vocab, decoding), references)]
+            for hyp, (_, refs) in zip(stories, scored)]
 
 
 def validate_meteor(model: StoryGenModel, records: list[ImageSequenceRecord],
@@ -211,7 +211,7 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {
-            "runlogs": [r.to_dict() for r in self.runlogs],
+            "runlogs": [asdict(r) for r in self.runlogs],
             "test_scores": self.test_scores,
             "aggregate": {k: {"mean": m, "std": s} for k, (m, s) in self.aggregate.items()},
         }
@@ -302,7 +302,7 @@ def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord]
         batch = assemble_input(examples, model.config, vocab.bos_id)
         with no_grad():
             logits = forward_logits(model, batch).data
-        rows = np.flatnonzero(batch.loss_mask)
+        rows = np.flatnonzero(batch.targets >= 0)
         if target_ids is not None:
             rows = rows[np.isin(batch.targets[rows], list(target_ids))]
         count += rows.size
@@ -313,9 +313,7 @@ def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord]
 
 
 def save_runlogs(result: FitResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json_text(result.to_dict()), encoding="utf-8")
 
 
 # --- planted-task comparison experiment ---------------------------------------
@@ -329,10 +327,6 @@ class GridComparisonResult:
     per_seed: list[dict]
     grid_wins: int
     min_grid_accuracy: float
-
-    def to_dict(self) -> dict:
-        return {"per_seed": self.per_seed, "grid_wins": self.grid_wins,
-                "min_grid_accuracy": self.min_grid_accuracy}
 
 
 def run_grid_comparison(*, n_sequences: int = 560, val_count: int = 60,

@@ -8,11 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from vwpstory import chargrid
+from vwpstory import chargrid, training
 from vwpstory.chargrid import GRID_COLUMNS
 from vwpstory.cli import _pairs_from_hyp, build_parser, main
-from vwpstory.corpus import Vocabulary, load_dataset, save_dataset
+from vwpstory.corpus import (
+    UNK,
+    Vocabulary,
+    load_dataset,
+    prepare_records,
+    save_dataset,
+    story_surface_tokens,
+)
+from vwpstory.decoding import DecodingConfig, GeneratedStory
 from vwpstory.errors import DataError
+from vwpstory.metrics import REPORT_SCALE
 from vwpstory.model import GRID_MODES, ModelConfig, build_model, save_checkpoint
 from vwpstory.synth import (
     fixture_annotations,
@@ -20,6 +29,7 @@ from vwpstory.synth import (
     write_annotations,
     write_gender_table,
 )
+from vwpstory.training import metric_tokens
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +271,40 @@ class TestTrainGenerateEvaluate:
         hyp.write_text('{"sequence_id": "fix0", "tokens": ["a", 2, 0.5]}\n')
         pairs = _pairs_from_hyp(str(hyp), str(fixture_dir / "dataset.jsonl"))
         assert [p.hypothesis for p in pairs] == [["a", "2", "0.5"]]
+
+    def test_unknown_word_scores_alike_in_training_and_on_the_command_line(
+            self, tmp_path, monkeypatch, capsys):
+        # every test story ends in a word the train split never saw; the
+        # hypothesis is the first story as its token ids decode, [UNK] in that
+        # word's place, and neither scorer may count the [UNK] as a match
+        prepared = prepare_records(fixture_dataset(12, seed=7), seed=0, val_count=2,
+                                   test_count=2)
+        vocab, records = prepared.vocab, prepared.splits["test"]
+        for rec in records:
+            for story in rec.stories:
+                story.raw_text += " zeppelin"
+                story.tokens = vocab.encode(story_surface_tokens(story.raw_text))
+        hyps = {rec.id: metric_tokens(vocab.decode(rec.stories[0].tokens)) for rec in records}
+        assert all(tokens[-1] == UNK for tokens in hyps.values())
+
+        def decoded(model, seqs, vocab, config):
+            return [GeneratedStory(rec.id, 0, [], hyps[rec.id], "", "eos") for rec in seqs]
+
+        monkeypatch.setattr(training, "generate_batch", decoded)
+        pairs = training.eval_pairs(None, records, vocab, DecodingConfig())
+        assert all(ref[-1] == "zeppelin" for pair in pairs for ref in pair.references)
+        in_training = training.evaluate_model(None, records, vocab, DecodingConfig())
+
+        save_dataset(records, tmp_path / "test.jsonl")
+        (tmp_path / "hyp.jsonl").write_text("".join(
+            json.dumps({"sequence_id": seq_id, "tokens": tokens}) + "\n"
+            for seq_id, tokens in hyps.items()))
+        assert main(["evaluate", "--hyp", str(tmp_path / "hyp.jsonl"), "--dataset",
+                     str(tmp_path / "test.jsonl"), "--format", "json"]) == 0
+        on_the_command_line = json.loads(capsys.readouterr().out)
+        assert on_the_command_line == {name: value * REPORT_SCALE[name]
+                                       for name, value in in_training.items()}
+        assert in_training["B-1"] < 0.99 and in_training["METEOR"] < 0.99
 
     def test_evaluate_malformed_hyp_is_data_error(self, fixture_dir, tmp_path):
         hyp = tmp_path / "hyp.jsonl"

@@ -151,7 +151,7 @@ class TestAssembleInput:
         layout = assemble_input([(seq, list(range(2, 9)))], cfg, bos_id=BOS)
         assert layout.length == 5 + 3 + 1 + 1 + 7
         assert layout.length - layout.token_ids.size == 9
-        assert layout.loss_mask.sum() == 7
+        assert (layout.targets >= 0).sum() == 7
 
     def test_no_grid_position_when_off(self):
         cfg = tiny_config(grid_mode="none")
@@ -175,7 +175,7 @@ class TestAssembleInput:
     def test_empty_story_has_no_loss_positions(self):
         cfg = tiny_config()
         layout = assemble_input([(make_seq(), [])], cfg, bos_id=BOS)
-        assert layout.loss_mask.sum() == 0
+        assert (layout.targets == -1).all()
         with pytest.raises(DataError):
             story_loss(build_model(cfg), make_seq(), [], bos_id=BOS)
 
@@ -245,8 +245,7 @@ class TestForward:
         seq = make_seq()
         story = [2, 3, 4, 5]
         layout = assemble_input([(seq, story)], cfg, BOS)
-        manual = nm.cross_entropy_masked(forward_logits(model, layout),
-                                         layout.targets, layout.loss_mask)
+        manual = nm.cross_entropy_masked(forward_logits(model, layout), layout.targets)
         assert story_loss(model, seq, story, bos_id=BOS).item() == manual.item()
 
     def test_loss_ignores_metadata(self):
@@ -271,15 +270,12 @@ class TestForward:
         layout = assemble_input([(seq, [2, 3])], cfg, BOS)
         full_frame = layout.grid_vecs[0].reshape(cfg.n_max, cfg.m_max)
         explicit = dataclasses.replace(layout, grid_vecs=full_frame.reshape(1, -1).copy())
-        base = nm.cross_entropy_masked(forward_logits(model, layout),
-                                       layout.targets, layout.loss_mask).item()
-        same = nm.cross_entropy_masked(forward_logits(model, explicit),
-                                       explicit.targets, explicit.loss_mask).item()
+        base = nm.cross_entropy_masked(forward_logits(model, layout), layout.targets).item()
+        same = nm.cross_entropy_masked(forward_logits(model, explicit), explicit.targets).item()
         assert same == base
         poked = dataclasses.replace(layout, grid_vecs=layout.grid_vecs.copy())
         poked.grid_vecs[0][-1] = 3.7  # a pad cell: 4 images x 2 chars leaves the tail unused
-        changed = nm.cross_entropy_masked(forward_logits(model, poked),
-                                          poked.targets, poked.loss_mask).item()
+        changed = nm.cross_entropy_masked(forward_logits(model, poked), poked.targets).item()
         assert changed != base
 
     def test_pre_grid_positions_identical_across_variants(self):
@@ -423,12 +419,10 @@ def reference_input(seq, story, config, bos_id=BOS):
     story_rows = slice(prefix_len, prefix_len + len(story))
     targets = np.full(length, -1, dtype=np.intp)
     targets[story_rows] = story
-    loss_mask = np.zeros(length, dtype=bool)
-    loss_mask[story_rows] = True
     return BatchLayout(lengths=np.array([length], dtype=np.intp), width=length,
                        token_ids=token_ids, positions=positions, segments=segments,
                        image_feats=image_feats, entity_feats=entity_feats,
-                       grid_vecs=grid_vecs, targets=targets, loss_mask=loss_mask)
+                       grid_vecs=grid_vecs, targets=targets)
 
 
 def loop_assemble_batch(examples, config):
@@ -453,7 +447,6 @@ def loop_assemble_batch(examples, config):
     want.update(rows=np.zeros(total, dtype=np.intp), positions=np.zeros(total, dtype=np.intp),
                 segments=np.zeros(total, dtype=np.intp),
                 targets=np.full(total, -1, dtype=np.intp),
-                loss_mask=np.zeros(total, dtype=bool),
                 loss_weights=np.zeros((len(layouts), total)))
     for b, lay in enumerate(layouts):
         lo, hi = b * width, b * width + lay.length
@@ -463,9 +456,9 @@ def loop_assemble_batch(examples, config):
         want["rows"][lo:hi] = np.concatenate([np.arange(start, start + n)
                                               for start, n in zip(starts, counts)])
         starts += counts
-        for name in ("positions", "segments", "targets", "loss_mask"):
+        for name in ("positions", "segments", "targets"):
             want[name][lo:hi] = getattr(lay, name)
-        loss_rows = lo + np.flatnonzero(lay.loss_mask)
+        loss_rows = lo + np.flatnonzero(lay.targets >= 0)
         want["loss_weights"][b, loss_rows] = 1.0 / max(loss_rows.size, 1)
     if len(layouts) == 1:
         want["rows"] = None  # a lone sequence's stack is already in padded order
@@ -504,7 +497,7 @@ class TestBatch:
             rows = logits[b * batch.width:b * batch.width + lay.length]
             np.testing.assert_allclose(rows, forward_logits(model, lay).data, rtol=0, atol=1e-12)
             pads = slice(b * batch.width + lay.length, (b + 1) * batch.width)
-            assert not batch.loss_mask[pads].any() and not batch.loss_weights[:, pads].any()
+            assert (batch.targets[pads] == -1).all() and not batch.loss_weights[:, pads].any()
 
     @pytest.mark.parametrize("variant", BATCH_VARIANTS)
     def test_matches_per_sequence_loop(self, variant):
@@ -547,7 +540,7 @@ class TestBatch:
 
         def batch_mean(store):
             return nm.cross_entropy_masked(forward_logits(model, batch), batch.targets,
-                                           batch.loss_mask, mean_weights)
+                                           mean_weights)
 
         assert nm.grad_check(batch_mean, model.store, epsilon=1e-5) < 1e-4
 

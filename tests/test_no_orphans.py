@@ -1,12 +1,15 @@
 """Every top-level function and class under ``src``, ``scripts`` and
-``tests`` has a reader.
+``tests``, and every module-level constant under ``src`` and ``scripts``,
+has a reader.
 
 A name counts as read when some file under ``src``, ``scripts`` or ``tests``
 loads it (as a bare name or as an attribute) outside its own definition,
 or when the benchmark's tracer binds it (``SPAN_TARGETS`` in
 ``perfbench/tracing.py``). In ``tests``, pytest itself reads ``test_*``
 functions, ``Test*`` classes and ``@pytest.fixture`` functions, so those
-need no other reader. A helper whose last caller was deleted fails here.
+need no other reader. Dunder names (``__all__``, ``__version__``) are
+read by tools and need none either. A helper or constant whose last reader
+was deleted fails here.
 Names are matched by spelling, not by module, so a dead helper can hide
 behind a live one of the same name elsewhere."""
 
@@ -23,6 +26,20 @@ READER_DIRS = [ROOT / "src", ROOT / "scripts", TESTS]
 def _definitions(tree: ast.Module) -> list[ast.AST]:
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _constants(tree: ast.Module) -> list[ast.Name]:
+    """The names a module's top-level assignments bind, dunders left out."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    names = [name for target in targets for name in ast.walk(target)
+             if isinstance(name, ast.Name)]
+    return [name for name in names
+            if not (name.id.startswith("__") and name.id.endswith("__"))]
 
 
 def _collected_by_pytest(node: ast.AST) -> bool:
@@ -71,4 +88,7 @@ def test_every_top_level_definition_is_read():
                for path, tree in trees.items() for node in _definitions(tree)
                if node.name not in known
                and not (path.is_relative_to(TESTS) and _collected_by_pytest(node))]
+    orphans += [f"{path.relative_to(ROOT)}:{name.lineno} {name.id}"
+                for path, tree in trees.items() if not path.is_relative_to(TESTS)
+                for name in _constants(tree) if name.id not in known]
     assert not orphans, "defined but never read: " + ", ".join(orphans)

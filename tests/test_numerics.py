@@ -51,7 +51,7 @@ class TestSoftmax:
 class TestCrossEntropyMasked:
     def test_uniform_distribution(self):
         logits = nm.Tensor(np.zeros((3, 4)))
-        loss = nm.cross_entropy_masked(logits, [1, 2, 3], [False, True, False])
+        loss = nm.cross_entropy_masked(logits, [-1, 2, -1])
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_confident_correct_goes_to_zero(self):
@@ -59,7 +59,7 @@ class TestCrossEntropyMasked:
         for margin in (5.0, 20.0, 60.0):
             row = np.zeros((1, 4))
             row[0, 2] = margin
-            loss = nm.cross_entropy_masked(nm.Tensor(row), [2], [True]).item()
+            loss = nm.cross_entropy_masked(nm.Tensor(row), [2]).item()
             if prev is not None:
                 assert loss < prev
             prev = loss
@@ -76,33 +76,43 @@ class TestCrossEntropyMasked:
             p = np.exp(row - row.max())
             p /= p.sum()
             per_pos.append(-math.log(p[targets[t]]))
-        loss = nm.cross_entropy_masked(nm.Tensor(logits), targets, [True] * 3)
+        loss = nm.cross_entropy_masked(nm.Tensor(logits), targets)
         assert loss.item() == pytest.approx(float(np.mean(per_pos)), abs=1e-12)
 
     def test_invariant_to_unmasked_positions(self):
+        # rows with target -1 change neither the value nor the gradient: the
+        # loss and its gradient on the other rows are those of those rows alone
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(4, 6))
-        targets = [0, 1, 2, 3]
-        mask = [True, False, True, False]
-        base = nm.cross_entropy_masked(nm.Tensor(logits), targets, mask).item()
+        targets = [0, -1, 2, -1]
         noisy = logits.copy()
         noisy[1] += 100.0
         noisy[3] -= 42.0
-        after = nm.cross_entropy_masked(nm.Tensor(noisy), targets, mask).item()
-        assert after == base
+        alone = nm.ParamStore({"x": logits[[0, 2]]})["x"]
+        want = nm.cross_entropy_masked(alone, [0, 2])
+        want.backward()
+        for rows in (logits, noisy):
+            x = nm.ParamStore({"x": rows})["x"]
+            loss = nm.cross_entropy_masked(x, targets)
+            loss.backward()
+            assert loss.item() == want.item()
+            assert x.grad[[0, 2]].tobytes() == alone.grad.tobytes()
+            assert not x.grad[[1, 3]].any()
 
     def test_empty_mask_errors(self):
-        with pytest.raises(DataError):
-            nm.cross_entropy_masked(nm.Tensor(np.zeros((2, 3))), [0, 0], [False, False])
+        with pytest.raises(DataError, match="empty loss"):
+            nm.cross_entropy_masked(nm.Tensor(np.zeros((2, 3))), [-1, -1])
 
     def test_out_of_range_target_errors(self):
-        with pytest.raises(DataError):
-            nm.cross_entropy_masked(nm.Tensor(np.zeros((1, 3))), [3], [True])
+        # -1 is the only negative target, and every row is checked, with a loss or not
+        for targets in ([3], [-2], [0, -2], [-1, 3]):
+            with pytest.raises(DataError, match="out of range"):
+                nm.cross_entropy_masked(nm.Tensor(np.zeros((len(targets), 3))), targets)
 
     def test_non_negative(self):
         rng = np.random.default_rng(11)
         logits = rng.normal(scale=4.0, size=(6, 9))
-        loss = nm.cross_entropy_masked(nm.Tensor(logits), rng.integers(0, 9, 6), [True] * 6)
+        loss = nm.cross_entropy_masked(nm.Tensor(logits), rng.integers(0, 9, 6))
         assert loss.item() >= 0.0
 
 
@@ -135,8 +145,7 @@ class TestGradCheck:
                                "g": rng.normal(size=4) * 0.1 + 1.0,
                                "c": rng.normal(size=4) * 0.1})
         ids = np.array([2, 0, 1])
-        targets = np.array([1, 2, 0])
-        mask = np.array([True, False, True])
+        targets = np.array([1, -1, 0])
         other = nm.Tensor(rng.normal(size=(3, 4)))
 
         def f(s):
@@ -157,13 +166,12 @@ class TestGradCheck:
             elif kernel == "dropout":
                 z = nm.dropout(s["a"], 0.4, np.random.default_rng(0), training=True)
             elif kernel == "xent":
-                return nm.cross_entropy_masked(nm.matmul(s["a"], s["b"]), targets, mask)
+                return nm.cross_entropy_masked(nm.matmul(s["a"], s["b"]), targets)
             elif kernel == "concat":
                 z = nm.concat_rows([s["a"], nm.transpose(s["b"])])
             elif kernel == "narrow":
                 z = nm.narrow_cols(s["a"], 1, 3)
-            return nm.cross_entropy_masked(z, np.zeros(z.shape[0], dtype=int),
-                                           np.ones(z.shape[0], dtype=bool))
+            return nm.cross_entropy_masked(z, np.zeros(z.shape[0], dtype=int))
 
         assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
 
@@ -331,7 +339,7 @@ class TestAttention:
         def f(s):
             out = nm.attention(s["q"], s["k"], s["v"], mask, heads, dropout=dropout,
                                rng=np.random.default_rng(0))
-            return nm.cross_entropy_masked(out, targets, np.ones(b * tq, dtype=bool))
+            return nm.cross_entropy_masked(out, targets)
 
         assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
 
@@ -359,7 +367,7 @@ class TestAttention:
 
         def f(s):
             out = nm.attention(s["q"], k, v, causal(tq, tk), heads)
-            return nm.cross_entropy_masked(out, targets, np.ones(b * tq, dtype=bool))
+            return nm.cross_entropy_masked(out, targets)
 
         assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
 
@@ -368,7 +376,7 @@ class TestAttention:
         k = nm.ParamStore({"k": rng.normal(size=(4, 4))})["k"]
         q, v = nm.Tensor(rng.normal(size=(4, 4))), nm.Tensor(rng.normal(size=(4, 4)))
         out = nm.attention(q, k, v, causal(4, 4), 2)
-        nm.cross_entropy_masked(out, [0, 1, 2, 3], [True, True, False, False]).backward()
+        nm.cross_entropy_masked(out, [0, 1, -1, -1]).backward()
         # only rows 0 and 1 carry loss, and they see keys 0 and 1 only
         assert not k.grad[2:].any()
         assert k.grad[:2].any()
@@ -389,15 +397,16 @@ class TestCrossEntropyWeights:
         logits = rng.normal(size=(7, 5))
         targets = rng.integers(0, 5, size=7)
         mask = np.array([True, True, False, True, True, True, False])
+        targets[~mask] = -1
         groups = [np.arange(0, 3), np.arange(3, 7)]
         weights = np.zeros((2, 7))
         for row, idx in zip(weights, groups):
             row[idx[mask[idx]]] = 1.0 / mask[idx].sum()
-        got = nm.cross_entropy_masked(nm.Tensor(logits), targets, mask, weights).data
+        got = nm.cross_entropy_masked(nm.Tensor(logits), targets, weights).data
         for value, idx in zip(got, groups):
-            want = nm.cross_entropy_masked(nm.Tensor(logits[idx]), targets[idx], mask[idx]).item()
+            want = nm.cross_entropy_masked(nm.Tensor(logits[idx]), targets[idx]).item()
             assert value == pytest.approx(want, abs=1e-12)
-        scalar = nm.cross_entropy_masked(nm.Tensor(logits), targets, mask, weights.mean(axis=0))
+        scalar = nm.cross_entropy_masked(nm.Tensor(logits), targets, weights.mean(axis=0))
         assert scalar.shape == ()
         assert scalar.item() == pytest.approx(got.mean(), abs=1e-12)
 
@@ -407,14 +416,13 @@ class TestCrossEntropyWeights:
         weights = np.array([0.5, 0.0, 0.25, 0.25])
 
         def f(s):
-            return nm.cross_entropy_masked(s["x"], [0, 1, 2, 1], [True, False, True, True], weights)
+            return nm.cross_entropy_masked(s["x"], [0, -1, 2, 1], weights)
 
         assert nm.grad_check(f, store) < 1e-4
 
     def test_bad_weight_shape(self):
         with pytest.raises(DataError):
-            nm.cross_entropy_masked(nm.Tensor(np.zeros((3, 2))), [0, 0, 0], [True] * 3,
-                                    np.ones(2))
+            nm.cross_entropy_masked(nm.Tensor(np.zeros((3, 2))), [0, 0, 0], np.ones(2))
 
 
 class TestGraph:
@@ -440,7 +448,7 @@ class TestGraph:
         del y
         assert kept() is None  # add's backward keeps neither input
         z_in = weakref.ref(z.data)
-        loss = nm.cross_entropy_masked(nm.matmul(z, w), [0, 1, 2], [True] * 3)
+        loss = nm.cross_entropy_masked(nm.matmul(z, w), [0, 1, 2])
         del z
         assert z_in() is not None  # matmul's backward needs its input
         loss.backward()

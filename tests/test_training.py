@@ -419,7 +419,7 @@ class TestFit:
         run = result.runlogs[0]
         assert run.best_epoch == select_best(run.val_meteor)
         assert run.best_checkpoint is not None
-        assert run.to_dict()["selection"] == "meteor"
+        assert run.selection == "meteor"
 
     def test_without_validation_keeps_last_epoch(self, tmp_path):
         prepared = tiny_prepared(val=0)
@@ -427,7 +427,7 @@ class TestFit:
         cfg = tiny_train_config(epochs=3, checkpoint_dir=tmp_path)
         run = fit(cfg, prepared.splits, model_cfg, prepared.vocab).runlogs[0]
         assert run.best_epoch == 3
-        assert run.to_dict()["selection"] == "last"
+        assert run.selection == "last"
 
         replay = build_model(replace(model_cfg, seed=0))
         snapshots = []
@@ -518,7 +518,7 @@ def per_example_accuracy(model, records, vocab, target_ids=None):
         layout = assemble_input([(rec, tokens + [vocab.eos_id])], model.config, vocab.bos_id)
         with no_grad():
             predictions = forward_logits(model, layout).data.argmax(axis=1)
-        for pos in np.flatnonzero(layout.loss_mask):
+        for pos in np.flatnonzero(layout.targets >= 0):
             target = layout.targets[pos]
             if target_ids is None or target in target_ids:
                 count += 1
