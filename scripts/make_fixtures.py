@@ -5,10 +5,9 @@ workers.csv into the output directory.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from vwpstory.corpus import save_dataset
+from vwpstory.corpus import json_text, save_dataset
 from vwpstory.synth import (
     FILLER_NAMES,
     FILLER_PLACES,
@@ -32,9 +31,9 @@ def main() -> int:
     save_dataset(records, out / "dataset.jsonl")
     write_annotations(fixture_annotations(records, seed=args.seed), out / "annotations.jsonl")
     write_gender_table(out / "gender_table.csv")
-    (out / "names.json").write_text(json.dumps(
+    (out / "names.json").write_text(json_text(
         {"male": FILLER_NAMES["male"], "female": FILLER_NAMES["female"],
-         "location": FILLER_PLACES}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+         "location": FILLER_PLACES}), encoding="utf-8")
     (out / "workers.csv").write_text(
         "worker_id,acceptance_rate,avg_quality,accepted,n_w\n"
         "w1,0.95,3.5,6,5\n"

@@ -16,38 +16,43 @@ import sys
 import time
 from dataclasses import asdict
 
+from vwpstory.cli import Parser, parse_seeds
 from vwpstory.corpus import json_text
+from vwpstory.errors import UsageError
 from vwpstory.training import run_grid_comparison
 
 MIN_GRID_ACCURACY = 0.90
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sequences", type=int, default=560)
-    parser.add_argument("--val-count", type=int, default=60)
-    parser.add_argument("--seeds", default="0,1,2")
-    parser.add_argument("--epochs", type=int, default=14)
-    parser.add_argument("--lr", type=float, default=2e-3)
-    parser.add_argument("--d-model", type=int, default=64)
-    parser.add_argument("--n-layers", type=int, default=1)
-    parser.add_argument("--n-heads", type=int, default=4)
+    # a flag left out is left out of the call too: the defaults are
+    # run_grid_comparison's own
+    parser = Parser(description=__doc__, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--sequences", dest="n_sequences", type=int)
+    parser.add_argument("--val-count", type=int)
+    parser.add_argument("--seeds", type=parse_seeds)
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--lr", type=float)
+    parser.add_argument("--d-model", type=int)
+    parser.add_argument("--n-layers", type=int)
+    parser.add_argument("--n-heads", type=int)
     parser.add_argument("--json", action="store_true")
-    args = parser.parse_args()
+    try:
+        options = vars(parser.parse_args())
+    except UsageError as exc:  # exit 1, as vwp's usage errors do
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    as_json = options.pop("json", False)
 
-    seeds = tuple(int(s) for s in args.seeds.split(","))
     usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
-    result = run_grid_comparison(
-        n_sequences=args.sequences, val_count=args.val_count, seeds=seeds,
-        epochs=args.epochs, lr=args.lr, d_model=args.d_model,
-        n_layers=args.n_layers, n_heads=args.n_heads)
+    result = run_grid_comparison(**options)
     elapsed = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
     minor_faults = after.ru_minflt - usage.ru_minflt
     system_seconds = after.ru_stime - usage.ru_stime
     peak_rss_mb = after.ru_maxrss / 1024.0
-    if args.json:
+    if as_json:
         payload = asdict(result)
         payload.update(elapsed_seconds=elapsed, minor_faults=minor_faults,
                        system_seconds=system_seconds, peak_rss_mb=peak_rss_mb)

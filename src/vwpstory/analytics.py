@@ -70,8 +70,8 @@ def train_entity_grid(grids: list[EntityRoleGrid], history: int = 2,
         raise DataError("train_entity_grid: empty corpus")
     if history < 0:
         raise DataError("history must be non-negative")
-    if alpha <= 0:
-        raise DataError("smoothing alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DataError(f"smoothing alpha must be finite and positive, not {alpha}")
     model = EntityGridModel(history=history, alpha=alpha)
     for grid in grids:
         for col in range(len(grid.entities)):

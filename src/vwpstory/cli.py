@@ -70,11 +70,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+def parse_seed(text: str) -> int:
+    """A seed flag's value: a non-negative integer, as numpy's seeding takes."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def parse_seeds(text: str) -> tuple[int, ...]:
+    """Comma-separated seeds, each as ``parse_seed`` takes it."""
+    return tuple(parse_seed(part) for part in text.split(",") if part != "")
 
 
 def _csv_strs(text: str) -> tuple[str, ...]:
@@ -95,7 +100,7 @@ def build_parser() -> tuple[Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gender-table")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--val-count", type=int, default=0)
     p.add_argument("--test-count", type=int, default=0)
     p.add_argument("--min-freq", type=int, default=1)
@@ -110,7 +115,7 @@ def build_parser() -> tuple[Parser, dict[str, argparse.ArgumentParser]]:
     p = add_parser("train", help="fit models over seeds on a prepared dataset")
     p.add_argument("--dataset", required=True, help="directory written by prepare")
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=_csv_ints, default=(0, 1, 2))
+    p.add_argument("--seeds", type=parse_seeds, default=(0, 1, 2))
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -132,7 +137,7 @@ def build_parser() -> tuple[Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--out", required=True)
     p.add_argument("--decoding", choices=("greedy", "nucleus"), default="greedy")
     p.add_argument("--p", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--max-new", type=int, default=200)
     p.add_argument("--names", help="JSON name pools; adds realized text")
 
@@ -416,7 +421,7 @@ def run(argv: list[str] | None = None) -> int:
                     value = raw_defaults[action.dest]
                     try:
                         value = action.type(value) if action.type else value
-                    except (ValueError, UsageError) as exc:
+                    except (ValueError, argparse.ArgumentTypeError) as exc:
                         raise UsageError(f"{config}: bad {action.dest} {value!r} ({exc})") from exc
                     coerced[action.dest] = value
                     action.required = False  # the config file satisfied it

@@ -83,17 +83,17 @@ class _Node:
 class Tensor:
     """A float64 ndarray plus the wiring for reverse-mode differentiation.
 
-    ``data`` is always C-contiguous float64 (row-major). A leaf built with
-    ``requires_grad`` holds a zero ``grad`` that ``backward()`` adds into. An
-    op's output that depends on such a leaf carries a ``_node`` in the graph.
+    ``data`` is always C-contiguous float64 (row-major). The leaves, with a
+    ``grad`` that ``backward()`` adds into, are ``ParamStore`` parameters; an
+    op's output that depends on one carries a ``_node`` in the graph.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), grad_fn=None):
+    def __init__(self, data, parents=(), grad_fn=None):
         self.data = _as_f64(data)
-        self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = np.zeros(self.data.shape) if self.requires_grad else None
+        self.requires_grad = False
+        self.grad: Array | None = None
         self._node: _Node | None = None
         if _GradMode.enabled and any(p.requires_grad for p in parents):
             self.requires_grad = True
@@ -536,7 +536,7 @@ class ParamStore:
         for (name, shape), size in zip(shapes.items(), sizes):
             span = slice(offset, offset + size)
             param = Tensor(self.flat[span].reshape(shape))
-            param.requires_grad = True  # set after construction, which would make a grad to drop
+            param.requires_grad = True
             param.grad = self.grad[span].reshape(shape)
             self.params[name] = param
             offset += size

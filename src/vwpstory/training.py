@@ -4,11 +4,11 @@ One optimizer step per mini-batch of sequences: one forward pass over the
 batch right-padded to its longest sequence (built by ``assemble_input``
 straight from the records and stories), one backward pass of the mean
 of the per-example losses, gradients clipped at a global norm of 1.0, then
-Adam. After every epoch the model decodes the validation split with seeded
-nucleus sampling and the epoch with the highest METEOR wins (earliest on
-ties); without a validation split the last epoch is kept. Runs are seeded
-end to end: the same config and seed reproduce the same best checkpoint bit
-for bit.
+Adam. Each seed is one ``train_run``: after every epoch the model decodes
+the validation split with seeded nucleus sampling, and ``select_best`` keeps
+the epoch with the highest METEOR (earliest on ties); without a validation
+split the last epoch is kept. Runs are seeded end to end: the same config
+and seed reproduce the same best checkpoint bit for bit.
 
 The first ``train_epoch`` in a process raises glibc malloc's trim and mmap
 thresholds (``MALLOC_TRIM_THRESHOLD``, ``MALLOC_MMAP_THRESHOLD``), so the
@@ -124,13 +124,11 @@ def metric_tokens(surface_tokens: list[str]) -> list[str]:
     return [t for t in surface_tokens if t not in CONTROL_TOKENS]
 
 
-def training_examples(records: list[ImageSequenceRecord]) -> list[tuple[ImageSequenceRecord, list[int]]]:
-    examples = []
-    for rec in records:
-        for story in rec.stories:
-            if story.tokens:
-                examples.append((rec, list(story.tokens)))
-    return examples
+def training_examples(records: list[ImageSequenceRecord],
+                      eos_id: int) -> list[tuple[ImageSequenceRecord, list[int]]]:
+    """Every story with tokens, as (record, its tokens then [EOS])."""
+    return [(rec, story.tokens + [eos_id])
+            for rec in records for story in rec.stories if story.tokens]
 
 
 def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
@@ -139,7 +137,7 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
     """One full pass: seed-deterministic shuffling and dropout; returns the
     mean story loss over all examples."""
     keep_freed_memory()
-    examples = training_examples(records)
+    examples = training_examples(records, vocab.eos_id)
     if not examples:
         raise DataError("train_epoch: no training examples with tokens")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -149,8 +147,7 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
     for start in range(0, len(order), config.batch_size):
         batch = [examples[idx] for idx in order[start:start + config.batch_size]]
         store.zero_grad()
-        losses = story_losses(model, [(rec, tokens + [vocab.eos_id]) for rec, tokens in batch],
-                              bos_id=vocab.bos_id, training=True, rng=rng)
+        losses = story_losses(model, batch, bos_id=vocab.bos_id, training=True, rng=rng)
         for (rec, _), value in zip(batch, losses.data.tolist()):
             if not math.isfinite(value):
                 raise TrainingError(
@@ -221,47 +218,50 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
 
 
+def train_run(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
+              model_config: ModelConfig, vocab: Vocabulary,
+              seed: int) -> tuple[StoryGenModel, RunLog]:
+    """One seed's run: build its model, train ``config.epochs`` epochs on
+    the train split, and keep the epoch ``select_best`` names by validation
+    METEOR (the last epoch when there is no validation split). The model
+    returned holds the kept epoch's weights; with a ``checkpoint_dir`` they
+    are also written to ``seed<seed>-best.ckpt`` there."""
+    model = build_model(replace(model_config, seed=seed))
+    validate = bool(splits.get("val"))
+    run = RunLog(seed=seed, selection="meteor" if validate else "last")
+    ckpt_path = None
+    if config.checkpoint_dir:
+        ckpt_path = Path(config.checkpoint_dir) / f"seed{seed}-best.ckpt"
+        ckpt_path.parent.mkdir(parents=True, exist_ok=True)
+    kept_params: np.ndarray | None = None  # None when the kept epoch is the final one
+    for epoch in range(1, config.epochs + 1):
+        loss = train_epoch(model, splits["train"], vocab, config,
+                           seed=_epoch_seed(seed, epoch), epoch=epoch)
+        run.train_loss.append(loss)
+        score = validate_meteor(model, splits["val"], vocab, config.val_decoding) \
+            if validate else 0.0
+        run.val_meteor.append(score)
+        log.info("seed %d epoch %d: train loss %.4f, val METEOR %.4f",
+                 seed, epoch, loss, score)
+        if epoch == (select_best(run.val_meteor) if validate else config.epochs):
+            run.best_epoch = epoch
+            kept_params = model.store.flat.copy() if epoch < config.epochs else None
+            if ckpt_path:
+                save_checkpoint(model, ckpt_path)
+                run.best_checkpoint = str(ckpt_path)
+    if kept_params is not None:
+        model.store.flat[:] = kept_params
+    return model, run
+
+
 def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
         model_config: ModelConfig, vocab: Vocabulary) -> FitResult:
-    """Train once per seed, select the best epoch by validation METEOR (the
-    last epoch when there is no validation split), then score the selected
-    weights on the test split with greedy decoding. Per-metric mean/std
-    aggregates the seeds."""
-    ckpt_dir = Path(config.checkpoint_dir) if config.checkpoint_dir else None
-    if ckpt_dir:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-    validate = bool(splits.get("val"))
+    """One ``train_run`` per seed, then the kept weights scored on the test
+    split with greedy decoding. Per-metric mean/std aggregates the seeds."""
     runlogs: list[RunLog] = []
     test_scores: dict[str, list[float]] = {}
     for seed in config.seeds:
-        model = build_model(replace(model_config, seed=seed))
-        run = RunLog(seed=seed, selection="meteor" if validate else "last")
-        best_meteor = -1.0
-        best_params: np.ndarray | None = None
-        ckpt_path = ckpt_dir / f"seed{seed}-best.ckpt" if ckpt_dir else None
-        for epoch in range(1, config.epochs + 1):
-            loss = train_epoch(model, splits["train"], vocab, config,
-                               seed=_epoch_seed(seed, epoch), epoch=epoch)
-            run.train_loss.append(loss)
-            score = validate_meteor(model, splits["val"], vocab, config.val_decoding) \
-                if validate else 0.0
-            run.val_meteor.append(score)
-            log.info("seed %d epoch %d: train loss %.4f, val METEOR %.4f",
-                     seed, epoch, loss, score)
-            keep = score > best_meteor if validate else epoch == config.epochs
-            if keep:
-                best_meteor = score
-                run.best_epoch = epoch
-                best_params = model.store.flat.copy()
-                if ckpt_path:
-                    save_checkpoint(model, ckpt_path)
-                    run.best_checkpoint = str(ckpt_path)
-        if validate and run.best_epoch != select_best(run.val_meteor):
-            raise TrainingError(
-                f"seed {seed}: kept epoch {run.best_epoch}, but validation METEOR "
-                f"{run.val_meteor} selects epoch {select_best(run.val_meteor)}")
-        if best_params is not None:
-            model.store.flat[:] = best_params
+        model, run = train_run(config, splits, model_config, vocab, seed)
         runlogs.append(run)
         if splits.get("test"):
             scores = evaluate_model(model, splits["test"], vocab, config.test_decoding)
@@ -273,7 +273,7 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
 
 def _eval_slices(records: list[ImageSequenceRecord], vocab: Vocabulary) -> list[list]:
     """Every story with [EOS] appended, in slices of ``EVAL_SLICE`` examples."""
-    examples = [(rec, tokens + [vocab.eos_id]) for rec, tokens in training_examples(records)]
+    examples = training_examples(records, vocab.eos_id)
     return [examples[i:i + EVAL_SLICE] for i in range(0, len(examples), EVAL_SLICE)]
 
 
@@ -346,24 +346,18 @@ def run_grid_comparison(*, n_sequences: int = 560, val_count: int = 60,
     pattern_ids = pattern_token_ids(vocab)
     base = dict(vocab_size=len(vocab), feat_dim=8, d_model=d_model,
                 n_layers=n_layers, n_heads=n_heads, d_ff=2 * d_model, t_max=24,
-                n_max=5, m_max=5, o_max=2, dropout=0.0)
+                n_max=5, m_max=5, o_max=2, dropout=0.0, feature_set=("global", "char"))
+    grid_config = ModelConfig(grid_mode="char", **base)
+    plain_config = ModelConfig(grid_mode="none", **base)
     config = TrainConfig(epochs=epochs, batch_size=GRID_BATCH_SIZE, lr=lr, seeds=seeds)
-
-    def train_variant(grid_mode: str, seed: int) -> StoryGenModel:
-        cfg = ModelConfig(feature_set=("global", "char"), grid_mode=grid_mode,
-                          seed=seed, **base)
-        model = build_model(cfg)
-        for epoch in range(1, epochs + 1):
-            train_epoch(model, prepared.splits["train"], vocab, config,
-                        seed=_epoch_seed(seed, epoch), epoch=epoch)
-        return model
+    train_only = {"train": prepared.splits["train"]}
 
     per_seed = []
     wins = 0
     min_acc = 1.0
     for seed in seeds:
-        grid_model = train_variant("char", seed)
-        plain_model = train_variant("none", seed)
+        grid_model, _ = train_run(config, train_only, grid_config, vocab, seed)
+        plain_model, _ = train_run(config, train_only, plain_config, vocab, seed)
         grid_loss = held_out_loss(grid_model, prepared.splits["val"], vocab)
         plain_loss = held_out_loss(plain_model, prepared.splits["val"], vocab)
         accuracy = next_token_accuracy(grid_model, prepared.splits["val"], vocab,

@@ -68,6 +68,12 @@ class TestEntityGridModel:
         with pytest.raises(DataError):
             train_entity_grid([])
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        g = grid(["a"], [["S"], ["O"]])
+        with pytest.raises(DataError, match="alpha must be finite and positive"):
+            train_entity_grid([g], alpha=alpha)
+
     def test_bad_cell_rejected(self):
         with pytest.raises(DataError):
             grid(["e"], [["Q"]])

@@ -99,6 +99,26 @@ class TestUsage:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["prepare", "--dataset", "d.jsonl", "--out", "out", "--seed", "-1"], "--seed"),
+        (["train", "--dataset", "prep", "--out", "out", "--seeds=-1"], "--seeds"),
+        (["train", "--dataset", "prep", "--out", "out", "--seeds", "0,1,-2"], "--seeds"),
+        (["train", "--dataset", "prep", "--out", "out", "--seeds", "0,x"], "--seeds"),
+        (["generate", "--checkpoint", "c", "--dataset", "d", "--vocab", "v", "--out", "o",
+          "--decoding", "nucleus", "--seed", "-3"], "--seed"),
+    ])
+    def test_a_bad_seed_is_a_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a non-negative integer" in err
+        assert "Traceback" not in err
+
+    def test_a_negative_seed_in_a_config_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "vwp.cfg"
+        cfg.write_text("seed=-1\n")
+        assert main(["--config", str(cfg), "plan", "--workers", "w.csv"]) == 1
+        assert f"{cfg}: bad seed '-1'" in capsys.readouterr().err
+
 
 class TestPrepare:
     def test_outputs_schema(self, prepared_dir):
@@ -420,6 +440,15 @@ class TestAnalyze:
         assert main(["analyze", what, "--annotations",
                      str(fixture_dir / "annotations.jsonl"), "--format", "json"]) == 0
         assert needle in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", ["0", "nan", "inf"])
+    def test_alpha_must_be_finite_and_positive(self, fixture_dir, capsys, alpha):
+        assert main(["analyze", "coherence", "--annotations",
+                     str(fixture_dir / "annotations.jsonl"), "--alpha", alpha,
+                     "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "smoothing alpha must be finite and positive" in captured.err
+        assert captured.out == ""
 
 
 class TestPlan:

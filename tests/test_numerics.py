@@ -463,7 +463,7 @@ def bits(a):
 
 def embedding_grad(table_shape, ids, g):
     """The embedding op's own backward output for upstream gradient ``g``."""
-    out = nm.embedding(nm.Tensor(np.zeros(table_shape), requires_grad=True), ids)
+    out = nm.embedding(nm.ParamStore({"table": np.zeros(table_shape)})["table"], ids)
     return out._node.grad_fn(g)[0]
 
 
@@ -525,8 +525,8 @@ class TestLayerNormOracle:
         x = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[:-1] + (1,)) + offset
         gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         g = rng.normal(size=shape)
-        out = nm.layer_norm(nm.Tensor(x, requires_grad=True), nm.Tensor(gamma, requires_grad=True),
-                            nm.Tensor(beta, requires_grad=True))
+        store = nm.ParamStore({"x": x, "gamma": gamma, "beta": beta})
+        out = nm.layer_norm(store["x"], store["gamma"], store["beta"])
         for got, want in zip((out.data, *out._node.grad_fn(g)),
                              layer_norm_var_oracle(x, gamma, beta, g)):
             np.testing.assert_array_equal(bits(got), bits(want))

@@ -123,7 +123,7 @@ class TestTrainEpoch:
 
         monkeypatch.setattr(training, "story_losses", counting_losses)
         monkeypatch.setattr(nm.Tensor, "backward", counting_backward)
-        n = len(training.training_examples(prepared.splits["train"]))
+        n = len(training.training_examples(prepared.splits["train"], prepared.vocab.eos_id))
         train_epoch(model, prepared.splits["train"], prepared.vocab,
                     tiny_train_config(batch_size=4), seed=1)
         assert sum(sizes) == n and sizes == [4] * (n // 4) + ([n % 4] if n % 4 else [])
@@ -189,7 +189,7 @@ class TestTrainEpoch:
         records, vocab = prepared.splits["train"], prepared.vocab
         for rec in records[::4]:  # a second prefix width
             rec.characters = rec.characters[:-1]
-        n_examples = len(training.training_examples(records))
+        n_examples = len(training.training_examples(records, vocab.eos_id))
         widths = [assemble_input([(rec, [])], model.config, vocab.bos_id).width
                   for rec in records]
         real, sizes = model_mod.assemble_input, []
@@ -441,13 +441,6 @@ class TestFit:
         assert any(not np.array_equal(snapshots[0][n], snapshots[2][n])
                    for n in replay.store.params)
 
-    def test_selection_disagreement_raises(self, monkeypatch):
-        prepared = tiny_prepared()
-        monkeypatch.setattr(training, "select_best", lambda scores: len(scores) + 1)
-        with pytest.raises(TrainingError, match="selects epoch"):
-            fit(tiny_train_config(epochs=1), prepared.splits,
-                tiny_model_config(len(prepared.vocab)), prepared.vocab)
-
     def test_bitwise_identical_best_checkpoints(self, tmp_path):
         prepared = tiny_prepared()
         blobs = []
@@ -514,8 +507,8 @@ def mixed_eval_set():
 def per_example_accuracy(model, records, vocab, target_ids=None):
     """Reference accuracy: one forward per story, scored position by position."""
     hits = count = 0
-    for rec, tokens in training.training_examples(records):
-        layout = assemble_input([(rec, tokens + [vocab.eos_id])], model.config, vocab.bos_id)
+    for rec, tokens in training.training_examples(records, vocab.eos_id):
+        layout = assemble_input([(rec, tokens)], model.config, vocab.bos_id)
         with no_grad():
             predictions = forward_logits(model, layout).data.argmax(axis=1)
         for pos in np.flatnonzero(layout.targets >= 0):
@@ -528,16 +521,16 @@ def per_example_accuracy(model, records, vocab, target_ids=None):
 
 class TestBatchedEvaluation:
     def test_eval_set_is_mixed(self, mixed_eval_set):
-        _, records, _ = mixed_eval_set
-        examples = training.training_examples(records)
+        _, records, vocab = mixed_eval_set
+        examples = training.training_examples(records, vocab.eos_id)
         assert len(examples) % EVAL_SLICE != 0
         assert len({len(tokens) for _, tokens in examples}) == 18
 
     def test_held_out_loss_is_mean_of_story_losses(self, mixed_eval_set):
         model, records, vocab = mixed_eval_set
         with no_grad():
-            losses = [story_loss(model, rec, tokens + [vocab.eos_id], vocab.bos_id).item()
-                      for rec, tokens in training.training_examples(records)]
+            losses = [story_loss(model, rec, tokens, vocab.bos_id).item()
+                      for rec, tokens in training.training_examples(records, vocab.eos_id)]
         assert abs(held_out_loss(model, records, vocab) - sum(losses) / len(losses)) < 1e-12
 
     def test_next_token_accuracy_matches_per_example(self, mixed_eval_set):
@@ -574,14 +567,43 @@ class TestTrainConfigValidation:
 
 
 class TestGridComparisonSmoke:
-    def test_small_scale_run_shapes(self):
-        result = run_grid_comparison(n_sequences=40, val_count=8, seeds=(0,),
-                                     epochs=2, d_model=16, n_heads=2)
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_grid_comparison(n_sequences=40, val_count=8, seeds=(0,),
+                                   epochs=2, d_model=16, n_heads=2)
+
+    def test_small_scale_run_shapes(self, result):
         assert len(result.per_seed) == 1
         row = result.per_seed[0]
         assert set(row) == {"seed", "grid_loss", "baseline_loss", "grid_accuracy"}
         assert 0 <= result.min_grid_accuracy <= 1
         assert result.grid_wins in (0, 1)
+
+    def test_values_match_an_explicit_training_loop(self, result):
+        """Each variant trains through ``train_run``; the reference is the
+        explicit loop of ``build_model`` and one ``train_epoch`` per epoch."""
+        seed, epochs = 0, 2
+        prepared = prepare_records(
+            synthetic_grid_corpus(40, seed=training.GRID_CORPUS_SEED),
+            seed=training.GRID_CORPUS_SEED, val_count=8, test_count=0)
+        vocab, val = prepared.vocab, prepared.splits["val"]
+        config = TrainConfig(epochs=epochs, batch_size=training.GRID_BATCH_SIZE, lr=2e-3,
+                             seeds=(seed,))
+        models = {}
+        for grid_mode in ("char", "none"):
+            models[grid_mode] = build_model(ModelConfig(
+                vocab_size=len(vocab), feat_dim=8, d_model=16, n_layers=1, n_heads=2,
+                d_ff=32, t_max=24, n_max=5, m_max=5, o_max=2, dropout=0.0,
+                feature_set=("global", "char"), grid_mode=grid_mode, seed=seed))
+            for epoch in range(1, epochs + 1):
+                train_epoch(models[grid_mode], prepared.splits["train"], vocab, config,
+                            seed=training._epoch_seed(seed, epoch), epoch=epoch)
+        want = (held_out_loss(models["char"], val, vocab),
+                held_out_loss(models["none"], val, vocab),
+                next_token_accuracy(models["char"], val, vocab, pattern_token_ids(vocab)))
+        row = result.per_seed[0]
+        got = (row["grid_loss"], row["baseline_loss"], row["grid_accuracy"])
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestGridExperimentScript:
@@ -605,6 +627,29 @@ class TestGridExperimentScript:
         monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py"])
         assert script.main() == code
         assert f"grid wins {wins}/3 seeds" in capsys.readouterr().out
+
+    def test_only_the_flags_given_are_passed_on(self, script, monkeypatch, capsys):
+        calls = []
+        result = training.GridComparisonResult(per_seed=[], grid_wins=0, min_grid_accuracy=0.0)
+        monkeypatch.setattr(script, "run_grid_comparison",
+                            lambda **kwargs: calls.append(kwargs) or result)
+        for argv, want in [([], {}), (["--sequences", "40", "--seeds", "0,2", "--lr", "0.5"],
+                                      {"n_sequences": 40, "seeds": (0, 2), "lr": 0.5})]:
+            monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py", *argv])
+            script.main()
+            assert calls.pop() == want
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-2", "0,x"])
+    def test_a_bad_seed_is_a_usage_error(self, seeds):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_grid_experiment.py"), f"--seeds={seeds}"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "--seeds" in proc.stderr and "non-negative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_json_reports_time_faults_and_peak_rss(self, script, monkeypatch, capsys):
         result = training.GridComparisonResult(per_seed=[], grid_wins=0, min_grid_accuracy=0.0)
