@@ -4,10 +4,11 @@ Writes dataset.jsonl, annotations.jsonl, gender_table.csv, names.json, and
 workers.csv into the output directory.
 """
 
-import argparse
 from pathlib import Path
 
+from vwpstory.cli import Parser, parse_seed, report_error
 from vwpstory.corpus import json_text, save_dataset
+from vwpstory.errors import VwpError
 from vwpstory.synth import (
     FILLER_NAMES,
     FILLER_PLACES,
@@ -19,11 +20,14 @@ from vwpstory.synth import (
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--out", default="fixtures")
     parser.add_argument("--sequences", type=int, default=24)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    parser.add_argument("--seed", type=parse_seed, default=7)
+    try:
+        args = parser.parse_args()
+    except VwpError as exc:  # reported with vwp's message and exit code
+        return report_error(exc)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,9 +16,9 @@ import sys
 import time
 from dataclasses import asdict
 
-from vwpstory.cli import Parser, parse_seeds
+from vwpstory.cli import Parser, parse_seeds, report_error
 from vwpstory.corpus import json_text
-from vwpstory.errors import UsageError
+from vwpstory.errors import VwpError
 from vwpstory.training import run_grid_comparison
 
 MIN_GRID_ACCURACY = 0.90
@@ -39,14 +39,12 @@ def main() -> int:
     parser.add_argument("--json", action="store_true")
     try:
         options = vars(parser.parse_args())
-    except UsageError as exc:  # exit 1, as vwp's usage errors do
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    as_json = options.pop("json", False)
-
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    start = time.perf_counter()
-    result = run_grid_comparison(**options)
+        as_json = options.pop("json", False)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        start = time.perf_counter()
+        result = run_grid_comparison(**options)
+    except VwpError as exc:  # reported with vwp's message and exit code
+        return report_error(exc)
     elapsed = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
     minor_faults = after.ru_minflt - usage.ru_minflt

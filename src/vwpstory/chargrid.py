@@ -44,22 +44,6 @@ def _cell_sums(images: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.cumsum(images[:, None] * columns[None], axis=2)[..., -1] + 0.0
 
 
-def _grid_from_features(image_ids, image_feats, column_ids, column_feats,
-                        n_max: int, m_max: int) -> CharacterGrid:
-    if len(image_feats) > n_max:
-        raise DataError(f"{len(image_feats)} images exceed grid frame height {n_max}")
-    if len(column_feats) > m_max:
-        raise DataError(f"{len(column_feats)} columns exceed grid frame width {m_max}")
-    dims = {f.shape[0] for f in image_feats} | {f.shape[0] for f in column_feats}
-    if len(dims) > 1:
-        raise DataError(f"feature dimensions differ: {sorted(dims)}")
-    width = dims.pop() if dims else 0
-    images = np.asarray(image_feats, dtype=np.float64).reshape(len(image_feats), width)
-    columns = np.asarray(column_feats, dtype=np.float64).reshape(len(column_feats), width)
-    return CharacterGrid(values=_cell_sums(images, columns), image_ids=list(image_ids),
-                         column_ids=list(column_ids))
-
-
 def entity_columns(seq: ImageSequenceRecord, kinds) -> tuple[list[str], list[np.ndarray]]:
     """Ids and feature vectors of the entity kinds in ``kinds``: each
     character's ``representative_feat`` ("char"), then each object's
@@ -76,13 +60,26 @@ def entity_columns(seq: ImageSequenceRecord, kinds) -> tuple[list[str], list[np.
 
 def grid_for_mode(seq: ImageSequenceRecord, mode: str, n_max: int = N_MAX_DEFAULT,
                   m_max: int = M_MAX_DEFAULT) -> CharacterGrid:
-    """The grid of the images against the entity columns of ``mode``."""
+    """The grid of the record's images against the entity columns of
+    ``mode``. This is where a record is checked against the n_max x m_max
+    frame, and each error names the record."""
     if mode not in GRID_COLUMNS:
         raise DataError(f"unknown grid mode {mode!r}")
     column_ids, column_feats = entity_columns(seq, GRID_COLUMNS[mode])
-    return _grid_from_features(
-        [im.image_id for im in seq.images], [im.global_feat for im in seq.images],
-        column_ids, column_feats, n_max, m_max)
+    image_feats = [im.global_feat for im in seq.images]
+    if len(image_feats) > n_max:
+        raise DataError(f"sequence {seq.id}: {len(image_feats)} images exceed n_max {n_max}")
+    if len(column_feats) > m_max:
+        raise DataError(f"sequence {seq.id}: {len(column_feats)} grid columns exceed "
+                        f"m_max {m_max}")
+    dims = {f.shape[0] for f in image_feats} | {f.shape[0] for f in column_feats}
+    if len(dims) > 1:
+        raise DataError(f"sequence {seq.id}: feature dimensions differ: {sorted(dims)}")
+    width = dims.pop() if dims else 0
+    images = np.asarray(image_feats, dtype=np.float64).reshape(len(image_feats), width)
+    columns = np.asarray(column_feats, dtype=np.float64).reshape(len(column_feats), width)
+    return CharacterGrid(values=_cell_sums(images, columns),
+                         image_ids=[im.image_id for im in seq.images], column_ids=column_ids)
 
 
 def flatten_pad(grid: CharacterGrid, n_max: int = N_MAX_DEFAULT,

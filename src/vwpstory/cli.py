@@ -87,7 +87,8 @@ def _csv_strs(text: str) -> tuple[str, ...]:
 
 
 def build_parser() -> tuple[Parser, dict[str, argparse.ArgumentParser]]:
-    parser = Parser(prog="vwp", description=__doc__)
+    # no abbreviated --config: run finds the file by the flag's full name
+    parser = Parser(prog="vwp", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="key=value file of flag defaults")
     sub = parser.add_subparsers(dest="command")
     commands: dict[str, argparse.ArgumentParser] = {}
@@ -406,49 +407,59 @@ COMMANDS = {
 def run(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # config file defaults: load first, coerce through each flag's type,
-    # then let explicit flags win
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            raise UsageError("--config needs a file argument")
-        config = argv[idx + 1]
-        raw_defaults = _read_config_file(config)
-        for command in commands.values():
-            coerced = {}
-            for action in command._actions:
-                if action.dest in raw_defaults:
-                    value = raw_defaults[action.dest]
-                    try:
-                        value = action.type(value) if action.type else value
-                    except (ValueError, argparse.ArgumentTypeError) as exc:
-                        raise UsageError(f"{config}: bad {action.dest} {value!r} ({exc})") from exc
-                    coerced[action.dest] = value
-                    action.required = False  # the config file satisfied it
-            command.set_defaults(**coerced)
+    # config file defaults: find --config in either form the parser takes,
+    # coerce each value through its flag's type, then let explicit flags win
+    finder = Parser(add_help=False, allow_abbrev=False)
+    finder.add_argument("--config")
+    config = finder.parse_known_args(argv)[0].config
+    raw_defaults = {} if config is None else _read_config_file(config)
+    for command in commands.values():
+        coerced = {}
+        for action in command._actions:
+            if action.dest in raw_defaults:
+                value = raw_defaults[action.dest]
+                try:
+                    value = action.type(value) if action.type else value
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise UsageError(f"{config}: bad {action.dest} {value!r} ({exc})") from exc
+                coerced[action.dest] = value
+                action.required = False  # the config file satisfied it
+        command.set_defaults(**coerced)
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_usage(sys.stderr)
         raise UsageError("a subcommand is required")
+    # argparse checks the choices of a command-line value only, and every
+    # default is one of its choices: a value outside them is the config file's
+    for action in commands[args.command]._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{config}: bad {action.dest} {value!r} "
+                             f"(choose from {', '.join(map(repr, action.choices))})")
     return COMMANDS[args.command](args)
+
+
+# each error kind's stderr label and exit code; the first match wins, and
+# any remaining package error counts as usage
+ERROR_EXITS = ((UsageError, "usage error", 1), ((DataError, OSError), "data error", 2),
+               (NumericError, "numeric error", 3), (VwpError, "error", 1))
+
+
+def report_error(exc: VwpError | OSError) -> int:
+    """Print ``exc`` to stderr as vwp does and return its exit code."""
+    for kinds, label, code in ERROR_EXITS:
+        if isinstance(exc, kinds):
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    raise exc
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
         return run(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except VwpError as exc:  # any remaining package error counts as usage
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (VwpError, OSError) as exc:
+        return report_error(exc)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

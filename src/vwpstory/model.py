@@ -272,7 +272,8 @@ def _conditioning_rows(seq: ImageSequenceRecord, story_tokens: list[int],
                        config: ModelConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """A sequence's image rows and entity rows, once it passes the checks of
     every sequence the model takes: frame capacities, story budget and
-    feature width."""
+    feature width. A grid's columns are checked where the grid is built,
+    in ``grid_for_mode``."""
     n_img = len(seq.images)
     if n_img > config.n_max:
         raise DataError(f"sequence {seq.id}: {n_img} images exceed n_max {config.n_max}")
@@ -282,9 +283,6 @@ def _conditioning_rows(seq: ImageSequenceRecord, story_tokens: list[int],
         raise DataError(f"sequence {seq.id}: {len(seq.characters)} characters exceed m_max {config.m_max}")
     if "obj" in config.feature_set and len(seq.objects) > config.o_max:
         raise DataError(f"sequence {seq.id}: {len(seq.objects)} objects exceed o_max {config.o_max}")
-    n_columns = len(entity_columns(seq, GRID_COLUMNS.get(config.grid_mode, ()))[0])
-    if n_columns > config.m_max:
-        raise DataError(f"sequence {seq.id}: {n_columns} grid columns exceed m_max {config.m_max}")
     image_rows = [im.global_feat for im in seq.images]
     entity_rows = entity_columns(seq, config.feature_set)[1]
     for feat in image_rows + entity_rows:
@@ -485,10 +483,17 @@ def story_losses(model: StoryGenModel,
 
 # --- checkpoint io ------------------------------------------------------------
 
+def _record_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """The bytes before a parameter's payload in a checkpoint: u32 name
+    length, the UTF-8 name, u32 rank, then one u32 per extent."""
+    blob = name.encode("utf-8")
+    return struct.pack(f"<I{len(blob)}sI{len(shape)}I", len(blob), blob, len(shape), *shape)
+
+
 def save_checkpoint(model: StoryGenModel, path) -> None:
-    """Magic, length-prefixed canonical config text, then sorted named
-    parameters as (u32 name length, name, u32 rank, u32 extents, <f8 data).
-    Each parameter's bytes go from its view straight to the file."""
+    """Magic, length-prefixed canonical config text, then the parameters in
+    name order, each as its ``_record_header`` and its <f8 data. Each
+    parameter's bytes go from its view straight to the file."""
     # write beside the target, then rename over it: a crash mid-write never
     # leaves a truncated checkpoint at ``path``
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -497,10 +502,8 @@ def save_checkpoint(model: StoryGenModel, path) -> None:
             config_blob = model.config.canonical_text().encode("utf-8")
             fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(config_blob)) + config_blob)
             for name in sorted(model.store.params):
-                blob = name.encode("utf-8")
                 data = model.store[name].data
-                fh.write(struct.pack(f"<I{len(blob)}sI{data.ndim}I", len(blob), blob, data.ndim,
-                                     *data.shape))
+                fh.write(_record_header(name, data.shape))
                 fh.write(data.astype("<f8", copy=False))  # a copy on big-endian hosts only
         os.replace(tmp, path)
     except BaseException:
@@ -516,8 +519,8 @@ def load_checkpoint(path) -> StoryGenModel:
     A truncated or otherwise malformed file raises DataError, and before it
     allocates for or reads anything the file claims: the file must be
     exactly as long as its config's parameters make a checkpoint, and each
-    record's name, rank and extents must be its spec's before the next field
-    or its payload is read.
+    record, in name order, must start with its parameter's
+    ``_record_header`` before its payload is read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -529,49 +532,33 @@ def load_checkpoint(path) -> StoryGenModel:
                 raise DataError(f"{path}: truncated checkpoint")
             return fh.read(n)
 
-        def read_u32() -> int:
-            return struct.unpack("<I", read(4))[0]
-
-        def read_text() -> str:
-            try:
-                return read(read_u32()).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: malformed checkpoint text ({exc})") from exc
-
+        (config_length,) = struct.unpack("<I", read(4))
+        config_blob = read(config_length)
         try:
-            config = ModelConfig.from_canonical_text(read_text())
-        except (ValueError, ConfigError) as exc:
+            config = ModelConfig.from_canonical_text(config_blob.decode("utf-8"))
+        except (ValueError, ConfigError) as exc:  # a UnicodeDecodeError is a ValueError
             raise DataError(f"{path}: malformed checkpoint config ({exc})") from exc
         # each layer adds 16 records of more than 16 bytes, so a config that
         # claims more layers than the file can hold fails before its spec
         # is listed
         if 16 * 16 * config.n_layers > size:
             raise DataError(f"{path}: {size} bytes cannot hold {config.n_layers} layers")
-        spec = {name: shape for name, shape, _ in _param_spec(config)}
-        # per record: name length, name, rank, extents, payload
-        want = fh.tell() + sum(8 + len(name.encode("utf-8")) + 4 * len(shape)
-                               + 8 * math.prod(shape) for name, shape in spec.items())
+        shapes = {name: shape for name, shape, _ in _param_spec(config)}
+        try:
+            headers = {name: _record_header(name, shapes[name]) for name in sorted(shapes)}
+        except struct.error as exc:  # an extent that no u32 holds
+            raise DataError(f"{path}: malformed checkpoint config ({exc})") from exc
+        want = fh.tell() + sum(len(header) + 8 * math.prod(shapes[name])
+                               for name, header in headers.items())
         if size != want:
             raise DataError(f"{path}: {size} bytes, but its config's parameters "
                             f"make a {want}-byte checkpoint")
-        store = ParamStore.empty(spec)
-        # as many records as the spec has names, each a distinct one of them:
-        # with the size above, that is every name and the whole file
-        seen: set[str] = set()
-        for _ in spec:
-            name = read_text()
-            if name not in spec:
-                raise DataError(f"{path}: unknown parameter {name!r}")
-            if name in seen:
-                raise DataError(f"{path}: parameter {name!r} appears twice")
-            seen.add(name)
-            shape = spec[name]
-            rank = read_u32()
-            if rank != len(shape):
-                raise DataError(f"{path}: {name} has rank {rank}, expected {len(shape)}")
-            extents = struct.unpack(f"<{rank}I", read(4 * rank))
-            if extents != shape:
-                raise DataError(f"{path}: {name} has shape {extents}, expected {shape}")
+        store = ParamStore.empty(shapes)
+        for name, header in headers.items():
+            offset = fh.tell()
+            if read(len(header)) != header:
+                raise DataError(f"{path}: byte {offset} does not start the header of "
+                                f"{name!r} {shapes[name]}, the next parameter in name order")
             view = store[name].data
             if fh.readinto(view) != view.nbytes:
                 raise DataError(f"{path}: truncated payload for {name!r}")

@@ -391,9 +391,9 @@ def cross_entropy_masked(logits: Tensor, targets, weights=None) -> Tensor:
     ``logits`` is (T, V) and ``targets`` T token ids, where -1 marks a row
     with no loss: such rows have no effect on the value or the gradient.
     Without ``weights`` the loss is the mean over the loss rows. With
-    ``weights`` of shape (T,) or (E, T) it is ``weights @ nll``, where
-    ``nll`` is zero on the rows without a loss: a scalar, or one loss per row
-    of ``weights`` (say, one per example of a batch).
+    ``weights`` of shape (E, T) it is ``weights @ nll``, where ``nll`` is
+    zero on the rows without a loss: one loss per row of ``weights`` (say,
+    one per example of a batch).
     """
     tgt = np.asarray(targets, dtype=np.intp)
     t, v = logits.data.shape
@@ -412,10 +412,10 @@ def cross_entropy_masked(logits: Tensor, targets, weights=None) -> Tensor:
         loss = nll.mean()
     else:
         w = np.asarray(weights, dtype=np.float64)
-        if w.ndim not in (1, 2) or w.shape[-1] != t:
-            raise DataError(f"weights must have shape ({t},) or (E, {t})")
-        w_sel = w[..., sel].reshape(-1, sel.size)
-        loss = (w_sel @ nll).reshape(w.shape[:-1])
+        if w.ndim != 2 or w.shape[1] != t:
+            raise DataError(f"weights must have shape (E, {t})")
+        w_sel = w[:, sel]
+        loss = w_sel @ nll
 
     def grad_fn(g):
         probs = np.exp(rows - m)
@@ -424,7 +424,7 @@ def cross_entropy_masked(logits: Tensor, targets, weights=None) -> Tensor:
         if weights is None:
             scale = float(np.reshape(g, ())) / sel.size
         else:
-            scale = (np.reshape(g, -1) @ w_sel)[:, None]
+            scale = (g @ w_sel)[:, None]
         full = np.zeros((t, v))
         full[sel] = probs * scale
         return (full,)

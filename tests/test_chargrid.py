@@ -58,10 +58,7 @@ def loop_grid(image_feats, column_feats):
 
 
 def vector_grid(image_feats, column_feats):
-    ids = [f"r{a}" for a in range(len(image_feats))]
-    cols = [f"c{b}" for b in range(len(column_feats))]
-    return chargrid._grid_from_features(ids, list(image_feats), cols, list(column_feats),
-                                        n_max=16, m_max=16).values
+    return grid_for_mode(make_seq(image_feats, column_feats), "char", n_max=16, m_max=16).values
 
 
 def assert_bits_equal(actual, expected):
@@ -201,9 +198,9 @@ class TestStackedGridOracle:
 
     def test_frame_overflow_is_data_error(self):
         fits = make_seq([[1.0]] * 2, [[1.0]] * 2)
-        with pytest.raises(DataError, match="3 images exceed grid frame height 2"):
+        with pytest.raises(DataError, match="sequence seq: 3 images exceed n_max 2"):
             record_frames([fits, make_seq([[1.0]] * 3, [])], "char", n_max=2, m_max=2)
-        with pytest.raises(DataError, match="3 columns exceed grid frame width 2"):
+        with pytest.raises(DataError, match="sequence seq: 3 grid columns exceed m_max 2"):
             record_frames([fits, make_seq([[1.0]], [[1.0]] * 2, obj_feats=[[1.0]])], "entity",
                           n_max=2, m_max=2)
 

@@ -31,6 +31,7 @@ from vwpstory.synth import (
 )
 from vwpstory.training import metric_tokens
 
+ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
@@ -66,16 +67,19 @@ def trained_dir(prepared_dir, tmp_path_factory):
     return out
 
 
-def run_console(*args):
-    """``python -m vwpstory.cli *args`` run from this checkout's root, importing
-    its own src/, wherever pytest was started and whatever else is on
-    PYTHONPATH."""
-    root = Path(__file__).resolve().parents[1]
+def run_python(*args):
+    """``python *args`` run from this checkout's root, importing its own src/,
+    wherever pytest was started and whatever else is on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "vwpstory.cli", *args],
-                          capture_output=True, text=True, cwd=root, env=env)
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT,
+                          env=env)
+
+
+def run_console(*args):
+    """``python -m vwpstory.cli *args``, as ``run_python`` runs it."""
+    return run_python("-m", "vwpstory.cli", *args)
 
 
 class TestUsage:
@@ -503,6 +507,44 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "plan",
                      "--workers", str(fixture_dir / "workers.csv")]) == 0
         assert json.loads(capsys.readouterr().out)[0]["worker_id"] == "w1"
+
+    @pytest.mark.parametrize("line, argv", [
+        ("format=xml", ["evaluate", "--pairs", "pairs.jsonl"]),
+        ("grid_mode=sideways", ["grid", "--dataset", "dataset.jsonl", "--sequence", "fix1"]),
+    ])
+    def test_config_value_outside_its_choices_is_usage_error(self, fixture_dir, tmp_path,
+                                                             capsys, line, argv):
+        (tmp_path / "pairs.jsonl").write_text(
+            json.dumps({"id": 0, "hypothesis": ["a", "dog"], "references": ["a dog"]}) + "\n")
+        shutil.copy(fixture_dir / "dataset.jsonl", tmp_path)
+        cfg = tmp_path / "vwp.cfg"
+        cfg.write_text(line + "\n")
+        paths = [str(tmp_path / arg) if arg.endswith(".jsonl") else arg for arg in argv]
+        assert main(["--config", str(cfg), *paths]) == 1
+        out, err = capsys.readouterr()
+        key, _, value = line.partition("=")
+        assert f"{cfg}: bad {key} {value!r}" in err and out == ""
+
+    def test_config_flag_in_either_form(self, fixture_dir, tmp_path, capsys):
+        cfg = tmp_path / "vwp.cfg"
+        cfg.write_text("format=json\n")
+        workers = str(fixture_dir / "workers.csv")
+        for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+            assert main([*form, "plan", "--workers", workers]) == 0
+            assert json.loads(capsys.readouterr().out)[0]["worker_id"] == "w1"
+        # an abbreviation is refused, not read as some other flag or ignored
+        assert main(["--conf", str(cfg), "plan", "--workers", workers]) == 1
+        assert capsys.readouterr().out == ""
+
+
+class TestFixtureScript:
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_a_bad_seed_is_a_usage_error(self, tmp_path, seed):
+        proc = run_python(str(ROOT / "scripts" / "make_fixtures.py"), "--out", str(tmp_path),
+                          "--seed", seed)
+        assert proc.returncode == 1, proc.stderr
+        assert "usage error: argument --seed: expected a non-negative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr and not any(tmp_path.iterdir())
 
 
 class TestConsoleEntry:

@@ -1,3 +1,4 @@
+import io
 import math
 import mmap
 import re
@@ -536,7 +537,7 @@ class TestBatch:
         examples = [(make_seq(n_images=2, n_chars=1, n_objs=1, seed=1, seq_id="a"), [2, 3, 4]),
                     (make_seq(n_images=1, n_chars=2, n_objs=0, seed=2, seq_id="b"), [5])]
         batch = assemble_input(examples, model.config, BOS)
-        mean_weights = batch.loss_weights.mean(axis=0)
+        mean_weights = batch.loss_weights.mean(axis=0, keepdims=True)
 
         def batch_mean(store):
             return nm.cross_entropy_masked(forward_logits(model, batch), batch.targets,
@@ -765,8 +766,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("damage, message", [
         ("vocab_size=4000000000", "make a"), ("n_layers=1000000000000", "cannot hold"),
-        ("d_ff=-16", "d_ff must be positive"), ("rank", "rank 4294967295"),
-        ("name", "unknown parameter 'ln_f.x'"), ("extent", r"shape \(9,\)"),
+        ("d_ff=-16", "d_ff must be positive"), ("rank", "header of 'ln_f.g'"),
+        ("name", "header of 'ln_f.g'"), ("extent", "header of 'ln_f.g'"),
     ])
     def test_a_malformed_claim_fails_before_it_is_allocated_or_read(
             self, tmp_path, monkeypatch, capsys, damage, message):
@@ -812,6 +813,69 @@ class TestCheckpoint:
         assert main(["generate", "--checkpoint", str(path), "--dataset", "unread.jsonl",
                      "--vocab", "unread.json", "--out", str(tmp_path / "out.jsonl")]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["vocab_size=5000000000", "t_max=99999999999",
+                                        "feat_dim=4294967296"])
+    def test_an_extent_no_u32_holds_is_data_error(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_config()), path)
+        path.write_bytes(damaged_checkpoint(path.read_bytes(), damage))
+        with pytest.raises(DataError, match="malformed checkpoint config"):
+            load_checkpoint(path)
+
+    def test_a_damaged_record_header_fails_before_its_payload_is_read(self, tmp_path,
+                                                                      monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_config()), path)
+        blob = path.read_bytes()
+        records = record_spans(blob)
+        cases = []  # (damaged file, where its first damaged header ends)
+        for start, header_end, _ in records:
+            for at in range(start, header_end):
+                flipped = bytes([blob[at] ^ 0xFF])
+                cases.append((blob[:at] + flipped + blob[at + 1:], header_end))
+        # two whole records of the same size, swapped: each is well formed,
+        # but the file is out of name order
+        (a, a_header, a_end), (b, _, b_end) = [
+            span for span in records if blob[span[0] + 4:span[1]].startswith(b"ln_f.")]
+        assert a_end - a == b_end - b
+        cases.append((blob[:a] + blob[b:b_end] + blob[a:a_end] + blob[b_end:], a_header))
+        ends = []  # file position after each read
+
+        class Spy(io.BufferedReader):
+            def read(self, n=-1):
+                data = super().read(n)
+                ends.append(self.tell())
+                return data
+
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                ends.append(self.tell())
+                return n
+
+        monkeypatch.setattr(model_mod, "open", lambda p, mode: Spy(io.FileIO(p, mode)),
+                            raising=False)
+        for data, header_end in cases:
+            path.write_bytes(data)
+            ends.clear()
+            with pytest.raises(DataError):
+                load_checkpoint(path)
+            assert max(ends) <= header_end
+
+
+def record_spans(blob: bytes) -> list[tuple[int, int, int]]:
+    """(start, header end, end) of each parameter record of a checkpoint,
+    read field by field as docs/dataset-format.md lays them out."""
+    spans = []
+    at = 12 + int.from_bytes(blob[8:12], "little")
+    while at < len(blob):
+        name_end = at + 4 + int.from_bytes(blob[at:at + 4], "little")
+        rank = int.from_bytes(blob[name_end:name_end + 4], "little")
+        extents = np.frombuffer(blob, "<u4", count=rank, offset=name_end + 4)
+        header_end = name_end + 4 + 4 * rank
+        spans.append((at, header_end, header_end + 8 * int(np.prod(extents))))
+        at = spans[-1][2]
+    return spans
 
 
 def damaged_checkpoint(blob: bytes, damage: str) -> bytes:

@@ -406,14 +406,15 @@ class TestCrossEntropyWeights:
         for value, idx in zip(got, groups):
             want = nm.cross_entropy_masked(nm.Tensor(logits[idx]), targets[idx]).item()
             assert value == pytest.approx(want, abs=1e-12)
-        scalar = nm.cross_entropy_masked(nm.Tensor(logits), targets, weights.mean(axis=0))
-        assert scalar.shape == ()
-        assert scalar.item() == pytest.approx(got.mean(), abs=1e-12)
+        pooled = nm.cross_entropy_masked(nm.Tensor(logits), targets,
+                                         weights.mean(axis=0, keepdims=True))
+        assert pooled.shape == (1,)
+        assert pooled.item() == pytest.approx(got.mean(), abs=1e-12)
 
     def test_grad_check_with_weights(self):
         rng = np.random.default_rng(9)
         store = nm.ParamStore({"x": rng.normal(size=(4, 3))})
-        weights = np.array([0.5, 0.0, 0.25, 0.25])
+        weights = np.array([[0.5, 0.0, 0.25, 0.25]])
 
         def f(s):
             return nm.cross_entropy_masked(s["x"], [0, -1, 2, 1], weights)
@@ -421,8 +422,9 @@ class TestCrossEntropyWeights:
         assert nm.grad_check(f, store) < 1e-4
 
     def test_bad_weight_shape(self):
-        with pytest.raises(DataError):
-            nm.cross_entropy_masked(nm.Tensor(np.zeros((3, 2))), [0, 0, 0], np.ones(2))
+        for weights in (np.ones(2), np.ones(3), np.ones((1, 2)), np.ones((1, 1, 3))):
+            with pytest.raises(DataError, match=r"weights must have shape \(E, 3\)"):
+                nm.cross_entropy_masked(nm.Tensor(np.zeros((3, 2))), [0, 0, 0], weights)
 
 
 class TestGraph:

@@ -639,16 +639,30 @@ class TestGridExperimentScript:
             script.main()
             assert calls.pop() == want
 
-    @pytest.mark.parametrize("seeds", ["-1", "0,-2", "0,x"])
-    def test_a_bad_seed_is_a_usage_error(self, seeds):
+    @staticmethod
+    def run_script(*args):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_grid_experiment.py"), f"--seeds={seeds}"],
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_grid_experiment.py"), *args],
             capture_output=True, text=True, env=env)
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-2", "0,x"])
+    def test_a_bad_seed_is_a_usage_error(self, seeds):
+        proc = self.run_script(f"--seeds={seeds}")
         assert proc.returncode == 1, proc.stderr
         assert "--seeds" in proc.stderr and "non-negative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--epochs", "0"], "usage error: epochs must be at least 1"),
+        (["--seeds="], "usage error: seeds must be nonempty"),
+    ])
+    def test_a_degenerate_config_is_a_usage_error(self, argv, message):
+        proc = self.run_script(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_json_reports_time_faults_and_peak_rss(self, script, monkeypatch, capsys):
