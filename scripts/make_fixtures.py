@@ -26,6 +26,9 @@ def main() -> int:
     parser.add_argument("--seed", type=parse_seed, default=7)
     try:
         args = parser.parse_args()
+        if args.sequences < 1:
+            parser.error(f"argument --sequences: expected a positive integer, "
+                         f"got {args.sequences}")
     except VwpError as exc:  # reported with vwp's message and exit code
         return report_error(exc)
 

@@ -1,13 +1,14 @@
 """Grid-vs-baseline comparison on the planted synthetic corpus.
 
 Trains the grid-conditioned variant and the no-grid baseline identically
-over several seeds, then reports held-out loss and accuracy on the tokens
-the grid determines. Mirrors the direction of the reference-metric table:
-the coherence representation should win every seed. Beside the wall time
-it reports the run's minor page faults and system CPU seconds (getrusage
-deltas of this process) and the process's peak resident set size in MB
-(``ru_maxrss``, which Linux gives in KiB). Exits 0 only when the run passes the acceptance
-gate: the grid wins every seed, with accuracy at least 0.90 on each.
+over several seeds, then reports each one's held-out loss and accuracy on
+the tokens the grid determines. Mirrors the direction of the
+reference-metric table: the coherence representation should win every
+seed. Beside the wall time it reports the run's minor page faults and
+system CPU seconds (getrusage deltas of this process) and the process's
+peak resident set size in MB (``ru_maxrss``, which Linux gives in KiB).
+Exits 0 only when the run passes the acceptance gate: the grid wins every
+seed, with accuracy at least 0.90 on each.
 """
 
 import argparse
@@ -32,10 +33,6 @@ def main() -> int:
     parser.add_argument("--val-count", type=int)
     parser.add_argument("--seeds", type=parse_seeds)
     parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--d-model", type=int)
-    parser.add_argument("--n-layers", type=int)
-    parser.add_argument("--n-heads", type=int)
     parser.add_argument("--json", action="store_true")
     try:
         options = vars(parser.parse_args())
@@ -56,12 +53,14 @@ def main() -> int:
                        system_seconds=system_seconds, peak_rss_mb=peak_rss_mb)
         sys.stdout.write(json_text(payload))
     else:
-        print(f"{'seed':>4}  {'grid loss':>10}  {'baseline loss':>14}  {'grid accuracy':>14}")
+        print(f"{'seed':>4}  {'grid loss':>10}  {'baseline loss':>14}  {'grid accuracy':>14}  "
+              f"{'baseline accuracy':>18}")
         for row in result.per_seed:
             print(f"{row['seed']:>4}  {row['grid_loss']:>10.4f}  "
-                  f"{row['baseline_loss']:>14.4f}  {row['grid_accuracy']:>14.3f}")
+                  f"{row['baseline_loss']:>14.4f}  {row['grid_accuracy']:>14.3f}  "
+                  f"{row['baseline_accuracy']:>18.3f}")
         print(f"grid wins {result.grid_wins}/{len(result.per_seed)} seeds; "
-              f"min accuracy {result.min_grid_accuracy:.3f}; {elapsed:.0f}s; "
+              f"min grid accuracy {result.min_grid_accuracy:.3f}; {elapsed:.0f}s; "
               f"{minor_faults} minor faults; {system_seconds:.2f}s system; "
               f"{peak_rss_mb:.1f} MB peak RSS")
     passed = (result.grid_wins == len(result.per_seed)

@@ -413,6 +413,11 @@ def run(argv: list[str] | None = None) -> int:
     finder.add_argument("--config")
     config = finder.parse_known_args(argv)[0].config
     raw_defaults = {} if config is None else _read_config_file(config)
+    unknown = set(raw_defaults).difference(
+        action.dest for command in commands.values() for action in command._actions)
+    if unknown:
+        raise UsageError(f"{config}: no command has a flag named "
+                         f"{', '.join(map(repr, sorted(unknown)))}")
     for command in commands.values():
         coerced = {}
         for action in command._actions:

@@ -385,7 +385,8 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
     """Logits (B * width x vocab) under causal self-attention.
 
     Without a cache ``batch`` holds whole sequences (from ``assemble_input``);
-    training, losses and teacher-forced evaluation all take this path. With
+    training, losses and teacher-forced evaluation all take this path, and
+    training draws its dropout masks from ``rng``, which it requires. With
     a ``KVCache`` the batch holds one unpadded sequence per cached one, each
     holding only the positions that follow those already cached (the
     conditioning prefixes first, then one ``text_step`` per token): each
@@ -397,7 +398,7 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
     cfg = model.config
     p = model.param
     if training and rng is None:
-        rng = np.random.default_rng(0)
+        raise StateError("forward_logits: training needs an rng for its dropout masks")
     past = 0
     if cache is not None:
         if training:

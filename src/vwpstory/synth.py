@@ -4,7 +4,8 @@ The planted task makes the next token at each story section a deterministic
 function of which characters appear in that image. Character signatures are
 orthonormal within a sequence and image features are sums of the present
 signatures plus noise, so the dot-product grid exposes the appearance
-pattern directly while raw features keep it entangled.
+pattern directly, while the raw features hold it only as sums of
+signatures that a model without the grid must learn to take apart.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ from .model import (
     story_loss,  # unused here: perfbench/tracing.py binds training.story_loss
     story_losses,
 )
-from .numerics import adam_step, clip_global_norm, no_grad
+from .numerics import adam_step, clip_global_norm, cross_entropy_masked, no_grad
 
 log = logging.getLogger("vwpstory.training")
 
@@ -271,45 +271,31 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
     return FitResult(runlogs=runlogs, test_scores=test_scores, aggregate=aggregate)
 
 
-def _eval_slices(records: list[ImageSequenceRecord], vocab: Vocabulary) -> list[list]:
-    """Every story with [EOS] appended, in slices of ``EVAL_SLICE`` examples."""
+def held_out_scores(model: StoryGenModel, records: list[ImageSequenceRecord],
+                    vocab: Vocabulary, target_ids: set[int]) -> tuple[float, float]:
+    """Mean eval-mode story loss over every story in the records, and the
+    teacher-forced argmax accuracy on the loss rows whose target id is in
+    ``target_ids``: both read from one forward pass per slice of
+    ``EVAL_SLICE`` stories, each with [EOS] appended."""
     examples = training_examples(records, vocab.eos_id)
-    return [examples[i:i + EVAL_SLICE] for i in range(0, len(examples), EVAL_SLICE)]
-
-
-def held_out_loss(model: StoryGenModel, records: list[ImageSequenceRecord],
-                  vocab: Vocabulary) -> float:
-    """Mean eval-mode story loss over all stories in the records."""
-    slices = _eval_slices(records, vocab)
-    if not slices:
-        raise DataError("held_out_loss: no examples")
+    if not examples:
+        raise DataError("held_out_scores: no examples")
     total = 0.0
-    with no_grad():
-        for examples in slices:
-            for value in story_losses(model, examples, bos_id=vocab.bos_id).data.tolist():
-                total += value
-    return total / sum(len(examples) for examples in slices)
-
-
-def next_token_accuracy(model: StoryGenModel, records: list[ImageSequenceRecord],
-                        vocab: Vocabulary,
-                        target_ids: set[int] | None = None) -> float:
-    """Teacher-forced argmax accuracy over story positions, optionally
-    restricted to positions whose target id is in ``target_ids``."""
-    hits = 0
-    count = 0
-    for examples in _eval_slices(records, vocab):
-        batch = assemble_input(examples, model.config, vocab.bos_id)
+    hits = count = 0
+    for start in range(0, len(examples), EVAL_SLICE):
+        batch = assemble_input(examples[start:start + EVAL_SLICE], model.config, vocab.bos_id)
         with no_grad():
-            logits = forward_logits(model, batch).data
+            logits = forward_logits(model, batch)
+            losses = cross_entropy_masked(logits, batch.targets, batch.loss_weights)
+        for value in losses.data.tolist():
+            total += value
         rows = np.flatnonzero(batch.targets >= 0)
-        if target_ids is not None:
-            rows = rows[np.isin(batch.targets[rows], list(target_ids))]
+        rows = rows[np.isin(batch.targets[rows], list(target_ids))]
         count += rows.size
-        hits += int((logits[rows].argmax(axis=1) == batch.targets[rows]).sum())
+        hits += int((logits.data[rows].argmax(axis=1) == batch.targets[rows]).sum())
     if count == 0:
-        raise DataError("next_token_accuracy: no qualifying positions")
-    return hits / count
+        raise DataError("held_out_scores: no loss row's target is in target_ids")
+    return total / len(examples), hits / count
 
 
 def save_runlogs(result: FitResult, path) -> None:
@@ -320,6 +306,8 @@ def save_runlogs(result: FitResult, path) -> None:
 
 GRID_BATCH_SIZE = 16
 GRID_CORPUS_SEED = 0
+# each variant's name, as its row's key prefix, and its model's grid_mode
+GRID_VARIANTS = {"grid": "char", "baseline": "none"}
 
 
 @dataclass
@@ -330,43 +318,39 @@ class GridComparisonResult:
 
 
 def run_grid_comparison(*, n_sequences: int = 560, val_count: int = 60,
-                        seeds: tuple[int, ...] = (0, 1, 2), epochs: int = 14,
-                        lr: float = 2e-3, d_model: int = 64, n_layers: int = 1,
-                        n_heads: int = 4) -> GridComparisonResult:
-    """Train grid-conditioned and no-grid variants identically on the
-    planted corpus whose section words encode per-image character presence,
-    and compare held-out loss plus accuracy on the grid-determined tokens."""
+                        seeds: tuple[int, ...] = (0, 1, 2),
+                        epochs: int = 14) -> GridComparisonResult:
+    """Train every ``GRID_VARIANTS`` model identically on the planted corpus
+    whose section words encode per-image character presence, and score each
+    with ``held_out_scores``: held-out loss, and accuracy on the
+    grid-determined tokens. One row per seed."""
     from .synth import pattern_token_ids, synthetic_grid_corpus
     from .corpus import prepare_records
 
     records = synthetic_grid_corpus(n_sequences, seed=GRID_CORPUS_SEED)
     prepared = prepare_records(records, seed=GRID_CORPUS_SEED, val_count=val_count,
                                test_count=0)
-    vocab = prepared.vocab
+    vocab, val = prepared.vocab, prepared.splits["val"]
     pattern_ids = pattern_token_ids(vocab)
-    base = dict(vocab_size=len(vocab), feat_dim=8, d_model=d_model,
-                n_layers=n_layers, n_heads=n_heads, d_ff=2 * d_model, t_max=24,
-                n_max=5, m_max=5, o_max=2, dropout=0.0, feature_set=("global", "char"))
-    grid_config = ModelConfig(grid_mode="char", **base)
-    plain_config = ModelConfig(grid_mode="none", **base)
-    config = TrainConfig(epochs=epochs, batch_size=GRID_BATCH_SIZE, lr=lr, seeds=seeds)
+    base = dict(vocab_size=len(vocab), feat_dim=8, d_model=64, n_layers=1, n_heads=4,
+                d_ff=128, t_max=24, n_max=5, m_max=5, o_max=2, dropout=0.0,
+                feature_set=("global", "char"))
+    config = TrainConfig(epochs=epochs, batch_size=GRID_BATCH_SIZE, lr=2e-3, seeds=seeds)
     train_only = {"train": prepared.splits["train"]}
 
     per_seed = []
-    wins = 0
-    min_acc = 1.0
     for seed in seeds:
-        grid_model, _ = train_run(config, train_only, grid_config, vocab, seed)
-        plain_model, _ = train_run(config, train_only, plain_config, vocab, seed)
-        grid_loss = held_out_loss(grid_model, prepared.splits["val"], vocab)
-        plain_loss = held_out_loss(plain_model, prepared.splits["val"], vocab)
-        accuracy = next_token_accuracy(grid_model, prepared.splits["val"], vocab,
-                                       pattern_ids)
-        wins += int(grid_loss < plain_loss)
-        min_acc = min(min_acc, accuracy)
-        log.info("grid comparison seed %d: grid %.4f vs none %.4f, accuracy %.3f",
-                 seed, grid_loss, plain_loss, accuracy)
-        per_seed.append({"seed": seed, "grid_loss": grid_loss,
-                         "baseline_loss": plain_loss, "grid_accuracy": accuracy})
-    return GridComparisonResult(per_seed=per_seed, grid_wins=wins,
-                                min_grid_accuracy=min_acc)
+        row = {"seed": seed}
+        for name, grid_mode in GRID_VARIANTS.items():
+            model, _ = train_run(config, train_only, ModelConfig(grid_mode=grid_mode, **base),
+                                 vocab, seed)
+            row[f"{name}_loss"], row[f"{name}_accuracy"] = held_out_scores(
+                model, val, vocab, pattern_ids)
+        log.info("grid comparison seed %d: loss %.4f vs %.4f, accuracy %.3f vs %.3f (grid vs "
+                 "baseline)", seed, row["grid_loss"], row["baseline_loss"],
+                 row["grid_accuracy"], row["baseline_accuracy"])
+        per_seed.append(row)
+    return GridComparisonResult(
+        per_seed=per_seed,
+        grid_wins=sum(row["grid_loss"] < row["baseline_loss"] for row in per_seed),
+        min_grid_accuracy=min(row["grid_accuracy"] for row in per_seed))

@@ -508,6 +508,14 @@ class TestConfigFile:
                      "--workers", str(fixture_dir / "workers.csv")]) == 0
         assert json.loads(capsys.readouterr().out)[0]["worker_id"] == "w1"
 
+    def test_a_key_that_names_no_flag_is_usage_error(self, fixture_dir, tmp_path, capsys):
+        cfg = tmp_path / "vwp.cfg"
+        cfg.write_text("formt=json\nbogus=1\n")
+        assert main(["--config", str(cfg), "plan",
+                     "--workers", str(fixture_dir / "workers.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert f"{cfg}: no command has a flag named 'bogus', 'formt'" in err and out == ""
+
     @pytest.mark.parametrize("line, argv", [
         ("format=xml", ["evaluate", "--pairs", "pairs.jsonl"]),
         ("grid_mode=sideways", ["grid", "--dataset", "dataset.jsonl", "--sequence", "fix1"]),
@@ -545,6 +553,14 @@ class TestFixtureScript:
         assert proc.returncode == 1, proc.stderr
         assert "usage error: argument --seed: expected a non-negative integer" in proc.stderr
         assert "Traceback" not in proc.stderr and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_a_non_positive_sequence_count_is_a_usage_error(self, tmp_path, count):
+        proc = run_python(str(ROOT / "scripts" / "make_fixtures.py"), "--out", str(tmp_path),
+                          "--sequences", count)
+        assert proc.returncode == 1, proc.stderr
+        assert "usage error: argument --sequences: expected a positive integer" in proc.stderr
+        assert "Traceback" not in proc.stderr and not (tmp_path / "dataset.jsonl").exists()
 
 
 class TestConsoleEntry:

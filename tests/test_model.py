@@ -312,6 +312,12 @@ class TestForward:
                        rng=np.random.default_rng(11)).item()
         assert a == b
 
+    def test_training_without_a_generator_is_refused(self):
+        # a fixed fallback generator would give every such call the same masks
+        model = build_model(tiny_config(dropout=0.3))
+        with pytest.raises(StateError, match="rng"):
+            story_loss(model, make_seq(), [2, 3], bos_id=BOS, training=True)
+
 
 class TestKVCache:
     @pytest.mark.parametrize("variant", [

@@ -33,9 +33,8 @@ from vwpstory.synth import fixture_dataset, pattern_token_ids, synthetic_grid_co
 from vwpstory.training import (
     TrainConfig,
     fit,
-    held_out_loss,
+    held_out_scores,
     metric_tokens,
-    next_token_accuracy,
     run_grid_comparison,
     select_best,
     train_epoch,
@@ -134,7 +133,8 @@ class TestTrainEpoch:
         vocab = prepared.vocab
         model = build_model(tiny_model_config(len(vocab)))
         records = prepared.splits["train"]
-        want = held_out_loss(model, records, vocab)  # the same weights, eval mode
+        # the same weights, eval mode
+        want, _ = held_out_scores(model, records, vocab, set(range(len(vocab))))
         got = train_epoch(model, records, vocab, tiny_train_config(lr=0.0), seed=2)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -206,10 +206,9 @@ class TestTrainEpoch:
 
         train_epoch(model, records, vocab, tiny_train_config(), seed=0)
         assert sizes == batch_sizes(n_examples, 4)
-        for score in (held_out_loss, next_token_accuracy):
-            sizes.clear()
-            score(model, records, vocab)
-            assert sizes == batch_sizes(n_examples, EVAL_SLICE)
+        sizes.clear()
+        held_out_scores(model, records, vocab, set(range(len(vocab))))
+        assert sizes == batch_sizes(n_examples, EVAL_SLICE)
         sizes.clear()
         generate_batch(model, records, vocab, DecodingConfig(max_new_tokens=2))
         groups = [widths.count(width) for width in dict.fromkeys(widths)]
@@ -470,22 +469,31 @@ class TestEvalHelpers:
     def test_held_out_loss_positive(self):
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
-        assert held_out_loss(model, prepared.splits["val"], prepared.vocab) > 0.0
+        every_id = set(range(len(prepared.vocab)))
+        loss, _ = held_out_scores(model, prepared.splits["val"], prepared.vocab, every_id)
+        assert loss > 0.0
 
     def test_next_token_accuracy_bounds(self):
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
-        acc = next_token_accuracy(model, prepared.splits["val"], prepared.vocab)
+        every_id = set(range(len(prepared.vocab)))
+        _, acc = held_out_scores(model, prepared.splits["val"], prepared.vocab, every_id)
         assert 0.0 <= acc <= 1.0
 
     def test_accuracy_filter(self):
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
         patt = pattern_token_ids(prepared.vocab)
-        acc = next_token_accuracy(model, prepared.splits["val"], prepared.vocab, patt)
+        _, acc = held_out_scores(model, prepared.splits["val"], prepared.vocab, patt)
         assert 0.0 <= acc <= 1.0
         with pytest.raises(DataError):
-            next_token_accuracy(model, prepared.splits["val"], prepared.vocab, {-42})
+            held_out_scores(model, prepared.splits["val"], prepared.vocab, {-42})
+
+    def test_no_examples_is_a_data_error(self):
+        prepared = tiny_prepared()
+        model = build_model(tiny_model_config(len(prepared.vocab)))
+        with pytest.raises(DataError):
+            held_out_scores(model, [], prepared.vocab, set(range(len(prepared.vocab))))
 
 
 @pytest.fixture(scope="module")
@@ -531,20 +539,21 @@ class TestBatchedEvaluation:
         with no_grad():
             losses = [story_loss(model, rec, tokens, vocab.bos_id).item()
                       for rec, tokens in training.training_examples(records, vocab.eos_id)]
-        assert abs(held_out_loss(model, records, vocab) - sum(losses) / len(losses)) < 1e-12
+        loss, _ = held_out_scores(model, records, vocab, set(range(len(vocab))))
+        assert abs(loss - sum(losses) / len(losses)) < 1e-12
 
     def test_next_token_accuracy_matches_per_example(self, mixed_eval_set):
         model, records, vocab = mixed_eval_set
         want = per_example_accuracy(model, records, vocab)
         assert 0.2 < want < 1.0  # trained far enough that a wrong row would show
-        assert next_token_accuracy(model, records, vocab) == want
+        assert held_out_scores(model, records, vocab, set(range(len(vocab))))[1] == want
 
     def test_filtered_accuracy_matches_per_example(self, mixed_eval_set):
         model, records, vocab = mixed_eval_set
         for target_ids in ({vocab.eos_id}, set(range(0, len(vocab), 2)),
                            set(range(1, len(vocab), 3))):
             want = per_example_accuracy(model, records, vocab, target_ids)
-            assert next_token_accuracy(model, records, vocab, target_ids) == want
+            assert held_out_scores(model, records, vocab, target_ids)[1] == want
 
 
 class TestTrainConfigValidation:
@@ -569,13 +578,13 @@ class TestTrainConfigValidation:
 class TestGridComparisonSmoke:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_grid_comparison(n_sequences=40, val_count=8, seeds=(0,),
-                                   epochs=2, d_model=16, n_heads=2)
+        return run_grid_comparison(n_sequences=40, val_count=8, seeds=(0,), epochs=2)
 
     def test_small_scale_run_shapes(self, result):
         assert len(result.per_seed) == 1
         row = result.per_seed[0]
-        assert set(row) == {"seed", "grid_loss", "baseline_loss", "grid_accuracy"}
+        assert set(row) == {"seed", "grid_loss", "baseline_loss", "grid_accuracy",
+                            "baseline_accuracy"}
         assert 0 <= result.min_grid_accuracy <= 1
         assert result.grid_wins in (0, 1)
 
@@ -592,18 +601,36 @@ class TestGridComparisonSmoke:
         models = {}
         for grid_mode in ("char", "none"):
             models[grid_mode] = build_model(ModelConfig(
-                vocab_size=len(vocab), feat_dim=8, d_model=16, n_layers=1, n_heads=2,
-                d_ff=32, t_max=24, n_max=5, m_max=5, o_max=2, dropout=0.0,
+                vocab_size=len(vocab), feat_dim=8, d_model=64, n_layers=1, n_heads=4,
+                d_ff=128, t_max=24, n_max=5, m_max=5, o_max=2, dropout=0.0,
                 feature_set=("global", "char"), grid_mode=grid_mode, seed=seed))
             for epoch in range(1, epochs + 1):
                 train_epoch(models[grid_mode], prepared.splits["train"], vocab, config,
                             seed=training._epoch_seed(seed, epoch), epoch=epoch)
-        want = (held_out_loss(models["char"], val, vocab),
-                held_out_loss(models["none"], val, vocab),
-                next_token_accuracy(models["char"], val, vocab, pattern_token_ids(vocab)))
+        pattern_ids = pattern_token_ids(vocab)
+        grid_loss, grid_accuracy = held_out_scores(models["char"], val, vocab, pattern_ids)
+        baseline_loss, baseline_accuracy = held_out_scores(models["none"], val, vocab,
+                                                           pattern_ids)
+        want = (grid_loss, baseline_loss, grid_accuracy, baseline_accuracy)
         row = result.per_seed[0]
-        got = (row["grid_loss"], row["baseline_loss"], row["grid_accuracy"])
+        got = (row["grid_loss"], row["baseline_loss"], row["grid_accuracy"],
+               row["baseline_accuracy"])
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_one_forward_per_validation_slice_per_variant(self, monkeypatch):
+        from vwpstory import decoding, model as model_mod
+        real, slices = model_mod.forward_logits, []
+
+        def spy(model, batch, *args, training=False, **kwargs):
+            if not training:
+                slices.append(batch.lengths.size)
+            return real(model, batch, *args, training=training, **kwargs)
+
+        for module in (model_mod, training, decoding):
+            monkeypatch.setattr(module, "forward_logits", spy)
+        run_grid_comparison(n_sequences=60, val_count=20, seeds=(0,), epochs=1)
+        # 20 planted records of one story each: two slices per variant
+        assert slices == [EVAL_SLICE, 20 - EVAL_SLICE] * len(training.GRID_VARIANTS)
 
 
 class TestGridExperimentScript:
@@ -619,25 +646,35 @@ class TestGridExperimentScript:
                              [(3, 0.85, 1), (3, 0.90, 0), (3, 0.95, 0), (2, 0.95, 1)])
     def test_exit_code_is_the_acceptance_gate(self, script, monkeypatch, capsys, wins, accuracy,
                                              code):
-        rows = [{"seed": seed, "grid_loss": 1.0, "baseline_loss": 2.0, "grid_accuracy": accuracy}
-                for seed in (0, 1, 2)]
+        rows = [{"seed": seed, "grid_loss": 1.0, "baseline_loss": 2.0, "grid_accuracy": accuracy,
+                 "baseline_accuracy": 0.5} for seed in (0, 1, 2)]
         result = training.GridComparisonResult(per_seed=rows, grid_wins=wins,
                                                min_grid_accuracy=accuracy)
         monkeypatch.setattr(script, "run_grid_comparison", lambda **kwargs: result)
         monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py"])
         assert script.main() == code
-        assert f"grid wins {wins}/3 seeds" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"grid wins {wins}/3 seeds" in out
+        assert out.splitlines()[0].endswith("baseline accuracy")
+        assert all(line.endswith(" 0.500") for line in out.splitlines()[1:4])
 
     def test_only_the_flags_given_are_passed_on(self, script, monkeypatch, capsys):
         calls = []
         result = training.GridComparisonResult(per_seed=[], grid_wins=0, min_grid_accuracy=0.0)
         monkeypatch.setattr(script, "run_grid_comparison",
                             lambda **kwargs: calls.append(kwargs) or result)
-        for argv, want in [([], {}), (["--sequences", "40", "--seeds", "0,2", "--lr", "0.5"],
-                                      {"n_sequences": 40, "seeds": (0, 2), "lr": 0.5})]:
+        for argv, want in [([], {}), (["--sequences", "40", "--seeds", "0,2", "--epochs", "3"],
+                                      {"n_sequences": 40, "seeds": (0, 2), "epochs": 3})]:
             monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py", *argv])
             script.main()
             assert calls.pop() == want
+
+    @pytest.mark.parametrize("flag", ["--lr", "--d-model", "--n-layers", "--n-heads"])
+    def test_the_model_shape_is_fixed(self, script, monkeypatch, capsys, flag):
+        monkeypatch.setattr(script, "run_grid_comparison", lambda **kwargs: pytest.fail())
+        monkeypatch.setattr(sys, "argv", ["run_grid_experiment.py", flag, "2"])
+        assert script.main() == 1
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     @staticmethod
     def run_script(*args):
