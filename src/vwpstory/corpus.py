@@ -243,7 +243,7 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Vocabulary":
-        return cls(payload["tokens"], payload.get("min_freq", 1))
+        return cls(string_list(payload["tokens"], "vocabulary tokens"), payload.get("min_freq", 1))
 
 
 def build_vocab(corpus: list[list[str]], min_freq: int = 1) -> Vocabulary:

@@ -379,29 +379,27 @@ def _causal_mask(length: int, past: int) -> np.ndarray:
 
 
 def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
-                   training: bool = False,
                    rng: np.random.Generator | None = None,
                    cache: KVCache | None = None) -> Tensor:
-    """Logits (B * width x vocab) under causal self-attention.
+    """Logits (B * width x vocab) under causal self-attention. The forward
+    trains exactly when it is handed ``rng``: embedding, residual and
+    attention dropout draw their masks from it at ``cfg.dropout``.
 
     Without a cache ``batch`` holds whole sequences (from ``assemble_input``);
-    training, losses and teacher-forced evaluation all take this path, and
-    training draws its dropout masks from ``rng``, which it requires. With
+    training, losses and teacher-forced evaluation all take this path. With
     a ``KVCache`` the batch holds one unpadded sequence per cached one, each
     holding only the positions that follow those already cached (the
     conditioning prefixes first, then one ``text_step`` per token): each
     layer's new queries attend over their sequence's cached keys/values plus
     the new ones under a (new, past + new) causal mask, the new keys/values
     are stored, and every cached sequence grows by ``batch.width``. A cache
-    is for inference only.
+    is for inference only, so it is refused together with ``rng``.
     """
     cfg = model.config
     p = model.param
-    if training and rng is None:
-        raise StateError("forward_logits: training needs an rng for its dropout masks")
     past = 0
     if cache is not None:
-        if training:
+        if rng is not None:
             raise StateError("forward_logits: a KV cache is for inference only")
         past, rows, width = cache.length, cache.batch, batch.width
         # one unpadded sequence per cached one, each continuing at ``past``
@@ -425,10 +423,9 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
         x = nm.embedding(x, batch.rows)  # a row gather into padded order
     x = nm.add(x, nm.embedding(p("pos_emb"), batch.positions))
     x = nm.add(x, nm.embedding(p("seg_emb"), batch.segments))
-    x = nm.dropout(x, cfg.dropout, rng, training)
+    x = nm.dropout(x, cfg.dropout, rng)
 
     mask = _causal_mask(batch.width, past)
-    attn_dropout = cfg.dropout if training else 0.0
     for i in range(cfg.n_layers):
         b = f"block{i}."
         h = nm.layer_norm(x, p(b + "ln1.g"), p(b + "ln1.b"))
@@ -437,15 +434,15 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
         v = nm.matmul(h, p(b + "attn.wv"), p(b + "attn.bv"))
         if cache is not None:
             k, v = cache.extend(i, k, v)
-        heads = nm.attention(q, k, v, mask, cfg.n_heads, dropout=attn_dropout, rng=rng)
+        heads = nm.attention(q, k, v, mask, cfg.n_heads, dropout=cfg.dropout, rng=rng)
         # branch outputs stay unnamed, so each is freed once added in
         x = nm.add(x, nm.dropout(nm.matmul(heads, p(b + "attn.wo"), p(b + "attn.bo")),
-                                 cfg.dropout, rng, training))
+                                 cfg.dropout, rng))
 
         h = nm.layer_norm(x, p(b + "ln2.g"), p(b + "ln2.b"))
         inner = nm.gelu(nm.matmul(h, p(b + "mlp.w1"), p(b + "mlp.b1")))
         x = nm.add(x, nm.dropout(nm.matmul(inner, p(b + "mlp.w2"), p(b + "mlp.b2")),
-                                 cfg.dropout, rng, training))
+                                 cfg.dropout, rng))
 
     x = nm.layer_norm(x, p("ln_f.g"), p("ln_f.b"))
     logits = nm.matmul(x, p("out.w"), p("out.b"))
@@ -457,20 +454,19 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
 
 
 def story_loss(model: StoryGenModel, seq: ImageSequenceRecord, story_tokens: list[int],
-               bos_id: int, *, training: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
+               bos_id: int, *, rng: np.random.Generator | None = None) -> Tensor:
     """Masked cross-entropy over story positions (targets shifted by one):
     the one-example case of ``story_losses``."""
     if not story_tokens:
         raise DataError(f"sequence {seq.id}: empty story has no loss positions")
     layout = assemble_input([(seq, story_tokens)], model.config, bos_id)
-    logits = forward_logits(model, layout, training=training, rng=rng)
+    logits = forward_logits(model, layout, rng=rng)
     return nm.cross_entropy_masked(logits, layout.targets)
 
 
 def story_losses(model: StoryGenModel,
                  examples: list[tuple[ImageSequenceRecord, list[int]]], bos_id: int, *,
-                 training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
     """Each example's ``story_loss`` from one forward pass over the padded
     batch of ``assemble_input``: a vector with one mean masked cross-entropy
     per example."""
@@ -478,7 +474,7 @@ def story_losses(model: StoryGenModel,
         if not story:
             raise DataError(f"sequence {seq.id}: empty story has no loss positions")
     batch = assemble_input(examples, model.config, bos_id)
-    logits = forward_logits(model, batch, training=training, rng=rng)
+    logits = forward_logits(model, batch, rng=rng)
     return nm.cross_entropy_masked(logits, batch.targets, batch.loss_weights)
 
 

@@ -367,21 +367,20 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor(out, parents=(table,), grad_fn=grad_fn)
 
 
-def _keep_mask(shape, rate: float, rng: np.random.Generator | None,
-               draw: bool = True) -> Array | None:
+def _keep_mask(shape, rate: float, rng: np.random.Generator | None) -> Array | None:
     """Inverted dropout's factor per element: ``1 / (1 - rate)`` where the
     element is kept, 0 where it is dropped. None, with nothing drawn, when
-    ``draw`` is false or the rate is 0."""
+    there is no ``rng`` or the rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise NumericError(f"dropout rate must be in [0, 1), got {rate}")
-    if not draw or rate == 0.0:
+    if rng is None or rate == 0.0:
         return None
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is 0."""
-    keep = _keep_mask(x.data.shape, rate, rng, draw=training)
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity without an ``rng`` or at rate 0."""
+    keep = _keep_mask(x.data.shape, rate, rng)
     return x if keep is None else mul(x, Tensor(keep))
 
 
@@ -441,8 +440,9 @@ def attention(q: Tensor, k: Tensor | Array, v: Tensor | Array, mask, n_heads: in
     such as a KV cache's strided views, whose heads are split without a copy;
     they get no gradient. ``mask`` is an additive (Tq, Tk) array shared by
     every sequence and head (-1e30 hides a key). Each of the ``n_heads`` heads
-    attends over its own d / n_heads columns; with ``dropout`` > 0 the
-    attention weights are dropped (inverted) with masks drawn from ``rng``.
+    attends over its own d / n_heads columns; given an ``rng`` and
+    ``dropout`` > 0 the attention weights are dropped (inverted) with masks
+    drawn from it.
     Backward needs only the saved attention weights.
     """
     mask = np.asarray(mask, dtype=np.float64)

@@ -147,7 +147,7 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
     for start in range(0, len(order), config.batch_size):
         batch = [examples[idx] for idx in order[start:start + config.batch_size]]
         store.zero_grad()
-        losses = story_losses(model, batch, bos_id=vocab.bos_id, training=True, rng=rng)
+        losses = story_losses(model, batch, bos_id=vocab.bos_id, rng=rng)
         for (rec, _), value in zip(batch, losses.data.tolist()):
             if not math.isfinite(value):
                 raise TrainingError(
@@ -177,12 +177,20 @@ def references(rec: ImageSequenceRecord) -> list[list[str]]:
     return [ref for ref in refs if ref]
 
 
-def eval_pairs(model: StoryGenModel, records: list[ImageSequenceRecord],
-               vocab: Vocabulary, decoding: DecodingConfig) -> list[EvalPair]:
-    """A decoded story and its references for every record with references."""
+def scored_records(records: list[ImageSequenceRecord]
+                   ) -> list[tuple[ImageSequenceRecord, list[list[str]]]]:
+    """Every record with references, with its references: what
+    ``eval_pairs`` scores. Records with none at all are a DataError."""
     scored = [(rec, refs) for rec in records if (refs := references(rec))]
     if not scored:
         raise DataError("no evaluable sequences (no reference stories)")
+    return scored
+
+
+def eval_pairs(model: StoryGenModel, records: list[ImageSequenceRecord],
+               vocab: Vocabulary, decoding: DecodingConfig) -> list[EvalPair]:
+    """A decoded story and its references for every record with references."""
+    scored = scored_records(records)
     stories = generate_batch(model, [rec for rec, _ in scored], vocab, decoding)
     return [EvalPair(hypothesis=metric_tokens(hyp.tokens), references=refs)
             for hyp, (_, refs) in zip(stories, scored)]
@@ -257,7 +265,12 @@ def train_run(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
 def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
         model_config: ModelConfig, vocab: Vocabulary) -> FitResult:
     """One ``train_run`` per seed, then the kept weights scored on the test
-    split with greedy decoding. Per-metric mean/std aggregates the seeds."""
+    split with greedy decoding. Per-metric mean/std aggregates the seeds.
+    A validation or test split that cannot be scored is refused before any
+    seed trains."""
+    for split in ("val", "test"):
+        if splits.get(split):
+            scored_records(splits[split])
     runlogs: list[RunLog] = []
     test_scores: dict[str, list[float]] = {}
     for seed in config.seeds:
@@ -271,15 +284,23 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
     return FitResult(runlogs=runlogs, test_scores=test_scores, aggregate=aggregate)
 
 
+def held_out_examples(records: list[ImageSequenceRecord],
+                      eos_id: int) -> list[tuple[ImageSequenceRecord, list[int]]]:
+    """The ``training_examples`` that ``held_out_scores`` scores; records
+    with none are a DataError."""
+    examples = training_examples(records, eos_id)
+    if not examples:
+        raise DataError("held_out_scores: no examples")
+    return examples
+
+
 def held_out_scores(model: StoryGenModel, records: list[ImageSequenceRecord],
                     vocab: Vocabulary, target_ids: set[int]) -> tuple[float, float]:
     """Mean eval-mode story loss over every story in the records, and the
     teacher-forced argmax accuracy on the loss rows whose target id is in
     ``target_ids``: both read from one forward pass per slice of
     ``EVAL_SLICE`` stories, each with [EOS] appended."""
-    examples = training_examples(records, vocab.eos_id)
-    if not examples:
-        raise DataError("held_out_scores: no examples")
+    examples = held_out_examples(records, vocab.eos_id)
     total = 0.0
     hits = count = 0
     for start in range(0, len(examples), EVAL_SLICE):
@@ -331,6 +352,7 @@ def run_grid_comparison(*, n_sequences: int = 560, val_count: int = 60,
     prepared = prepare_records(records, seed=GRID_CORPUS_SEED, val_count=val_count,
                                test_count=0)
     vocab, val = prepared.vocab, prepared.splits["val"]
+    held_out_examples(val, vocab.eos_id)  # refused before any variant trains
     pattern_ids = pattern_token_ids(vocab)
     base = dict(vocab_size=len(vocab), feat_dim=8, d_model=64, n_layers=1, n_heads=4,
                 d_ff=128, t_max=24, n_max=5, m_max=5, o_max=2, dropout=0.0,

@@ -454,6 +454,58 @@ class TestAnalyze:
         assert "smoothing alpha must be finite and positive" in captured.err
         assert captured.out == ""
 
+    @staticmethod
+    def _report(fixture_dir, capsys, what: str, fmt: str):
+        assert main(["analyze", what, "--annotations", str(fixture_dir / "annotations.jsonl"),
+                     "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_groundedness_text_nests_each_table_under_its_kind(self, fixture_dir, capsys):
+        payload = json.loads(self._report(fixture_dir, capsys, "groundedness", "json"))
+        want = []
+        for kind in sorted(payload):
+            table = payload[kind]
+            want += [f"{kind}:", "  counts:"]
+            want += [f"    {label}: {n}" for label, n in sorted(table["counts"].items())]
+            want.append("  percentages:")
+            want += [f"    {label}: {pct:.6g}"
+                     for label, pct in sorted(table["percentages"].items())]
+            want.append(f"  total: {table['total']}")
+        assert self._report(fixture_dir, capsys, "groundedness", "text").splitlines() == want
+
+    def test_diversity_text_prints_floats_to_six_figures(self, fixture_dir, capsys):
+        payload = json.loads(self._report(fixture_dir, capsys, "diversity", "json"))
+        ngrams = payload["predicate_ngram_unique_total"]
+        want = [f"diverse_verb_pct: {payload['diverse_verb_pct']:.6g}",
+                "predicate_ngram_unique_total:",
+                *[f"  {n}: {ngrams[n]:.6g}" for n in sorted(ngrams)],
+                f"unique_verbs: {payload['unique_verbs']}",
+                f"verb_token_pct: {payload['verb_token_pct']:.6g}",
+                f"verb_vocab_pct: {payload['verb_vocab_pct']:.6g}",
+                f"vocab_size: {payload['vocab_size']}"]
+        assert self._report(fixture_dir, capsys, "diversity", "text").splitlines() == want
+
+
+class TestReportOut:
+    @pytest.mark.parametrize("command", ["grid", "evaluate", "analyze", "plan"])
+    def test_out_file_gets_what_stdout_would(self, fixture_dir, tmp_path, capsys, command):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(json.dumps({"id": f"s{i}", "hypothesis": f"a cat {i}",
+                                             "references": [f"the cat {i}"]}) + "\n"
+                                 for i in range(3)))
+        argv = {"grid": ["grid", "--dataset", str(fixture_dir / "dataset.jsonl"),
+                         "--sequence", "fix1"],
+                "evaluate": ["evaluate", "--pairs", str(pairs)],
+                "analyze": ["analyze", "stats", "--annotations",
+                            str(fixture_dir / "annotations.jsonl")],
+                "plan": ["plan", "--workers", str(fixture_dir / "workers.csv")]}[command]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "report.txt"
+        assert main(argv + ["--out", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed and report.read_text(encoding="utf-8") == printed
+
 
 class TestPlan:
     def test_table(self, fixture_dir, capsys):
@@ -677,6 +729,24 @@ class TestBadInputProbes:
                            *[part for item in files.items() for part in item])
         self._assert_reported(proc, 2, f"{bad}: bad ")
         assert not (tmp_path / "gen.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_a_vocabulary_token_that_is_not_a_string_fails(self, prepared_dir, trained_dir,
+                                                            tmp_path, command):
+        bad = tmp_path / "prepared"
+        shutil.copytree(prepared_dir, bad)
+        vocab = json.loads((prepared_dir / "vocab.json").read_text())
+        vocab["tokens"][-1] = 5
+        (bad / "vocab.json").write_text(json.dumps(vocab))
+        argv = {"generate": ["--checkpoint", str(trained_dir / "checkpoints" / "seed0-best.ckpt"),
+                             "--dataset", str(bad / "test.jsonl"),
+                             "--vocab", str(bad / "vocab.json"),
+                             "--decoding", "nucleus", "--p", "1.0", "--max-new", "50"],
+                "train": ["--dataset", str(bad), "--epochs", "1", "--seeds", "0"]}[command]
+        proc = run_console(command, *argv, "--out", str(tmp_path / "out"))
+        self._assert_reported(proc, 2, f"{bad / 'vocab.json'}: bad vocabulary")
+        assert "vocabulary tokens holds int" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scores", [
         {"a": {"B-1": 5}}, {"a": {"B-1": [0.1, "x"]}},

@@ -163,6 +163,20 @@ class TestVocabulary:
         again = Vocabulary.from_dict(json.loads(json.dumps(vocab.to_dict())))
         assert again.id_to_token == vocab.id_to_token
 
+    @pytest.mark.parametrize("tokens, message", [
+        (SPECIAL_TOKENS[:2], r"special token \[EOS\] missing from slot 2"),
+        (SPECIAL_TOKENS[1:] + ["cat"], r"special token \[PAD\] missing from slot 0"),
+        (SPECIAL_TOKENS + ["cat", "cat"], "vocabulary tokens must be unique"),
+    ])
+    def test_refuses_misplaced_specials_and_duplicates(self, tokens, message):
+        with pytest.raises(DataError, match=message):
+            Vocabulary(tokens)
+
+    def test_from_dict_refuses_a_token_that_is_not_a_string(self):
+        tokens = SPECIAL_TOKENS + ["cat", 5]
+        with pytest.raises(DataError, match="vocabulary tokens holds int"):
+            Vocabulary.from_dict({"tokens": tokens})
+
 
 def _records(n, dim=3):
     recs = []

@@ -628,25 +628,26 @@ class TestBatchedDecoding:
         same = [(records[i], []) for i in (0, 1)]
         padded = assemble_input([same[0], (records[2], [])], model.config, vocab.bos_id)
         assert padded.lengths[1] < padded.width
-        with pytest.raises(StateError):  # padded: the prefixes differ in width
+        misplaced = "do not all follow the"
+        with pytest.raises(StateError, match=misplaced):  # padded: the prefixes differ in width
             forward_logits(model, padded, cache=KVCache(model.config, batch=2))
         cache = KVCache(model.config, batch=2)
-        with pytest.raises(StateError):  # one sequence for a cache of two
+        with pytest.raises(StateError, match=misplaced):  # one sequence for a cache of two
             forward_logits(model, assemble_input(same[:1], model.config, vocab.bos_id),
                            cache=cache)
         forward_logits(model, assemble_input(same, model.config, vocab.bos_id), cache=cache)
         length = cache.length
-        with pytest.raises(StateError):  # both rows one position ahead
+        with pytest.raises(StateError, match=misplaced):  # both rows one position ahead
             forward_logits(model, text_step([3, 4], length + 1), cache=cache)
         step = text_step([3, 4], length)
         step.positions[1] += 1
-        with pytest.raises(StateError):  # the second row misaligned
+        with pytest.raises(StateError, match=misplaced):  # the second row misaligned
             forward_logits(model, step, cache=cache)
         step = text_step([3, 4], length)
         step.lengths[1] = 0
-        with pytest.raises(StateError):  # the second row is padding
+        with pytest.raises(StateError, match=misplaced):  # the second row is padding
             forward_logits(model, step, cache=cache)
-        with pytest.raises(StateError):  # three rows for a cache of two
+        with pytest.raises(StateError, match=misplaced):  # three rows for a cache of two
             forward_logits(model, text_step([3, 4, 5], length), cache=cache)
         assert cache.length == length
         forward_logits(model, text_step([3, 4], length), cache=cache)

@@ -306,17 +306,9 @@ class TestForward:
         cfg = tiny_config(dropout=0.2)
         model = build_model(cfg)
         seq = make_seq()
-        a = story_loss(model, seq, [2, 3], bos_id=BOS, training=True,
-                       rng=np.random.default_rng(11)).item()
-        b = story_loss(model, seq, [2, 3], bos_id=BOS, training=True,
-                       rng=np.random.default_rng(11)).item()
+        a = story_loss(model, seq, [2, 3], bos_id=BOS, rng=np.random.default_rng(11)).item()
+        b = story_loss(model, seq, [2, 3], bos_id=BOS, rng=np.random.default_rng(11)).item()
         assert a == b
-
-    def test_training_without_a_generator_is_refused(self):
-        # a fixed fallback generator would give every such call the same masks
-        model = build_model(tiny_config(dropout=0.3))
-        with pytest.raises(StateError, match="rng"):
-            story_loss(model, make_seq(), [2, 3], bos_id=BOS, training=True)
 
 
 class TestKVCache:
@@ -369,10 +361,11 @@ class TestKVCache:
         seq = make_seq()
         cache = KVCache(model.config)
         prefix = assemble_input([(seq, [])], model.config, BOS)
-        with pytest.raises(StateError):
-            forward_logits(model, prefix, training=True, cache=cache)
+        with pytest.raises(StateError, match="inference only"):
+            forward_logits(model, prefix, rng=np.random.default_rng(0), cache=cache)
+        assert cache.length == 0
         forward_logits(model, prefix, cache=cache)
-        with pytest.raises(StateError):
+        with pytest.raises(StateError, match="do not all follow"):
             forward_logits(model, text_step(3, cache.length + 1), cache=cache)
         assert cache.length == prefix.length
 
@@ -556,7 +549,7 @@ class TestBatch:
         examples = mixed_batch()[:3]
 
         def run():
-            return story_losses(model, examples, BOS, training=True,
+            return story_losses(model, examples, BOS,
                                 rng=np.random.default_rng(5)).data.tobytes()
 
         assert run() == run()

@@ -164,7 +164,7 @@ class TestGradCheck:
             elif kernel == "embedding":
                 z = nm.embedding(s["a"], ids)
             elif kernel == "dropout":
-                z = nm.dropout(s["a"], 0.4, np.random.default_rng(0), training=True)
+                z = nm.dropout(s["a"], 0.4, np.random.default_rng(0))
             elif kernel == "xent":
                 return nm.cross_entropy_masked(nm.matmul(s["a"], s["b"]), targets)
             elif kernel == "concat":
@@ -248,13 +248,12 @@ class TestAdam:
 class TestDropout:
     def test_eval_is_identity(self):
         x = nm.Tensor(np.ones((3, 3)))
-        out = nm.dropout(x, 0.5, np.random.default_rng(0), training=False)
-        assert out is x
+        assert nm.dropout(x, 0.5, None) is x
 
     def test_seeded_mask_reproducible(self):
         x = nm.Tensor(np.ones((8, 8)))
-        a = nm.dropout(x, 0.3, np.random.default_rng(9), training=True).data
-        b = nm.dropout(x, 0.3, np.random.default_rng(9), training=True).data
+        a = nm.dropout(x, 0.3, np.random.default_rng(9)).data
+        b = nm.dropout(x, 0.3, np.random.default_rng(9)).data
         np.testing.assert_array_equal(a, b)
         kept = a[a != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7)
@@ -342,6 +341,13 @@ class TestAttention:
             return nm.cross_entropy_masked(out, targets)
 
         assert nm.grad_check(f, store, epsilon=1e-5) < 1e-4
+
+    def test_no_weights_dropped_without_a_generator(self):
+        rng = np.random.default_rng(5)
+        q, k, v = (nm.Tensor(x) for x in rng.normal(size=(3, 2 * 4, 4)))
+        mask = causal(4, 4)
+        got = nm.attention(q, k, v, mask, 2, dropout=0.3, rng=None).data
+        assert got.tobytes() == nm.attention(q, k, v, mask, 2).data.tobytes()
 
     def test_array_keys_are_the_same_op(self):
         # (B, Tk, d) key and value arrays, here strided views into a wider

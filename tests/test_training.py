@@ -55,6 +55,18 @@ def tiny_model_config(vocab_size, **kwargs):
     return ModelConfig(**base)
 
 
+def count_train_epochs(monkeypatch) -> list:
+    """Patch ``training.train_epoch`` to log each call; returns the log."""
+    calls, real = [], training.train_epoch
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("epoch"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_epoch", counting)
+    return calls
+
+
 def tiny_train_config(**kwargs):
     base = dict(epochs=2, batch_size=4, lr=5e-3, seeds=(0,),
                 val_decoding=DecodingConfig(mode="nucleus", p=0.9,
@@ -450,6 +462,15 @@ class TestFit:
             blobs.append((tmp_path / sub / "seed0-best.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_a_split_without_references_is_refused_before_training(self, monkeypatch, split):
+        prepared = tiny_prepared()
+        epochs = count_train_epochs(monkeypatch)
+        unscorable = [replace(rec, stories=[]) for rec in prepared.splits[split]]
+        with pytest.raises(DataError, match=r"no evaluable sequences \(no reference stories\)"):
+            fit(tiny_train_config(epochs=3), {**prepared.splits, split: unscorable},
+                tiny_model_config(len(prepared.vocab)), prepared.vocab)
+        assert epochs == []
 
     def test_pinned_training_bits(self, tmp_path):
         # recorded from a seeded run: any change to a training kernel's
@@ -492,7 +513,7 @@ class TestEvalHelpers:
     def test_no_examples_is_a_data_error(self):
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="held_out_scores: no examples"):
             held_out_scores(model, [], prepared.vocab, set(range(len(prepared.vocab))))
 
 
@@ -617,14 +638,20 @@ class TestGridComparisonSmoke:
                row["baseline_accuracy"])
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
+    def test_an_empty_validation_split_is_refused_before_training(self, monkeypatch):
+        epochs = count_train_epochs(monkeypatch)
+        with pytest.raises(DataError, match="held_out_scores: no examples"):
+            run_grid_comparison(n_sequences=40, val_count=0, seeds=(0,), epochs=2)
+        assert epochs == []
+
     def test_one_forward_per_validation_slice_per_variant(self, monkeypatch):
         from vwpstory import decoding, model as model_mod
         real, slices = model_mod.forward_logits, []
 
-        def spy(model, batch, *args, training=False, **kwargs):
-            if not training:
+        def spy(model, batch, *args, rng=None, **kwargs):
+            if rng is None:
                 slices.append(batch.lengths.size)
-            return real(model, batch, *args, training=training, **kwargs)
+            return real(model, batch, *args, rng=rng, **kwargs)
 
         for module in (model_mod, training, decoding):
             monkeypatch.setattr(module, "forward_logits", spy)
