@@ -11,6 +11,7 @@ reproducible bit for bit. ``grid_for_mode`` builds one record's grid, and
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 
@@ -110,11 +111,13 @@ def shade_buckets(grid: CharacterGrid) -> np.ndarray:
 
 def grid_csv(grid: CharacterGrid) -> str:
     """Deterministic CSV, images as rows; floats via repr so they re-parse
-    to the exact same values."""
+    to the exact same values, and an id that holds a comma, a quote or a
+    line break quoted so it re-parses as itself."""
     out = io.StringIO()
-    out.write("image_id," + ",".join(grid.column_ids) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["image_id", *grid.column_ids])
     for image_id, row in zip(grid.image_ids, grid.values):
-        out.write(image_id + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        writer.writerow([image_id, *(repr(float(v)) for v in row)])
     return out.getvalue()
 
 

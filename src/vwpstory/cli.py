@@ -31,7 +31,7 @@ from .corpus import (
     text_field,
     token_list,
 )
-from .decoding import DecodingConfig, NamePools, generate_batch, realize, save_generated
+from .decoding import DecodingConfig, generate_batch, name_pools, realize, save_generated
 from .errors import DataError, NumericError, UsageError, VwpError
 from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs
 from .model import GRID_MODES, ModelConfig, load_checkpoint
@@ -258,7 +258,7 @@ def cmd_generate(args) -> int:
                             max_new_tokens=args.max_new, seed=args.seed)
     pools = None
     if args.names:
-        pools = read_json(args.names, NamePools.from_dict, "name pools")
+        pools = read_json(args.names, name_pools, "name pools")
     stories = generate_batch(model, records, vocab, config)
     if pools:
         realize_rng = np.random.default_rng(args.seed)

@@ -29,7 +29,7 @@ names, consistently within a story, and re-attaches punctuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,24 +221,19 @@ def detokenize(tokens: list[str]) -> str:
     return "".join(out)
 
 
-@dataclass
-class NamePools:
-    male: list[str] = field(default_factory=list)
-    female: list[str] = field(default_factory=list)
-    location: list[str] = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NamePools":
-        return cls(male=string_list(payload.get("male", []), "male names"),
-                   female=string_list(payload.get("female", []), "female names"),
-                   location=string_list(payload.get("location", []), "location names"))
+def name_pools(payload: dict) -> dict[str, list[str]]:
+    """The male, female and location name lists of a names file, as
+    ``vwp prepare`` writes them: each must hold strings only, and a missing
+    list is empty."""
+    return {kind: string_list(payload.get(kind, []), f"{kind} names")
+            for kind in ("male", "female", "location")}
 
 
-def realize(tokens: list[str], names: NamePools, rng: np.random.Generator) -> str:
-    """Swap placeholders for sampled names (consistent per placeholder,
-    without replacement per pool) and detokenize for display."""
-    pools = {"male": list(names.male), "female": list(names.female),
-             "location": list(names.location)}
+def realize(tokens: list[str], names: dict[str, list[str]], rng: np.random.Generator) -> str:
+    """Swap placeholders for sampled names from the ``name_pools`` lists
+    (consistent per placeholder, without replacement per pool) and
+    detokenize for display."""
+    pools = {kind: list(pool) for kind, pool in names.items()}
     assigned: dict[str, str] = {}
     realized: list[str] = []
     for token in tokens:

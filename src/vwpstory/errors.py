@@ -34,7 +34,8 @@ class NumericError(VwpError):
 
 
 class StateError(NumericError):
-    """Optimizer state is inconsistent (e.g. a gradient is missing)."""
+    """A forward pass refuses its KV cache: a dropout generator passed with
+    a cache, or positions that do not continue the cached ones."""
 
 
 class TrainingError(NumericError):

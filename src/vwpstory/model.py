@@ -176,7 +176,7 @@ def build_model(config: ModelConfig) -> StoryGenModel:
     variants with the same seed. Every value is written straight into its
     view of the store's one buffer."""
     spec = _param_spec(config)
-    store = ParamStore.empty({name: shape for name, shape, _ in spec})
+    store = ParamStore({name: shape for name, shape, _ in spec})
     for name, _, kind in spec:
         view = store[name].data
         if kind == "normal":
@@ -550,7 +550,7 @@ def load_checkpoint(path) -> StoryGenModel:
         if size != want:
             raise DataError(f"{path}: {size} bytes, but its config's parameters "
                             f"make a {want}-byte checkpoint")
-        store = ParamStore.empty(shapes)
+        store = ParamStore(shapes)
         for name, header in headers.items():
             offset = fh.tell()
             if read(len(header)) != header:

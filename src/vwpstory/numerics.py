@@ -185,24 +185,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(ad * bd, parents=(a, b), grad_fn=lambda g: (g * bd, g * ad))
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``a @ b`` for 2-D operands, plus ``bias`` on every row when given (one
-    op, so a linear layer keeps no separate pre-bias activation)."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
+    """The linear layer ``a @ b + bias`` for 2-D operands, ``bias`` added to
+    every row (one op, so it keeps no separate pre-bias activation)."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DataError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd
-    if bias is None:
-        def grad_fn(g):
-            return g @ bd.T, ad.T @ g
-
-        return Tensor(out, parents=(a, b), grad_fn=grad_fn)
     out += bias.data
 
-    def grad_fn_bias(g):
+    def grad_fn(g):
         return g @ bd.T, ad.T @ g, g.sum(axis=0)
 
-    return Tensor(out, parents=(a, b, bias), grad_fn=grad_fn_bias)
+    return Tensor(out, parents=(a, b, bias), grad_fn=grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -503,31 +498,17 @@ class ParamStore:
     Each buffer is allocated once, from the parameter shapes, and never
     copied: ``flat`` holds the values in dict order and ``grad`` the
     gradients, laid out alike; each ``Tensor.data`` and ``Tensor.grad`` is a
-    reshaped view into them. ``ParamStore.empty`` leaves ``flat`` for its
-    caller to fill through those views (an initializer's draws, a
-    checkpoint's payloads); ``ParamStore({name: value})`` copies the values
-    in. ``grad`` is zero until a backward pass adds into it, and its pages
+    reshaped view into them. The values are unset until the caller fills
+    every ``Tensor.data`` (an initializer's draws, a checkpoint's payloads).
+    ``grad`` is zero until a backward pass adds into it, and its pages
     take no memory until then (``_untouched_zeros``), so a process that only
     decodes never pays for it. ``m``, ``v`` (Adam's moments) and ``scratch``
     (two rows each ``adam_step`` overwrites) are laid out as ``flat`` too,
     and stay None until the first step.
     """
 
-    def __init__(self, params: dict):
-        values = {name: _as_f64(data) for name, data in params.items()}
-        self._allocate({name: v.shape for name, v in values.items()})
-        for name, v in values.items():
-            self.params[name].data[...] = v
-
-    @classmethod
-    def empty(cls, shapes: dict[str, tuple[int, ...]]) -> "ParamStore":
-        """A store of parameters with these shapes, in dict order, whose
-        values are unset until the caller writes every ``Tensor.data``."""
-        store = cls.__new__(cls)
-        store._allocate(shapes)
-        return store
-
-    def _allocate(self, shapes: dict[str, tuple[int, ...]]) -> None:
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        """Parameters with these shapes, in dict order."""
         sizes = [math.prod(shape) for shape in shapes.values()]
         self.flat = np.empty(sum(sizes))
         self.grad = _untouched_zeros(self.flat.size)
@@ -552,9 +533,10 @@ class ParamStore:
         self.grad.fill(0.0)
 
 
-def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = ADAM_BETA1,
-              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
-    """One bias-corrected Adam update over every parameter in the store.
+def adam_step(store: ParamStore, lr: float) -> None:
+    """One bias-corrected Adam update over every parameter in the store, at
+    the fixed ``beta1 = ADAM_BETA1``, ``beta2 = ADAM_BETA2`` and
+    ``eps = ADAM_EPS``.
 
     The update reads the gradients from ``store.grad`` and runs over the
     whole model at once, in place on the moment buffers and on the store's
@@ -569,18 +551,18 @@ def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = ADAM_BETA1,
         store.m, store.v, store.scratch = np.zeros(n), np.zeros(n), np.empty((2, n))
     m, v, flat, g = store.m, store.v, store.flat, store.grad
     sq, step = store.scratch
-    np.multiply(g, 1.0 - beta1, out=step)
-    m *= beta1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    m *= ADAM_BETA1
     m += step
     np.multiply(g, g, out=sq)
-    sq *= 1.0 - beta2
-    v *= beta2
+    sq *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += sq
-    np.divide(m, 1.0 - beta1 ** t, out=step)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
     step *= lr
-    np.divide(v, 1.0 - beta2 ** t, out=sq)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=sq)
     np.sqrt(sq, out=sq)
-    sq += eps
+    sq += ADAM_EPS
     step /= sq
     flat -= step
     store.step = t

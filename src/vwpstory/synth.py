@@ -31,6 +31,12 @@ FILLER_NAMES = {
 }
 FILLER_VERBS = ["walk", "smile", "run", "hide", "wave", "shout"]
 FILLER_PLACES = ["Paris", "Delhi", "Cairo", "Oslo"]
+# the shape of every planted sequence: images, characters, feature width, and
+# the scale of the normal noise on each image feature
+SYNTH_IMAGES = 5
+SYNTH_CHARS = 2
+FEAT_DIM = 8
+FEAT_NOISE = 0.02
 
 
 def _orthonormal_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -42,25 +48,23 @@ def appearance_code(present: tuple[bool, ...]) -> int:
     return sum(1 << b for b, here in enumerate(present) if here)
 
 
-def synthetic_grid_corpus(n_sequences: int, seed: int = 0, *, n_images: int = 5,
-                          n_chars: int = 2, feat_dim: int = 8,
-                          noise: float = 0.02) -> list[ImageSequenceRecord]:
+def synthetic_grid_corpus(n_sequences: int, seed: int) -> list[ImageSequenceRecord]:
     """Sequences whose story section words encode per-image character presence."""
     rng = np.random.default_rng(seed)
     records = []
     for s in range(n_sequences):
-        sigs = _orthonormal_rows(rng, n_chars, feat_dim)
-        presence = rng.random((n_images, n_chars)) < 0.5
+        sigs = _orthonormal_rows(rng, SYNTH_CHARS, FEAT_DIM)
+        presence = rng.random((SYNTH_IMAGES, SYNTH_CHARS)) < 0.5
         images = []
         sections = []
-        for a in range(n_images):
-            feat = sigs[presence[a]].sum(axis=0) if presence[a].any() else np.zeros(feat_dim)
-            feat = feat + noise * rng.normal(size=feat_dim)
+        for a in range(SYNTH_IMAGES):
+            feat = sigs[presence[a]].sum(axis=0) if presence[a].any() else np.zeros(FEAT_DIM)
+            feat = feat + FEAT_NOISE * rng.normal(size=FEAT_DIM)
             images.append(ImageRecord(image_id=f"syn{s}-im{a}", global_feat=feat))
             sections.append(PATTERN_WORDS[appearance_code(tuple(presence[a]))])
         characters = []
-        for b in range(n_chars):
-            instance_images = [a for a in range(n_images) if presence[a, b]] or [0]
+        for b in range(SYNTH_CHARS):
+            instance_images = [a for a in range(SYNTH_IMAGES) if presence[a, b]] or [0]
             characters.append(CharacterRecord(
                 char_id=f"syn{s}-c{b}",
                 gender="male" if b % 2 == 0 else "female",
@@ -81,13 +85,12 @@ def pattern_token_ids(vocab) -> set[int]:
 
 # --- richer fixture data for the end-to-end pipeline -------------------------
 
-def fixture_dataset(n_sequences: int = 24, seed: int = 7, *, n_images: int = 5,
-                    feat_dim: int = 8) -> list[ImageSequenceRecord]:
+def fixture_dataset(n_sequences: int, seed: int) -> list[ImageSequenceRecord]:
     """Small realistic-shaped dataset: named characters in raw text with
-    entity spans, SRL events, objects, and two stories per sequence."""
+    entity spans, SRL events, objects, and two stories per sequence, on the
+    images and characters of the planted corpus."""
     rng = np.random.default_rng(seed)
-    base = synthetic_grid_corpus(n_sequences, seed, n_images=n_images,
-                                 n_chars=2, feat_dim=feat_dim)
+    base = synthetic_grid_corpus(n_sequences, seed)
     records = []
     for s, rec in enumerate(base):
         male = FILLER_NAMES["male"][s % len(FILLER_NAMES["male"])]
@@ -101,7 +104,7 @@ def fixture_dataset(n_sequences: int = 24, seed: int = 7, *, n_images: int = 5,
                 f"{male} and {female} meet in {place}.",
                 f"{male} {verb}s away.",
                 f"{female} {verb2}s after him.",
-            ][: n_images]
+            ]
             text = "\n".join(sections)
             spans = []
             offset = 0
@@ -121,7 +124,7 @@ def fixture_dataset(n_sequences: int = 24, seed: int = 7, *, n_images: int = 5,
             stories.append(StoryRecord(raw_text=text,
                                        entity_spans=sorted(spans, key=lambda sp: sp.start),
                                        srl=srl))
-        objects = [ObjectRecord(object_id=f"fix{s}-o{k}", feat=rng.normal(size=feat_dim))
+        objects = [ObjectRecord(object_id=f"fix{s}-o{k}", feat=rng.normal(size=FEAT_DIM))
                    for k in range(2)]
         records.append(ImageSequenceRecord(id=f"fix{s}", images=rec.images,
                                            characters=rec.characters, objects=objects,

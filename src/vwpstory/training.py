@@ -55,7 +55,7 @@ log = logging.getLogger("vwpstory.training")
 
 CONTROL_TOKENS = {PAD, BOS, EOS, SENT}
 
-# the optimizer's fixed settings; Adam's betas and eps are adam_step's defaults
+# the optimizer's fixed settings; Adam's betas and eps are numerics constants
 CLIP_NORM = 1.0
 
 # glibc malloc gives freed memory back to the kernel once the free top of the
@@ -126,9 +126,13 @@ def metric_tokens(surface_tokens: list[str]) -> list[str]:
 
 def training_examples(records: list[ImageSequenceRecord],
                       eos_id: int) -> list[tuple[ImageSequenceRecord, list[int]]]:
-    """Every story with tokens, as (record, its tokens then [EOS])."""
-    return [(rec, story.tokens + [eos_id])
-            for rec in records for story in rec.stories if story.tokens]
+    """Every story with tokens, as (record, its tokens then [EOS]). Records
+    with none are a DataError: there is nothing to train on or score."""
+    examples = [(rec, story.tokens + [eos_id])
+                for rec in records for story in rec.stories if story.tokens]
+    if not examples:
+        raise DataError("training_examples: no story has tokens")
+    return examples
 
 
 def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
@@ -138,8 +142,6 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
     mean story loss over all examples."""
     keep_freed_memory()
     examples = training_examples(records, vocab.eos_id)
-    if not examples:
-        raise DataError("train_epoch: no training examples with tokens")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(len(examples))
     store = model.store
@@ -284,23 +286,13 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
     return FitResult(runlogs=runlogs, test_scores=test_scores, aggregate=aggregate)
 
 
-def held_out_examples(records: list[ImageSequenceRecord],
-                      eos_id: int) -> list[tuple[ImageSequenceRecord, list[int]]]:
-    """The ``training_examples`` that ``held_out_scores`` scores; records
-    with none are a DataError."""
-    examples = training_examples(records, eos_id)
-    if not examples:
-        raise DataError("held_out_scores: no examples")
-    return examples
-
-
 def held_out_scores(model: StoryGenModel, records: list[ImageSequenceRecord],
                     vocab: Vocabulary, target_ids: set[int]) -> tuple[float, float]:
     """Mean eval-mode story loss over every story in the records, and the
     teacher-forced argmax accuracy on the loss rows whose target id is in
     ``target_ids``: both read from one forward pass per slice of
     ``EVAL_SLICE`` stories, each with [EOS] appended."""
-    examples = held_out_examples(records, vocab.eos_id)
+    examples = training_examples(records, vocab.eos_id)
     total = 0.0
     hits = count = 0
     for start in range(0, len(examples), EVAL_SLICE):
@@ -345,16 +337,16 @@ def run_grid_comparison(*, n_sequences: int = 560, val_count: int = 60,
     whose section words encode per-image character presence, and score each
     with ``held_out_scores``: held-out loss, and accuracy on the
     grid-determined tokens. One row per seed."""
-    from .synth import pattern_token_ids, synthetic_grid_corpus
+    from .synth import FEAT_DIM, pattern_token_ids, synthetic_grid_corpus
     from .corpus import prepare_records
 
     records = synthetic_grid_corpus(n_sequences, seed=GRID_CORPUS_SEED)
     prepared = prepare_records(records, seed=GRID_CORPUS_SEED, val_count=val_count,
                                test_count=0)
     vocab, val = prepared.vocab, prepared.splits["val"]
-    held_out_examples(val, vocab.eos_id)  # refused before any variant trains
+    training_examples(val, vocab.eos_id)  # refused before any variant trains
     pattern_ids = pattern_token_ids(vocab)
-    base = dict(vocab_size=len(vocab), feat_dim=8, d_model=64, n_layers=1, n_heads=4,
+    base = dict(vocab_size=len(vocab), feat_dim=FEAT_DIM, d_model=64, n_layers=1, n_heads=4,
                 d_ff=128, t_max=24, n_max=5, m_max=5, o_max=2, dropout=0.0,
                 feature_set=("global", "char"))
     config = TrainConfig(epochs=epochs, batch_size=GRID_BATCH_SIZE, lr=2e-3, seeds=seeds)

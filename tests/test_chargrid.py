@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,13 +290,21 @@ class TestGridReport:
         assert row == sorted(row)
         assert row[0] == 0 and row[-1] == 4
 
-    def test_csv_round_trip_exact(self):
+    @pytest.mark.parametrize("image_ids,column_ids,header_line", [
+        (["im0", "im1", "im2"], ["c0", "c1"], "image_id,c0,c1"),
+        (['img,"0"', "im\n1", "im2"], ["Ann, the hero", 'say "hi"'],
+         'image_id,"Ann, the hero","say ""hi"""'),
+    ], ids=["plain", "quoted"])
+    def test_csv_round_trip_exact(self, image_ids, column_ids, header_line):
         rng = np.random.default_rng(23)
-        grid = self._grid(rng.normal(size=(3, 2)) * 1e-7)
-        header, *rows = grid_csv(grid).splitlines()
-        assert header.split(",") == ["image_id"] + grid.column_ids
-        assert [row.split(",")[0] for row in rows] == grid.image_ids
-        values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        grid = CharacterGrid(values=rng.normal(size=(3, 2)) * 1e-7, image_ids=image_ids,
+                             column_ids=column_ids)
+        text = grid_csv(grid)
+        assert text.startswith(header_line + "\n")
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == ["image_id"] + column_ids
+        assert [row[0] for row in rows] == image_ids
+        values = np.array([[float(v) for v in row[1:]] for row in rows])
         np.testing.assert_array_equal(values, grid.values)
 
     def test_heat_table_renders(self):

@@ -15,10 +15,10 @@ from vwpstory.cli import main as cli_main
 from vwpstory.corpus import build_vocab, load_dataset, prepare_records, save_dataset
 from vwpstory.decoding import (
     DecodingConfig,
-    NamePools,
     detokenize,
     generate,
     generate_batch,
+    name_pools,
     nucleus_sample,
     realize,
     save_generated,
@@ -37,8 +37,8 @@ from vwpstory.synth import fixture_dataset, synthetic_grid_corpus
 
 from test_model import make_seq, tiny_config
 
-NAMES = NamePools(male=["John", "Jack", "Tom"], female=["Mary", "Sue"],
-                  location=["Paris", "Rome"])
+NAMES = {"male": ["John", "Jack", "Tom"], "female": ["Mary", "Sue"],
+         "location": ["Paris", "Rome"]}
 
 
 class TestNucleusSample:
@@ -683,7 +683,7 @@ class TestBatchedDecoding:
             for rec in load_dataset(tmp_path / "records.jsonl"):
                 story = generate(model, rec, vocab, cfg)
                 if names:
-                    story.text = realize(story.tokens, NamePools.from_dict(pools), realize_rng)
+                    story.text = realize(story.tokens, name_pools(pools), realize_rng)
                 stories.append(story)
             save_generated(stories, tmp_path / "per_record.jsonl")
             assert out.read_bytes() == (tmp_path / "per_record.jsonl").read_bytes()
@@ -728,21 +728,21 @@ class TestRealize:
     def test_location_placeholder(self):
         rng = np.random.default_rng(0)
         text = realize(["in", "[location]", "."], NAMES, rng)
-        assert any(loc in text for loc in NAMES.location)
+        assert any(loc in text for loc in NAMES["location"])
 
     def test_name_pools_are_lists_of_strings(self):
-        pools = NamePools.from_dict({"male": ["Bob"], "location": []})
-        assert (pools.male, pools.female, pools.location) == (["Bob"], [], [])
+        pools = name_pools({"male": ["Bob"], "location": []})
+        assert pools == {"male": ["Bob"], "female": [], "location": []}
         for payload, message in (({"male": "Bob"}, "male names must be a list, got str"),
                                  ({"female": ["Sue", 5]}, "female names holds int"),
                                  ({"location": [None]}, "location names holds null")):
             with pytest.raises(DataError, match=message):
-                NamePools.from_dict(payload)
+                name_pools(payload)
 
     def test_empty_pool_errors(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ResourceError):
-            realize(["[female0]"], NamePools(male=["X"]), rng)
+            realize(["[female0]"], name_pools({"male": ["X"]}), rng)
 
     def test_gender_correct_restoration_after_anonymize(self):
         from vwpstory.corpus import EntitySpan, StoryRecord, anonymize, tokenize
@@ -753,10 +753,10 @@ class TestRealize:
                           EntitySpan(17, 22, "location", "Paris")])
         table = {"john": (9, 0), "mary": (0, 9)}
         anon, mapping = anonymize(story, table)
-        pools = NamePools(
-            male=[n for p, n in mapping.persons.items() if mapping.genders[p] == "male"],
-            female=[n for p, n in mapping.persons.items() if mapping.genders[p] == "female"],
-            location=mapping.locations)
+        pools = {
+            "male": [n for p, n in mapping.persons.items() if mapping.genders[p] == "male"],
+            "female": [n for p, n in mapping.persons.items() if mapping.genders[p] == "female"],
+            "location": mapping.locations}
         text = realize(tokenize(anon.raw_text), pools, np.random.default_rng(0))
         assert "John" in text and "Mary" in text and "Paris" in text
 

@@ -24,6 +24,15 @@ def small_arrays(max_rows=4, max_cols=5):
     )
 
 
+def param_store(values):
+    """A ParamStore of these values' shapes, in dict order, holding them."""
+    arrays = {name: np.asarray(v, dtype=np.float64) for name, v in values.items()}
+    store = nm.ParamStore({name: a.shape for name, a in arrays.items()})
+    for name, a in arrays.items():
+        store[name].data[...] = a
+    return store
+
+
 class TestSoftmax:
     def test_uniform_logits(self):
         out = nm.softmax(nm.Tensor([0.0, 0.0, 0.0])).data
@@ -88,11 +97,11 @@ class TestCrossEntropyMasked:
         noisy = logits.copy()
         noisy[1] += 100.0
         noisy[3] -= 42.0
-        alone = nm.ParamStore({"x": logits[[0, 2]]})["x"]
+        alone = param_store({"x": logits[[0, 2]]})["x"]
         want = nm.cross_entropy_masked(alone, [0, 2])
         want.backward()
         for rows in (logits, noisy):
-            x = nm.ParamStore({"x": rows})["x"]
+            x = param_store({"x": rows})["x"]
             loss = nm.cross_entropy_masked(x, targets)
             loss.backward()
             assert loss.item() == want.item()
@@ -118,7 +127,7 @@ class TestCrossEntropyMasked:
 
 class TestGradCheck:
     def test_identity(self):
-        store = nm.ParamStore({"x": 1.5})
+        store = param_store({"x": 1.5})
         err = nm.grad_check(lambda s: s["x"], store)
         assert err < 1e-8
         store.zero_grad()
@@ -127,12 +136,12 @@ class TestGradCheck:
         assert out.grad.item() == 1.0
 
     def test_constant(self):
-        store = nm.ParamStore({"x": 2.0})
+        store = param_store({"x": 2.0})
         err = nm.grad_check(lambda s: nm.Tensor(3.0), store)
         assert err < 1e-8
 
     def test_epsilon_bounds(self):
-        store = nm.ParamStore({"x": 1.0})
+        store = param_store({"x": 1.0})
         with pytest.raises(NumericError):
             nm.grad_check(lambda s: s["x"], store, epsilon=1e-2)
 
@@ -141,16 +150,16 @@ class TestGradCheck:
                                         "dropout", "xent", "concat", "narrow"])
     def test_every_kernel_within_1e4(self, kernel):
         rng = np.random.default_rng(hash(kernel) % 2 ** 31)
-        store = nm.ParamStore({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 3)),
-                               "g": rng.normal(size=4) * 0.1 + 1.0,
-                               "c": rng.normal(size=4) * 0.1})
+        store = param_store({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 3)),
+                            "g": rng.normal(size=4) * 0.1 + 1.0,
+                            "c": rng.normal(size=4) * 0.1, "d": rng.normal(size=3)})
         ids = np.array([2, 0, 1])
         targets = np.array([1, -1, 0])
         other = nm.Tensor(rng.normal(size=(3, 4)))
 
         def f(s):
             if kernel == "matmul":
-                z = nm.matmul(s["a"], s["b"])
+                z = nm.matmul(s["a"], s["b"], s["d"])
             elif kernel == "add":
                 z = nm.add(s["a"], other)
             elif kernel == "mul":
@@ -166,7 +175,7 @@ class TestGradCheck:
             elif kernel == "dropout":
                 z = nm.dropout(s["a"], 0.4, np.random.default_rng(0))
             elif kernel == "xent":
-                return nm.cross_entropy_masked(nm.matmul(s["a"], s["b"]), targets)
+                return nm.cross_entropy_masked(nm.matmul(s["a"], s["b"], s["d"]), targets)
             elif kernel == "concat":
                 z = nm.concat_rows([s["a"], nm.transpose(s["b"])])
             elif kernel == "narrow":
@@ -183,7 +192,7 @@ class TestGradCheck:
 
 class TestAdam:
     def _store_with_grad(self, grad):
-        store = nm.ParamStore({"w": [1.0, -2.0, 3.0]})
+        store = param_store({"w": [1.0, -2.0, 3.0]})
         p = store["w"]
         p.grad[...] = grad
         return store, p
@@ -205,20 +214,19 @@ class TestAdam:
     def test_parameter_no_op_reaches_keeps_a_zero_gradient(self):
         # "u" is reached on the first step only; on the later steps Adam moves
         # it with g = 0 from the moments it has
-        store = nm.ParamStore({"w": np.ones((2, 1)), "u": np.full((2, 1), -0.5)})
+        store = param_store({"w": np.ones((2, 1)), "u": np.full((2, 1), -0.5)})
         want = {name: p.data.copy() for name, p in store.params.items()}
         moments = {}
         x = nm.Tensor([[0.3, -1.2]])
         for t, reached in enumerate([("w", "u"), ("w",), ("w",)], start=1):
             store.zero_grad()
             for name in reached:
-                nm.matmul(x, store[name]).backward(np.ones((1, 1)))
+                nm.matmul(x, store[name], nm.Tensor([0.0])).backward(np.ones((1, 1)))
             if "u" not in reached:
                 assert store["u"].grad.tobytes() == bytes(16)  # exactly +0.0
             grads = {name: p.grad.copy() for name, p in store.params.items()}
             nm.adam_step(store, lr=1e-2)
-            adam_oracle(want, moments, grads, t, 1e-2, nm.ADAM_BETA1, nm.ADAM_BETA2,
-                        nm.ADAM_EPS)
+            adam_oracle(want, moments, grads, t, 1e-2)
             for name, p in store.params.items():
                 np.testing.assert_array_equal(bits(p.data), bits(want[name]))
             if t == 1:
@@ -228,7 +236,7 @@ class TestAdam:
     def test_deterministic(self):
         def run():
             rng = np.random.default_rng(5)
-            store = nm.ParamStore({"w": rng.normal(size=8)})
+            store = param_store({"w": rng.normal(size=8)})
             p = store["w"]
             for _ in range(25):
                 p.grad[...] = rng.normal(size=8)
@@ -241,7 +249,7 @@ class TestAdam:
         store, p = self._store_with_grad([1.0, 1.0, 1.0])
         for expected in (1, 2, 3):
             p.grad[...] = 1.0
-            nm.adam_step(store)
+            nm.adam_step(store, lr=1e-3)
             assert store.step == expected
 
 
@@ -261,7 +269,7 @@ class TestDropout:
 
 class TestClipGlobalNorm:
     def test_noop_below_threshold(self):
-        store = nm.ParamStore({"w": [3.0, 4.0]})
+        store = param_store({"w": [3.0, 4.0]})
         p = store["w"]
         p.grad[...] = [0.3, 0.4]
         norm = nm.clip_global_norm(store, 1.0)
@@ -269,7 +277,7 @@ class TestClipGlobalNorm:
         np.testing.assert_allclose(p.grad, [0.3, 0.4])
 
     def test_scales_above_threshold(self):
-        store = nm.ParamStore({"w": [0.0, 0.0]})
+        store = param_store({"w": [0.0, 0.0]})
         p = store["w"]
         p.grad[...] = [3.0, 4.0]
         nm.clip_global_norm(store, 1.0)
@@ -329,9 +337,9 @@ class TestAttention:
     def test_grad_check_batched_multi_head_masked(self, dropout):
         rng = np.random.default_rng(4)
         b, tq, tk, heads = 3, 3, 5, 2
-        store = nm.ParamStore({"q": rng.normal(size=(b * tq, 4)),
-                               "k": rng.normal(size=(b * tk, 4)),
-                               "v": rng.normal(size=(b * tk, 4))})
+        store = param_store({"q": rng.normal(size=(b * tq, 4)),
+                            "k": rng.normal(size=(b * tk, 4)),
+                            "v": rng.normal(size=(b * tk, 4))})
         mask = causal(tq, tk)
         targets = rng.integers(0, 4, size=b * tq)
 
@@ -367,7 +375,7 @@ class TestAttention:
     def test_grad_check_with_array_keys(self):
         rng = np.random.default_rng(5)
         b, tq, tk, heads = 2, 3, 4, 2
-        store = nm.ParamStore({"q": rng.normal(size=(b * tq, 4))})
+        store = param_store({"q": rng.normal(size=(b * tq, 4))})
         k, v = rng.normal(size=(2, b, tk, 4))
         targets = rng.integers(0, 4, size=b * tq)
 
@@ -379,7 +387,7 @@ class TestAttention:
 
     def test_masked_keys_get_no_weight_or_gradient(self):
         rng = np.random.default_rng(8)
-        k = nm.ParamStore({"k": rng.normal(size=(4, 4))})["k"]
+        k = param_store({"k": rng.normal(size=(4, 4))})["k"]
         q, v = nm.Tensor(rng.normal(size=(4, 4))), nm.Tensor(rng.normal(size=(4, 4)))
         out = nm.attention(q, k, v, causal(4, 4), 2)
         nm.cross_entropy_masked(out, [0, 1, -1, -1]).backward()
@@ -419,7 +427,7 @@ class TestCrossEntropyWeights:
 
     def test_grad_check_with_weights(self):
         rng = np.random.default_rng(9)
-        store = nm.ParamStore({"x": rng.normal(size=(4, 3))})
+        store = param_store({"x": rng.normal(size=(4, 3))})
         weights = np.array([[0.5, 0.0, 0.25, 0.25]])
 
         def f(s):
@@ -435,28 +443,29 @@ class TestCrossEntropyWeights:
 
 class TestGraph:
     def test_no_grad_builds_no_graph(self):
-        w = nm.ParamStore({"w": np.ones((2, 2))})["w"]
+        w = param_store({"w": np.ones((2, 2))})["w"]
         with nm.no_grad():
-            out = nm.gelu(nm.matmul(nm.Tensor(np.eye(2)), w))
+            out = nm.gelu(nm.matmul(nm.Tensor(np.eye(2)), w, nm.Tensor(np.zeros(2))))
             assert out._node is None and not out.requires_grad
-        assert nm.matmul(nm.Tensor(np.eye(2)), w)._node is not None
+        assert nm.matmul(nm.Tensor(np.eye(2)), w, nm.Tensor(np.zeros(2)))._node is not None
 
     def test_no_grad_restored_after_error(self):
         with pytest.raises(NumericError):
             with nm.no_grad():
                 nm.softmax(nm.Tensor([np.nan]))
-        assert nm.gelu(nm.ParamStore({"w": [1.0]})["w"])._node is not None
+        assert nm.gelu(param_store({"w": [1.0]})["w"])._node is not None
 
     def test_activation_no_backward_step_needs_is_freed(self):
         import weakref
-        w = nm.ParamStore({"w": np.ones((3, 3))})["w"]
-        y = nm.matmul(nm.Tensor(np.eye(3)), w)
+        w = param_store({"w": np.ones((3, 3))})["w"]
+        zero = nm.Tensor(np.zeros(3))
+        y = nm.matmul(nm.Tensor(np.eye(3)), w, zero)
         kept = weakref.ref(y.data)
         z = nm.gelu(nm.add(y, nm.Tensor(np.ones((3, 3)))))
         del y
         assert kept() is None  # add's backward keeps neither input
         z_in = weakref.ref(z.data)
-        loss = nm.cross_entropy_masked(nm.matmul(z, w), [0, 1, 2])
+        loss = nm.cross_entropy_masked(nm.matmul(z, w, zero), [0, 1, 2])
         del z
         assert z_in() is not None  # matmul's backward needs its input
         loss.backward()
@@ -471,7 +480,7 @@ def bits(a):
 
 def embedding_grad(table_shape, ids, g):
     """The embedding op's own backward output for upstream gradient ``g``."""
-    out = nm.embedding(nm.ParamStore({"table": np.zeros(table_shape)})["table"], ids)
+    out = nm.embedding(param_store({"table": np.zeros(table_shape)})["table"], ids)
     return out._node.grad_fn(g)[0]
 
 
@@ -533,15 +542,16 @@ class TestLayerNormOracle:
         x = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape[:-1] + (1,)) + offset
         gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         g = rng.normal(size=shape)
-        store = nm.ParamStore({"x": x, "gamma": gamma, "beta": beta})
+        store = param_store({"x": x, "gamma": gamma, "beta": beta})
         out = nm.layer_norm(store["x"], store["gamma"], store["beta"])
         for got, want in zip((out.data, *out._node.grad_fn(g)),
                              layer_norm_var_oracle(x, gamma, beta, g)):
             np.testing.assert_array_equal(bits(got), bits(want))
 
 
-def adam_oracle(params, moments, grads, t, lr, beta1, beta2, eps):
+def adam_oracle(params, moments, grads, t, lr):
     """Per-parameter Adam with a temporary for every step of the formula."""
+    beta1, beta2, eps = nm.ADAM_BETA1, nm.ADAM_BETA2, nm.ADAM_EPS
     for name, g in grads.items():
         m, v = moments.setdefault(name, (np.zeros_like(g), np.zeros_like(g)))
         m[...] = beta1 * m + (1.0 - beta1) * g
@@ -552,13 +562,11 @@ def adam_oracle(params, moments, grads, t, lr, beta1, beta2, eps):
 
 
 class TestAdamOracle:
-    @pytest.mark.parametrize("lr,beta1,beta2,eps", [(1e-3, 0.9, 0.999, 1e-8),
-                                                    (2e-3, 0.5, 0.9, 1e-6),
-                                                    (0.1, 0.0, 0.0, 1e-8)])
-    def test_flat_in_place_step_matches_per_parameter_formula(self, lr, beta1, beta2, eps):
+    @pytest.mark.parametrize("lr", [1e-3, 2e-3, 0.1])
+    def test_flat_in_place_step_matches_per_parameter_formula(self, lr):
         rng = np.random.default_rng(17)
         shapes = {"w": (5, 3), "b": (3,), "s": (), "emb": (7, 4)}
-        store = nm.ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        store = param_store({name: rng.normal(size=shape) for name, shape in shapes.items()})
         want = {name: p.data.copy() for name, p in store.params.items()}
         moments = {}
         for t in range(1, 6):
@@ -567,8 +575,8 @@ class TestAdamOracle:
             grads["b"][0] = -0.0
             for name, g in grads.items():
                 store[name].grad[...] = g
-            nm.adam_step(store, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-            adam_oracle(want, moments, grads, t, lr, beta1, beta2, eps)
+            nm.adam_step(store, lr=lr)
+            adam_oracle(want, moments, grads, t, lr)
             offset = 0
             for name, p in store.params.items():
                 np.testing.assert_array_equal(bits(p.data), bits(want[name]))
@@ -584,7 +592,7 @@ class TestFlatParamStore:
         rng = np.random.default_rng(3)
         values = {f"p{k}": rng.normal(size=(k % 3 + 1, k + 1)) if k % 4 else rng.normal()
                   for k in range(12)}
-        store = nm.ParamStore(values)
+        store = param_store(values)
         assert store["p0"].shape == () and list(store.params) == list(values)
         offset = 0
         for name, want in values.items():
@@ -600,12 +608,12 @@ class TestFlatParamStore:
         assert store.m is None and store.v is None
         for p in store.params.values():
             p.grad[...] = 1.0
-        nm.adam_step(store)
+        nm.adam_step(store, lr=1e-3)
         assert store.m.shape == store.v.shape == store.flat.shape
         assert all(np.shares_memory(p.data, store.flat) for p in store.params.values())
 
     def test_every_gradient_is_a_fixed_view_of_the_grad_buffer(self):
-        store = nm.ParamStore({"w": np.ones((3, 2)), "s": 2.0, "b": np.ones(4)})
+        store = param_store({"w": np.ones((3, 2)), "s": 2.0, "b": np.ones(4)})
         grads = {name: p.grad for name, p in store.params.items()}
         offset = 0
         for name, p in store.params.items():
@@ -614,7 +622,7 @@ class TestFlatParamStore:
             assert p.grad.ctypes.data == store.grad[offset:].ctypes.data
             offset += p.data.size
         assert offset == store.grad.size and not store.grad.any()
-        loss = nm.matmul(nm.Tensor(np.ones((1, 3))), store["w"])
+        loss = nm.matmul(nm.Tensor(np.ones((1, 3))), store["w"], nm.Tensor(np.zeros(2)))
         nm.mul(loss, nm.Tensor([[3.0, 3.0]])).backward(np.ones((1, 2)))
         nm.mul(store["s"], store["s"]).backward()
         assert all(store[name].grad is g for name, g in grads.items())
@@ -625,22 +633,23 @@ class TestFlatParamStore:
 
     def test_adam_step_leaves_the_gradients_unchanged(self):
         rng = np.random.default_rng(4)
-        store = nm.ParamStore({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+        store = param_store({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
         store.grad[:] = rng.normal(size=store.grad.size)
         before = store.grad.tobytes()
         for _ in range(3):
-            nm.adam_step(store)
+            nm.adam_step(store, lr=1e-3)
             assert store.grad.tobytes() == before
 
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_s_backward_leaves_the_parent_s_gradients_zero(self):
-        store = nm.ParamStore({"w": np.ones((64, 64))})
+        store = param_store({"w": np.ones((64, 64))})
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:  # the child: run backward, report what it sees, exit
             try:
-                nm.matmul(nm.Tensor(np.ones((1, 64))), store["w"]).backward(np.ones((1, 64)))
+                nm.matmul(nm.Tensor(np.ones((1, 64))), store["w"],
+                          nm.Tensor(np.zeros(64))).backward(np.ones((1, 64)))
                 os.write(write, b"1" if store.grad.all() else b"0")
             finally:
                 os._exit(0)
@@ -660,7 +669,7 @@ class TestFlatParamStore:
     @pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"),
                         reason="reads page residency from Linux's /proc/self/pagemap")
     def test_gradient_pages_stay_unbacked_until_written(self):
-        store = nm.ParamStore({"w": np.ones((64, 64)), "b": np.ones(64)})
+        store = param_store({"w": np.ones((64, 64)), "b": np.ones(64)})
         with nm.no_grad():
             out = nm.matmul(nm.Tensor(np.ones((3, 64))), store["w"], store["b"])
         assert out.data.sum() == 3 * 64 * 65
@@ -693,7 +702,7 @@ class TestClipOracle:
         for _ in range(20):
             grads = {name: rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, size=shape)
                      for name, shape in shapes.items()}
-            store = nm.ParamStore({name: np.zeros(shape) for name, shape in shapes.items()})
+            store = param_store({name: np.zeros(shape) for name, shape in shapes.items()})
             for name, g in grads.items():
                 store[name].grad[...] = g
             total = 0.0

@@ -513,7 +513,7 @@ class TestEvalHelpers:
     def test_no_examples_is_a_data_error(self):
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
-        with pytest.raises(DataError, match="held_out_scores: no examples"):
+        with pytest.raises(DataError, match="training_examples: no story has tokens"):
             held_out_scores(model, [], prepared.vocab, set(range(len(prepared.vocab))))
 
 
@@ -640,7 +640,7 @@ class TestGridComparisonSmoke:
 
     def test_an_empty_validation_split_is_refused_before_training(self, monkeypatch):
         epochs = count_train_epochs(monkeypatch)
-        with pytest.raises(DataError, match="held_out_scores: no examples"):
+        with pytest.raises(DataError, match="training_examples: no story has tokens"):
             run_grid_comparison(n_sequences=40, val_count=0, seeds=(0,), epochs=2)
         assert epochs == []
 
