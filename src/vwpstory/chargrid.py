@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ImageSequenceRecord
+from .corpus import MAX_CHARACTERS, MAX_IMAGES, ImageSequenceRecord
 from .errors import DataError
 
-N_MAX_DEFAULT = 10
-M_MAX_DEFAULT = 5
 SHADE_CHARS = " .:*#"  # 5 min-max normalized buckets, light to dark
 
 # grid mode -> the entity kinds its columns hold, characters before objects.
@@ -59,8 +57,8 @@ def entity_columns(seq: ImageSequenceRecord, kinds) -> tuple[list[str], list[np.
     return ids, feats
 
 
-def grid_for_mode(seq: ImageSequenceRecord, mode: str, n_max: int = N_MAX_DEFAULT,
-                  m_max: int = M_MAX_DEFAULT) -> CharacterGrid:
+def grid_for_mode(seq: ImageSequenceRecord, mode: str, n_max: int = MAX_IMAGES,
+                  m_max: int = MAX_CHARACTERS) -> CharacterGrid:
     """The grid of the record's images against the entity columns of
     ``mode``. This is where a record is checked against the n_max x m_max
     frame, and each error names the record."""
@@ -83,8 +81,8 @@ def grid_for_mode(seq: ImageSequenceRecord, mode: str, n_max: int = N_MAX_DEFAUL
                          image_ids=[im.image_id for im in seq.images], column_ids=column_ids)
 
 
-def flatten_pad(grid: CharacterGrid, n_max: int = N_MAX_DEFAULT,
-                m_max: int = M_MAX_DEFAULT) -> np.ndarray:
+def flatten_pad(grid: CharacterGrid, n_max: int = MAX_IMAGES,
+                m_max: int = MAX_CHARACTERS) -> np.ndarray:
     """Row-major layout into a fixed n_max x m_max frame, zeros elsewhere.
 
     Cell (a, b) lands at index a * m_max + b; absent cells stay zero, so an

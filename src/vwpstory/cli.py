@@ -1,9 +1,9 @@
 """Command line entry point: prepare, grid, train, generate, evaluate,
 analyze, plan.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/training
-error. A config file of key=value lines can pre-set any flag; explicit
-flags win. VWP_LOG={error,info,debug} controls stderr logging.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error. A
+config file of key=value lines can pre-set any flag; explicit flags win.
+VWP_LOG={error,info,debug} controls stderr logging.
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from .corpus import (
     save_dataset,
     text_field,
     token_list,
+    write_jsonl,
 )
-from .decoding import DecodingConfig, generate_batch, name_pools, realize, save_generated
+from .decoding import DecodingConfig, GeneratedStory, generate_batch, name_pools, realize
 from .errors import DataError, NumericError, UsageError, VwpError
 from .metrics import EvalPair, aggregate_runs, compute_metrics, load_eval_pairs
 from .model import GRID_MODES, ModelConfig, load_checkpoint
-from .training import TrainConfig, fit, metric_tokens, references, save_runlogs
+from .training import TrainConfig, fit, metric_tokens, references
 
 log = logging.getLogger("vwpstory.cli")
 
@@ -113,33 +114,37 @@ def build_parser() -> tuple[Parser, dict[str, argparse.ArgumentParser]]:
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--out")
 
+    # train and generate read their defaults from the configs they fill;
+    # --grid-mode, --features and generate's --p differ from them on purpose
+    defaults = TrainConfig()
     p = add_parser("train", help="fit models over seeds on a prepared dataset")
     p.add_argument("--dataset", required=True, help="directory written by prepare")
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=parse_seeds, default=(0, 1, 2))
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--seeds", type=parse_seeds, default=defaults.seeds)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.lr)
     p.add_argument("--grid-mode", choices=GRID_MODES, default="char")
     p.add_argument("--features", type=_csv_strs, default=("global", "char"))
-    p.add_argument("--d-model", type=int, default=128)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=0)
-    p.add_argument("--t-max", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--max-new", type=int, default=64)
-    p.add_argument("--p", type=float, default=0.9, help="validation nucleus mass")
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--n-layers", type=int, default=ModelConfig.n_layers)
+    p.add_argument("--n-heads", type=int, default=ModelConfig.n_heads)
+    p.add_argument("--d-ff", type=int, default=ModelConfig.d_ff)
+    p.add_argument("--t-max", type=int, default=ModelConfig.t_max)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    p.add_argument("--max-new", type=int, default=defaults.val_decoding.max_new_tokens)
+    p.add_argument("--p", type=float, default=defaults.val_decoding.p,
+                   help="validation nucleus mass")
 
     p = add_parser("generate", help="decode stories with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--decoding", choices=("greedy", "nucleus"), default="greedy")
+    p.add_argument("--decoding", choices=("greedy", "nucleus"), default=DecodingConfig.mode)
     p.add_argument("--p", type=float, default=0.9)
-    p.add_argument("--seed", type=parse_seed, default=0)
-    p.add_argument("--max-new", type=int, default=200)
+    p.add_argument("--seed", type=parse_seed, default=DecodingConfig.seed)
+    p.add_argument("--max-new", type=int, default=DecodingConfig.max_new_tokens)
     p.add_argument("--names", help="JSON name pools; adds realized text")
 
     p = add_parser("evaluate", help="reference metrics or multi-seed bands")
@@ -242,8 +247,9 @@ def cmd_train(args) -> int:
     result = fit(train_cfg, splits, model_cfg, vocab)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_runlogs(result, out / "runlog.json")
-    _emit(json_text(result.to_dict()["aggregate"]), None)
+    payload = result.to_dict()
+    (out / "runlog.json").write_text(json_text(payload), encoding="utf-8")
+    _emit(json_text(payload["aggregate"]), None)
     return 0
 
 
@@ -264,7 +270,7 @@ def cmd_generate(args) -> int:
         realize_rng = np.random.default_rng(args.seed)
         for story in stories:
             story.text = realize(story.tokens, pools, realize_rng)
-    save_generated(stories, args.out)
+    write_jsonl(args.out, stories, GeneratedStory.to_dict)
     log.info("wrote %d stories to %s", len(stories), args.out)
     return 0
 

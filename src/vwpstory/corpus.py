@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, DataError
+from .errors import DataError
 
 PAD, BOS, EOS, UNK = "[PAD]", "[BOS]", "[EOS]", "[UNK]"
 SENT, LOCATION = "[sent]", "[location]"
@@ -184,7 +184,7 @@ def anonymize(story: StoryRecord,
                     unknown_seen += 1
                 slot = counters[gender]
                 if slot >= PLACEHOLDER_SLOTS:
-                    raise CapacityError(
+                    raise DataError(
                         f"more than {PLACEHOLDER_SLOTS} distinct {gender} names in one story")
                 counters[gender] += 1
                 placeholder = f"[{gender}{slot}]"

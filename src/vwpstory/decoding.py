@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind, string_list,
-                     write_jsonl)
-from .errors import ConfigError, NumericError, ResourceError
+from .corpus import BOS, EOS, PAD, SENT, UNK, Vocabulary, placeholder_kind, string_list
+from .errors import DataError, NumericError, UsageError
 from .model import (
     EVAL_SLICE,
     BatchLayout,
@@ -61,11 +60,11 @@ class DecodingConfig:
 
     def __post_init__(self):
         if self.mode not in ("greedy", "nucleus"):
-            raise ConfigError(f"unknown decoding mode {self.mode!r}")
+            raise UsageError(f"unknown decoding mode {self.mode!r}")
         if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"nucleus p must be in (0, 1], got {self.p}")
+            raise UsageError(f"nucleus p must be in (0, 1], got {self.p}")
         if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be positive")
+            raise UsageError("max_new_tokens must be positive")
 
 
 def nucleus_sample(dist: np.ndarray, p: float, rng: np.random.Generator) -> int:
@@ -244,12 +243,8 @@ def realize(tokens: list[str], names: dict[str, list[str]], rng: np.random.Gener
         if token not in assigned:
             pool = pools[kind]
             if not pool:
-                raise ResourceError(f"no {kind} names left for placeholder {token}")
+                raise DataError(f"no {kind} names left for placeholder {token}")
             pick = int(rng.integers(len(pool)))
             assigned[token] = pool.pop(pick)
         realized.append(assigned[token])
     return detokenize(realized)
-
-
-def save_generated(stories: list[GeneratedStory], path) -> None:
-    write_jsonl(path, stories, GeneratedStory.to_dict)

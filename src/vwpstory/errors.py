@@ -1,7 +1,7 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules: one kind per exit code.
 
-The CLI maps these onto exit codes: usage/config -> 1, data -> 2,
-numeric/training -> 3.
+The CLI maps each kind onto its exit code: usage -> 1, data -> 2,
+numeric -> 3.
 """
 
 
@@ -10,33 +10,14 @@ class VwpError(Exception):
 
 
 class UsageError(VwpError):
-    """Bad command line or inconsistent configuration."""
-
-
-class ConfigError(UsageError):
-    """A config object violates its own invariants."""
+    """Bad command line, or a config object that violates its invariants."""
 
 
 class DataError(VwpError):
-    """Input data violates a documented precondition (ids, shapes, ranges)."""
-
-
-class CapacityError(DataError):
-    """More distinct entities than placeholder slots."""
-
-
-class ResourceError(DataError):
-    """A required resource (e.g. a name list) is empty."""
+    """Input data violates a documented precondition (ids, shapes, ranges,
+    placeholder slots, name pools)."""
 
 
 class NumericError(VwpError):
-    """Non-finite values or invalid numeric inputs inside a kernel."""
-
-
-class StateError(NumericError):
-    """A forward pass refuses its KV cache: a dropout generator passed with
-    a cache, or positions that do not continue the cached ones."""
-
-
-class TrainingError(NumericError):
-    """Training diverged; carries epoch/batch context in the message."""
+    """Non-finite values, a diverged training step, or a forward pass that
+    refuses its KV cache."""

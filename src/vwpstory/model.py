@@ -30,10 +30,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .chargrid import (GRID_COLUMNS, M_MAX_DEFAULT, N_MAX_DEFAULT, entity_columns, flatten_pad,
-                       grid_for_mode)
-from .corpus import ImageSequenceRecord
-from .errors import ConfigError, DataError, NumericError, StateError
+from .chargrid import GRID_COLUMNS, entity_columns, flatten_pad, grid_for_mode
+from .corpus import MAX_CHARACTERS, MAX_IMAGES, ImageSequenceRecord
+from .errors import DataError, NumericError, UsageError
 from .numerics import ParamStore, Tensor
 
 GRID_MODES = ("none", *GRID_COLUMNS)
@@ -60,8 +59,8 @@ class ModelConfig:
     n_heads: int = 4
     d_ff: int = 0  # 0 means 4 * d_model
     t_max: int = 256
-    n_max: int = N_MAX_DEFAULT
-    m_max: int = M_MAX_DEFAULT
+    n_max: int = MAX_IMAGES
+    m_max: int = MAX_CHARACTERS
     o_max: int = 20
     feature_set: tuple[str, ...] = ("global",)
     grid_mode: str = "none"
@@ -75,21 +74,21 @@ class ModelConfig:
         for name in ("vocab_size", "feat_dim", "d_model", "n_layers", "n_heads", "d_ff",
                      "t_max", "n_max", "m_max", "o_max"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+                raise UsageError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise UsageError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if "global" not in self.feature_set:
-            raise ConfigError("feature_set must include 'global'")
+            raise UsageError("feature_set must include 'global'")
         for feat in self.feature_set:
             if feat not in FEATURES:
-                raise ConfigError(f"unknown feature {feat!r}")
+                raise UsageError(f"unknown feature {feat!r}")
         if self.grid_mode not in GRID_MODES:
-            raise ConfigError(f"unknown grid_mode {self.grid_mode!r}")
+            raise UsageError(f"unknown grid_mode {self.grid_mode!r}")
         for feat in GRID_COLUMNS.get(self.grid_mode, ()):
             if feat not in self.feature_set:
-                raise ConfigError(f"grid_mode {self.grid_mode!r} requires feature {feat!r}")
+                raise UsageError(f"grid_mode {self.grid_mode!r} requires feature {feat!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
+            raise UsageError(f"dropout {self.dropout} outside [0, 1)")
 
     @property
     def grid_len(self) -> int:
@@ -400,14 +399,14 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
     past = 0
     if cache is not None:
         if rng is not None:
-            raise StateError("forward_logits: a KV cache is for inference only")
+            raise NumericError("forward_logits: a KV cache is for inference only")
         past, rows, width = cache.length, cache.batch, batch.width
         # one unpadded sequence per cached one, each continuing at ``past``
         if (batch.lengths.size != rows or batch.positions.shape != (rows * width,)
                 or batch.lengths.min() != width
                 or (batch.positions.reshape(rows, width) != np.arange(past, past + width)).any()):
-            raise StateError(f"forward_logits: positions of {batch.lengths.size} sequences do "
-                             f"not all follow the {past} cached ones of {cache.batch}")
+            raise NumericError(f"forward_logits: positions of {batch.lengths.size} sequences do "
+                               f"not all follow the {past} cached ones of {cache.batch}")
 
     parts = []
     if batch.image_feats is not None:
@@ -533,7 +532,7 @@ def load_checkpoint(path) -> StoryGenModel:
         config_blob = read(config_length)
         try:
             config = ModelConfig.from_canonical_text(config_blob.decode("utf-8"))
-        except (ValueError, ConfigError) as exc:  # a UnicodeDecodeError is a ValueError
+        except (ValueError, UsageError) as exc:  # a UnicodeDecodeError is a ValueError
             raise DataError(f"{path}: malformed checkpoint config ({exc})") from exc
         # each layer adds 16 records of more than 16 bytes, so a config that
         # claims more layers than the file can hold fails before its spec

@@ -570,7 +570,7 @@ def adam_step(store: ParamStore, lr: float) -> None:
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``; the
-    squares are summed per parameter, and those sums added in name order."""
+    squares are summed per parameter, and those sums added in store order."""
     total = 0.0
     for p in store.params.values():
         total += float((p.grad * p.grad).sum())

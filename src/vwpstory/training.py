@@ -29,14 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .corpus import (BOS, EOS, PAD, SENT, ImageSequenceRecord, Vocabulary, json_text,
-                     story_surface_tokens)
+from .corpus import BOS, EOS, PAD, SENT, ImageSequenceRecord, Vocabulary, story_surface_tokens
 from .decoding import (
     DecodingConfig,
     generate,  # unused here: perfbench/tracing.py binds training.generate
     generate_batch,
 )
-from .errors import ConfigError, DataError, TrainingError
+from .errors import DataError, NumericError, UsageError
 from .metrics import EvalPair
 from .model import (
     EVAL_SLICE,
@@ -100,13 +99,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
+            raise UsageError("epochs must be at least 1")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
+            raise UsageError("batch_size must be at least 1")
         if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
+            raise UsageError("seeds must be nonempty")
         if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ConfigError(f"lr must be finite and non-negative, not {self.lr}")
+            raise UsageError(f"lr must be finite and non-negative, not {self.lr}")
 
 
 @dataclass
@@ -152,7 +151,7 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
         losses = story_losses(model, batch, bos_id=vocab.bos_id, rng=rng)
         for (rec, _), value in zip(batch, losses.data.tolist()):
             if not math.isfinite(value):
-                raise TrainingError(
+                raise NumericError(
                     f"epoch {epoch}, batch {start // config.batch_size}, "
                     f"sequence {rec.id}: non-finite loss")
             total += value
@@ -201,13 +200,6 @@ def eval_pairs(model: StoryGenModel, records: list[ImageSequenceRecord],
 def validate_meteor(model: StoryGenModel, records: list[ImageSequenceRecord],
                     vocab: Vocabulary, decoding: DecodingConfig) -> float:
     return metrics_mod.meteor(eval_pairs(model, records, vocab, decoding))
-
-
-def evaluate_model(model: StoryGenModel, records: list[ImageSequenceRecord],
-                   vocab: Vocabulary, decoding: DecodingConfig) -> dict[str, float]:
-    """Every metric on the records' decoded stories (see ``compute_metrics``
-    for CIDEr on a single record)."""
-    return metrics_mod.compute_metrics(eval_pairs(model, records, vocab, decoding))
 
 
 @dataclass
@@ -279,7 +271,8 @@ def fit(config: TrainConfig, splits: dict[str, list[ImageSequenceRecord]],
         model, run = train_run(config, splits, model_config, vocab, seed)
         runlogs.append(run)
         if splits.get("test"):
-            scores = evaluate_model(model, splits["test"], vocab, config.test_decoding)
+            scores = metrics_mod.compute_metrics(
+                eval_pairs(model, splits["test"], vocab, config.test_decoding))
             for metric, value in scores.items():
                 test_scores.setdefault(metric, []).append(value)
     aggregate = {metric: metrics_mod.mean_std(values) for metric, values in test_scores.items()}
@@ -309,10 +302,6 @@ def held_out_scores(model: StoryGenModel, records: list[ImageSequenceRecord],
     if count == 0:
         raise DataError("held_out_scores: no loss row's target is in target_ids")
     return total / len(examples), hits / count
-
-
-def save_runlogs(result: FitResult, path) -> None:
-    Path(path).write_text(json_text(result.to_dict()), encoding="utf-8")
 
 
 # --- planted-task comparison experiment ---------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from vwpstory import chargrid, training
 from vwpstory.chargrid import GRID_COLUMNS
-from vwpstory.cli import _pairs_from_hyp, build_parser, main
+from vwpstory.cli import _pairs_from_hyp, build_parser, main, report_error
 from vwpstory.corpus import (
     UNK,
     Vocabulary,
@@ -20,8 +20,8 @@ from vwpstory.corpus import (
     story_surface_tokens,
 )
 from vwpstory.decoding import DecodingConfig, GeneratedStory
-from vwpstory.errors import DataError
-from vwpstory.metrics import REPORT_SCALE
+from vwpstory.errors import DataError, NumericError, UsageError
+from vwpstory.metrics import REPORT_SCALE, compute_metrics
 from vwpstory.model import GRID_MODES, ModelConfig, build_model, save_checkpoint
 from vwpstory.synth import (
     fixture_annotations,
@@ -317,7 +317,7 @@ class TestTrainGenerateEvaluate:
         monkeypatch.setattr(training, "generate_batch", decoded)
         pairs = training.eval_pairs(None, records, vocab, DecodingConfig())
         assert all(ref[-1] == "zeppelin" for pair in pairs for ref in pair.references)
-        in_training = training.evaluate_model(None, records, vocab, DecodingConfig())
+        in_training = compute_metrics(pairs)
 
         save_dataset(records, tmp_path / "test.jsonl")
         (tmp_path / "hyp.jsonl").write_text("".join(
@@ -382,6 +382,19 @@ class TestTrainGenerateEvaluate:
                            "--n-heads", "2", f"--lr={lr}")
         assert proc.returncode == 1
         assert "lr must be finite and non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "runlog.json").exists()
+
+    def test_train_divergence_is_numeric_error(self, prepared_dir, tmp_path):
+        # numpy warns about the overflow before the refusal, so the label is
+        # read from the last line; in-process, pytest would raise the warnings
+        proc = run_console("train", "--dataset", str(prepared_dir), "--out", str(tmp_path),
+                           "--seeds", "0", "--epochs", "1", "--d-model", "16",
+                           "--n-layers", "1", "--n-heads", "2", "--t-max", "32",
+                           "--batch-size", "4", "--dropout", "0.0", "--max-new", "4",
+                           "--lr", "1e300")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines()[-1].startswith("numeric error: ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "runlog.json").exists()
 
@@ -620,6 +633,16 @@ class TestConsoleEntry:
         proc = run_console("plan", "--workers", str(fixture_dir / "workers.csv"))
         assert proc.returncode == 0
         assert "worker_id" in proc.stdout
+
+    @pytest.mark.parametrize("exc, label, code", [
+        (UsageError("bad flag"), "usage error", 1),
+        (DataError("bad record"), "data error", 2),
+        (OSError("no such file"), "data error", 2),
+        (NumericError("non-finite loss"), "numeric error", 3),
+    ])
+    def test_each_error_kind_has_its_exit_code(self, capsys, exc, label, code):
+        assert report_error(exc) == code
+        assert capsys.readouterr().err == f"{label}: {exc}\n"
 
 
 def _second_line(source: Path, target: Path, mutate) -> Path:

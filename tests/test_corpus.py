@@ -23,7 +23,7 @@ from vwpstory.corpus import (
     story_surface_tokens,
     tokenize,
 )
-from vwpstory.errors import CapacityError, DataError
+from vwpstory.errors import DataError
 
 GENDERS = {"john": (90, 2), "jack": (80, 1), "mary": (1, 95), "sam": (50, 50)}
 
@@ -104,7 +104,7 @@ class TestAnonymize:
             spans.append((pos, pos + len(n), "person", n))
             pos += len(n) + 1
         table = {n.lower(): (9, 0) for n in names}
-        with pytest.raises(CapacityError):
+        with pytest.raises(DataError, match="distinct male names in one story"):
             anonymize(self._story(text, spans), table)
 
     def test_overlapping_spans_rejected(self):

@@ -12,18 +12,18 @@ from vwpstory import decoding
 from vwpstory import model as model_mod
 from vwpstory import numerics as nm
 from vwpstory.cli import main as cli_main
-from vwpstory.corpus import build_vocab, load_dataset, prepare_records, save_dataset
+from vwpstory.corpus import build_vocab, load_dataset, prepare_records, save_dataset, write_jsonl
 from vwpstory.decoding import (
     DecodingConfig,
+    GeneratedStory,
     detokenize,
     generate,
     generate_batch,
     name_pools,
     nucleus_sample,
     realize,
-    save_generated,
 )
-from vwpstory.errors import ConfigError, DataError, NumericError, ResourceError, StateError
+from vwpstory.errors import DataError, NumericError, UsageError
 from vwpstory.model import (
     KVCache,
     ModelConfig,
@@ -240,9 +240,9 @@ class TestDecodeTokens:
         assert out.token_ids == [4]
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match="unknown decoding mode 'beam'"):
             DecodingConfig(mode="beam")
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match=r"nucleus p must be in \(0, 1\], got 0.0"):
             DecodingConfig(p=0.0)
 
 
@@ -629,25 +629,25 @@ class TestBatchedDecoding:
         padded = assemble_input([same[0], (records[2], [])], model.config, vocab.bos_id)
         assert padded.lengths[1] < padded.width
         misplaced = "do not all follow the"
-        with pytest.raises(StateError, match=misplaced):  # padded: the prefixes differ in width
+        with pytest.raises(NumericError, match=misplaced):  # padded: the prefixes differ in width
             forward_logits(model, padded, cache=KVCache(model.config, batch=2))
         cache = KVCache(model.config, batch=2)
-        with pytest.raises(StateError, match=misplaced):  # one sequence for a cache of two
+        with pytest.raises(NumericError, match=misplaced):  # one sequence for a cache of two
             forward_logits(model, assemble_input(same[:1], model.config, vocab.bos_id),
                            cache=cache)
         forward_logits(model, assemble_input(same, model.config, vocab.bos_id), cache=cache)
         length = cache.length
-        with pytest.raises(StateError, match=misplaced):  # both rows one position ahead
+        with pytest.raises(NumericError, match=misplaced):  # both rows one position ahead
             forward_logits(model, text_step([3, 4], length + 1), cache=cache)
         step = text_step([3, 4], length)
         step.positions[1] += 1
-        with pytest.raises(StateError, match=misplaced):  # the second row misaligned
+        with pytest.raises(NumericError, match=misplaced):  # the second row misaligned
             forward_logits(model, step, cache=cache)
         step = text_step([3, 4], length)
         step.lengths[1] = 0
-        with pytest.raises(StateError, match=misplaced):  # the second row is padding
+        with pytest.raises(NumericError, match=misplaced):  # the second row is padding
             forward_logits(model, step, cache=cache)
-        with pytest.raises(StateError, match=misplaced):  # three rows for a cache of two
+        with pytest.raises(NumericError, match=misplaced):  # three rows for a cache of two
             forward_logits(model, text_step([3, 4, 5], length), cache=cache)
         assert cache.length == length
         forward_logits(model, text_step([3, 4], length), cache=cache)
@@ -685,7 +685,7 @@ class TestBatchedDecoding:
                 if names:
                     story.text = realize(story.tokens, name_pools(pools), realize_rng)
                 stories.append(story)
-            save_generated(stories, tmp_path / "per_record.jsonl")
+            write_jsonl(tmp_path / "per_record.jsonl", stories, GeneratedStory.to_dict)
             assert out.read_bytes() == (tmp_path / "per_record.jsonl").read_bytes()
         assert len(stories) == len(records)
 
@@ -741,7 +741,7 @@ class TestRealize:
 
     def test_empty_pool_errors(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ResourceError):
+        with pytest.raises(DataError, match=r"no female names left for placeholder \[female0\]"):
             realize(["[female0]"], name_pools({"male": ["X"]}), rng)
 
     def test_gender_correct_restoration_after_anonymize(self):

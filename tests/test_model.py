@@ -20,7 +20,7 @@ from vwpstory.corpus import (
     ImageSequenceRecord,
     ObjectRecord,
 )
-from vwpstory.errors import ConfigError, DataError, StateError
+from vwpstory.errors import DataError, NumericError, UsageError
 from vwpstory.model import (
     FEATURES,
     GRID_MODES,
@@ -68,22 +68,22 @@ def tiny_config(**kwargs):
 
 class TestModelConfig:
     def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match="d_model 9 not divisible by n_heads"):
             tiny_config(d_model=9)
 
     def test_zero_heads_is_config_error(self):
         # positivity is checked before d_model % n_heads can divide by zero
-        with pytest.raises(ConfigError, match="n_heads must be positive"):
+        with pytest.raises(UsageError, match="n_heads must be positive"):
             tiny_config(n_heads=0)
 
     def test_grid_mode_requires_features(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match="grid_mode 'char' requires feature 'char'"):
             tiny_config(feature_set=("global",), grid_mode="char")
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match="grid_mode 'entity' requires feature"):
             tiny_config(feature_set=("global", "char"), grid_mode="entity")
 
     def test_global_mandatory(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match="feature_set must include 'global'"):
             tiny_config(feature_set=("char",), grid_mode="none")
 
     def test_canonical_round_trip(self):
@@ -361,11 +361,11 @@ class TestKVCache:
         seq = make_seq()
         cache = KVCache(model.config)
         prefix = assemble_input([(seq, [])], model.config, BOS)
-        with pytest.raises(StateError, match="inference only"):
+        with pytest.raises(NumericError, match="inference only"):
             forward_logits(model, prefix, rng=np.random.default_rng(0), cache=cache)
         assert cache.length == 0
         forward_logits(model, prefix, cache=cache)
-        with pytest.raises(StateError, match="do not all follow"):
+        with pytest.raises(NumericError, match="do not all follow"):
             forward_logits(model, text_step(3, cache.length + 1), cache=cache)
         assert cache.length == prefix.length
 
@@ -580,7 +580,7 @@ def valid_feature_grid_pairs():
         for mode in GRID_MODES:
             try:
                 tiny_config(feature_set=features, grid_mode=mode)
-            except ConfigError:
+            except UsageError:
                 continue
             pairs.append((features, mode))
     return pairs

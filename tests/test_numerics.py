@@ -3,6 +3,7 @@ import mmap
 import os
 import signal
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ class TestGradCheck:
                                         "layer_norm", "gelu", "embedding",
                                         "dropout", "xent", "concat", "narrow"])
     def test_every_kernel_within_1e4(self, kernel):
-        rng = np.random.default_rng(hash(kernel) % 2 ** 31)
+        rng = np.random.default_rng(zlib.crc32(kernel.encode()))
         store = param_store({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 3)),
                             "g": rng.normal(size=4) * 0.1 + 1.0,
                             "c": rng.normal(size=4) * 0.1, "d": rng.normal(size=3)})

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from vwpstory import training
 from vwpstory.corpus import prepare_records
 from vwpstory.decoding import DecodingConfig, generate_batch
-from vwpstory.errors import ConfigError, DataError, NumericError, TrainingError
+from vwpstory.errors import DataError, NumericError, UsageError
 from vwpstory.model import (
     EVAL_SLICE,
     ModelConfig,
@@ -163,7 +163,7 @@ class TestTrainEpoch:
             return losses
 
         monkeypatch.setattr(training, "story_losses", poisoned)
-        with pytest.raises(TrainingError) as info:
+        with pytest.raises(NumericError, match="non-finite loss") as info:
             train_epoch(model, prepared.splits["train"], prepared.vocab,
                         tiny_train_config(), seed=0, epoch=7)
         assert f"epoch 7, batch 0, sequence {seen[0]}: non-finite loss" in str(info.value)
@@ -582,14 +582,14 @@ class TestTrainConfigValidation:
         ("batch_size", 0), ("batch_size", -1), ("epochs", 0), ("seeds", ()),
     ])
     def test_degenerate_loop_is_config_error(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError, match=f"{field} must be"):
             tiny_train_config(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
     ])
     def test_bad_optimizer_setting_is_config_error(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(UsageError, match=field):
             tiny_train_config(**{field: value})
 
     def test_zero_lr_is_valid(self):
