@@ -5,9 +5,12 @@ one-record case. Records are grouped by conditioning-prefix width and
 decoded in slices of 16: a slice's prefixes and [BOS], built by one
 ``assemble_input`` call on its records with empty stories, are forwarded
 once into a per-layer KV cache, then every step forwards one position per
-unfinished story, without building an autograd graph. Each token is the
-argmax of its story's last logits or a nucleus draw from their softmax with
-the story's own generator; a story that picks [EOS] leaves the step batch.
+unfinished story, without building an autograd graph. A cached forward
+returns only each story's last logits row: the prefix forward caches the
+keys and values of every prefix row, but runs its last layer's queries and
+everything after them on the last row alone. Each token is the argmax of
+its story's last logits or a nucleus draw from their softmax with the
+story's own generator; a story that picks [EOS] leaves the step batch.
 A batched forward's logits may differ from a one-record forward's in the
 last bits (within 1e-12), so a story's ids are those of decoding its record
 alone unless a pick hinges on such a difference. A story that ends on [EOS]
@@ -159,11 +162,12 @@ def _decode_slice(model: StoryGenModel, batch: BatchLayout, vocab: Vocabulary,
     """The ids decoded from a batch of prefixes of one width, as one step
     batch, and why each story stopped.
 
-    The prefixes and [BOS] are forwarded once into a KV cache; each later
-    step forwards one position per unfinished story, the token it picked
-    last. A story that picks [EOS] leaves the step batch and the cache with
-    the stop reason "eos"; the stories still in it when the loop ends ran out
-    of budget.
+    The prefixes and [BOS] are forwarded once into a KV cache sized for the
+    positions the slice can fill; each later step forwards one position per
+    unfinished story, the token it picked last. Each forward returns one
+    logits row per story in the step batch. A story that picks [EOS] leaves
+    the step batch and the cache with the stop reason "eos"; the stories
+    still in it when the loop ends ran out of budget.
     """
     n = batch.lengths.size
     stories: list[list[int]] = [[] for _ in range(n)]
@@ -171,11 +175,11 @@ def _decode_slice(model: StoryGenModel, batch: BatchLayout, vocab: Vocabulary,
     active = list(range(n))  # the story of each cache row
     rngs = [np.random.default_rng(config.seed) for _ in range(n)] \
         if config.mode == "nucleus" else None
-    cache = KVCache(model.config, batch=n)
+    # the prefix and at most budget - 1 one-row steps
+    cache = KVCache(model.config, batch=n, positions=batch.width + budget - 1)
     with no_grad():
         for _ in range(budget):
-            logits = forward_logits(model, batch, cache=cache).data
-            last = logits.reshape(len(active), -1, logits.shape[-1])[:, -1]
+            last = forward_logits(model, batch, cache=cache).data
             if rngs is None:
                 picks = last.argmax(axis=1).tolist()
             else:

@@ -238,11 +238,14 @@ def text_step(token_ids, position: int) -> BatchLayout:
 
 class KVCache:
     """Keys and values of every position forwarded so far, per layer and
-    sequence, in buffers sized for the model's full position range. The
-    ``batch`` cached sequences all hold ``length`` positions."""
+    sequence, in buffers sized for ``positions`` per sequence (by default
+    the model's full position range). The ``batch`` cached sequences all
+    hold ``length`` positions."""
 
-    def __init__(self, config: ModelConfig, batch: int = 1):
-        shape = (config.n_layers, batch, config.n_positions, config.d_model)
+    def __init__(self, config: ModelConfig, batch: int = 1, positions: int | None = None):
+        if positions is None:
+            positions = config.n_positions
+        shape = (config.n_layers, batch, positions, config.d_model)
         self.keys = np.zeros(shape)
         self.values = np.zeros(shape)
         self.batch = batch
@@ -255,6 +258,9 @@ class KVCache:
         positions, d)."""
         b, d = self.batch, k.data.shape[1]
         end = self.length + k.data.shape[0] // b
+        if end > self.keys.shape[2]:
+            raise NumericError(f"KVCache: {end} positions exceed its capacity of "
+                               f"{self.keys.shape[2]}")
         self.keys[layer, :b, self.length:end] = k.data.reshape(b, -1, d)
         self.values[layer, :b, self.length:end] = v.data.reshape(b, -1, d)
         return self.keys[layer, :b, :end], self.values[layer, :b, :end]
@@ -380,19 +386,29 @@ def _causal_mask(length: int, past: int) -> np.ndarray:
 def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
                    rng: np.random.Generator | None = None,
                    cache: KVCache | None = None) -> Tensor:
-    """Logits (B * width x vocab) under causal self-attention. The forward
-    trains exactly when it is handed ``rng``: embedding, residual and
-    attention dropout draw their masks from it at ``cfg.dropout``.
+    """Logits under causal self-attention. The forward trains exactly when
+    it is handed ``rng``: embedding, residual and attention dropout draw
+    their masks from it at ``cfg.dropout``.
 
-    Without a cache ``batch`` holds whole sequences (from ``assemble_input``);
-    training, losses and teacher-forced evaluation all take this path. With
-    a ``KVCache`` the batch holds one unpadded sequence per cached one, each
-    holding only the positions that follow those already cached (the
-    conditioning prefixes first, then one ``text_step`` per token): each
-    layer's new queries attend over their sequence's cached keys/values plus
-    the new ones under a (new, past + new) causal mask, the new keys/values
-    are stored, and every cached sequence grows by ``batch.width``. A cache
-    is for inference only, so it is refused together with ``rng``.
+    Without a cache ``batch`` holds whole sequences (from ``assemble_input``)
+    and the logits are (B * width x vocab), one row per padded position;
+    training, losses and teacher-forced evaluation all take this path.
+
+    With a ``KVCache`` the batch holds one unpadded sequence per cached one,
+    each holding only the positions that follow those already cached (the
+    conditioning prefixes first, then one ``text_step`` per token), and the
+    logits are (B x vocab): the row of each sequence's last position, the
+    only one a decoder reads. Each layer projects and stores the keys and
+    values of every new row, and its new queries attend over their
+    sequence's cached keys/values plus the new ones under a (new, past +
+    new) causal mask; the last layer takes its queries, and everything
+    after them, from each sequence's last row only. The cache's contents
+    and every one-row step are bitwise the uncached forward's. A prefix's
+    logits may differ from the uncached forward's last row in the last bits
+    (within 1e-12): one query row takes BLAS's matrix-vector kernel, which
+    sums in another order than the matrix-matrix one. Every cached sequence
+    grows by ``batch.width``. A cache is for inference only, so it is
+    refused together with ``rng``.
     """
     cfg = model.config
     p = model.param
@@ -428,11 +444,16 @@ def forward_logits(model: StoryGenModel, batch: BatchLayout, *,
     for i in range(cfg.n_layers):
         b = f"block{i}."
         h = nm.layer_norm(x, p(b + "ln1.g"), p(b + "ln1.b"))
-        q = nm.matmul(h, p(b + "attn.wq"), p(b + "attn.bq"))
         k = nm.matmul(h, p(b + "attn.wk"), p(b + "attn.bk"))
         v = nm.matmul(h, p(b + "attn.wv"), p(b + "attn.bv"))
         if cache is not None:
             k, v = cache.extend(i, k, v)
+            if i == cfg.n_layers - 1 and batch.width > 1:
+                # only each sequence's last row is read from here on; it
+                # sees every key, so the last mask row is all zeros
+                ends = np.arange(1, batch.lengths.size + 1) * batch.width - 1
+                x, h, mask = nm.embedding(x, ends), nm.embedding(h, ends), mask[-1:]
+        q = nm.matmul(h, p(b + "attn.wq"), p(b + "attn.bq"))
         heads = nm.attention(q, k, v, mask, cfg.n_heads, dropout=cfg.dropout, rng=rng)
         # branch outputs stay unnamed, so each is freed once added in
         x = nm.add(x, nm.dropout(nm.matmul(heads, p(b + "attn.wo"), p(b + "attn.bo")),

@@ -570,11 +570,15 @@ def adam_step(store: ParamStore, lr: float) -> None:
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``; the
-    squares are summed per parameter, and those sums added in store order."""
+    squares are summed per parameter, and those sums added in store order.
+    A norm that is not finite, such as one whose squares overflow, is
+    refused: scaling by ``max_norm / inf`` would zero the step."""
     total = 0.0
     for p in store.params.values():
         total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        raise NumericError(f"clip_global_norm: gradient norm is {norm}")
     if norm > max_norm and norm > 0.0:
         store.grad *= max_norm / norm
     return norm

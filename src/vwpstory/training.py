@@ -138,26 +138,37 @@ def train_epoch(model: StoryGenModel, records: list[ImageSequenceRecord],
                 vocab: Vocabulary, config: TrainConfig, seed: int,
                 epoch: int = 0) -> float:
     """One full pass: seed-deterministic shuffling and dropout; returns the
-    mean story loss over all examples."""
+    mean story loss over all examples.
+
+    A diverging step is refused as a NumericError that names its epoch and
+    batch: a non-finite loss also names its sequence, and a refusal from
+    the step's forward, backward, clip or Adam update is re-raised with the
+    epoch and batch in front. numpy's overflow warnings are silenced over
+    the epoch, since those refusals report what they flag."""
     keep_freed_memory()
     examples = training_examples(records, vocab.eos_id)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(len(examples))
     store = model.store
     total = 0.0
-    for start in range(0, len(order), config.batch_size):
-        batch = [examples[idx] for idx in order[start:start + config.batch_size]]
-        store.zero_grad()
-        losses = story_losses(model, batch, bos_id=vocab.bos_id, rng=rng)
-        for (rec, _), value in zip(batch, losses.data.tolist()):
-            if not math.isfinite(value):
-                raise NumericError(
-                    f"epoch {epoch}, batch {start // config.batch_size}, "
-                    f"sequence {rec.id}: non-finite loss")
-            total += value
-        losses.backward(np.full(len(batch), 1.0 / len(batch)))
-        clip_global_norm(store, CLIP_NORM)
-        adam_step(store, lr=config.lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(order), config.batch_size):
+            where = f"epoch {epoch}, batch {start // config.batch_size}"
+            batch = [examples[idx] for idx in order[start:start + config.batch_size]]
+            try:
+                store.zero_grad()
+                losses = story_losses(model, batch, bos_id=vocab.bos_id, rng=rng)
+                values = losses.data.tolist()
+                if all(map(math.isfinite, values)):
+                    losses.backward(np.full(len(batch), 1.0 / len(batch)))
+                    clip_global_norm(store, CLIP_NORM)
+                    adam_step(store, lr=config.lr)
+            except NumericError as exc:
+                raise NumericError(f"{where}: {exc}") from exc
+            for (rec, _), value in zip(batch, values):
+                if not math.isfinite(value):
+                    raise NumericError(f"{where}, sequence {rec.id}: non-finite loss")
+                total += value
     return total / len(examples)
 
 

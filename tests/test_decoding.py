@@ -338,42 +338,58 @@ def corpus_and_model(corpus, t_max=24, suppress_eos=False):
     return prepared.splits["train"][:3], vocab, model
 
 
-# generate's ids, its number of forwards, and a sha256 over the float.hex of
-# every forward's last-position logits, per record of ``corpus_and_model``,
-# recorded from the callback-driven decoder that the loop in ``generate``
-# replaced (the same NumPy build; another BLAS may sum in another order)
+# generate's ids, its number of forwards, and two sha256 digests over the
+# float.hex of a forward's last-position logits, per record of
+# ``corpus_and_model``: one of the prefix forward's row, one of every cached
+# step's. The ids, the counts and the cached-step digests were recorded from
+# the callback-driven decoder that the loop in ``generate`` replaced; the
+# prefix digests were recorded again when the cached prefix forward came to
+# compute only its last row's query side and logits (the same NumPy build;
+# another BLAS may sum in another order)
 RECORDED_DECODES = {
     ("fixture", "greedy"): [
         ([12, 10, 14, 10, 0, 0, 0], 8,
-         "2f59fc59d7a11b64c8988a257cc9232d6cf0954b7b4dc34581737b52cb7c5bf4"),
+         "17e0348ae40a223ec76facfac8246e18b42241d61ffc17bc6cfbbe6641d98b0a",
+         "66f614bc58f83fd34311464edc3c3b4b73bd0435154fc76d3fcb1de69af40532"),
         ([11, 10, 14, 10], 5,
-         "1ca33e6d92388e9044a90b46647771e075bc8ffc015ff7f290d2e578d9f5a081"),
+         "e87a1527eace0aa2623aa94c172c8407bcc334bcab32be46e914497135af63c5",
+         "26ce5eff9a2a8b18655619cad5b5965d6c311ca501f87cd499abb5acd8b82ffa"),
         ([12, 10, 14, 10], 5,
-         "c1b873727fee1784857f8f66449c208a771cfc05f17870c96239934df44576c4"),
+         "45a8fa56384264ee40d73ab58f9c863f243d26c5e4480abc4c4f1f8c77f971c2",
+         "d4bdf1869d4aa0b735634ad1c82fdd410158aa7a71c91802e8a1b6e89d7cf2e3"),
     ],
     ("fixture", "nucleus"): [
         ([18], 2,
-         "5bbbc08fcc0da39f05cb6fa0ae7cda00272808677a9b64941e61feecd3371126"),
+         "17e0348ae40a223ec76facfac8246e18b42241d61ffc17bc6cfbbe6641d98b0a",
+         "220f1c677be2448224883d9cbf6e8e03deb998576dce8b7b8d5744a4b8b97d57"),
         ([13, 24, 24, 20, 25, 4, 13, 3, 20, 25, 25, 5, 28, 21, 28, 26, 7, 10, 0, 17], 20,
-         "8f0cda4a2543cc4c8f8c04f6b4c649546466ecf03550c2bf3b1340ba40b90063"),
+         "e87a1527eace0aa2623aa94c172c8407bcc334bcab32be46e914497135af63c5",
+         "0bdb82a041d8454ab80664918c34f1256b551fd2aed80a34ad2e770e99cb36a5"),
         ([0, 27, 8, 18, 16, 27, 17, 8, 7, 22, 11, 0], 13,
-         "8d166bb0ca3069ea47022017ca22116b4677ae23757c7de5fdd8304d8a73423b"),
+         "45a8fa56384264ee40d73ab58f9c863f243d26c5e4480abc4c4f1f8c77f971c2",
+         "38164118b652da08f0d172ce5f065d48d08b9614f9d260d49ac52c9d7bba6ad9"),
     ],
     ("planted", "greedy"): [
         ([19, 19, 6, 19, 16, 9, 19, 16, 9, 19, 1, 19, 16, 10, 16, 9, 19, 19, 16], 20,
-         "24c7c7cbe487ba0675ce12b61a73c4a2a7409dd872d4923ae93a7745bcefd1ce"),
+         "e25f2352cdff8cdbe9751b5019d5e0dcac6dbc78c46af77145029ccaec0099dd",
+         "3ef22bdbded3e6ddca1232c9934512a9bbb7c0d01dc34a10b6d6d4d2262e6e93"),
         ([19, 19, 6, 19, 16, 9, 19, 16, 9, 19, 1, 19, 16, 10, 16, 9, 19, 19, 16], 20,
-         "ea619873ec46a08a0e6bdee5e26ad99546726d0366a920df8e287177c6582b6c"),
+         "fc95e863d204d0730a5c488a17586bd13d6e9082f0090a94c3d6e10efe8247cd",
+         "01d115f0f36d2ffffa4e8c95eb6cd1f885c79e6144a4b1ef21901bf0b7c0108d"),
         ([19, 19, 6, 19, 16, 9, 19, 16, 9, 19, 1, 19, 16, 10, 16, 9, 19, 19, 16], 20,
-         "3a42b305e9e03add03c730d6d2078da3a7753bae1ceb8ddeb9cc24d7e66e9f23"),
+         "8463cfa76ec4c97142d831d7df4fdd466ad33ac615fe9f397543049f6471c95a",
+         "52e84f40a30122a641cc0be2c5bbe90ce93366945ee2971fb2d022f0008f191f"),
     ],
     ("planted", "nucleus"): [
         ([7, 6, 14, 18, 0, 16, 19, 10, 14, 10, 18, 6, 7, 4, 7, 10, 18, 8, 16, 7], 20,
-         "0c7efcb2434d7d2fd61bc667c32d80d92e02abd9faf69128b38274045af3d5f3"),
+         "e25f2352cdff8cdbe9751b5019d5e0dcac6dbc78c46af77145029ccaec0099dd",
+         "bf9914c56dd0fc0b15fb25ba28e9dda4ec0a62704e6d734fa1a96ed5759b5b5d"),
         ([6, 16, 15, 8, 6, 17, 18, 14, 5, 6, 15, 13, 17, 13, 9, 17, 6, 12, 16, 9], 20,
-         "8af92545192385a8f33b492ee5cd9dc70287abf2be747aa35093caffc1759e44"),
+         "fc95e863d204d0730a5c488a17586bd13d6e9082f0090a94c3d6e10efe8247cd",
+         "4b73d96e7583ed0f0167135bac224249f72bdd9a70d22a5870ccab6b91f14e58"),
         ([11, 9], 3,
-         "370eabcf3b350fbd51c2f829b34e96338c08d00825c363aeb5c21a3579ad17ba"),
+         "8463cfa76ec4c97142d831d7df4fdd466ad33ac615fe9f397543049f6471c95a",
+         "b2e61861492161a2f770e49f2db03cd3317cd34228770744eadb049ead60ae54"),
     ],
 }
 
@@ -405,7 +421,7 @@ class TestCachedDecoding:
         for r, seq in enumerate(records):
             cfg = DecodingConfig(mode=mode, p=0.9, max_new_tokens=20, seed=31 + r)
             ids, steps = cached_decode(monkeypatch, model, seq, vocab, cfg)
-            got.append((ids, len(steps), logits_digest(steps)))
+            got.append((ids, len(steps), logits_digest(steps[:1]), logits_digest(steps[1:])))
         assert got == RECORDED_DECODES[corpus, mode]
 
     @pytest.mark.parametrize("corpus", ["fixture", "planted"])
@@ -463,6 +479,24 @@ class TestCachedDecoding:
                        DecodingConfig(mode="nucleus", p=0.9, max_new_tokens=20, seed=3))
         assert len(out.token_ids) == 20 and len(forwards) == 20
         assert sum(forwards[1:]) <= self.CACHED_STEP_TENSORS
+
+    @pytest.mark.parametrize("budget, t_max", [(12, 24), (100, 9)])
+    def test_cache_holds_exactly_the_positions_a_slice_fills(self, monkeypatch, budget, t_max):
+        records, vocab, model = corpus_and_model("fixture", t_max=t_max, suppress_eos=True)
+        caches = []
+
+        def recording_cache(*args, **kwargs):
+            caches.append(KVCache(*args, **kwargs))
+            return caches[-1]
+
+        monkeypatch.setattr(decoding, "KVCache", recording_cache)
+        out = generate_batch(model, records[:2], vocab,
+                             DecodingConfig(mode="greedy", max_new_tokens=budget))
+        new = min(budget, t_max - 1)
+        assert [len(story.token_ids) for story in out] == [new, new]
+        width = assemble_input([(records[0], [])], model.config, vocab.bos_id).width
+        # the prefix, then one position for every token but the last
+        assert [(c.keys.shape[2], c.length) for c in caches] == [(width + new - 1,) * 2]
 
     def test_one_prefix_forward_then_one_position_per_token(self, monkeypatch):
         records, vocab, model = corpus_and_model("fixture", suppress_eos=True)
@@ -534,8 +568,8 @@ def record_batched_forwards(monkeypatch):
     def recording_forward(model_, batch, **kwargs):
         logits = forward_logits(model_, batch, **kwargs)
         rows = batch.lengths.size
-        forwards.append((rows, batch.width,
-                         logits.data.reshape(rows, batch.width, -1)[:, -1].copy()))
+        assert logits.shape == (rows, model_.config.vocab_size)
+        forwards.append((rows, batch.width, logits.data.copy()))
         return logits
 
     monkeypatch.setattr(decoding, "forward_logits", recording_forward)
@@ -605,8 +639,9 @@ class TestBatchedDecoding:
         cache = KVCache(model.config, batch=3)
         prefix = assemble_input([(seq, []) for seq in seqs], model.config, vocab.bos_id)
         width = prefix.width
-        got = {r: [row] for r, row in enumerate(
-            forward_logits(model, prefix, cache=cache).data.reshape(3, width, -1)[:, -1])}
+        first = forward_logits(model, prefix, cache=cache).data
+        assert first.shape == (3, model.config.vocab_size)
+        got = {r: [row] for r, row in enumerate(first)}
         rows = [0, 1, 2]
         for step in range(4):
             if step == 2:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import mmap
@@ -311,7 +312,22 @@ class TestForward:
         assert a == b
 
 
+def cache_digest(cache: KVCache) -> str:
+    """sha256 of the keys, then the values, that ``cache`` holds."""
+    held = (slice(None), slice(cache.batch), slice(cache.length))
+    return hashlib.sha256(cache.keys[held].tobytes() + cache.values[held].tobytes()).hexdigest()
+
+
 class TestKVCache:
+    # ``cache_digest`` after the prefix of each variant below, by grid mode,
+    # recorded when the cached prefix forward still ran every row's query
+    # side and logits: the keys and values must not have moved since
+    PREFIX_CACHE_DIGESTS = {
+        "none": "512641d96ed951a3869f0291d1daaea4650f1530e21569b09d4ba5988f146255",
+        "entity": "49519d28273b8e33ed168ea3ffaa3fee2cf3e6489dbeacbe7b6b6b87f72f37cf",
+        "obj": "9d6e8e0b4f6e088a28b1ce084d3f63334ad5be12df33f0f6fa309ce823ed0df3",
+    }
+
     @pytest.mark.parametrize("variant", [
         dict(feature_set=("global",), grid_mode="none"),
         dict(feature_set=("global", "char", "obj"), grid_mode="entity", n_layers=2),
@@ -326,12 +342,62 @@ class TestKVCache:
         cache = KVCache(model.config)
         prefix = assemble_input([(seq, [])], model.config, BOS)
         rows = [forward_logits(model, prefix, cache=cache).data]
+        assert cache_digest(cache) == self.PREFIX_CACHE_DIGESTS[variant["grid_mode"]]
         for tok in story:
             rows.append(forward_logits(model, text_step(tok, cache.length), cache=cache).data)
-        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-12)
-        # the prefix pass is the uncached forward on the same layout
-        assert rows[0].tobytes() == forward_logits(model, prefix).data.tobytes()
+        np.testing.assert_allclose(np.concatenate(rows), full[prefix.width - 1:],
+                                   rtol=0, atol=1e-12)
+        # the prefix pass returns the uncached forward's last row
+        np.testing.assert_allclose(rows[0], forward_logits(model, prefix).data[-1:],
+                                   rtol=0, atol=1e-12)
         assert cache.length == full.shape[0]
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_prefix_returns_each_sequence_last_row(self, batch, n_layers):
+        model = build_model(tiny_config(n_layers=n_layers))
+        seqs = [make_seq(n_images=4, n_chars=2, seed=s, seq_id=f"s{s}") for s in range(batch)]
+        prefix = assemble_input([(seq, []) for seq in seqs], model.config, BOS)
+        cache = KVCache(model.config, batch=batch)
+        got = forward_logits(model, prefix, cache=cache).data
+        assert got.shape == (batch, model.config.vocab_size)
+        full = forward_logits(model, prefix).data.reshape(batch, prefix.width, -1)
+        np.testing.assert_allclose(got, full[:, -1], rtol=0, atol=1e-12)
+        # every prefix row was cached, not only the rows whose logits were read
+        assert cache.length == prefix.width
+
+    def test_only_the_last_layer_narrows_to_the_last_rows(self, monkeypatch):
+        model = build_model(tiny_config(n_layers=2))
+        seqs = [make_seq(n_images=4, n_chars=2, seed=s, seq_id=f"s{s}") for s in range(3)]
+        prefix = assemble_input([(seq, []) for seq in seqs], model.config, BOS)
+        assert prefix.width > 1
+        first, last = model.param("block0.mlp.w1"), model.param("block1.mlp.w1")
+        rows = {}
+        real_matmul = nm.matmul
+
+        def spying_matmul(a, b, bias):
+            if b is first or b is last:
+                rows[b is last] = a.data.shape[0]
+            return real_matmul(a, b, bias)
+
+        monkeypatch.setattr(nm, "matmul", spying_matmul)
+        forward_logits(model, prefix, cache=KVCache(model.config, batch=3))
+        assert rows == {False: 3 * prefix.width, True: 3}
+        forward_logits(model, prefix)  # without a cache every layer sees every row
+        assert rows == {False: 3 * prefix.width, True: 3 * prefix.width}
+
+    def test_extend_past_capacity_is_refused(self):
+        model = build_model(tiny_config())
+        seq = make_seq()
+        prefix = assemble_input([(seq, [])], model.config, BOS)
+        cache = KVCache(model.config, positions=prefix.width + 1)
+        assert cache.keys.shape[2] == prefix.width + 1
+        forward_logits(model, prefix, cache=cache)
+        forward_logits(model, text_step(3, cache.length), cache=cache)
+        with pytest.raises(NumericError, match="exceed its capacity"):
+            forward_logits(model, text_step(4, cache.length), cache=cache)
+        with pytest.raises(NumericError, match="exceed its capacity"):
+            KVCache(model.config, positions=2).extend(0, *[nm.Tensor(np.ones((3, 8)))] * 2)
 
     @pytest.mark.parametrize("batch", [1, 16])
     def test_extend_hands_back_views_of_the_cache(self, batch):

@@ -284,6 +284,14 @@ class TestClipGlobalNorm:
         nm.clip_global_norm(store, 1.0)
         assert math.sqrt(float((p.grad ** 2).sum())) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("grad", [[1e200, 1.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_non_finite_norm_is_refused(self, grad):
+        store = param_store({"w": [0.0, 0.0]})
+        store["w"].grad[...] = grad
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="gradient norm is"):
+            nm.clip_global_norm(store, 1.0)
+        assert store["w"].grad[1] == 1.0  # left as it was
+
 
 class TestFiniteness:
     @given(small_arrays())

@@ -113,9 +113,24 @@ class TestTrainEpoch:
         prepared = tiny_prepared()
         model = build_model(tiny_model_config(len(prepared.vocab)))
         model.store["out.w"].data[:] = 1e308  # force an overflow downstream
-        with pytest.raises(NumericError), pytest.warns(RuntimeWarning):
+        # the overflow warns nothing (warnings are errors here), and the
+        # refusal names where it happened and chains the op's own
+        with pytest.raises(NumericError, match=r"^epoch 1, batch 0: forward_logits: ") as info:
             train_epoch(model, prepared.splits["train"], prepared.vocab,
                         tiny_train_config(), seed=0, epoch=1)
+        assert isinstance(info.value.__cause__, NumericError)
+        assert str(info.value) == f"epoch 1, batch 0: {info.value.__cause__}"
+
+    def test_overflowing_gradient_norm_is_refused_at_its_batch(self):
+        prepared = tiny_prepared()
+        model = build_model(tiny_model_config(len(prepared.vocab)))
+        # a finite loss whose gradients' squares overflow: clipping by the
+        # infinite norm would zero the step without a word
+        model.store["out.w"].data[:] = 1e200
+        with pytest.raises(NumericError,
+                           match=r"^epoch 2, batch 0: clip_global_norm: gradient norm is inf$"):
+            train_epoch(model, prepared.splits["train"], prepared.vocab,
+                        tiny_train_config(), seed=0, epoch=2)
 
     def test_one_forward_and_one_backward_per_batch(self, monkeypatch):
         from vwpstory import numerics as nm
