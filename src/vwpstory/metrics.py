@@ -5,17 +5,19 @@ METEOR in the original two-stage exact+stem formulation, ROUGE-L with
 beta = 1.2, and plain CIDEr over 1..4-grams scaled by 10. All scores are
 computed on token lists in [0, 1] (CIDEr in [0, 10]); reports multiply the
 unit-interval metrics by 100.
+
+BLEU and CIDEr count n-grams in one numpy pass over integer arrays; METEOR
+and ROUGE-L score pair by pair in Python. Everything runs in the calling
+process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .corpus import json_list, read_jsonl, token_list, tokenize
 from .errors import DataError
@@ -45,62 +47,115 @@ class EvalPair:
 
 # --- n-gram statistics shared by BLEU and CIDEr -----------------------------
 
-def _ngram_counts(tokens: list[str], max_n: int) -> list[Counter]:
-    """Counts of the 1..max_n-grams of ``tokens``, one Counter per order, each
-    gram keyed in order of first occurrence (CIDEr's float sums run in that
-    order)."""
-    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, max_n + 1)]
-
-
 @dataclass
-class _NgramStats:
-    """BLEU's clipped matches and totals per order, its summed lengths, and
-    (when asked for) CIDEr's document frequency of every reference n-gram."""
+class _NgramTotals:
+    """BLEU's clipped matches and totals per order and its summed lengths,
+    and CIDEr (``None`` when not asked for)."""
 
     matches: list[int]
     totals: list[int]
     hyp_len: int
     ref_len: int
-    doc_freq: list[Counter] | None
+    cider: float | None
 
 
-def _ngram_stats(pairs: list[EvalPair], max_n: int, doc_freq: bool = False) -> _NgramStats:
-    """One pass over the pairs that counts each sentence's 1..max_n-grams once
-    and holds only the current pair's counts. A hypothesis gram is clipped at
-    its highest count in any one reference; the reference length is the one
-    closest to the hypothesis, the shorter on ties; the union of a pair's
-    reference grams is its document for CIDEr."""
+def _ngram_pass(pairs: list[EvalPair], max_n: int, cider_n: int = 0) -> _NgramTotals:
+    """Count every sentence's 1..max_n-grams once, as integer arrays, and
+    reduce them to BLEU's totals and, over orders 1..cider_n, to CIDEr.
+
+    The tokens are interned to ids 0..V-1 once. The key of a gram of order n
+    is the rank of its first n - 1 tokens among the order n - 1 keys, times
+    V, plus its last id, so all sentences' grams of one order are ranked
+    together. Every key stays below tokens × V ≤ tokens², and every sentence
+    × gram cell below sentences × tokens, far inside int64. Per order, one
+    ``np.unique`` gives each sentence's distinct grams with their counts,
+    put in order of first occurrence, and the arrays live for that order
+    only.
+
+    A hypothesis gram is clipped at its highest count in any one reference;
+    the reference length is the one closest to the hypothesis, the shorter
+    on ties. CIDEr's document for IDF is a pair's references. Its norms and
+    hypothesis-reference dot products are sequential ``np.bincount`` sums
+    over each sentence's grams in order of first occurrence (the
+    hypothesis's, for a dot product), and the means over pairs are Python
+    sums, so CIDEr equals a left-to-right loop over dicts bit for bit.
+    """
     if not pairs:
         raise DataError("bleu_corpus: empty corpus")
-    matches = [0] * max_n
-    totals = [0] * max_n
     hyp_len = ref_len = 0
-    df = [Counter() for _ in range(max_n)] if doc_freq else None
     for pair in pairs:
         c = len(pair.hypothesis)
         hyp_len += c
         ref_len += min((len(r) for r in pair.references),
                        key=lambda rl: (abs(rl - c), rl))
-        hyp_counts = _ngram_counts(pair.hypothesis, max_n)
-        ref_counts = [_ngram_counts(ref, max_n) for ref in pair.references]
-        for n in range(max_n):
-            clip = dict(ref_counts[0][n])
-            for counts in ref_counts[1:]:
-                for gram, count in counts[n].items():
-                    if count > clip.get(gram, 0):
-                        clip[gram] = count
-            if df is not None:
-                df[n].update(clip.keys())
-            hyp = hyp_counts[n]
-            if hyp:
-                matches[n] += sum(min(count, clip.get(gram, 0)) for gram, count in hyp.items())
-                totals[n] += sum(hyp.values())
-    return _NgramStats(matches, totals, hyp_len, ref_len, df)
+    sentences = [s for pair in pairs for s in (pair.hypothesis, *pair.references)]
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    n_refs = np.array([len(pair.references) for pair in pairs], dtype=np.int64)
+    pair_of = np.repeat(np.arange(len(pairs)), n_refs + 1)  # per sentence
+    hyp_sent = np.cumsum(n_refs + 1) - n_refs - 1  # each pair's hypothesis sentence
+    is_hyp = np.zeros(len(sentences), dtype=bool)
+    is_hyp[hyp_sent] = True
+    ref_sent = np.flatnonzero(~is_hyp)
+    tokens = list(chain.from_iterable(sentences))
+    vocab = {w: i for i, w in enumerate(dict.fromkeys(tokens))}
+    ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    sent_of = np.repeat(np.arange(len(sentences)), lengths)  # per token
+    end_of = np.repeat(np.cumsum(lengths), lengths)  # per token: its sentence's end
+    # the IDF of a gram depends only on its document frequency 0..len(pairs)
+    idf_of = np.array([max(0.0, math.log(len(pairs) / (1.0 + df)))
+                       for df in range(len(pairs) + 1)])
+
+    matches: list[int] = []
+    totals: list[int] = []
+    per_order: list[float] = []
+    start = np.arange(len(ids))  # where each gram of the current order starts
+    rank = np.zeros(len(ids), dtype=np.int64)  # of its first n - 1 tokens
+    for n in range(1, max_n + 1):
+        keep = start + n <= end_of[start]
+        start = start[keep]
+        grams, rank = np.unique(rank[keep] * len(vocab) + ids[start + n - 1],
+                                return_inverse=True)
+        sent = sent_of[start]
+        _, first, count = np.unique(sent * len(grams) + rank,
+                                    return_index=True, return_counts=True)
+        by_first = np.argsort(first)  # sentence by sentence, grams by first occurrence
+        first, count = first[by_first], count[by_first]
+        e_sent, e_gram = sent[first], rank[first]  # one entry per sentence and gram
+        e_hyp = is_hyp[e_sent]
+        # one cell per pair and gram
+        cells, cell = np.unique(pair_of[e_sent] * len(grams) + e_gram, return_inverse=True)
+        clip = np.zeros(len(cells), dtype=np.int64)
+        np.maximum.at(clip, cell[~e_hyp], count[~e_hyp])
+        hyp_count = np.zeros(len(cells), dtype=np.int64)
+        hyp_count[cell[e_hyp]] = count[e_hyp]
+        matches.append(int(np.minimum(hyp_count, clip).sum()))
+        totals.append(int(hyp_count.sum()))
+        if n > cider_n:
+            continue
+        # document frequency: the pairs whose references hold the gram
+        df = np.bincount(cells[clip > 0] % len(grams), minlength=len(grams))
+        x = count * idf_of[df[e_gram]]
+        norm = np.sqrt(np.bincount(e_sent, weights=x * x, minlength=len(sentences)))
+        hyp_entry = np.full(len(cells), -1)
+        hyp_entry[cell[e_hyp]] = np.flatnonzero(e_hyp)
+        shared = np.flatnonzero(~e_hyp & (hyp_entry[cell] >= 0))
+        h = hyp_entry[cell[shared]]
+        # each reference's shared grams in the hypothesis's order
+        in_hyp_order = np.argsort(e_sent[shared] * len(e_sent) + h)
+        shared, h = shared[in_hyp_order], h[in_hyp_order]
+        dot = np.bincount(e_sent[shared], weights=x[h] * x[shared], minlength=len(sentences))
+        nu, nv = norm[hyp_sent[pair_of[ref_sent]]], norm[ref_sent]
+        cosine = np.zeros(len(ref_sent))
+        np.divide(dot[ref_sent], nu * nv, out=cosine, where=(nu != 0.0) & (nv != 0.0))
+        mean_cosine = np.bincount(pair_of[ref_sent], weights=cosine, minlength=len(pairs)) / n_refs
+        per_order.append(sum(mean_cosine.tolist()) / len(pairs))
+    cider_value = CIDER_SCALE * sum(per_order) / cider_n if cider_n else None
+    return _NgramTotals(matches, totals, hyp_len, ref_len, cider_value)
 
 
 # --- BLEU -------------------------------------------------------------------
 
-def _bleu(stats: _NgramStats, max_order: int) -> float:
+def _bleu(stats: _NgramTotals, max_order: int) -> float:
     log_sum = 0.0
     for n in range(max_order):
         if stats.totals[n] == 0 or stats.matches[n] == 0:
@@ -118,7 +173,7 @@ def bleu_corpus(pairs: list[EvalPair], max_order: int = 4) -> float:
     times the brevity penalty (closest-reference length, shorter on ties)."""
     if max_order < 1:
         raise DataError(f"bleu_corpus: max_order must be at least 1, got {max_order}")
-    return _bleu(_ngram_stats(pairs, max_order), max_order)
+    return _bleu(_ngram_pass(pairs, max_order), max_order)
 
 
 # --- METEOR -----------------------------------------------------------------
@@ -374,47 +429,9 @@ def rouge_l(pairs: list[EvalPair]) -> float:
 
 # --- CIDEr ------------------------------------------------------------------
 
-def _norm(u: dict) -> float:
-    return math.sqrt(sum(x * x for x in u.values()))
-
-
-def _cosine(u: dict, nu: float, v: dict) -> float:
-    """Cosine of ``u`` (norm ``nu``) and ``v``."""
-    nv = _norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    dot = sum(x * v[g] for g, x in u.items() if g in v)
-    return dot / (nu * nv)
-
-
 def _check_cider_corpus(pairs: list[EvalPair]) -> None:
     if len(pairs) < 2:
         raise DataError("cider: needs a corpus of at least 2 pairs for IDF")
-
-
-def _cider(pairs: list[EvalPair], doc_freq: list[Counter]) -> float:
-    """Score every order of one pair at a time, recounting its n-grams, and
-    average each order's scores in pair order."""
-    max_n = len(doc_freq)
-    n_images = len(pairs)
-    # the IDF of a gram depends only on its document frequency 0..n_images
-    idf_of = [max(0.0, math.log(n_images / (1.0 + df))) for df in range(n_images + 1)]
-
-    def tf_idf(counts: Counter, df: Counter) -> dict:
-        return {gram: count * idf for gram, count in counts.items()
-                if (idf := idf_of[df.get(gram, 0)]) > 0.0}
-
-    order_scores: list[list[float]] = [[] for _ in range(max_n)]
-    for pair in pairs:
-        hyp_counts = _ngram_counts(pair.hypothesis, max_n)
-        ref_counts = [_ngram_counts(ref, max_n) for ref in pair.references]
-        for n, df in enumerate(doc_freq):
-            hyp_vec = tf_idf(hyp_counts[n], df)
-            nu = _norm(hyp_vec)
-            sims = [_cosine(hyp_vec, nu, tf_idf(counts[n], df)) for counts in ref_counts]
-            order_scores[n].append(sum(sims) / len(sims))
-    per_order = [sum(scores) / len(scores) for scores in order_scores]
-    return CIDER_SCALE * sum(per_order) / max_n
 
 
 def cider(pairs: list[EvalPair], max_n: int = CIDER_MAX_N) -> float:
@@ -424,97 +441,27 @@ def cider(pairs: list[EvalPair], max_n: int = CIDER_MAX_N) -> float:
     _check_cider_corpus(pairs)
     if max_n < 1:
         raise DataError(f"cider: max_n must be at least 1, got {max_n}")
-    return _cider(pairs, _ngram_stats(pairs, max_n, doc_freq=True).doc_freq)
+    return _ngram_pass(pairs, max_n, max_n).cider
 
 
 # --- suite + multi-seed aggregation ------------------------------------------
-
-# Below this many tokens (hypotheses and references together) both metric
-# families run in the caller: a fork + pipe round trip costs about what a
-# worker saves on a corpus this size (measured in the README's design notes).
-WORKER_MIN_TOKENS = 2000
-_ALIGNED = ("METEOR", "ROUGE-L")  # scored pair by pair, no n-gram statistics
-
-
-def _aligned_scores(pairs: list[EvalPair], names: list[str]) -> dict[str, float]:
-    return {name: meteor(pairs) if name == "METEOR" else rouge_l(pairs) for name in names}
-
 
 def _ngram_scores(pairs: list[EvalPair], names: list[str]) -> dict[str, float]:
     """B-k and CIDEr from one shared n-gram pass."""
     if not names:
         return {}
     orders = [int(name[2:]) for name in names if name.startswith("B-")]
-    with_cider = "CIDEr" in names
-    stats = _ngram_stats(pairs, max(orders + [CIDER_MAX_N] if with_cider else orders),
-                         doc_freq=with_cider)
-    return {name: _cider(pairs, stats.doc_freq) if name == "CIDEr" else _bleu(stats, int(name[2:]))
+    cider_n = CIDER_MAX_N if "CIDEr" in names else 0
+    totals = _ngram_pass(pairs, max(orders + [cider_n]), cider_n)
+    return {name: totals.cider if name == "CIDEr" else _bleu(totals, int(name[2:]))
             for name in names}
-
-
-def _worker_pays(pairs: list[EvalPair]) -> bool:
-    """Whether a forked worker can run beside the caller, safely and faster."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False
-    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
-        return False
-    tokens = sum(len(pair.hypothesis) + sum(map(len, pair.references)) for pair in pairs)
-    return tokens >= WORKER_MIN_TOKENS
-
-
-def _beside_worker(here, there):
-    """``here()`` in the caller while a forked child runs ``there()``;
-    returns both results. The child leaves only through ``os._exit`` and
-    sends its result or its exception back pickled; the exception is raised
-    here with its type and message. If ``here`` fails, KeyboardInterrupt
-    included, the child is killed. Either way it is reaped before return."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: run both here
-        os.close(read_fd)
-        os.close(write_fd)
-        return here(), there()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, there())
-            except BaseException as exc:
-                outcome = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            mine = here()
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-    if not data:  # the child died, or its exception does not pickle
-        raise RuntimeError("metrics worker ended without a result")
-    ok, theirs = pickle.loads(data)
-    if not ok:
-        raise theirs
-    return mine, theirs
 
 
 def compute_metrics(pairs: list[EvalPair], names: list[str] | None = None) -> dict[str, float]:
     """All requested metrics on their internal scales, in the order first
     named, each computed once; ``None`` asks for every name in METRIC_NAMES.
-    BLEU and CIDEr share one n-gram pass.
-
-    When METEOR or ROUGE-L is asked for beside a B-k or CIDEr, the corpus
-    has at least WORKER_MIN_TOKENS tokens, this process may use 2 or more
-    CPUs and runs no other thread, a forked worker scores METEOR and
-    ROUGE-L while the caller runs the n-gram pass. Each value comes from
-    the same function on the same pairs as in the serial path, so it is the
-    same bit for bit.
+    BLEU and CIDEr share one n-gram pass, which runs first; METEOR and
+    ROUGE-L then score the pairs one by one, in the order named.
 
     CIDEr's IDF needs at least two pairs: on fewer, CIDEr is left out of the
     result when other metrics are requested, and asked for alone it raises.
@@ -531,15 +478,9 @@ def compute_metrics(pairs: list[EvalPair], names: list[str] | None = None) -> di
         names = others
     if "CIDEr" in names:
         _check_cider_corpus(pairs)
-    aligned = [name for name in names if name in _ALIGNED]
-    counted = [name for name in names if name not in _ALIGNED]
-    if aligned and counted and _worker_pays(pairs):
-        scores, theirs = _beside_worker(lambda: _ngram_scores(pairs, counted),
-                                        lambda: _aligned_scores(pairs, aligned))
-        scores.update(theirs)
-    else:
-        scores = _ngram_scores(pairs, counted)
-        scores.update(_aligned_scores(pairs, aligned))
+    aligned = {"METEOR": meteor, "ROUGE-L": rouge_l}  # scored pair by pair
+    scores = _ngram_scores(pairs, [name for name in names if name not in aligned])
+    scores.update({name: aligned[name](pairs) for name in names if name in aligned})
     return {name: scores[name] for name in names}
 
 

@@ -238,13 +238,10 @@ def text_step(token_ids, position: int) -> BatchLayout:
 
 class KVCache:
     """Keys and values of every position forwarded so far, per layer and
-    sequence, in buffers sized for ``positions`` per sequence (by default
-    the model's full position range). The ``batch`` cached sequences all
-    hold ``length`` positions."""
+    sequence, in buffers sized for ``positions`` per sequence. The ``batch``
+    cached sequences all hold ``length`` positions."""
 
-    def __init__(self, config: ModelConfig, batch: int = 1, positions: int | None = None):
-        if positions is None:
-            positions = config.n_positions
+    def __init__(self, config: ModelConfig, batch: int = 1, *, positions: int):
         shape = (config.n_layers, batch, positions, config.d_model)
         self.keys = np.zeros(shape)
         self.values = np.zeros(shape)

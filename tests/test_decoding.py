@@ -636,7 +636,7 @@ class TestBatchedDecoding:
         records, vocab, model = recut_corpus()
         seqs = [records[0], records[1], records[3]]  # one prefix width
         stories = [[3, 7, 2, 9], [5, 5, 8, 1], [4, 9, 9, 6]]
-        cache = KVCache(model.config, batch=3)
+        cache = KVCache(model.config, batch=3, positions=model.config.n_positions)
         prefix = assemble_input([(seq, []) for seq in seqs], model.config, vocab.bos_id)
         width = prefix.width
         first = forward_logits(model, prefix, cache=cache).data
@@ -665,8 +665,9 @@ class TestBatchedDecoding:
         assert padded.lengths[1] < padded.width
         misplaced = "do not all follow the"
         with pytest.raises(NumericError, match=misplaced):  # padded: the prefixes differ in width
-            forward_logits(model, padded, cache=KVCache(model.config, batch=2))
-        cache = KVCache(model.config, batch=2)
+            forward_logits(model, padded,
+                           cache=KVCache(model.config, batch=2, positions=model.config.n_positions))
+        cache = KVCache(model.config, batch=2, positions=model.config.n_positions)
         with pytest.raises(NumericError, match=misplaced):  # one sequence for a cache of two
             forward_logits(model, assemble_input(same[:1], model.config, vocab.bos_id),
                            cache=cache)

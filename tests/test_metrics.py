@@ -1,11 +1,7 @@
 import json
 import math
-import os
 import random
-import threading
-import time
 from collections import Counter
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -351,6 +347,39 @@ def benchmark_shaped_pairs(seed, count):
                 base.append(word)
         pairs.append(pair(noisy(base), *(noisy(base) for _ in range(4))))
     return pairs
+
+
+def long_pairs(seed, count):
+    """Pairs shaped like the evaluate benchmark's long file: 135..165-token
+    hypotheses and four references, each a noisy inflected copy of one base,
+    so every pair has more than METEOR_EXHAUSTIVE_LIMIT matches (greedy)."""
+    rng = random.Random(seed)
+    lemmas = pseudo_words(rng, 600)
+    bases = [[rng.choice(lemmas) for _ in range(rng.randint(135, 165))] for _ in range(count)]
+    return [pair(variant(rng, lemmas, base), *(variant(rng, lemmas, base) for _ in range(4)))
+            for base in bases]
+
+
+SHORT_PAIRS = benchmark_shaped_pairs(41, 30)
+LONG_PAIRS = long_pairs(42, 6)
+
+# small corpora on the n-gram pass's edges, each checked at orders 1..6
+NGRAM_EDGE_CORPORA = {
+    "empty hypothesis": [pair([], ["a", "b", "c"]), pair(["a", "b"], ["a", "b", "c"], ["b", "c"])],
+    # no reference holds a 3-gram, so orders 3..6 have hypothesis grams and
+    # no reference gram at all, and orders 5 and 6 no gram anywhere
+    "references shorter than n": [pair(["a", "b", "c", "d"], ["a", "b"]),
+                                  pair(["b", "c", "d"], ["c"], ["d", "b"])],
+    "duplicate references": [pair(["a", "b", "a", "b"], ["a", "b", "a"], ["a", "b", "a"]),
+                             pair(["b", "a", "c"], ["b", "a", "c"], ["b", "a", "c"], ["c", "b"])],
+    "one-word vocabulary": [pair(["a"] * 5, ["a"] * 3, ["a"] * 7), pair(["a"] * 2, ["a"] * 4),
+                            pair(["a"], ["a"])],
+    # "x", "y" and "x y" are in the references of 3 of 4 pairs: IDF log(4 / 4) = 0
+    "hypothesis grams all of IDF 0": [pair(["x", "y"], ["p", "q"]),
+                                      pair(["p", "x", "y", "s"], ["x", "y", "s", "p"]),
+                                      pair(["q", "t"], ["q", "t", "x", "y"]),
+                                      pair(["x", "y", "u"], ["u", "x", "y"])],
+}
 
 
 class TestBleu:
@@ -809,7 +838,7 @@ class TestSuite:
         def fail(*args):
             raise AssertionError("a metric ran before the names were checked")
 
-        for name in ("_ngram_stats", "meteor", "rouge_l"):
+        for name in ("_ngram_pass", "meteor", "rouge_l"):
             monkeypatch.setattr(metrics, name, fail)
         with pytest.raises(DataError, match="unknown metric 'B-0'"):
             compute_metrics([pair(["a"], ["a"]), pair(["b"], ["b"])],
@@ -858,6 +887,82 @@ class TestSuite:
         assert values["CIDEr"].hex() == loop_cider(pairs).hex()
 
 
+    @pytest.mark.parametrize("corpus", NGRAM_EDGE_CORPORA)
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_edge_corpora_match_loop_oracles(self, corpus, order):
+        pairs = NGRAM_EDGE_CORPORA[corpus]
+        assert bleu_corpus(pairs, order).hex() == loop_bleu_corpus(pairs, order).hex()
+        assert cider(pairs, order).hex() == loop_cider(pairs, order).hex()
+
+    def test_edge_corpora_reach_their_edges(self):
+        edges = NGRAM_EDGE_CORPORA
+        assert edges["empty hypothesis"][0].hypothesis == []
+        short = edges["references shorter than n"]
+        assert max(len(r) for p in short for r in p.references) < 3
+        assert max(len(p.hypothesis) for p in short) == 4
+        assert any(len(set(map(tuple, p.references))) < len(p.references)
+                   for p in edges["duplicate references"])
+        assert {w for p in edges["one-word vocabulary"] for s in (p.hypothesis, *p.references)
+                for w in s} == {"a"}
+        zero_idf = edges["hypothesis grams all of IDF 0"]
+        for n in (1, 2):
+            for gram in ngrams(zero_idf[0].hypothesis, n):
+                df = sum(any(gram in ngrams(r, n) for r in p.references) for p in zero_idf)
+                assert math.log(len(zero_idf) / (1.0 + df)) <= 0.0, gram
+        assert cider(zero_idf) > 0.0  # the other pairs still score
+
+    def test_benchmark_shaped_pairs_take_both_meteor_paths(self):
+        stems = _stem_table(SHORT_PAIRS + LONG_PAIRS)
+        assert {meteor_alignment(p, stems).search for p in SHORT_PAIRS} == {"exhaustive"}
+        assert {meteor_alignment(p, stems).search for p in LONG_PAIRS} == {"greedy"}
+
+    @pytest.mark.parametrize("population", ["short", "long"])
+    def test_benchmark_shaped_pairs_match_loop_oracles(self, population):
+        pairs = SHORT_PAIRS if population == "short" else LONG_PAIRS
+        values = compute_metrics(pairs, None)
+        assert list(values) == METRIC_NAMES
+        for order in range(1, 5):
+            assert values[f"B-{order}"].hex() == loop_bleu_corpus(pairs, order).hex()
+        assert values["CIDEr"].hex() == loop_cider(pairs).hex()
+
+    def test_a_name_given_twice_is_computed_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("meteor", "rouge_l", "_ngram_pass", "_bleu"):
+            def spy(*args, real=getattr(metrics, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(metrics, name, spy)
+        pairs = SHORT_PAIRS[:4]
+        values = compute_metrics(pairs, ["METEOR", "METEOR", "B-1", "B-1"])
+        assert calls == {"meteor": 1, "_ngram_pass": 1, "_bleu": 1}
+        assert values == {"METEOR": meteor(pairs), "B-1": bleu_corpus(pairs, 1)}
+        assert list(values) == ["METEOR", "B-1"]
+
+    def test_under_two_pairs(self):
+        one = SHORT_PAIRS[:1]
+        for names in (None, ["CIDEr", "METEOR", "B-1"], ["ROUGE-L", "CIDEr", "B-4"]):
+            values = compute_metrics(one, names)
+            assert list(values) == [n for n in names or METRIC_NAMES if n != "CIDEr"]
+        assert list(compute_metrics(one, ["CIDEr", "METEOR"])) == ["METEOR"]
+        with pytest.raises(DataError, match="cider: needs a corpus of at least 2 pairs"):
+            compute_metrics(one, ["CIDEr"])
+        with pytest.raises(DataError, match="bleu_corpus: empty corpus"):
+            compute_metrics([], ["METEOR", "B-1"])  # the n-gram pass runs first
+
+    def test_vwp_evaluate_exits_2_on_a_meteor_data_error(self, monkeypatch, tmp_path, capsys):
+        from vwpstory.cli import main
+
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("".join(json.dumps({"hypothesis": p.hypothesis,
+                                            "references": p.references}) + "\n"
+                                for p in SHORT_PAIRS))
+
+        def fail(pairs):
+            raise DataError("meteor: pair 7 is bad")
+        monkeypatch.setattr(metrics, "meteor_totals", fail)
+        assert main(["evaluate", "--pairs", str(path)]) == 2
+        assert "data error: meteor: pair 7 is bad" in capsys.readouterr().err
+
 class TestGolden:
     # float.hex of every metric on golden_pairs(), pinned from the textbook
     # LCS table and the double-loop, per-use-stemming METEOR; a faster metric
@@ -884,225 +989,3 @@ class TestGolden:
         assert kinds == {"exhaustive", "greedy", "budget"}
         assert any(_stage_sizes(p.hypothesis, p.references[0], stems)[1] for p in pairs)
         assert max(len(p.hypothesis) for p in pairs) > 128
-
-
-# --- the forked METEOR / ROUGE-L worker ---------------------------------------
-
-def long_pairs(seed, count):
-    """Pairs shaped like the evaluate benchmark's long file: 135..165-token
-    hypotheses and four references, each a noisy inflected copy of one base,
-    so every pair has more than METEOR_EXHAUSTIVE_LIMIT matches (greedy)."""
-    rng = random.Random(seed)
-    lemmas = pseudo_words(rng, 600)
-    bases = [[rng.choice(lemmas) for _ in range(rng.randint(135, 165))] for _ in range(count)]
-    return [pair(variant(rng, lemmas, base), *(variant(rng, lemmas, base) for _ in range(4)))
-            for base in bases]
-
-
-SHORT_PAIRS = benchmark_shaped_pairs(41, 30)
-LONG_PAIRS = long_pairs(42, 6)
-ALIGNED_NAMES = ["METEOR", "ROUGE-L"]
-COUNTED_NAMES = ["B-1", "B-2", "B-3", "B-4", "CIDEr"]
-
-
-def subsets(names):
-    return [list(c) for k in range(1, len(names) + 1) for c in combinations(names, k)]
-
-
-# every request that asks for both families, in METRIC_NAMES order
-MIXED_SUBSETS = [[name for name in METRIC_NAMES if name in aligned + counted]
-                 for aligned in subsets(ALIGNED_NAMES) for counted in subsets(COUNTED_NAMES)]
-
-
-def corpus_tokens(pairs):
-    return sum(len(p.hypothesis) + sum(len(r) for r in p.references) for p in pairs)
-
-
-def force_path(monkeypatch, path):
-    """Make compute_metrics observe what selects ``path``: two CPUs and no
-    size floor for the worker, one CPU for the serial path."""
-    cpus = {0, 1} if path == "worker" else {0}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr(metrics, "WORKER_MIN_TOKENS", 0)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker needs os.fork")
-class TestWorker:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Every os.fork call, counted in this process."""
-        calls = []
-        real_fork = os.fork
-
-        def spy():
-            calls.append(1)
-            return real_fork()
-        monkeypatch.setattr(os, "fork", spy)
-        return calls
-
-    def both_paths(self, monkeypatch, forks, pairs, names):
-        force_path(monkeypatch, "serial")
-        serial = compute_metrics(pairs, names)
-        before = len(forks)
-        force_path(monkeypatch, "worker")
-        worker = compute_metrics(pairs, names)
-        assert len(forks) == before + 1, names
-        return serial, worker
-
-    def test_benchmark_shaped_pairs_take_both_meteor_paths(self):
-        stems = _stem_table(SHORT_PAIRS + LONG_PAIRS)
-        assert {meteor_alignment(p, stems).search for p in SHORT_PAIRS} == {"exhaustive"}
-        assert {meteor_alignment(p, stems).search for p in LONG_PAIRS} == {"greedy"}
-
-    @pytest.mark.parametrize("population", ["short", "long"])
-    def test_worker_matches_serial_bit_for_bit(self, monkeypatch, forks, population):
-        pairs = SHORT_PAIRS if population == "short" else LONG_PAIRS
-        serial, worker = self.both_paths(monkeypatch, forks, pairs, None)
-        assert list(worker) == list(serial) == METRIC_NAMES
-        assert worker == serial
-
-    def test_every_mixed_request_matches_serial(self, monkeypatch, forks):
-        assert len(MIXED_SUBSETS) == 3 * 31
-        pairs = SHORT_PAIRS[:3]
-        for names in MIXED_SUBSETS:
-            serial, worker = self.both_paths(monkeypatch, forks, pairs, names)
-            assert list(worker) == list(serial) == names
-            assert worker == serial, names
-
-    def test_golden_values_on_both_paths(self, monkeypatch, forks):
-        serial, worker = self.both_paths(monkeypatch, forks, golden_pairs(), None)
-        assert {name: v.hex() for name, v in worker.items()} == TestGolden.EXPECTED
-        assert worker == serial
-
-    def test_under_two_pairs(self, monkeypatch, forks):
-        one = SHORT_PAIRS[:1]
-        for names in (None, ["CIDEr", "METEOR", "B-1"], ["ROUGE-L", "CIDEr", "B-4"]):
-            serial, worker = self.both_paths(monkeypatch, forks, one, names)
-            assert "CIDEr" not in worker
-            assert list(worker) == list(serial) and worker == serial
-        # CIDEr dropped leaves only METEOR, and CIDEr alone raises: no fork
-        force_path(monkeypatch, "worker")
-        assert list(compute_metrics(one, ["CIDEr", "METEOR"])) == ["METEOR"]
-        with pytest.raises(DataError, match="cider: needs a corpus of at least 2 pairs"):
-            compute_metrics(one, ["CIDEr"])
-        with pytest.raises(DataError, match="bleu_corpus: empty corpus"):
-            compute_metrics([], ["METEOR", "B-1"])  # the caller fails first, as serially
-        assert len(forks) == 3 + 1
-
-    def test_a_name_given_twice_is_computed_once(self, monkeypatch):
-        calls = Counter()
-        for name in ("meteor", "rouge_l", "_ngram_stats", "_bleu", "_cider"):
-            def spy(*args, real=getattr(metrics, name), name=name, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(metrics, name, spy)
-        force_path(monkeypatch, "serial")
-        pairs = SHORT_PAIRS[:4]
-        values = compute_metrics(pairs, ["METEOR", "METEOR", "B-1", "B-1"])
-        assert calls == {"meteor": 1, "_ngram_stats": 1, "_bleu": 1}
-        assert values == {"METEOR": meteor(pairs), "B-1": bleu_corpus(pairs, 1)}
-        assert list(values) == ["METEOR", "B-1"]
-
-    def test_a_worker_error_is_raised_in_the_caller(self, monkeypatch, forks):
-        def fail(pairs):
-            raise DataError("meteor: pair 7 is bad")
-        monkeypatch.setattr(metrics, "meteor_totals", fail)
-        force_path(monkeypatch, "worker")
-        with pytest.raises(DataError, match=r"^meteor: pair 7 is bad$") as info:
-            compute_metrics(SHORT_PAIRS, None)
-        assert type(info.value) is DataError
-        assert len(forks) == 1
-
-    def test_vwp_evaluate_exits_2_on_a_worker_data_error(self, monkeypatch, forks, tmp_path,
-                                                        capsys):
-        from vwpstory.cli import main
-
-        path = tmp_path / "pairs.jsonl"
-        path.write_text("".join(json.dumps({"hypothesis": p.hypothesis,
-                                            "references": p.references}) + "\n"
-                                for p in SHORT_PAIRS))
-
-        def fail(pairs):
-            raise DataError("meteor: pair 7 is bad")
-        monkeypatch.setattr(metrics, "meteor_totals", fail)
-        force_path(monkeypatch, "worker")
-        assert main(["evaluate", "--pairs", str(path)]) == 2
-        assert "data error: meteor: pair 7 is bad" in capsys.readouterr().err
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("how", ["exits", "raises what does not pickle"])
-    def test_a_worker_that_ends_without_a_result(self, monkeypatch, how):
-        class LocalError(Exception):  # a local class does not pickle
-            pass
-
-        def fail(pairs):
-            if how == "exits":
-                os._exit(3)
-            raise LocalError("no luck")
-        monkeypatch.setattr(metrics, "meteor_totals", fail)
-        force_path(monkeypatch, "worker")
-        with pytest.raises(RuntimeError, match="^metrics worker ended without a result$"):
-            compute_metrics(SHORT_PAIRS, None)
-
-    def test_no_process_to_spare_runs_both_families_in_the_caller(self, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        pairs = SHORT_PAIRS[:3]
-        force_path(monkeypatch, "serial")
-        serial = compute_metrics(pairs, None)
-        force_path(monkeypatch, "worker")
-        monkeypatch.setattr(os, "fork", no_fork)
-        worker = compute_metrics(pairs, None)
-        assert list(worker) == list(serial) and worker == serial
-
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_a_caller_failure_kills_and_reaps_the_worker(self, monkeypatch, forks, error):
-        def stall(pairs):
-            time.sleep(60)
-
-        def fail(*args, **kwargs):
-            raise error("n-gram pass failed")
-        monkeypatch.setattr(metrics, "meteor_totals", stall)
-        monkeypatch.setattr(metrics, "_ngram_stats", fail)
-        force_path(monkeypatch, "worker")
-        start = time.perf_counter()
-        with pytest.raises(error, match="n-gram pass failed"):
-            compute_metrics(SHORT_PAIRS, None)
-        assert time.perf_counter() - start < 30  # killed, not waited for
-        assert len(forks) == 1
-
-    def test_path_selection(self, monkeypatch, forks):
-        pairs = SHORT_PAIRS[:3] + LONG_PAIRS[:1]
-        force_path(monkeypatch, "worker")
-        compute_metrics(pairs, None)
-        assert len(forks) == 1
-        for names in (["METEOR"], ALIGNED_NAMES, ["B-4"], COUNTED_NAMES):
-            compute_metrics(pairs, names)
-        assert len(forks) == 1, "one family alone forked"
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        compute_metrics(pairs, None)
-        assert len(forks) == 1, "forked with one CPU"
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(metrics, "WORKER_MIN_TOKENS", corpus_tokens(pairs) + 1)
-        compute_metrics(pairs, None)
-        assert len(forks) == 1, "forked below the size floor"
-        monkeypatch.setattr(metrics, "WORKER_MIN_TOKENS", corpus_tokens(pairs))
-        compute_metrics(pairs, None)
-        assert len(forks) == 2
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            compute_metrics(pairs, None)
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert len(forks) == 2, "forked with a second thread alive"
-

@@ -339,7 +339,7 @@ class TestKVCache:
         story = [3, 7, 2, 9, 4]
         full = forward_logits(model, assemble_input([(seq, story)], model.config, BOS)).data
 
-        cache = KVCache(model.config)
+        cache = KVCache(model.config, positions=model.config.n_positions)
         prefix = assemble_input([(seq, [])], model.config, BOS)
         rows = [forward_logits(model, prefix, cache=cache).data]
         assert cache_digest(cache) == self.PREFIX_CACHE_DIGESTS[variant["grid_mode"]]
@@ -358,7 +358,7 @@ class TestKVCache:
         model = build_model(tiny_config(n_layers=n_layers))
         seqs = [make_seq(n_images=4, n_chars=2, seed=s, seq_id=f"s{s}") for s in range(batch)]
         prefix = assemble_input([(seq, []) for seq in seqs], model.config, BOS)
-        cache = KVCache(model.config, batch=batch)
+        cache = KVCache(model.config, batch=batch, positions=model.config.n_positions)
         got = forward_logits(model, prefix, cache=cache).data
         assert got.shape == (batch, model.config.vocab_size)
         full = forward_logits(model, prefix).data.reshape(batch, prefix.width, -1)
@@ -381,7 +381,8 @@ class TestKVCache:
             return real_matmul(a, b, bias)
 
         monkeypatch.setattr(nm, "matmul", spying_matmul)
-        forward_logits(model, prefix, cache=KVCache(model.config, batch=3))
+        forward_logits(model, prefix,
+                       cache=KVCache(model.config, batch=3, positions=model.config.n_positions))
         assert rows == {False: 3 * prefix.width, True: 3}
         forward_logits(model, prefix)  # without a cache every layer sees every row
         assert rows == {False: 3 * prefix.width, True: 3 * prefix.width}
@@ -403,7 +404,7 @@ class TestKVCache:
     def test_extend_hands_back_views_of_the_cache(self, batch):
         model = build_model(tiny_config())
         d = model.config.d_model
-        cache = KVCache(model.config, batch=batch)
+        cache = KVCache(model.config, batch=batch, positions=model.config.n_positions)
         rng = np.random.default_rng(batch)
         for step, rows in enumerate((3, 1)):
             k, v = (nm.Tensor(rng.normal(size=(batch * rows, d))) for _ in range(2))
@@ -425,7 +426,7 @@ class TestKVCache:
     def test_rejects_training_and_misplaced_positions(self):
         model = build_model(tiny_config())
         seq = make_seq()
-        cache = KVCache(model.config)
+        cache = KVCache(model.config, positions=model.config.n_positions)
         prefix = assemble_input([(seq, [])], model.config, BOS)
         with pytest.raises(NumericError, match="inference only"):
             forward_logits(model, prefix, rng=np.random.default_rng(0), cache=cache)
